@@ -112,7 +112,12 @@ def parse_profile(text: str) -> ProfileSpec:
         elif kind in ("cos", "sin", "exp"):
             if body is None or not body.strip():
                 raise ConfigurationError(f"time profile {kind!r} needs a rate")
-            time_part = TimeProfile(kind, float(body))
+            try:
+                rate = float(body)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"non-numeric time profile rate {body!r}") from exc
+            time_part = TimeProfile(kind, rate)
         else:
             raise ConfigurationError(f"unknown time profile {kind!r}")
     m = _PROFILE_RE.match(spatial_text)
@@ -238,6 +243,20 @@ def _field_profile(grid: GridSpec, p: ProfileSpec) -> Field6:
 _BAND_LIMITED_NAMES = ("zero", "constant", "plane-wave", "band-limited-random")
 
 
+def _switch(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word in ("on", "true", "1"):
+        return True
+    if word in ("off", "false", "0"):
+        return False
+    raise ConfigurationError("expected on/true/1 or off/false/0")
+
+
+def _auto_or_float(raw: str) -> float | None:
+    word = raw.strip().lower()
+    return None if word == "auto" else float(word)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate the experiment config; raises ValidationError with
     assumption-tagged messages on failure."""
@@ -250,25 +269,31 @@ def parse_config(text: str) -> ExperimentConfig:
 
     def get(section, key, default=None, cast=str):
         if cp.has_option(section, key):
-            return cast(cp.get(section, key))
-        if default is None:
+            raw = cp.get(section, key)
+        elif default is None:
             raise ConfigurationError(f"missing [{section}] {key}")
-        return cast(default)
+        else:
+            raw = default
+        try:
+            return cast(raw)
+        except (ValueError, ConfigurationError) as exc:
+            raise ConfigurationError(
+                f"[{section}] {key} = {raw!r}: {exc}") from exc
 
     grid_points = get("grid", "points", cast=int)
     box_length = get("grid", "length", cast=float)
     q = get("model", "q", cast=float)
     mode = get("model", "mode", default=WEAK).strip().lower()
     equation = get("model", "equation", default=TSEE).strip().lower()
-    nonlinearity = get("model", "nonlinearity", default="on").strip().lower()
+    nonlinearity = get("model", "nonlinearity", default="on", cast=_switch)
 
     count = get("noise", "count", cast=int)
-    B_profiles = [parse_profile(get("noise", f"B_{j + 1}"))
+    B_profiles = [get("noise", f"B_{j + 1}", cast=parse_profile)
                   for j in range(count)]
-    b_profiles = [parse_profile(get("noise", f"b_{j + 1}"))
+    b_profiles = [get("noise", f"b_{j + 1}", cast=parse_profile)
                   for j in range(count)]
-    J_profile = parse_profile(get("noise", "J", default="zero"))
-    u0_profile = parse_profile(get("noise", "u0", default="zero"))
+    J_profile = get("noise", "J", default="zero", cast=parse_profile)
+    u0_profile = get("noise", "u0", default="zero", cast=parse_profile)
 
     kernel_form = get("kernel", "form", default="zero").strip().lower()
     kernel_amplitude = get("kernel", "amplitude", default="0.0", cast=float)
@@ -277,8 +302,7 @@ def parse_config(text: str) -> ExperimentConfig:
     scheme = get("scheme", "type", default="euler_maruyama").strip().lower()
     dt = get("scheme", "dt", cast=float)
     cutoff = get("scheme", "cutoff", cast=int)
-    tau_raw = get("scheme", "tau_m", default="auto").strip().lower()
-    tau_m = None if tau_raw == "auto" else float(tau_raw)
+    tau_m = get("scheme", "tau_m", default="auto", cast=_auto_or_float)
     horizon = get("scheme", "horizon", default="1.0", cast=float)
 
     paths = get("monte_carlo", "paths", default="1", cast=int)
@@ -286,18 +310,18 @@ def parse_config(text: str) -> ExperimentConfig:
 
     out_dir = get("outputs", "directory", default="out")
     stride = get("outputs", "stride", default="1", cast=int)
-    save_fields = get("outputs", "save_fields", default="off").strip().lower()
+    save_fields = get("outputs", "save_fields", default="off", cast=_switch)
 
     cfg = ExperimentConfig(
         grid_points=grid_points, box_length=box_length, q=q, mode=mode,
-        equation=equation, nonlinearity=nonlinearity in ("on", "true", "1"),
+        equation=equation, nonlinearity=nonlinearity,
         noise_count=count, B_profiles=B_profiles, b_profiles=b_profiles,
         J_profile=J_profile, u0_profile=u0_profile,
         kernel_form=kernel_form, kernel_amplitude=kernel_amplitude,
         kernel_rate=kernel_rate, scheme=scheme, dt=dt, cutoff=cutoff,
         tau_m=tau_m, horizon=horizon, paths=paths, base_seed=base_seed,
         out_dir=out_dir, stride=stride,
-        save_fields=save_fields in ("on", "true", "1"),
+        save_fields=save_fields,
     )
     violations = validate_config(cfg)
     if violations:
@@ -346,6 +370,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
         if 2.0**cfg.cutoff > nyquist:
             v.append(f"[scheme] cutoff scale 2^{cfg.cutoff} exceeds Nyquist "
                      f"{nyquist:.3f}")
+    if cfg.tau_m is not None and not cfg.tau_m > 0:
+        v.append(f"[scheme] tau_m must be positive or auto, got {cfg.tau_m}")
     if cfg.paths < 1:
         v.append("[monte_carlo] paths must be >= 1")
     return v

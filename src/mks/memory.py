@@ -1,12 +1,21 @@
 """Retarded material law (G * u)(t) and the fixed-point windowing driver.
 
 G acts as a space-constant 6x6 real matrix multiplier.  The convolution is
-evaluated with the trapezoidal rule on the integrator's uniform history
-grid (O(dt^2) for smooth integrands); its time derivative uses
+the trapezoidal rule on the integrator's uniform history grid (O(dt^2) for
+smooth integrands).  For the exponential kernel G(t) = a e^{-rt} C the
+trapezoid sum is carried forward instead of re-summed: ``History`` keeps
 
-    d/dt (G * u)(t) = G(0) u(t) + integral_0^t G'(t - s) u(s) ds,
+    H_0 = u_0 / 2,    H_{k+1} = e^{-r dt} H_k + u_{k+1},
 
-available for the closed kernel forms only.
+so (G * u)(t_k) = a dt C (H_k - u_k / 2), the trapezoid sum exactly in exact
+arithmetic, at O(1) work and storage per step.  Its time derivative uses
+G' = -r G:
+
+    d/dt (G * u)(t) = G(0) u(t) + integral_0^t G'(t - s) u(s) ds
+                    = a C u(t) - r (G * u)(t).
+
+``TABLE`` kernels have no recursion; no config builds them, and the direct
+trapezoid sum over a table lives in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -89,62 +98,85 @@ def exponential_kernel(amplitude: float, rate: float,
 
 @dataclass
 class History:
-    """Uniformly spaced record of past states (single writer: the stepper)."""
+    """Carried trapezoid sum of a uniformly spaced state record.
+
+    Single writer (the stepper).  Appended states wait in ``pending`` until
+    the next read folds them into ``carried`` (H_k, folded with ``rate``);
+    only the latest state and the carried sum outlive a read.  ``len`` is
+    the number of states appended.
+    """
 
     dt: float
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    count: int = 0
+    t_last: float = 0.0
+    latest: Field6 | None = None
+    pending: list = field(default_factory=list)
+    carried: np.ndarray | None = None
+    rate: float | None = None
 
     def append(self, t: float, state: Field6):
-        if self.times:
-            gap = t - self.times[-1]
+        if self.count:
+            gap = t - self.t_last
             if abs(gap - self.dt) > 1e-9 * max(1.0, self.dt):
                 raise UsageError(
                     f"history spacing {gap} does not match dt {self.dt}")
-        self.times.append(float(t))
-        self.states.append(state)
+        self.t_last = float(t)
+        self.latest = state
+        self.pending.append(state.data)
+        self.count += 1
 
     def __len__(self):
-        return len(self.times)
+        return self.count
+
+    def fold(self, rate: float) -> np.ndarray:
+        """Fold the pending states into H_k with decay e^{-rate dt}; returns H_k."""
+        if self.rate is not None and rate != self.rate:
+            raise UsageError(
+                f"history was folded with rate {self.rate}, read with {rate}")
+        self.rate = rate
+        decay = np.exp(-rate * self.dt)
+        for data in self.pending:
+            if self.carried is None:
+                self.carried = 0.5 * data
+            else:
+                self.carried *= decay
+                self.carried += data
+        self.pending.clear()
+        return self.carried
 
 
-def _apply_matrix(g: np.ndarray, state: Field6) -> np.ndarray:
-    return np.einsum("ab,b...->a...", g, state.data)
+def _apply_matrix(g: np.ndarray, data: np.ndarray) -> np.ndarray:
+    return np.einsum("ab,b...->a...", g, data)
+
+
+def _exponential_convolution(h: History, kernel: KernelSpec,
+                             t: float) -> np.ndarray:
+    """a dt C (H_k - u_k / 2): the trapezoid of the exponential kernel at t_k."""
+    if not h.count:
+        raise UsageError("the memory law needs at least the t = 0 state")
+    if abs(h.t_last - t) > 1e-9 * max(1.0, abs(t)):
+        raise UsageError(f"t = {t} must be the latest history time {h.t_last}")
+    if kernel.form == TABLE:
+        raise UsageError("table kernels have no recursive memory law")
+    u = h.latest.data
+    if kernel.is_zero:
+        return np.zeros_like(u)
+    carried = h.fold(kernel.rate)
+    return kernel.amplitude * h.dt * _apply_matrix(kernel.coupling,
+                                                   carried - 0.5 * u)
 
 
 def convolve_history(h: History, kernel: KernelSpec, t: float) -> Field6:
-    """Trapezoidal quadrature of integral_0^t G(t - s) u(s) ds."""
-    if not h.times:
-        raise UsageError("convolve_history needs at least the t = 0 state")
-    if abs(h.times[-1] - t) > 1e-9 * max(1.0, abs(t)):
-        raise UsageError(f"t = {t} must be the latest history time {h.times[-1]}")
-    ref = h.states[-1]
-    if kernel.is_zero or len(h) == 1:
-        return ref.with_data(np.zeros_like(ref.data))
-    acc = np.zeros_like(ref.data)
-    last = len(h) - 1
-    for k, (tk, state) in enumerate(zip(h.times, h.states)):
-        weight = 0.5 if k in (0, last) else 1.0
-        acc += weight * _apply_matrix(kernel.matrix_at(t - tk), state)
-    return ref.with_data(h.dt * acc)
+    """Trapezoidal quadrature of integral_0^t G(t - s) u(s) ds, O(1) per step."""
+    conv = _exponential_convolution(h, kernel, t)
+    return h.latest.with_data(conv)
 
 
 def convolution_derivative(h: History, kernel: KernelSpec, t: float) -> Field6:
-    """G(0) u(t) + trapezoid of G'(t - s) u(s)."""
-    if not h.times:
-        raise UsageError("convolution_derivative needs at least the t = 0 state")
-    ref = h.states[-1]
-    out = _apply_matrix(kernel.matrix_at(0.0), ref)
-    if kernel.form == TABLE:
-        raise UsageError("table kernels do not support the analytic derivative")
-    if not kernel.is_zero and len(h) > 1:
-        acc = np.zeros_like(ref.data)
-        last = len(h) - 1
-        for k, (tk, state) in enumerate(zip(h.times, h.states)):
-            weight = 0.5 if k in (0, last) else 1.0
-            acc += weight * _apply_matrix(kernel.derivative_at(t - tk), state)
-        out = out + h.dt * acc
-    return ref.with_data(out)
+    """G(0) u(t) + trapezoid of G'(t - s) u(s) = a C u(t) - r (G * u)(t)."""
+    conv = _exponential_convolution(h, kernel, t)
+    out = _apply_matrix(kernel.matrix_at(0.0), h.latest.data) - kernel.rate * conv
+    return h.latest.with_data(out)
 
 
 def contraction_step_length(g_l1: float, lipschitz_noise: float, horizon: float,

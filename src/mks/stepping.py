@@ -585,21 +585,6 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     return result
 
 
-def _prefix_convolution(kernel: KernelSpec, times: np.ndarray,
-                        states: np.ndarray, upto: int,
-                        cell_dt: float) -> np.ndarray:
-    """Trapezoid of integral_0^{t_upto} G(t_upto - s) u(s) ds over the grid."""
-    if upto == 0 or kernel.is_zero:
-        return np.zeros_like(states[0])
-    acc = np.zeros_like(states[0])
-    t = times[upto]
-    for j in range(upto + 1):
-        weight = 0.5 if j in (0, upto) else 1.0
-        g = kernel.matrix_at(t - times[j])
-        acc += weight * np.einsum("ab,b...->a...", g, states[j])
-    return cell_dt * acc
-
-
 def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
                       kernel: KernelSpec, bundle: BrownianBundle, *,
                       lipschitz_noise: float | None = None,
@@ -647,9 +632,16 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
         window = (float(bundle.times[start]), float(bundle.times[start + count]))
 
         def one_window(u_traj, _start=start, _count=count, _y0=y_start):
+            # the source is read at increasing k, so one carried history per
+            # iterate folds each state of u_traj once
+            history = History(dt=cfg.dt)
+
             def source(k_idx, t):
-                conv = _prefix_convolution(kernel, bundle.times, u_traj.data,
-                                           min(k_idx, k_total), cfg.dt)
+                while len(history) <= k_idx:
+                    j = len(history)
+                    history.append(bundle.times[j],
+                                   Field6(grid, PHYSICAL, u_traj.data[j]))
+                conv = convolve_history(history, kernel, t).data
                 if cfg.equation == TSEE:
                     phase = gauge_phase(spec, bundle, t)
                     conv = conv * phase.values

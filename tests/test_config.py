@@ -8,7 +8,8 @@ from mks.config import (
     parse_profile,
     validate_config,
 )
-from mks.errors import ConfigurationError, ValidationError
+from mks.cli import main
+from mks.errors import ConfigurationError, MksError, ValidationError
 from mks.grid import l2_norm
 
 MINIMAL_WEAK = """
@@ -177,3 +178,78 @@ class TestValidateDirect:
         cfg.paths = 0
         v = validate_config(cfg)
         assert len(v) >= 2
+
+
+def _with_key(section, line):
+    """MINIMAL_WEAK with one extra ``key = value`` line in ``[section]``."""
+    return MINIMAL_WEAK.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
+
+
+BAD_VALUES = [
+    pytest.param(MINIMAL_WEAK.replace("points = 8", "points = eight"),
+                 "[grid] points", "eight", id="points-eight"),
+    pytest.param(_with_key("scheme", "tau_m = fast"), "[scheme] tau_m", "fast",
+                 id="tau_m-fast"),
+    pytest.param(_with_key("scheme", "tau_m = -1"), "tau_m", "-1",
+                 id="tau_m-negative"),
+    pytest.param(MINIMAL_WEAK.replace("b_1 = zero", "b_1 = zero * cos(fast)"),
+                 "[noise] b_1", "fast", id="cos-fast"),
+    pytest.param(_with_key("model", "nonlinearity = yes"),
+                 "[model] nonlinearity", "yes", id="nonlinearity-yes"),
+    pytest.param(MINIMAL_WEAK + "\n[outputs]\nsave_fields = yes\n",
+                 "[outputs] save_fields", "yes", id="save_fields-yes"),
+]
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("text,where,raw", BAD_VALUES)
+    def test_tagged_error_names_key_and_value(self, text, where, raw):
+        with pytest.raises(MksError) as info:
+            parse_config(text)
+        assert isinstance(info.value, ConfigurationError)
+        assert where in str(info.value) and raw in str(info.value)
+
+    @pytest.mark.parametrize("text,where,raw", BAD_VALUES)
+    def test_run_exits_nonzero_without_traceback(self, text, where, raw,
+                                                 tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text)
+        rc = main(["run", "--config", str(cfg_file),
+                   "--out", str(tmp_path / "out")])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and where in err
+        assert not (tmp_path / "out").exists()
+
+    def test_tau_m_zero_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            parse_config(_with_key("scheme", "tau_m = 0"))
+        assert any("tau_m" in v for v in info.value.violations)
+
+    def test_tau_m_positive_and_auto_accepted(self):
+        assert parse_config(_with_key("scheme", "tau_m = 2.5")).tau_m == 2.5
+        assert parse_config(_with_key("scheme", "tau_m = auto")).tau_m is None
+
+
+SWITCH_SPELLINGS = [("on", True), ("true", True), ("1", True),
+                    ("off", False), ("false", False), ("0", False),
+                    ("ON", True), ("Off", False)]
+
+
+class TestSwitches:
+    @pytest.mark.parametrize("word,value", SWITCH_SPELLINGS)
+    def test_nonlinearity(self, word, value):
+        cfg = parse_config(_with_key("model", f"nonlinearity = {word}"))
+        assert cfg.nonlinearity is value
+
+    @pytest.mark.parametrize("word,value", SWITCH_SPELLINGS)
+    def test_save_fields(self, word, value):
+        cfg = parse_config(MINIMAL_WEAK + f"\n[outputs]\nsave_fields = {word}\n")
+        assert cfg.save_fields is value
+
+    @pytest.mark.parametrize("word", ["yes", "no", "enabled", "2", ""])
+    def test_unknown_word_rejected(self, word):
+        with pytest.raises(ConfigurationError):
+            parse_config(_with_key("model", f"nonlinearity = {word}"))
+        with pytest.raises(ConfigurationError):
+            parse_config(MINIMAL_WEAK + f"\n[outputs]\nsave_fields = {word}\n")

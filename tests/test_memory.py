@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import mks.stepping
 from mks.errors import ConfigurationError, NumericalError, UsageError
-from mks.grid import l2_norm, random_field
+from mks.grid import Field6, l2_norm, random_field
+from mks.kerr import KerrExponent
 from mks.memory import (
     History,
     KernelSpec,
@@ -12,6 +14,47 @@ from mks.memory import (
     exponential_kernel,
     picard_solve,
 )
+from mks.multipliers import CutoffLevel
+from mks.noise import SeparableSource, make_noise_spec, sample_brownian, zero_source
+from mks.stepping import EULER_MARUYAMA, LIE_SPLITTING, MSEE, SchemeConfig, run_path
+
+
+def direct_trapezoid(matrix_at, times, states, t, dt):
+    """Oracle: the trapezoid sum of integral_0^t M(t - s) u(s) ds, re-summed."""
+    acc = np.zeros_like(states[0].data)
+    last = len(states) - 1
+    if last == 0:
+        return acc
+    for k, (tk, state) in enumerate(zip(times, states)):
+        weight = 0.5 if k in (0, last) else 1.0
+        acc += weight * np.einsum("ab,b...->a...", matrix_at(t - tk), state.data)
+    return dt * acc
+
+
+def random_states(grid, count, seed):
+    """Non-constant random states with a slow drift, as a stepper produces."""
+    base = random_field(grid, seed=(seed, 0))
+    return [base.with_data(np.cos(0.3 * k) * base.data
+                           + random_field(grid, seed=(seed, k + 1)).data)
+            for k in range(count)]
+
+
+def nonsymmetric_coupling(seed):
+    g = np.random.default_rng(seed).standard_normal((6, 6))
+    assert not np.allclose(g, g.T)
+    return g
+
+
+def relative_error(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def held_states(h):
+    """Distinct field-sized arrays a History keeps alive."""
+    arrays = [h.carried, *h.pending]
+    if h.latest is not None:
+        arrays.append(h.latest.data)
+    return len({id(a) for a in arrays if a is not None})
 
 
 def constant_history(state, dt, horizon):
@@ -237,3 +280,138 @@ class TestHistory:
         h.append(0.1, c)
         with pytest.raises(UsageError):
             h.append(0.3, c)
+
+
+class TestRecursiveHistory:
+    """The carried sum against the direct trapezoid oracle."""
+
+    RATES = [0.0, 1.0, 7.0]
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_matches_direct_sum_at_every_step(self, grid4, rate):
+        dt = 0.01
+        ker = KernelSpec(form="exponential", amplitude=0.7, rate=rate,
+                         coupling=nonsymmetric_coupling(1))
+        states = random_states(grid4, 120, seed=2)
+        h = History(dt=dt)
+        worst = 0.0
+        for k, state in enumerate(states):
+            h.append(k * dt, state)
+            t = k * dt
+            out = convolve_history(h, ker, t)
+            if k == 0:
+                assert l2_norm(out) == 0.0
+                continue
+            oracle = direct_trapezoid(ker.matrix_at, [j * dt for j in range(k + 1)],
+                                      states[:k + 1], t, dt)
+            worst = max(worst, relative_error(out.data, oracle))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_bulk_fold_matches_direct_sum(self, grid4, rate):
+        # all states pending at the first read: one fold of the whole record
+        dt = 1.0 / 128
+        ker = KernelSpec(form="exponential", amplitude=-1.3, rate=rate,
+                         coupling=nonsymmetric_coupling(3))
+        states = random_states(grid4, 129, seed=4)
+        times = [k * dt for k in range(len(states))]
+        h = History(dt=dt)
+        for tk, state in zip(times, states):
+            h.append(tk, state)
+        out = convolve_history(h, ker, times[-1])
+        oracle = direct_trapezoid(ker.matrix_at, times, states, times[-1], dt)
+        assert relative_error(out.data, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_derivative_matches_direct_sum(self, grid4, rate):
+        dt = 0.01
+        ker = KernelSpec(form="exponential", amplitude=0.9, rate=rate,
+                         coupling=nonsymmetric_coupling(5))
+        states = random_states(grid4, 101, seed=6)
+        times = [k * dt for k in range(len(states))]
+        h = History(dt=dt)
+        for k, (tk, state) in enumerate(zip(times, states)):
+            h.append(tk, state)
+            if k % 10:
+                continue
+            out = convolution_derivative(h, ker, tk)
+            oracle = np.einsum("ab,b...->a...", ker.matrix_at(0.0), state.data) \
+                + direct_trapezoid(ker.derivative_at, times[:k + 1],
+                                   states[:k + 1], tk, dt)
+            assert relative_error(out.data, oracle) <= 1e-12
+
+    def test_repeated_reads_are_bitwise_idempotent(self, grid4):
+        ker = exponential_kernel(0.8, 1.3)
+        states = random_states(grid4, 5, seed=7)
+        h = History(dt=0.1)
+        for k, state in enumerate(states):
+            h.append(0.1 * k, state)
+            first = convolve_history(h, ker, 0.1 * k)
+            again = convolve_history(h, ker, 0.1 * k)
+            assert np.array_equal(first.data, again.data)
+
+    def test_second_rate_after_fold_rejected(self, grid4):
+        states = random_states(grid4, 3, seed=8)
+        h = History(dt=0.1)
+        h.append(0.0, states[0])
+        h.append(0.1, states[1])
+        convolve_history(h, exponential_kernel(1.0, 1.0), 0.1)
+        # the amplitude and coupling are applied at read time, the rate is not
+        convolve_history(h, exponential_kernel(2.0, 1.0), 0.1)
+        h.append(0.2, states[2])
+        with pytest.raises(UsageError):
+            convolve_history(h, exponential_kernel(1.0, 2.0), 0.2)
+        with pytest.raises(UsageError):
+            convolution_derivative(h, exponential_kernel(1.0, 0.0), 0.2)
+
+    def test_table_kernel_rejected(self, grid4):
+        times = np.array([0.0, 1.0])
+        ker = KernelSpec(form="table", table_times=times,
+                         table_values=np.stack([np.eye(6), np.eye(6)]))
+        h = constant_history(random_field(grid4, seed=9), 0.25, 0.5)
+        with pytest.raises(UsageError):
+            convolve_history(h, ker, 0.5)
+
+    def test_empty_history_rejected(self):
+        with pytest.raises(UsageError):
+            convolve_history(History(dt=0.1), exponential_kernel(1.0, 1.0), 0.0)
+
+    def test_length_counts_appended_states(self, grid4):
+        h = constant_history(random_field(grid4, seed=10), 0.125, 0.5)
+        convolve_history(h, exponential_kernel(1.0, 1.0), 0.5)
+        assert len(h) == 5
+        assert held_states(h) == 2
+
+
+class _RecordingHistory(History):
+    """History that records the peak number of states it holds."""
+
+    made = []
+
+    def append(self, t, state):
+        if not self.count:
+            _RecordingHistory.made.append(self)
+            self.peak = 0
+        super().append(t, state)
+        self.peak = max(self.peak, held_states(self))
+
+
+@pytest.mark.parametrize("scheme", [EULER_MARUYAMA, LIE_SPLITTING])
+@pytest.mark.parametrize("steps", [16, 64])
+def test_run_path_history_storage_is_bounded(grid4, monkeypatch, scheme, steps):
+    n = grid4.points_per_axis
+    b = SeparableSource(shape=Field6(
+        grid4, "physical", np.full((6, n, n, n), 0.1, dtype=np.complex128)))
+    spec = make_noise_spec(grid4, [0.2 * np.ones((n, n, n))], [b],
+                           zero_source(grid4),
+                           random_field(grid4, seed=21, scale=0.5))
+    bundle = sample_brownian(1, 0.5, steps, seed=17)
+    cfg = SchemeConfig(scheme=scheme, dt=0.5 / steps,
+                       cutoff_level=CutoffLevel(1), equation=MSEE,
+                       kerr=KerrExponent(3.0, False))
+    _RecordingHistory.made.clear()
+    monkeypatch.setattr(mks.stepping, "History", _RecordingHistory)
+    run_path(spec, cfg, exponential_kernel(2.0, 1.0), bundle)
+    (h,) = _RecordingHistory.made
+    assert len(h) == steps + 1
+    assert h.peak <= 2 and held_states(h) <= 2
