@@ -57,13 +57,10 @@ from .noise import (
     SeparableSource,
     TimeProfile,
     apply_gauge,
-    drift_A_apply,
     gauge_phase,
     make_noise_spec,
     refine_bundle,
     sample_brownian,
-    transformed_current,
-    transformed_noise,
 )
 from .operators import (
     DenseOperator,
@@ -86,7 +83,6 @@ from .stepping import (
     SchemeConfig,
     Trajectory,
     initial_state,
-    lambda_process,
     run_path,
     solve_with_memory,
     step_euler_maruyama,

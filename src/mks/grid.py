@@ -13,8 +13,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -223,6 +225,25 @@ def hermitian_defect(f: Field6) -> float:
 _HEADER = struct.Struct("<4sIdBB")
 
 
+def write_atomic(path, *chunks: bytes):
+    """Write the chunks to a temp file beside ``path``, then rename it over
+    ``path``: readers see the old file or the whole new one, never a part.
+    The file gets the mode a plain ``open(path, "wb")`` would (umask)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".tmp-{path.name}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_checkpoint(f: Field6, path):
     header = _HEADER.pack(
         CHECKPOINT_MAGIC,
@@ -231,18 +252,28 @@ def write_checkpoint(f: Field6, path):
         _REP_TAGS[f.representation],
         1 if f.real_state else 0,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(f.data).astype("<c16").tobytes())
+    write_atomic(path, header,
+                 np.ascontiguousarray(f.data).astype("<c16").tobytes())
 
 
 def read_checkpoint(path) -> Field6:
     with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        magic, n, box_length, tag, real_flag = _HEADER.unpack(raw)
-        if magic != CHECKPOINT_MAGIC:
-            raise UsageError(f"bad checkpoint magic {magic!r}")
-        data = np.frombuffer(fh.read(6 * n**3 * 16), dtype="<c16")
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise UsageError(f"checkpoint {path} is truncated: {len(raw)} bytes, "
+                         f"the header alone takes {_HEADER.size}")
+    magic, n, box_length, tag, real_flag = _HEADER.unpack_from(raw)
+    if magic != CHECKPOINT_MAGIC:
+        raise UsageError(f"bad checkpoint magic {magic!r}")
+    if tag not in _TAG_REPS:
+        raise UsageError(f"checkpoint {path} has bad representation tag {tag}")
+    if real_flag not in (0, 1):
+        raise UsageError(f"checkpoint {path} has bad real-state flag {real_flag}")
+    expected = _HEADER.size + 6 * n**3 * 16
+    if len(raw) != expected:
+        raise UsageError(f"checkpoint {path} holds {len(raw)} bytes; a 6x{n}^3 "
+                         f"field takes {expected}")
     grid = make_grid(n, box_length)
+    data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     data = data.astype(np.complex128).reshape(6, n, n, n)
     return Field6(grid, _TAG_REPS[tag], data, bool(real_flag))

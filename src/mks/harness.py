@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -28,7 +27,7 @@ import numpy as np
 from .config import ExperimentConfig, RuntimeModel, assumption_echo, build_runtime
 from .diagnostics import RunReport
 from .errors import BlowUpError
-from .grid import write_checkpoint
+from .grid import write_atomic, write_checkpoint
 from .noise import sample_brownian
 from .stepping import TSEE, run_path
 
@@ -45,19 +44,6 @@ def default_workers() -> int:
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
-
-
-def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _run_one_path(cfg: ExperimentConfig, path_index: int):
@@ -129,10 +115,11 @@ def _write_series_csv(path: Path, reports):
             w.writerow([r.path_index, k, _fmt(t), _fmt(r.l2[k]),
                         _fmt(r.power_norm[k]), _fmt(r.lambda_l2[k]),
                         _fmt(r.energy_residual[k])])
-    _atomic_write(path, buf.getvalue())
+    write_atomic(path, buf.getvalue().encode())
 
 
-def _summary_rows(report: RunReport, cfg: ExperimentConfig):
+def _monte_carlo_rows(report: RunReport) -> list:
+    """Path count, then mean, variance and CI half-width of each statistic."""
     rows = [("paths", str(len(report.paths)))]
     for name, mc in (("sup_l2_squared", report.sup_l2_squared),
                      ("integral_power", report.integral_power),
@@ -141,6 +128,11 @@ def _summary_rows(report: RunReport, cfg: ExperimentConfig):
         rows.append((f"{name}_mean", _fmt(mc.mean)))
         rows.append((f"{name}_variance", _fmt(mc.variance)))
         rows.append((f"{name}_ci_half_width", _fmt(mc.ci_half_width)))
+    return rows
+
+
+def _summary_rows(report: RunReport, cfg: ExperimentConfig):
+    rows = _monte_carlo_rows(report)
     rows.append(("events", str(len(report.events))))
     rows.append(("equation", cfg.equation))
     rows.append(("q", _fmt(cfg.q)))
@@ -153,7 +145,7 @@ def _write_summary_csv(path: Path, report: RunReport, cfg: ExperimentConfig):
     w.writerow(["metric", "value"])
     for key, val in _summary_rows(report, cfg):
         w.writerow([key, val])
-    _atomic_write(path, buf.getvalue())
+    write_atomic(path, buf.getvalue().encode())
 
 
 def _write_assumptions_csv(path: Path, cfg: ExperimentConfig,
@@ -163,7 +155,7 @@ def _write_assumptions_csv(path: Path, cfg: ExperimentConfig,
     w.writerow(["tag", "status", "detail"])
     for row in assumption_echo(cfg, model):
         w.writerow([row["tag"], row["status"], row["detail"]])
-    _atomic_write(path, buf.getvalue())
+    write_atomic(path, buf.getvalue().encode())
 
 
 def _write_checkpoints(root: Path, results):
@@ -179,7 +171,7 @@ def _write_checkpoints(root: Path, results):
             name = f"path{res.report.path_index:04d}_step{k:06d}.mks"
             write_checkpoint(traj.state(k), root / name)
             w.writerow([res.report.path_index, k, _fmt(t), name])
-    _atomic_write(root / "index.csv", buf.getvalue())
+    write_atomic(root / "index.csv", buf.getvalue().encode())
 
 
 def reaggregate(out_dir) -> list:
@@ -205,16 +197,7 @@ def reaggregate(out_dir) -> list:
             l2=np.asarray(d["l2"]), power_norm=np.asarray(d["power_norm"]),
             lambda_l2=np.asarray(d["lambda_l2"]),
             energy_residual=np.asarray(d["energy_residual"])))
-    report = RunReport.from_paths(reports)
-    rows = [("paths", str(len(report.paths)))]
-    for name, mc in (("sup_l2_squared", report.sup_l2_squared),
-                     ("integral_power", report.integral_power),
-                     ("sup_lambda_squared", report.sup_lambda_squared),
-                     ("terminal_residual", report.terminal_residual)):
-        rows.append((f"{name}_mean", _fmt(mc.mean)))
-        rows.append((f"{name}_variance", _fmt(mc.variance)))
-        rows.append((f"{name}_ci_half_width", _fmt(mc.ci_half_width)))
-    return rows
+    return _monte_carlo_rows(RunReport.from_paths(reports))
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .grid import (
     l2_norm,
     to_physical,
     to_spectral,
+    write_atomic,
 )
 
 BUNDLE_MAGIC = b"BRW1"
@@ -138,21 +139,26 @@ def freeze_bundle_at_exit(bundle: BrownianBundle, threshold: float):
 def save_bundle(bundle: BrownianBundle, path):
     header = _BUNDLE_HEADER.pack(BUNDLE_MAGIC, bundle.count, bundle.steps,
                                  bundle.seed, bundle.horizon, bundle.level)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(bundle.times.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(bundle.values).astype("<f8").tobytes())
+    write_atomic(path, header, bundle.times.astype("<f8").tobytes(),
+                 np.ascontiguousarray(bundle.values).astype("<f8").tobytes())
 
 
 def load_bundle(path) -> BrownianBundle:
     with open(path, "rb") as fh:
-        magic, count, steps, seed, _horizon, level = _BUNDLE_HEADER.unpack(
-            fh.read(_BUNDLE_HEADER.size))
-        if magic != BUNDLE_MAGIC:
-            raise UsageError(f"bad bundle magic {magic!r}")
-        times = np.frombuffer(fh.read(8 * (steps + 1)), dtype="<f8").copy()
-        values = np.frombuffer(fh.read(8 * count * (steps + 1)),
-                               dtype="<f8").copy().reshape(count, steps + 1)
+        raw = fh.read()
+    if len(raw) < _BUNDLE_HEADER.size:
+        raise UsageError(f"bundle {path} is truncated: {len(raw)} bytes, the "
+                         f"header alone takes {_BUNDLE_HEADER.size}")
+    magic, count, steps, seed, _horizon, level = _BUNDLE_HEADER.unpack_from(raw)
+    if magic != BUNDLE_MAGIC:
+        raise UsageError(f"bad bundle magic {magic!r}")
+    expected = _BUNDLE_HEADER.size + 8 * (count + 1) * (steps + 1)
+    if len(raw) != expected:
+        raise UsageError(f"bundle {path} holds {len(raw)} bytes; {count} paths "
+                         f"of {steps} steps take {expected}")
+    payload = np.frombuffer(raw, dtype="<f8", offset=_BUNDLE_HEADER.size)
+    times = payload[:steps + 1].copy()
+    values = payload[steps + 1:].copy().reshape(count, steps + 1)
     return BrownianBundle(times=times, values=values, seed=seed, level=level)
 
 
@@ -335,40 +341,6 @@ def cross_drift_apply(spec: NoiseSpec, beta: np.ndarray, y: Field6) -> np.ndarra
     return out
 
 
-def drift_A_apply(y: Field6, t: float, spec: NoiseSpec,
-                  bundle: BrownianBundle) -> Field6:
-    """A(t) y = 1/2 sum_j B_j^2 y + cross-term drift."""
-    _require_representation(y, PHYSICAL, "drift_A_apply")
-    idx = bundle.index_of(t)
-    beta = bundle.values[:, idx]
-    b2 = 0.0
-    for b_field in spec.B_fields:
-        b2 = b2 + b_field**2
-    out = 0.5 * b2 * y.data
-    out += cross_drift_apply(spec, beta, y)
-    return y.with_data(out)
-
-
-def transformed_current(t: float, spec: NoiseSpec,
-                        bundle: BrownianBundle) -> Field6:
-    """(sum_j -i b_j(t) B_j + J(t)) * gauge phase.
-
-    The forcing J enters once, outside the sum over noise channels.
-    """
-    phase = gauge_phase(spec, bundle, t)
-    total = spec.current.at(t).astype(np.complex128)
-    for b_field, source in zip(spec.B_fields, spec.b_sources):
-        total = total - 1j * b_field * source.at(t)
-    return Field6(spec.grid, PHYSICAL, total * phase.values)
-
-
-def transformed_noise(i: int, t: float, spec: NoiseSpec,
-                      bundle: BrownianBundle) -> Field6:
-    """b_i(t) times the gauge phase; same pointwise modulus as b_i."""
-    phase = gauge_phase(spec, bundle, t)
-    return Field6(spec.grid, PHYSICAL, spec.b_sources[i].at(t) * phase.values)
-
-
 def gauge_conjugation_defect(spec: NoiseSpec, bundle: BrownianBundle,
                              t: float, y: Field6) -> float:
     """L^2 defect of exp(-iPhi) m(exp(iPhi) y) - m y - cross-term drift.
@@ -380,13 +352,9 @@ def gauge_conjugation_defect(spec: NoiseSpec, bundle: BrownianBundle,
 
     phase = gauge_phase(spec, bundle, t)
     lifted = apply_gauge(y, phase, "inverse")  # multiply by exp(+iPhi)
-    m_lifted = operator_in_physical(maxwell_apply, lifted)
+    m_lifted = to_physical(maxwell_apply(to_spectral(lifted)))
     left = apply_gauge(m_lifted, phase, "forward").data
-    my = operator_in_physical(maxwell_apply, y).data
+    my = to_physical(maxwell_apply(to_spectral(y))).data
     expected = cross_drift_apply(spec, bundle.values[:, bundle.index_of(t)], y)
     defect = left - my - expected
     return l2_norm(y.with_data(defect))
-
-
-def operator_in_physical(op, f: Field6) -> Field6:
-    return to_physical(op(to_spectral(f)))

@@ -20,10 +20,12 @@ Equation variants share the machinery:
              initial state S_{n-1} u0,
 * ``wsee``:  msee dynamics with sharp initial data P_n u0.
 
-All drift and noise evaluations go through a ``StepContext`` so that a step
-and an external re-evaluation (``lambda_process``, ``noise_fields``) produce
-bitwise identical floats: the context precomputes static coefficient
-products once, deterministically, from the same inputs.
+All drift and noise evaluations go through a ``StepContext``, which
+precomputes static coefficient products once, deterministically, so a
+context built twice from the same inputs reproduces the same floats.
+``run_path`` evaluates Lambda and the noise amplitudes Z once per step and
+hands both to the stepper: the Euler-Maruyama update is formed from the very
+arrays the Lambda diagnostic and the energy ledger read.
 
 The Brownian paths are frozen at the first exit of any |beta_i| over the
 truncation level m (default 8 sqrt(T)); the event is logged, not fatal.
@@ -198,10 +200,13 @@ class StepContext:
     """
 
     def __init__(self, cfg: SchemeConfig, spec: NoiseSpec,
-                 bundle: BrownianBundle):
+                 bundle: BrownianBundle, kernel: KernelSpec | None = None):
         self.cfg = cfg
         self.spec = spec
         self.bundle = bundle
+        self.kernel = kernel
+        self.kernel_active = (kernel is not None and not kernel.is_zero
+                              and cfg.equation in (MSEE, WSEE))
         self.grid = spec.grid
         n3 = (self.grid.points_per_axis,) * 3
         self.phase_trivial = all(not np.any(b) for b in spec.B_fields)
@@ -224,8 +229,6 @@ class StepContext:
 
         self.current_zero = not np.any(spec.current.shape.data)
         self.noise_level = CutoffLevel(cfg.cutoff_level.n - 1)
-        self.kernel: KernelSpec | None = None
-        self.kernel_active = False
 
         # with a trivial gauge the noise filters commute with the scalar
         # time profile, so the filtered shapes can be cached
@@ -267,39 +270,47 @@ class StepContext:
             total = total * phase
         return total
 
-    def drift(self, y: Field6, t: float, history: History | None = None,
-              extra_source: np.ndarray | None = None) -> Field6:
-        """The projected full drift P_n[m y - F(y) + ...] (Lambda)."""
-        cfg = self.cfg
-        spec = self.spec
-        acc = to_physical(maxwell_apply(to_spectral(y))).data.copy()
-        if cfg.kerr is not None:
-            acc -= kerr_force(y, cfg.kerr).data
-        if cfg.equation == TSEE:
+    def _add_drift_terms(self, acc: np.ndarray | None, y: Field6, t: float,
+                         history: History | None,
+                         extra_source: np.ndarray | None) -> np.ndarray | None:
+        """acc plus every drift term besides m y and -F(y), in a fixed order:
+        A(t) y and the gauged current (tsee) or J and the memory term
+        (msee/wsee), then the extra source.  acc None starts from the first
+        term present (a copy, so acc is always owned and summed in place);
+        None comes back when there is none."""
+        def add(acc, term):
+            if acc is None:
+                return term.astype(np.complex128)
+            acc += term
+            return acc
+
+        if self.cfg.equation == TSEE:
             if self.sum_b_squared is not None:
-                acc += 0.5 * self.sum_b_squared * y.data
                 beta = self.bundle.values[:, self.bundle.index_of(t)]
-                acc += cross_drift_apply(spec, beta, y)
-            phase = self.phase_values(t)
-            current = self.transformed_current_data(t, phase)
+                acc = add(acc, 0.5 * self.sum_b_squared * y.data)
+                acc = add(acc, cross_drift_apply(self.spec, beta, y))
+            current = self.transformed_current_data(t, self.phase_values(t))
             if current is not None:
-                acc += current
+                acc = add(acc, current)
         else:
             if not self.current_zero:
-                acc += spec.current.at(t)
+                acc = add(acc, self.spec.current.at(t))
             if self.kernel_active:
                 if history is None:
                     raise UsageError("memory kernel requires a history")
-                acc += convolve_history(history, self.kernel, t).data
+                acc = add(acc, convolve_history(history, self.kernel, t).data)
         if extra_source is not None:
-            acc = acc + extra_source
-        return _project_sharp(acc, self.grid, cfg.cutoff_level)
+            acc = add(acc, extra_source)
+        return acc
 
-    def with_kernel(self, kernel: KernelSpec | None) -> "StepContext":
-        self.kernel = kernel
-        self.kernel_active = (kernel is not None and not kernel.is_zero
-                              and self.cfg.equation in (MSEE, WSEE))
-        return self
+    def drift(self, y: Field6, t: float, history: History | None = None,
+              extra_source: np.ndarray | None = None) -> Field6:
+        """The projected full drift P_n[m y - F(y) + ...] (Lambda)."""
+        acc = to_physical(maxwell_apply(to_spectral(y))).data.copy()
+        if self.cfg.kerr is not None:
+            acc -= kerr_force(y, self.cfg.kerr).data
+        acc = self._add_drift_terms(acc, y, t, history, extra_source)
+        return _project_sharp(acc, self.grid, self.cfg.cutoff_level)
 
     # -- noise pieces ----------------------------------------------------------
 
@@ -333,34 +344,6 @@ class StepContext:
         return out
 
 
-def make_context(cfg: SchemeConfig, spec: NoiseSpec, bundle: BrownianBundle,
-                 kernel: KernelSpec | None = None) -> StepContext:
-    return StepContext(cfg, spec, bundle).with_kernel(kernel)
-
-
-def drift_field(y: Field6, t: float, cfg: SchemeConfig, spec: NoiseSpec,
-                kernel: KernelSpec | None, bundle: BrownianBundle,
-                history: History | None = None,
-                extra_source: np.ndarray | None = None) -> Field6:
-    """Functional wrapper: the projected full drift at (y, t)."""
-    ctx = make_context(cfg, spec, bundle, kernel)
-    return ctx.drift(y, t, history=history, extra_source=extra_source)
-
-
-def lambda_process(state: PathState, cfg: SchemeConfig, spec: NoiseSpec,
-                   kernel: KernelSpec | None, bundle: BrownianBundle,
-                   extra_source: np.ndarray | None = None) -> Field6:
-    """The Lambda diagnostic: exactly the drift the stepper integrates."""
-    return drift_field(state.y, state.t, cfg, spec, kernel, bundle,
-                       history=state.history, extra_source=extra_source)
-
-
-def noise_fields(y: Field6, t: float, cfg: SchemeConfig, spec: NoiseSpec,
-                 bundle: BrownianBundle) -> list:
-    ctx = make_context(cfg, spec, bundle)
-    return ctx.noise(y, t)
-
-
 def _noise_increment(zs, dbeta, shape) -> np.ndarray:
     incr = np.zeros(shape, dtype=np.complex128)
     for z, db in zip(zs, dbeta):
@@ -368,29 +351,28 @@ def _noise_increment(zs, dbeta, shape) -> np.ndarray:
     return incr
 
 
-def step_euler_maruyama(state: PathState, cfg: SchemeConfig, spec: NoiseSpec,
-                        kernel: KernelSpec | None, bundle: BrownianBundle,
-                        extra_source: np.ndarray | None = None,
-                        ctx: StepContext | None = None) -> PathState:
-    if ctx is None:
-        ctx = make_context(cfg, spec, bundle, kernel)
+def step_euler_maruyama(state: PathState, ctx: StepContext, lam: Field6,
+                        zs: list, src: np.ndarray | None) -> PathState:
+    """y + dt Lambda + sum_i Z_i dbeta_i, with Lambda and Z evaluated at the
+    current state by the caller (``src`` is already part of Lambda)."""
     k = state.step_index
-    lam = ctx.drift(state.y, state.t, history=state.history,
-                    extra_source=extra_source)
-    zs = ctx.noise(state.y, state.t)
+    bundle = ctx.bundle
     dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
-    incr = cfg.dt * lam.data + _noise_increment(zs, dbeta, state.y.data.shape)
+    incr = ctx.cfg.dt * lam.data + _noise_increment(zs, dbeta,
+                                                    state.y.data.shape)
     y_new = state.y.with_data(state.y.data + incr)
     return PathState(step_index=k + 1, t=float(bundle.times[k + 1]), y=y_new,
                      history=state.history)
 
 
-def step_lie_splitting(state: PathState, cfg: SchemeConfig, spec: NoiseSpec,
-                       kernel: KernelSpec | None, bundle: BrownianBundle,
-                       extra_source: np.ndarray | None = None,
-                       ctx: StepContext | None = None) -> PathState:
-    if ctx is None:
-        ctx = make_context(cfg, spec, bundle, kernel)
+def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
+                       zs: list, src: np.ndarray | None) -> PathState:
+    """Exact free flow, Kerr resolvent, remaining drift, noise increment.
+
+    Lambda and Z at the current state are not used: the remaining drift and
+    the noise are evaluated at the propagated state."""
+    cfg = ctx.cfg
+    bundle = ctx.bundle
     k = state.step_index
     t = state.t
     # (1) exact free propagator (commutes with the projection)
@@ -400,32 +382,15 @@ def step_lie_splitting(state: PathState, cfg: SchemeConfig, spec: NoiseSpec,
         y = implicit_kerr_solve(y, cfg.dt, cfg.kerr)
         y = _project_sharp(y.data, y.grid, cfg.cutoff_level)
     # (3) remaining drift terms
-    rest = None
-    if cfg.equation == TSEE:
-        if ctx.sum_b_squared is not None:
-            rest = 0.5 * ctx.sum_b_squared * y.data
-            beta = bundle.values[:, bundle.index_of(t)]
-            rest += cross_drift_apply(spec, beta, y)
-        phase = ctx.phase_values(t)
-        current = ctx.transformed_current_data(t, phase)
-        if current is not None:
-            rest = current if rest is None else rest + current
-    else:
-        if not ctx.current_zero:
-            rest = spec.current.at(t).copy()
-        if ctx.kernel_active:
-            conv = convolve_history(state.history, kernel, t).data
-            rest = conv if rest is None else rest + conv
-    if extra_source is not None:
-        rest = extra_source if rest is None else rest + extra_source
+    rest = ctx._add_drift_terms(None, y, t, state.history, src)
     if rest is not None:
         y = y.with_data(y.data + cfg.dt * _project_sharp(rest, y.grid,
                                                          cfg.cutoff_level).data)
     # (4) noise increment
-    zs = ctx.noise(y, t)
-    if zs:
+    z_prop = ctx.noise(y, t)
+    if z_prop:
         dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
-        y = y.with_data(y.data + _noise_increment(zs, dbeta, y.data.shape))
+        y = y.with_data(y.data + _noise_increment(z_prop, dbeta, y.data.shape))
     return PathState(step_index=k + 1, t=float(bundle.times[k + 1]), y=y,
                      history=state.history)
 
@@ -505,7 +470,7 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         state = initial_state(spec, cfg)
         state.step_index = start_index
         state.t = float(bundle.times[start_index])
-    ctx = make_context(cfg, spec, bundle, kernel)
+    ctx = StepContext(cfg, spec, bundle, kernel)
     if ctx.kernel_active:
         if start_index != 0:
             raise UsageError("direct memory runs must start at t = 0")
@@ -544,8 +509,7 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         zs = ctx.noise(state.y, state.t)
         dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
         ledger.update(state.y, lam, zs, dbeta, cfg.dt)
-        state = stepper(state, cfg, spec, kernel, bundle, extra_source=src,
-                        ctx=ctx)
+        state = stepper(state, ctx, lam, zs, src)
 
         norm = l2_norm(state.y)
         if not np.isfinite(norm) or norm > cfg.blowup_threshold:

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from mks.grid import Field6, make_grid, random_field, to_physical, to_spectral
+from mks.grid import (
+    PHYSICAL,
+    Field6,
+    _require_representation,
+    make_grid,
+    random_field,
+    to_physical,
+    to_spectral,
+)
 from mks.multipliers import CutoffLevel, sharp_cutoff
+from mks.noise import BrownianBundle, NoiseSpec, cross_drift_apply, gauge_phase
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +49,42 @@ def plane_wave(grid, mode, component=0, amplitude=1.0):
     data = np.zeros((6, n, n, n), dtype=np.complex128)
     data[component] = amplitude * np.exp(1j * (kx * x + ky * y + kz * z))
     return Field6(grid, "physical", data)
+
+
+# -- direct oracles for the gauge-transformed coefficients --------------------
+#
+# Straight transcriptions of the formulas, independent of the coefficient
+# products that mks.stepping.StepContext precomputes.
+
+def drift_A_apply(y: Field6, t: float, spec: NoiseSpec,
+                  bundle: BrownianBundle) -> Field6:
+    """A(t) y = 1/2 sum_j B_j^2 y + cross-term drift."""
+    _require_representation(y, PHYSICAL, "drift_A_apply")
+    idx = bundle.index_of(t)
+    beta = bundle.values[:, idx]
+    b2 = 0.0
+    for b_field in spec.B_fields:
+        b2 = b2 + b_field**2
+    out = 0.5 * b2 * y.data
+    out += cross_drift_apply(spec, beta, y)
+    return y.with_data(out)
+
+
+def transformed_current(t: float, spec: NoiseSpec,
+                        bundle: BrownianBundle) -> Field6:
+    """(sum_j -i b_j(t) B_j + J(t)) * gauge phase.
+
+    The forcing J enters once, outside the sum over noise channels.
+    """
+    phase = gauge_phase(spec, bundle, t)
+    total = spec.current.at(t).astype(np.complex128)
+    for b_field, source in zip(spec.B_fields, spec.b_sources):
+        total = total - 1j * b_field * source.at(t)
+    return Field6(spec.grid, PHYSICAL, total * phase.values)
+
+
+def transformed_noise(i: int, t: float, spec: NoiseSpec,
+                      bundle: BrownianBundle) -> Field6:
+    """b_i(t) times the gauge phase; same pointwise modulus as b_i."""
+    phase = gauge_phase(spec, bundle, t)
+    return Field6(spec.grid, PHYSICAL, spec.b_sources[i].at(t) * phase.values)

@@ -95,7 +95,7 @@ class TestEnergyResidual:
         assert np.allclose(r[1:], expected, rtol=1e-10)
 
     def test_matches_run_path_ledger(self, grid8):
-        from mks.stepping import PathState, lambda_process, noise_fields
+        from mks.stepping import StepContext
 
         b = SeparableSource(shape=constant_amplitude(grid8, 0.1))
         n = grid8.points_per_axis
@@ -106,11 +106,11 @@ class TestEnergyResidual:
         res = run_path(spec, cfg, None, bundle, record_fields=True)
         states = [res.trajectory.state(k) for k in range(17)]
         ctx_states = states[:-1]
-        drifts = [lambda_process(
-            PathState(step_index=k, t=float(bundle.times[k]), y=ctx_states[k]),
-            cfg, spec, None, bundle) for k in range(16)]
-        noises = [noise_fields(ctx_states[k], float(bundle.times[k]), cfg,
-                               spec, bundle) for k in range(16)]
+        ctx = StepContext(cfg, spec, bundle)
+        drifts = [ctx.drift(ctx_states[k], float(bundle.times[k]))
+                  for k in range(16)]
+        noises = [ctx.noise(ctx_states[k], float(bundle.times[k]))
+                  for k in range(16)]
         r = energy_identity_residual(states, drifts, noises, bundle, cfg.dt)
         assert np.allclose(r, res.report.energy_residual, atol=1e-12)
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from mks.grid import (
     read_checkpoint,
     to_physical,
     to_spectral,
+    write_atomic,
     write_checkpoint,
     zero_field,
 )
@@ -210,6 +213,66 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(UsageError):
             read_checkpoint(path)
+
+    def _valid_bytes(self, grid4, tmp_path):
+        path = tmp_path / "state.mks"
+        write_checkpoint(random_field(grid4, seed=16), path)
+        return path.read_bytes()
+
+    def test_every_proper_prefix_rejected(self, grid4, tmp_path):
+        raw = self._valid_bytes(grid4, tmp_path)
+        path = tmp_path / "cut.mks"
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(UsageError):
+                read_checkpoint(path)
+
+    def test_trailing_byte_rejected(self, grid4, tmp_path):
+        path = tmp_path / "long.mks"
+        path.write_bytes(self._valid_bytes(grid4, tmp_path) + b"\x00")
+        with pytest.raises(UsageError):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("offset", [16, 17])  # representation, real flag
+    def test_bad_tag_rejected(self, grid4, tmp_path, offset):
+        raw = bytearray(self._valid_bytes(grid4, tmp_path))
+        raw[offset] = 7
+        path = tmp_path / "tag.mks"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(UsageError):
+            read_checkpoint(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        target = tmp_path / "out.bin"
+        with pytest.raises(TypeError):
+            write_atomic(target, b"header", None)  # fails after one chunk
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"previous")
+        with pytest.raises(TypeError):
+            write_atomic(target, b"header", None)
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"previous"
+
+    def test_mode_follows_umask(self, tmp_path):
+        plain, atomic = tmp_path / "plain.bin", tmp_path / "atomic.bin"
+        plain.write_bytes(b"data")
+        write_atomic(atomic, b"data")
+        assert atomic.stat().st_mode == plain.stat().st_mode
+
+    def test_interrupted_checkpoint_leaves_nothing(self, grid4, tmp_path,
+                                                   monkeypatch):
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError):
+            write_checkpoint(random_field(grid4, seed=17), tmp_path / "s.mks")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_field_shape_validation(grid4):

@@ -142,9 +142,14 @@ class TestRunExperiment:
         rows = dict(reaggregate(tmp_path))
         with open(tmp_path / "summary.csv") as fh:
             summary = {r["metric"]: r["value"] for r in csv.DictReader(fh)}
-        for key in ("sup_l2_squared_mean", "integral_power_mean",
-                    "sup_lambda_squared_mean"):
-            assert rows[key] == summary[key]
+        expected = ["paths"] + [
+            f"{name}_{part}"
+            for name in ("sup_l2_squared", "integral_power",
+                         "sup_lambda_squared", "terminal_residual")
+            for part in ("mean", "variance", "ci_half_width")]
+        assert sorted(rows) == sorted(expected)
+        for key in expected:
+            assert rows[key] == summary[key], key
 
     def test_assumption_echo_written(self, tmp_path):
         cfg = parse_config(SMALL_RUN)

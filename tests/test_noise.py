@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from mks.noise import (
     TimeProfile,
     apply_gauge,
     band_limit_defect,
-    drift_A_apply,
     freeze_bundle_at_exit,
     gauge_conjugation_defect,
     gauge_phase,
@@ -21,12 +22,16 @@ from mks.noise import (
     sample_brownian,
     save_bundle,
     spectral_gradient,
-    transformed_current,
-    transformed_noise,
     zero_source,
 )
 
-from conftest import banded_field, coords
+from conftest import (
+    banded_field,
+    coords,
+    drift_A_apply,
+    transformed_current,
+    transformed_noise,
+)
 
 
 class TestBrownianBundle:
@@ -82,6 +87,32 @@ class TestBrownianBundle:
         assert np.array_equal(b.times, c.times)
         assert (b.seed, b.level) == (c.seed, c.level)
         assert path.read_bytes()[:4] == b"BRW1"
+
+    def test_every_proper_prefix_rejected(self, tmp_path):
+        path = tmp_path / "paths.brw"
+        save_bundle(sample_brownian(3, 1.0, 16, seed=12), path)
+        raw = path.read_bytes()
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(UsageError):
+                load_bundle(path)
+
+    def test_interrupted_save_leaves_nothing(self, tmp_path, monkeypatch):
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError):
+            save_bundle(sample_brownian(2, 1.0, 8, seed=14),
+                        tmp_path / "paths.brw")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "paths.brw"
+        save_bundle(sample_brownian(2, 1.0, 8, seed=13), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(UsageError):
+            load_bundle(path)
 
     def test_freeze_at_exit(self):
         b = sample_brownian(2, 1.0, 64, seed=3)

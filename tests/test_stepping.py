@@ -23,9 +23,8 @@ from mks.stepping import (
     TSEE,
     WSEE,
     SchemeConfig,
+    StepContext,
     initial_state,
-    lambda_process,
-    noise_fields,
     run_path,
     solve_with_memory,
     step_euler_maruyama,
@@ -33,7 +32,14 @@ from mks.stepping import (
     _noise_increment,
 )
 
-from conftest import banded_field, coords, plane_wave
+from conftest import (
+    banded_field,
+    coords,
+    drift_A_apply,
+    plane_wave,
+    transformed_current,
+    transformed_noise,
+)
 
 
 def cos_multiplier(grid, amplitude=0.25):
@@ -128,8 +134,6 @@ class TestEulerStep:
                                zero_field(grid8))
         bundle = sample_brownian(1, 1.0, 16, seed=2)
         cfg = em_cfg(1 / 16)
-        from mks.noise import transformed_current, transformed_noise
-
         jt = transformed_current(0.0, spec, bundle)
         proj = to_physical(sharp_cutoff(to_spectral(jt), cfg.cutoff_level))
         bt = transformed_noise(0, 0.0, spec, bundle)
@@ -138,7 +142,9 @@ class TestEulerStep:
         expected = cfg.dt * proj.data + dbeta * filt.data
 
         st = initial_state(spec, cfg)
-        new = step_euler_maruyama(st, cfg, spec, None, bundle)
+        ctx = StepContext(cfg, spec, bundle)
+        new = step_euler_maruyama(st, ctx, ctx.drift(st.y, st.t),
+                                  ctx.noise(st.y, st.t), None)
         assert np.max(np.abs(new.y.data - expected)) < 1e-14
 
     def test_step_recomposition_is_bitwise(self, grid8):
@@ -151,14 +157,16 @@ class TestEulerStep:
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
         st = initial_state(spec, cfg)
         for _ in range(3):
-            lam = lambda_process(st, cfg, spec, None, bundle)
-            zs = noise_fields(st.y, st.t, cfg, spec, bundle)
+            lam = StepContext(cfg, spec, bundle).drift(st.y, st.t)
+            zs = StepContext(cfg, spec, bundle).noise(st.y, st.t)
             k = st.step_index
             dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
             incr = cfg.dt * lam.data + _noise_increment(zs, dbeta,
                                                         st.y.data.shape)
             expected = st.y.data + incr
-            st = step_euler_maruyama(st, cfg, spec, None, bundle)
+            ctx = StepContext(cfg, spec, bundle)
+            st = step_euler_maruyama(st, ctx, ctx.drift(st.y, st.t),
+                                     ctx.noise(st.y, st.t), None)
             assert np.array_equal(st.y.data, expected)
 
     def test_deterministic_linear_matches_dense_ode(self, grid4):
@@ -251,7 +259,7 @@ class TestLambdaProcess:
         bundle = sample_brownian(0, 1.0, 16, seed=9)
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
         st = initial_state(spec, cfg)
-        assert l2_norm(lambda_process(st, cfg, spec, None, bundle)) == 0.0
+        assert l2_norm(StepContext(cfg, spec, bundle).drift(st.y, st.t)) == 0.0
 
     def test_linear_case_is_projected_maxwell(self, grid8):
         u0 = banded_field(grid8, seed=14)
@@ -259,12 +267,80 @@ class TestLambdaProcess:
         bundle = sample_brownian(0, 1.0, 16, seed=10)
         cfg = em_cfg(1 / 16)
         st = initial_state(spec, cfg)
-        lam = lambda_process(st, cfg, spec, None, bundle)
+        lam = StepContext(cfg, spec, bundle).drift(st.y, st.t)
         from mks.operators import maxwell_apply
 
         expected = to_physical(sharp_cutoff(maxwell_apply(to_spectral(st.y)),
                                             cfg.cutoff_level))
         assert np.max(np.abs(lam.data - expected.data)) < 1e-13
+
+    def test_gauged_terms_match_oracles(self, grid8):
+        # tsee at a time with beta != 0: Lambda = P_n[m y - F(y) + A(t) y + J~]
+        # and Z = S_{n-1} b~, against the direct formulas
+        from mks.kerr import kerr_force
+        from mks.operators import maxwell_apply
+
+        b = SeparableSource(shape=banded_field(grid8, seed=15, scale=0.2),
+                            profile=TimeProfile("cos", 1.0))
+        J = SeparableSource(shape=banded_field(grid8, seed=16, scale=0.3))
+        spec = make_noise_spec(grid8, [cos_multiplier(grid8)], [b], J,
+                               banded_field(grid8, seed=17))
+        bundle = sample_brownian(1, 1.0, 16, seed=11)
+        cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
+        y = initial_state(spec, cfg).y
+        t = float(bundle.times[5])
+        assert bundle.values[0, 5] != 0.0
+        ctx = StepContext(cfg, spec, bundle)
+        raw = (to_physical(maxwell_apply(to_spectral(y))).data
+               - kerr_force(y, cfg.kerr).data
+               + drift_A_apply(y, t, spec, bundle).data
+               + transformed_current(t, spec, bundle).data)
+        expected = to_physical(sharp_cutoff(
+            to_spectral(y.with_data(raw)), cfg.cutoff_level))
+        assert np.max(np.abs(ctx.drift(y, t).data - expected.data)) < 1e-12
+        noise = to_physical(smooth_cutoff(
+            to_spectral(transformed_noise(0, t, spec, bundle)), CutoffLevel(1)))
+        (z,) = ctx.noise(y, t)
+        assert np.max(np.abs(z.data - noise.data)) < 1e-13
+
+
+class TestEvaluationCounts:
+    """run_path evaluates Lambda and Z once per step and the steppers reuse
+    them; Lie splitting re-evaluates only the noise, at the propagated state."""
+
+    STEPS = 8
+
+    def _counted_run(self, grid4, monkeypatch, make_cfg, equation):
+        counts = {"drift": 0, "noise": 0}
+        for name in counts:
+            original = getattr(StepContext, name)
+
+            def counted(self, *args, _name=name, _original=original, **kw):
+                counts[_name] += 1
+                return _original(self, *args, **kw)
+
+            monkeypatch.setattr(StepContext, name, counted)
+        b = SeparableSource(shape=banded_field(grid4, seed=31, scale=0.1),
+                            profile=TimeProfile("cos", 1.0))
+        J = SeparableSource(shape=banded_field(grid4, seed=32, scale=0.1))
+        spec = make_noise_spec(grid4, [cos_multiplier(grid4)], [b], J,
+                               banded_field(grid4, seed=33))
+        bundle = sample_brownian(1, 0.25, self.STEPS, seed=34)
+        kernel = exponential_kernel(0.5, 1.0) if equation == MSEE else None
+        cfg = make_cfg(0.25 / self.STEPS, level=1, equation=equation,
+                       kerr=KerrExponent(2.0, True))
+        run_path(spec, cfg, kernel, bundle)
+        return counts
+
+    @pytest.mark.parametrize("equation", [TSEE, MSEE])
+    def test_euler_maruyama(self, grid4, monkeypatch, equation):
+        counts = self._counted_run(grid4, monkeypatch, em_cfg, equation)
+        assert counts == {"drift": self.STEPS + 1, "noise": self.STEPS}
+
+    @pytest.mark.parametrize("equation", [TSEE, MSEE])
+    def test_lie_splitting(self, grid4, monkeypatch, equation):
+        counts = self._counted_run(grid4, monkeypatch, lie_cfg, equation)
+        assert counts == {"drift": self.STEPS + 1, "noise": 2 * self.STEPS}
 
 
 class TestRunPath:
