@@ -7,6 +7,7 @@ from .errors import (
     NumericalError,
     UsageError,
     ValidationError,
+    WorkerLostError,
 )
 from .grid import (
     PHYSICAL,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .grid import PHYSICAL, Field6, GridSpec, make_grid, to_physical, zero_field
+from .grid import PHYSICAL, Field6, GridSpec, ifft_array, make_grid, zero_field
 from .kerr import KerrExponent
 from .memory import EXPONENTIAL, ZERO, KernelSpec
 from .multipliers import CutoffLevel
@@ -175,7 +175,7 @@ def _scalar_profile(grid: GridSpec, p: ProfileSpec) -> np.ndarray:
         lim = 2.0 * np.pi * max_mode / grid.box_length + 1e-12
         mask = (np.abs(kx) <= lim) & (np.abs(ky) <= lim) & (np.abs(kz) <= lim)
         hat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
-        f = np.fft.ifftn(hat, norm="ortho").real
+        f = ifft_array(hat).real
         peak = np.max(np.abs(f))
         return amp * f / peak if peak > 0 else np.zeros(shape)
     raise ConfigurationError(f"unknown scalar profile {p.name!r}")
@@ -232,7 +232,7 @@ def _field_profile(grid: GridSpec, p: ProfileSpec) -> Field6:
         mask = (np.abs(kx) <= lim) & (np.abs(ky) <= lim) & (np.abs(kz) <= lim)
         hat = (rng.standard_normal((6, n, n, n))
                + 1j * rng.standard_normal((6, n, n, n))) * mask
-        data = np.fft.ifftn(hat, axes=(1, 2, 3), norm="ortho")
+        data = ifft_array(hat, axes=(1, 2, 3))
         norm = np.sqrt(grid.cell_volume) * np.linalg.norm(data)
         if norm > 0:
             data = amp * data / norm
@@ -466,7 +466,7 @@ def assumption_echo(cfg: ExperimentConfig, model: RuntimeModel | None = None):
 
 
 def _m_u0_norm(model: RuntimeModel) -> float:
-    from .grid import l2_norm, to_physical, to_spectral
+    from .grid import l2_norm, to_spectral
     from .operators import maxwell_apply
 
-    return l2_norm(to_physical(maxwell_apply(to_spectral(model.spec.u0))))
+    return l2_norm(maxwell_apply(to_spectral(model.spec.u0)))  # Parseval

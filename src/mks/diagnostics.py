@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .grid import inner_product, l2_norm, lp_norm, to_physical, to_spectral
+from .grid import inner_product, l2_norm, lp_norm, to_spectral
 from .multipliers import CutoffLevel
 from .noise import BrownianBundle, NoiseSpec, sample_brownian, refine_bundle
 from .operators import maxwell_apply
@@ -164,7 +164,7 @@ def _source_l2_time_integral(spec: NoiseSpec, times, with_noise_coupling) -> flo
 def lambda_initial_bound(spec: NoiseSpec, report_q: float, lambda0: float,
                          constant: float = 1.0) -> dict:
     """||Lambda(0)|| against c (1 + ||m u0|| + ||u0||_{2(q+1)}^{q+1} + ||u0||)."""
-    m_u0 = to_physical(maxwell_apply(to_spectral(spec.u0)))
+    m_u0 = maxwell_apply(to_spectral(spec.u0))  # its L2 norm by Parseval
     bound = constant * (1.0 + l2_norm(m_u0)
                         + lp_norm(spec.u0, 2.0 * (report_q + 1.0)) ** (report_q + 1.0)
                         + l2_norm(spec.u0))

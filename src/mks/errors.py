@@ -30,6 +30,25 @@ class BlowUpError(NumericalError):
         self.norm = norm
 
 
+class WorkerLostError(MksError):
+    """A worker process ended without returning its path (killed, crashed or
+    out of memory).  ``running`` lists the paths in flight when the pool
+    broke, the lost one among them; ``lost`` every path left without a
+    result."""
+
+    def __init__(self, running, lost):
+        def listed(paths):
+            return ("path " if len(paths) == 1 else "paths ") + \
+                ", ".join(str(p) for p in paths)
+
+        where = f"while running {listed(running)}" if running else \
+            "before running a path"
+        super().__init__(f"[workers] a worker process exited {where}; no "
+                         f"result for {listed(lost)}")
+        self.running = list(running)
+        self.lost = list(lost)
+
+
 class ValidationError(ConfigurationError):
     """Config validation failure; ``violations`` lists tagged messages."""
 

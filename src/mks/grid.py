@@ -161,16 +161,29 @@ def _require_representation(f: Field6, representation: str, what: str):
                          f"{f.representation}")
 
 
+# -- the FFT seam: every transform in the package goes through this pair ------
+
+_FIELD_AXES = (1, 2, 3)
+
+
+def fft_array(data: np.ndarray, axes=None) -> np.ndarray:
+    """Unitary forward DFT of an array over ``axes`` (all axes when None)."""
+    return np.fft.fftn(data, axes=axes, norm="ortho")
+
+
+def ifft_array(data: np.ndarray, axes=None) -> np.ndarray:
+    """Unitary inverse DFT of an array over ``axes`` (all axes when None)."""
+    return np.fft.ifftn(data, axes=axes, norm="ortho")
+
+
 def to_spectral(f: Field6) -> Field6:
     _require_representation(f, PHYSICAL, "to_spectral")
-    data = np.fft.fftn(f.data, axes=(1, 2, 3), norm="ortho")
-    return Field6(f.grid, SPECTRAL, data, f.real_state)
+    return Field6(f.grid, SPECTRAL, fft_array(f.data, _FIELD_AXES), f.real_state)
 
 
 def to_physical(f: Field6) -> Field6:
     _require_representation(f, SPECTRAL, "to_physical")
-    data = np.fft.ifftn(f.data, axes=(1, 2, 3), norm="ortho")
-    return Field6(f.grid, PHYSICAL, data, f.real_state)
+    return Field6(f.grid, PHYSICAL, ifft_array(f.data, _FIELD_AXES), f.real_state)
 
 
 def inner_product(u: Field6, v: Field6) -> complex:

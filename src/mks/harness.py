@@ -18,15 +18,18 @@ from __future__ import annotations
 
 import csv
 import io
+import multiprocessing
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig, RuntimeModel, assumption_echo, build_runtime
 from .diagnostics import RunReport
-from .errors import BlowUpError
+from .errors import BlowUpError, WorkerLostError
 from .grid import write_atomic, write_checkpoint
 from .noise import sample_brownian
 from .stepping import TSEE, run_path
@@ -46,10 +49,8 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _run_one_path(cfg: ExperimentConfig, path_index: int):
-    """Worker body: rebuild the model locally so results do not depend on
-    pickling round-trips, then integrate one path."""
-    model = build_runtime(cfg)
+def _run_one_path(model: RuntimeModel, cfg: ExperimentConfig, path_index: int):
+    """Integrate one path of the model built from ``cfg``."""
     bundle = sample_brownian(model.spec.count, model.horizon, model.steps,
                              seed=model.base_seed + path_index)
     record = cfg.save_fields
@@ -63,6 +64,57 @@ def _run_one_path(cfg: ExperimentConfig, path_index: int):
         return ("blowup", path_index, {"time": exc.time, "norm": exc.norm})
 
 
+_WORKER = {}
+
+
+def _init_worker(cfg: ExperimentConfig, running):
+    """Pool initializer: each worker process builds the model once, locally,
+    so results do not depend on pickling round-trips of its arrays."""
+    _WORKER["cfg"] = cfg
+    _WORKER["model"] = build_runtime(cfg)
+    _WORKER["running"] = running
+    signal.signal(signal.SIGTERM, _stopped_by_pool)
+
+
+def _stopped_by_pool(signum, frame):
+    """A broken pool terminates its other workers: their paths were not the
+    lost one, so their flags are cleared on the way out."""
+    path_index = _WORKER.get("path")
+    if path_index is not None:
+        _WORKER["running"][path_index] = 0
+    os._exit(128 + signum)
+
+
+def _run_in_worker(path_index: int):
+    running = _WORKER["running"]
+    _WORKER["path"] = path_index
+    running[path_index] = 1
+    outcome = _run_one_path(_WORKER["model"], _WORKER["cfg"], path_index)
+    running[path_index] = 0
+    _WORKER["path"] = None
+    return outcome
+
+
+def _run_pool(cfg: ExperimentConfig, indices, workers: int) -> list:
+    """Every path's outcome from a worker pool.  Workers flag the path they
+    are running in shared memory, so a worker that dies raises
+    WorkerLostError naming the paths in flight."""
+    running = multiprocessing.RawArray("b", len(indices))
+    outcomes = []
+    lost = []
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(cfg, running)) as pool:
+        futures = [pool.submit(_run_in_worker, p) for p in indices]
+        for p, future in zip(indices, futures):
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool:
+                lost.append(p)
+    if lost:
+        raise WorkerLostError([p for p in lost if running[p]], lost)
+    return outcomes
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
                    out_dir: str | None = None):
     """Execute the Monte-Carlo experiment; returns (RunReport, exit_status)."""
@@ -72,14 +124,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
 
     indices = list(range(cfg.paths))
-    outcomes = []
     if workers <= 1 or cfg.paths == 1:
-        for p in indices:
-            outcomes.append(_run_one_path(cfg, p))
+        outcomes = [_run_one_path(model, cfg, p) for p in indices]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one_path, [cfg] * len(indices),
-                                     indices))
+        outcomes = _run_pool(cfg, indices, workers)
     outcomes.sort(key=lambda item: item[1])
 
     reports = []

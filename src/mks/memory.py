@@ -14,13 +14,17 @@ G' = -r G:
     d/dt (G * u)(t) = G(0) u(t) + integral_0^t G'(t - s) u(s) ds
                     = a C u(t) - r (G * u)(t).
 
+Both act on the six components only, so they commute with the FFT: the
+stepper keeps a ``History`` of spectral states and reads the spectral memory
+term, the Picard driver keeps physical ones.
+
 ``TABLE`` kernels have no recursion; no config builds them, and the direct
 trapezoid sum over a table lives in the tests as the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,6 +131,11 @@ class History:
 
     def __len__(self):
         return self.count
+
+    def copy(self) -> "History":
+        """An independent History that continues from this one's state."""
+        carried = None if self.carried is None else self.carried.copy()
+        return replace(self, pending=list(self.pending), carried=carried)
 
     def fold(self, rate: float) -> np.ndarray:
         """Fold the pending states into H_k with decay e^{-rate dt}; returns H_k."""

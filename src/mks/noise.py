@@ -28,6 +28,8 @@ from .grid import (
     Field6,
     GridSpec,
     _require_representation,
+    fft_array,
+    ifft_array,
     l2_norm,
     to_physical,
     to_spectral,
@@ -227,15 +229,14 @@ def spectral_gradient(grid: GridSpec, scalar: np.ndarray) -> np.ndarray:
     """Gradient of a real scalar field by spectral differentiation."""
     from .operators import grad as spectral_grad
 
-    hat = np.fft.fftn(scalar, norm="ortho")
-    g = np.fft.ifftn(spectral_grad(grid, hat, zero_nyquist=True),
-                     axes=(1, 2, 3), norm="ortho")
+    hat = fft_array(scalar)
+    g = ifft_array(spectral_grad(grid, hat, zero_nyquist=True), axes=(1, 2, 3))
     return np.ascontiguousarray(g.real)
 
 
 def band_limit_defect(grid: GridSpec, scalar: np.ndarray, fraction: float = 0.5) -> float:
     """Relative spectral mass beyond fraction*Nyquist (per-axis cube)."""
-    hat = np.fft.fftn(scalar, norm="ortho")
+    hat = fft_array(scalar)
     kx, ky, kz = grid.k_components()
     lim = fraction * grid.nyquist
     outside = ~((np.abs(kx) <= lim) & (np.abs(ky) <= lim) & (np.abs(kz) <= lim))

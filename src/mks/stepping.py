@@ -27,6 +27,26 @@ context built twice from the same inputs reproduces the same floats.
 hands both to the stepper: the Euler-Maruyama update is formed from the very
 arrays the Lambda diagnostic and the energy ledger read.
 
+The state is spectral between steps: ``PathState.y`` holds y^, on which m,
+P_n, S_{n-1} and exp(t m) act as diagonal multipliers.  Once per step
+``run_path`` forms the physical view y = to_physical(y^); that one view
+feeds the power norm, the Kerr force, A(t) y, the gauge phase, B y and the
+recorded fields.  Lambda^ is m y^ plus the spectral sources (J outside
+gauged tsee, the memory term) plus one to_spectral of the summed
+physical-space terms, masked once by P_n.  L2 norms and the energy ledger
+use Parseval.  Transforms per step, with N noise channels:
+
+* linear, trivial gauge, Euler-Maruyama: 1 (the view),
+* gauged tsee with Kerr, Euler-Maruyama: 2 + N (view, drift, one per channel),
+* msee with Kerr and multiplicative noise, Lie splitting: 5 + 2N (view,
+  drift, pre-step noise, the Kerr resolvent's round trip, the propagated
+  state's view and noise).
+
+Each path adds one transform of u0 and one per spectral source.  Under Lie
+splitting, Lambda and Z at the pre-step state feed only the Lambda series
+and the energy ledger, so the ledger residual measures the Euler-Maruyama
+increment built from them, not the Lie update that was taken.
+
 The Brownian paths are frozen at the first exit of any |beta_i| over the
 truncation level m (default 8 sqrt(T)); the event is logged, not fatal.
 """
@@ -40,8 +60,10 @@ import numpy as np
 from .errors import BlowUpError, ConfigurationError, UsageError
 from .grid import (
     PHYSICAL,
+    SPECTRAL,
     Field6,
     GridSpec,
+    _require_representation,
     inner_product,
     l2_norm,
     lp_norm,
@@ -104,7 +126,7 @@ class SchemeConfig:
 
 @dataclass
 class PathState:
-    """Mutable per-path integration state (single worker)."""
+    """Mutable per-path integration state (single worker); y is spectral."""
 
     step_index: int
     t: float
@@ -163,17 +185,9 @@ class PathReport:
         return float(np.max(self.lambda_l2) ** 2)
 
 
-def _project_sharp(data: np.ndarray, grid: GridSpec, level: CutoffLevel) -> Field6:
-    f = Field6(grid, PHYSICAL, data)
-    return to_physical(sharp_cutoff(to_spectral(f), level))
-
-
-def _filter_smooth(f: Field6, level: CutoffLevel) -> Field6:
-    return to_physical(smooth_cutoff(to_spectral(f), level))
-
-
 def initial_state(spec: NoiseSpec, cfg: SchemeConfig) -> PathState:
-    """Filtered initial datum: S_{n-1} u0 (sharp P_n u0 for the wsee variant)."""
+    """Filtered initial datum, spectral: S_{n-1} u0 (sharp P_n u0 for the
+    wsee variant)."""
     grid = spec.grid
     if cfg.cutoff_level.scale > grid.nyquist:
         raise ConfigurationError(
@@ -182,21 +196,31 @@ def initial_state(spec: NoiseSpec, cfg: SchemeConfig) -> PathState:
     u0 = spec.u0
     if not np.all(np.isfinite(u0.data)):
         raise ConfigurationError("initial datum contains non-finite values")
-    m_u0 = to_physical(maxwell_apply(to_spectral(u0)))
-    if not np.isfinite(l2_norm(m_u0)):
+    u0_hat = to_spectral(u0)
+    if not np.isfinite(l2_norm(maxwell_apply(u0_hat))):
         raise ConfigurationError("initial datum has non-finite curl energy")
     if cfg.equation == WSEE:
-        y0 = _project_sharp(u0.data, grid, cfg.cutoff_level)
+        y0 = sharp_cutoff(u0_hat, cfg.cutoff_level)
     else:
-        y0 = _filter_smooth(u0, CutoffLevel(cfg.cutoff_level.n - 1))
+        y0 = smooth_cutoff(u0_hat, CutoffLevel(cfg.cutoff_level.n - 1))
     return PathState(step_index=0, t=0.0, y=y0)
 
 
+def _physical(y: Field6, view: Field6 | None) -> Field6:
+    """The physical form of the spectral y: ``view`` when the caller has it."""
+    return view if view is not None else to_physical(y)
+
+
 class StepContext:
-    """Precomputed static pieces of the drift and noise for one run.
+    """Precomputed static pieces of the drift and noise for one path.
 
     Everything here is a pure function of (cfg, spec), so a context built
     twice from the same inputs reproduces the same floats bit for bit.
+    Sources that no gauge phase touches are kept spectral: the noise shapes
+    under a trivial gauge (already filtered) and the current J, except in
+    gauged tsee.  Drift and noise take the spectral state y and return
+    spectral fields; ``view`` is its physical form when the caller has it,
+    and is formed only when a physical-space term needs it otherwise.
     """
 
     def __init__(self, cfg: SchemeConfig, spec: NoiseSpec,
@@ -211,13 +235,12 @@ class StepContext:
         n3 = (self.grid.points_per_axis,) * 3
         self.phase_trivial = all(not np.any(b) for b in spec.B_fields)
 
-        if spec.count and any(np.any(b) for b in spec.B_fields):
+        self.sum_b_squared = None
+        if not self.phase_trivial:
             acc = np.zeros(n3)
             for b_field in spec.B_fields:
                 acc += b_field**2
             self.sum_b_squared = acc
-        else:
-            self.sum_b_squared = None
 
         # -i b_j(t) B_j = g_j(t) * (-i B_j shape_j): static per channel
         self.coupling_shapes = []
@@ -228,6 +251,9 @@ class StepContext:
                 self.coupling_shapes.append(None)
 
         self.current_zero = not np.any(spec.current.shape.data)
+        self.current_hat = None
+        if not self.current_zero and (cfg.equation != TSEE or self.phase_trivial):
+            self.current_hat = to_spectral(spec.current.shape).data
         self.noise_level = CutoffLevel(cfg.cutoff_level.n - 1)
 
         # with a trivial gauge the noise filters commute with the scalar
@@ -236,23 +262,16 @@ class StepContext:
         if self.phase_trivial and spec.count:
             cached = []
             for source in spec.b_sources:
-                raw = Field6(self.grid, PHYSICAL,
-                             source.shape.data.astype(np.complex128))
+                raw = to_spectral(source.shape)
                 if cfg.equation == TSEE:
-                    cached.append(_filter_smooth(raw, self.noise_level))
+                    cached.append(smooth_cutoff(raw, self.noise_level))
                 else:
-                    cached.append(_project_sharp(raw.data, self.grid,
-                                                 cfg.cutoff_level))
+                    cached.append(sharp_cutoff(raw, cfg.cutoff_level))
             self.cached_noise = cached
 
     # -- drift pieces --------------------------------------------------------
 
-    def phase_values(self, t: float):
-        if self.phase_trivial:
-            return None
-        return gauge_phase(self.spec, self.bundle, t).values
-
-    def transformed_current_data(self, t: float, phase) -> np.ndarray | None:
+    def _gauged_current(self, t: float) -> np.ndarray | None:
         """(sum_j -i b_j B_j + J)(t) times the gauge phase, or None if zero."""
         spec = self.spec
         total = None
@@ -266,81 +285,81 @@ class StepContext:
             total = j_term if total is None else total + j_term
         if total is None:
             return None
-        if phase is not None:
-            total = total * phase
-        return total
+        return total * gauge_phase(spec, self.bundle, t).values
 
-    def _add_drift_terms(self, acc: np.ndarray | None, y: Field6, t: float,
+    def _add_drift_terms(self, acc: np.ndarray | None, phys: np.ndarray | None,
+                         y: Field6, view: Field6 | None, t: float,
                          history: History | None,
                          extra_source: np.ndarray | None) -> np.ndarray | None:
-        """acc plus every drift term besides m y and -F(y), in a fixed order:
-        A(t) y and the gauged current (tsee) or J and the memory term
-        (msee/wsee), then the extra source.  acc None starts from the first
-        term present (a copy, so acc is always owned and summed in place);
-        None comes back when there is none."""
+        """acc (spectral) plus every drift term besides m y and -F(y), in a
+        fixed order: A(t) y and the gauged current (gauged tsee) or J, the
+        memory term (msee/wsee), then the extra source.  Physical-space terms
+        are summed onto ``phys`` (the drift passes -F(y) there) and enter acc
+        through one to_spectral.  An accumulator that is None starts from
+        the first term added (a copy, so both are summed in place); None
+        comes back when there is no term at all."""
         def add(acc, term):
             if acc is None:
                 return term.astype(np.complex128)
             acc += term
             return acc
 
-        if self.cfg.equation == TSEE:
-            if self.sum_b_squared is not None:
-                beta = self.bundle.values[:, self.bundle.index_of(t)]
-                acc = add(acc, 0.5 * self.sum_b_squared * y.data)
-                acc = add(acc, cross_drift_apply(self.spec, beta, y))
-            current = self.transformed_current_data(t, self.phase_values(t))
+        if self.cfg.equation == TSEE and not self.phase_trivial:
+            view = _physical(y, view)
+            beta = self.bundle.values[:, self.bundle.index_of(t)]
+            phys = add(phys, 0.5 * self.sum_b_squared * view.data)
+            phys = add(phys, cross_drift_apply(self.spec, beta, view))
+            current = self._gauged_current(t)
             if current is not None:
-                acc = add(acc, current)
-        else:
-            if not self.current_zero:
-                acc = add(acc, self.spec.current.at(t))
-            if self.kernel_active:
-                if history is None:
-                    raise UsageError("memory kernel requires a history")
-                acc = add(acc, convolve_history(history, self.kernel, t).data)
+                phys = add(phys, current)
+        elif self.current_hat is not None:
+            acc = add(acc, self.spec.current.profile.value(t) * self.current_hat)
+        if self.kernel_active:
+            if history is None:
+                raise UsageError("memory kernel requires a history")
+            acc = add(acc, convolve_history(history, self.kernel, t).data)
         if extra_source is not None:
-            acc = add(acc, extra_source)
+            phys = add(phys, extra_source)
+        if phys is not None:
+            acc = add(acc, to_spectral(Field6(self.grid, PHYSICAL, phys)).data)
         return acc
 
     def drift(self, y: Field6, t: float, history: History | None = None,
-              extra_source: np.ndarray | None = None) -> Field6:
-        """The projected full drift P_n[m y - F(y) + ...] (Lambda)."""
-        acc = to_physical(maxwell_apply(to_spectral(y))).data.copy()
+              extra_source: np.ndarray | None = None,
+              view: Field6 | None = None) -> Field6:
+        """The projected full drift P_n[m y - F(y) + ...] (Lambda), spectral."""
+        phys = None
         if self.cfg.kerr is not None:
-            acc -= kerr_force(y, self.cfg.kerr).data
-        acc = self._add_drift_terms(acc, y, t, history, extra_source)
-        return _project_sharp(acc, self.grid, self.cfg.cutoff_level)
+            view = _physical(y, view)
+            phys = -kerr_force(view, self.cfg.kerr).data
+        acc = maxwell_apply(y).data.copy()
+        acc = self._add_drift_terms(acc, phys, y, view, t, history, extra_source)
+        return sharp_cutoff(y.with_data(acc), self.cfg.cutoff_level)
 
     # -- noise pieces ----------------------------------------------------------
 
-    def noise(self, y: Field6, t: float) -> list:
-        """Filtered noise amplitudes Z_i(t) multiplying dbeta_i."""
+    def noise(self, y: Field6, t: float, view: Field6 | None = None) -> list:
+        """Filtered noise amplitudes Z_i(t) multiplying dbeta_i, spectral."""
         cfg = self.cfg
         spec = self.spec
         if spec.count == 0:
             return []
+        if self.cached_noise is not None:
+            # trivial gauge (in msee: B = 0, the multiplicative part vanishes)
+            return [cached.with_data(source.profile.value(t) * cached.data)
+                    for source, cached in zip(spec.b_sources, self.cached_noise)]
         out = []
         if cfg.equation == TSEE:
-            if self.cached_noise is not None:
-                for source, cached in zip(spec.b_sources, self.cached_noise):
-                    out.append(cached.with_data(
-                        source.profile.value(t) * cached.data))
-                return out
             phase = gauge_phase(spec, self.bundle, t).values
-            for i in range(spec.count):
-                raw = Field6(spec.grid, PHYSICAL,
-                             spec.b_sources[i].at(t) * phase)
-                out.append(_filter_smooth(raw, self.noise_level))
+            for source in spec.b_sources:
+                raw = Field6(self.grid, PHYSICAL, source.at(t) * phase)
+                out.append(smooth_cutoff(to_spectral(raw), self.noise_level))
             return out
-        if self.cached_noise is not None:
-            # B = 0: the multiplicative part vanishes identically
-            for source, cached in zip(spec.b_sources, self.cached_noise):
-                out.append(cached.with_data(source.profile.value(t) * cached.data))
-            return out
-        for i in range(spec.count):
-            raw = spec.b_sources[i].at(t) + 1j * spec.B_fields[i] * y.data
-            out.append(_project_sharp(raw, spec.grid, cfg.cutoff_level))
+        view = _physical(y, view)
+        for source, b_field in zip(spec.b_sources, spec.B_fields):
+            raw = Field6(self.grid, PHYSICAL,
+                         source.at(t) + 1j * b_field * view.data)
+            out.append(sharp_cutoff(to_spectral(raw), cfg.cutoff_level))
         return out
 
 
@@ -353,8 +372,9 @@ def _noise_increment(zs, dbeta, shape) -> np.ndarray:
 
 def step_euler_maruyama(state: PathState, ctx: StepContext, lam: Field6,
                         zs: list, src: np.ndarray | None) -> PathState:
-    """y + dt Lambda + sum_i Z_i dbeta_i, with Lambda and Z evaluated at the
-    current state by the caller (``src`` is already part of Lambda)."""
+    """y + dt Lambda + sum_i Z_i dbeta_i on spectral data, with Lambda and Z
+    evaluated at the current state by the caller (``src`` is already part
+    of Lambda)."""
     k = state.step_index
     bundle = ctx.bundle
     dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
@@ -370,22 +390,23 @@ def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
     """Exact free flow, Kerr resolvent, remaining drift, noise increment.
 
     Lambda and Z at the current state are not used: the remaining drift and
-    the noise are evaluated at the propagated state."""
+    the noise are evaluated at the propagated state.  Only the Kerr
+    resolvent and the noise at the propagated state leave Fourier space."""
     cfg = ctx.cfg
     bundle = ctx.bundle
     k = state.step_index
     t = state.t
-    # (1) exact free propagator (commutes with the projection)
-    y = to_physical(maxwell_group(cfg.dt, to_spectral(state.y)))
-    # (2) monotone implicit Kerr resolvent, re-projected
+    # (1) exact free propagator, mode-wise (commutes with the projection)
+    y = maxwell_group(cfg.dt, state.y)
+    # (2) monotone implicit Kerr resolvent in physical space, re-projected
     if cfg.kerr is not None:
-        y = implicit_kerr_solve(y, cfg.dt, cfg.kerr)
-        y = _project_sharp(y.data, y.grid, cfg.cutoff_level)
+        w = implicit_kerr_solve(to_physical(y), cfg.dt, cfg.kerr)
+        y = sharp_cutoff(to_spectral(w), cfg.cutoff_level)
     # (3) remaining drift terms
-    rest = ctx._add_drift_terms(None, y, t, state.history, src)
+    rest = ctx._add_drift_terms(None, None, y, None, t, state.history, src)
     if rest is not None:
-        y = y.with_data(y.data + cfg.dt * _project_sharp(rest, y.grid,
-                                                         cfg.cutoff_level).data)
+        y = y.with_data(y.data + cfg.dt * sharp_cutoff(
+            y.with_data(rest), cfg.cutoff_level).data)
     # (4) noise increment
     z_prop = ctx.noise(y, t)
     if z_prop:
@@ -407,7 +428,12 @@ class PathResult:
 
 class _EnergyLedger:
     """Incremental Ito-identity residual: r(t) = ||X||^2 - ||X0||^2
-    - sum dt (2 Re<X,Y> + ||Z||^2) - 2 sum Re<X, Z dbeta>."""
+    - sum dt (2 Re<X,Y> + ||Z||^2) - 2 sum Re<X, Z dbeta>.
+
+    X, Y = Lambda and Z are spectral; norms and inner products are those of
+    the physical fields by Parseval.  Y and Z are evaluated at the pre-step
+    state, so under Lie splitting the residual measures the Euler-Maruyama
+    increment built from them, not the Lie update that was taken."""
 
     def __init__(self, x0: Field6):
         self.base = l2_norm(x0) ** 2
@@ -433,10 +459,12 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
              start_index: int = 0, n_steps: int | None = None) -> PathResult:
     """Integrate one path over the bundle grid and collect diagnostics.
 
-    ``extra_source``: optional callable (step_index, t) -> (6,n,n,n) array
-    added to the drift before projection (the Picard driver feeds the frozen
-    memory term through it).  ``start_index``/``n_steps`` select a window of
-    the bundle; gauge phases always use absolute time.
+    ``extra_source``: optional callable (step_index, t) -> physical
+    (6,n,n,n) array added to the drift before projection (the Picard driver
+    feeds the frozen memory term through it).  ``initial``: optional spectral
+    start state.  ``start_index``/``n_steps`` select a window of the bundle;
+    gauge phases always use absolute time.  The recorded trajectories are
+    physical.
     """
     grid = spec.grid
     total_steps = bundle.steps - start_index
@@ -464,6 +492,7 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         })
 
     if initial is not None:
+        _require_representation(initial, SPECTRAL, "run_path initial state")
         state = PathState(step_index=start_index,
                           t=float(bundle.times[start_index]), y=initial)
     else:
@@ -486,27 +515,34 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     lambda_l2 = np.empty(total_steps + 1)
     residual = np.empty(total_steps + 1)
 
-    ledger = _EnergyLedger(state.y)
-    l2[0] = l2_norm(state.y)
-    power_norm[0] = lp_norm(state.y, power) ** power
-    residual[0] = 0.0
-
     saved = []
     saved_u = []
-    if record_fields:
-        saved.append(state.y.data.copy())
-    if record_transformed and cfg.equation == TSEE:
-        phase = gauge_phase(spec, bundle, state.t)
-        saved_u.append(apply_gauge(state.y, phase, "inverse").data.copy())
+
+    def observe(local, t, view):
+        """Power norm and recorded fields from the physical view at t."""
+        power_norm[local] = lp_norm(view, power) ** power
+        if local % cfg.save_stride:
+            return
+        if record_fields:
+            saved.append(view.data)
+        if record_transformed and cfg.equation == TSEE:
+            phase = gauge_phase(spec, bundle, t)
+            saved_u.append(apply_gauge(view, phase, "inverse").data)
+
+    ledger = _EnergyLedger(state.y)
+    l2[0] = l2_norm(state.y)
+    residual[0] = 0.0
+    view = to_physical(state.y)
+    observe(0, state.t, view)
 
     for local, k in enumerate(k_range):
         if state.history is not None:
             state.history.append(state.t, state.y)
         src = extra_source(k, state.t) if extra_source is not None else None
         lam = ctx.drift(state.y, state.t, history=state.history,
-                        extra_source=src)
+                        extra_source=src, view=view)
         lambda_l2[local] = l2_norm(lam)
-        zs = ctx.noise(state.y, state.t)
+        zs = ctx.noise(state.y, state.t, view=view)
         dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
         ledger.update(state.y, lam, zs, dbeta, cfg.dt)
         state = stepper(state, ctx, lam, zs, src)
@@ -517,20 +553,15 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
                 f"trajectory blew up at t = {state.t:.6g} (||y|| = {norm:.3e})",
                 time=state.t, norm=norm)
         l2[local + 1] = norm
-        power_norm[local + 1] = lp_norm(state.y, power) ** power
         residual[local + 1] = ledger.residual(state.y)
-        if record_fields and (local + 1) % cfg.save_stride == 0:
-            saved.append(state.y.data.copy())
-        if record_transformed and cfg.equation == TSEE and \
-                (local + 1) % cfg.save_stride == 0:
-            phase = gauge_phase(spec, bundle, state.t)
-            saved_u.append(apply_gauge(state.y, phase, "inverse").data.copy())
+        view = to_physical(state.y)
+        observe(local + 1, state.t, view)
 
     if state.history is not None:
         state.history.append(state.t, state.y)
     src = extra_source(k_range[-1] + 1, state.t) if extra_source is not None else None
     final_lam = ctx.drift(state.y, state.t, history=state.history,
-                          extra_source=src)
+                          extra_source=src, view=view)
     lambda_l2[-1] = l2_norm(final_lam)
 
     report = PathReport(path_index=path_index, seed=bundle.seed, times=times,
@@ -582,23 +613,32 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     u_data = np.zeros((k_total + 1, 6, n, n, n), dtype=np.complex128)
     # the filtered initial state, exactly as run_path would build it
     probe = initial_state(spec, cfg)
+    view0 = to_physical(probe.y)
     if cfg.equation == TSEE:
         phase0 = gauge_phase(spec, bundle, 0.0)
-        u_data[0] = apply_gauge(probe.y, phase0, "inverse").data
+        u_data[0] = apply_gauge(view0, phase0, "inverse").data
     else:
-        u_data[0] = probe.y.data
+        u_data[0] = view0.data
     iterations = []
 
+    # the states before a window are fixed across its iterates: they are
+    # folded once, and every iterate continues from a copy of the sum
+    prefix = History(dt=cfg.dt)
     start = 0
     y_start = probe.y
     while start < k_total:
         count = min(steps_per_window, k_total - start)
         window = (float(bundle.times[start]), float(bundle.times[start + count]))
+        while len(prefix) < start:
+            j = len(prefix)
+            prefix.append(bundle.times[j], Field6(grid, PHYSICAL, u_data[j]))
+        if len(prefix):
+            prefix.fold(kernel.rate)
 
         def one_window(u_traj, _start=start, _count=count, _y0=y_start):
-            # the source is read at increasing k, so one carried history per
-            # iterate folds each state of u_traj once
-            history = History(dt=cfg.dt)
+            # the source is read at increasing k, so the iterate's history
+            # folds each of its window's states once
+            history = prefix.copy()
 
             def source(k_idx, t):
                 while len(history) <= k_idx:
@@ -630,14 +670,12 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
         iterations.append({"window": window, "iterations": n_iter,
                            "gaps": gaps})
         u_data = fixed.data.copy()
-        # terminal state of this window seeds the next one (bitwise)
+        # the terminal state of this window seeds the next one
+        end_state = Field6(grid, PHYSICAL, u_data[start + count])
         if cfg.equation == TSEE:
             phase = gauge_phase(spec, bundle, bundle.times[start + count])
-            y_start = apply_gauge(
-                Field6(grid, PHYSICAL, u_data[start + count].copy()),
-                phase, "forward")
-        else:
-            y_start = Field6(grid, PHYSICAL, u_data[start + count].copy())
+            end_state = apply_gauge(end_state, phase, "forward")
+        y_start = to_spectral(end_state)
         start += count
 
     traj = Trajectory(grid=grid, times=bundle.times.copy(), data=u_data)

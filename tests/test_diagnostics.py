@@ -13,7 +13,7 @@ from mks.diagnostics import (
     strong_convergence_order,
 )
 from mks.errors import UsageError
-from mks.grid import Field6, l2_norm, random_field, zero_field
+from mks.grid import Field6, l2_norm, random_field, to_spectral, zero_field
 from mks.kerr import KerrExponent
 from mks.multipliers import CutoffLevel
 from mks.noise import SeparableSource, make_noise_spec, sample_brownian, zero_source
@@ -104,7 +104,7 @@ class TestEnergyResidual:
         bundle = sample_brownian(1, 0.5, 16, seed=3)
         cfg = em_cfg(0.5 / 16, kerr=KerrExponent(2.0, True))
         res = run_path(spec, cfg, None, bundle, record_fields=True)
-        states = [res.trajectory.state(k) for k in range(17)]
+        states = [to_spectral(res.trajectory.state(k)) for k in range(17)]
         ctx_states = states[:-1]
         ctx = StepContext(cfg, spec, bundle)
         drifts = [ctx.drift(ctx_states[k], float(bundle.times[k]))

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -286,3 +287,71 @@ def test_field_data_is_read_only(grid4):
     f = random_field(grid4, seed=15)
     with pytest.raises(ValueError):
         f.data[0, 0, 0, 0] = 1.0
+
+
+SEAM_RUN = """
+[grid]
+points = 8
+length = 6.283185307179586
+
+[model]
+q = 2.0
+mode = strong
+equation = tsee
+
+[noise]
+count = 1
+B_1 = band-limited-random(seed=3, amplitude=0.2, max_mode=1)
+b_1 = band-limited-random(seed=4, amplitude=0.1, max_mode=1) * cos(1.0)
+J = band-limited-random(seed=5, amplitude=0.1, max_mode=1)
+u0 = band-limited-random(seed=6, amplitude=0.5, max_mode=1)
+
+[scheme]
+type = lie_splitting
+dt = 0.0625
+cutoff = 2
+horizon = 0.25
+"""
+
+_NUMPY_TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
+                     "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft",
+                     "ihfft")
+
+
+def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
+    # build_runtime (band-limited profiles, spectral gradients, band-limit
+    # checks) and run_path call numpy.fft only from fft_array/ifft_array
+    import mks.grid
+    from mks.config import build_runtime, parse_config
+    from mks.noise import sample_brownian
+    from mks.stepping import run_path
+
+    counts = {"numpy": 0, "seam": 0}
+    for name in _NUMPY_TRANSFORMS:
+        original = getattr(np.fft, name)
+
+        def numpy_counted(*args, _original=original, **kwargs):
+            counts["numpy"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, numpy_counted)
+    modules = [m for key, m in list(sys.modules.items())
+               if m is not None and (key == "mks" or key.startswith("mks."))]
+    for name in ("fft_array", "ifft_array"):
+        original = getattr(mks.grid, name)
+
+        def seam_counted(*args, _original=original, **kwargs):
+            counts["seam"] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, seam_counted)
+
+    model = build_runtime(parse_config(SEAM_RUN))
+    built = dict(counts)
+    bundle = sample_brownian(1, model.horizon, model.steps, seed=7)
+    run_path(model.spec, model.scheme, model.kernel, bundle)
+    assert built["seam"] >= 5  # B_1: profile, band check, gradient; b_1, J, u0
+    assert counts["seam"] > built["seam"]
+    assert counts["numpy"] == counts["seam"]

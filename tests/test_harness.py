@@ -1,9 +1,15 @@
 import csv
 import json
+import multiprocessing
+import os
 
+import pytest
+
+import mks.harness
 import mks.operators
 from mks.cli import main
 from mks.config import parse_config
+from mks.errors import WorkerLostError
 from mks.harness import reaggregate, run_experiment, verify_suite
 
 ZERO_INPUT = """
@@ -111,6 +117,41 @@ class TestRunExperiment:
             (tmp_path / "w4" / "series.csv").read_bytes()
         assert (tmp_path / "w1" / "summary.csv").read_bytes() == \
             (tmp_path / "w4" / "summary.csv").read_bytes()
+
+    def test_serial_run_builds_the_runtime_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = mks.harness.build_runtime
+
+        def counted(cfg):
+            calls.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(mks.harness, "build_runtime", counted)
+        cfg = parse_config(SMALL_RUN)
+        run_experiment(cfg, workers=1, out_dir=tmp_path)
+        assert cfg.paths == 4 and len(calls) == 1
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched run_path reaches workers by fork")
+    def test_lost_worker_names_the_path(self, tmp_path, monkeypatch):
+        original = mks.harness.run_path
+
+        def dies_on_path_one(*args, **kwargs):
+            if kwargs["path_index"] == 1:
+                os._exit(3)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mks.harness, "run_path", dies_on_path_one)
+        cfg = parse_config(SMALL_RUN)
+        cfg.paths = 3
+        with pytest.raises(WorkerLostError) as info:
+            run_experiment(cfg, workers=2, out_dir=tmp_path)
+        # the pool stops its other workers when one dies; only the path
+        # whose worker exited is named as running
+        assert info.value.running == [1]
+        assert 1 in info.value.lost
+        assert str(info.value).startswith(
+            "[workers] a worker process exited while running path 1;")
 
     def test_blowup_is_logged_not_fatal(self, tmp_path):
         cfg = parse_config(BLOWUP_RUN)

@@ -281,6 +281,30 @@ class TestHistory:
         with pytest.raises(UsageError):
             h.append(0.3, c)
 
+    def test_copies_of_a_folded_prefix_continue_bitwise(self, grid4):
+        # folding a prefix once and continuing from copies gives the floats
+        # of folding every state again, and leaves the prefix untouched
+        dt = 0.125
+        ker = KernelSpec(form="exponential", amplitude=0.7, rate=1.3,
+                         coupling=nonsymmetric_coupling(3))
+        states = random_states(grid4, 9, seed=12)
+        prefix = History(dt=dt)
+        for k in range(4):
+            prefix.append(k * dt, states[k])
+        kept = prefix.fold(ker.rate).copy()
+        for _ in range(2):
+            h = prefix.copy()
+            full = History(dt=dt)
+            for k, state in enumerate(states):
+                if k >= 4:
+                    h.append(k * dt, state)
+                full.append(k * dt, state)
+            assert len(h) == len(full) == 9
+            assert np.array_equal(convolve_history(h, ker, 8 * dt).data,
+                                  convolve_history(full, ker, 8 * dt).data)
+        assert len(prefix) == 4 and not prefix.pending
+        assert np.array_equal(prefix.carried, kept)
+
 
 class TestRecursiveHistory:
     """The carried sum against the direct trapezoid oracle."""

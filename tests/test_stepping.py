@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mks.stepping
 from mks.errors import BlowUpError, ConfigurationError, UsageError
 from mks.grid import Field6, l2_norm, random_field, to_physical, to_spectral, zero_field
 from mks.kerr import KerrExponent
-from mks.memory import exponential_kernel
+from mks.memory import History, exponential_kernel
 from mks.multipliers import CutoffLevel, sharp_cutoff, sharp_mask, smooth_cutoff
 from mks.noise import (
     SeparableSource,
@@ -92,7 +93,7 @@ class TestInitialState:
         u0 = plane_wave(grid8, (1, 0, 0), component=1)
         spec = free_spec(grid8, u0)
         st = initial_state(spec, em_cfg(0.1, level=2))
-        assert np.max(np.abs(st.y.data - u0.data)) < 1e-13
+        assert np.max(np.abs(to_physical(st.y).data - u0.data)) < 1e-13
 
     def test_high_mode_removed(self, grid8):
         u0 = plane_wave(grid8, (3, 0, 0))  # 1 + 9 = 10 > 2^{n+1} for n-1 = 1
@@ -110,7 +111,7 @@ class TestInitialState:
         u0 = random_field(grid8, seed=2)
         spec = free_spec(grid8, u0)
         st = initial_state(spec, em_cfg(0.1, level=2, equation=WSEE))
-        expected = to_physical(sharp_cutoff(to_spectral(u0), CutoffLevel(2)))
+        expected = sharp_cutoff(to_spectral(u0), CutoffLevel(2))
         assert np.array_equal(st.y.data, expected.data)
 
     def test_cutoff_above_nyquist_rejected(self, grid8):
@@ -145,7 +146,7 @@ class TestEulerStep:
         ctx = StepContext(cfg, spec, bundle)
         new = step_euler_maruyama(st, ctx, ctx.drift(st.y, st.t),
                                   ctx.noise(st.y, st.t), None)
-        assert np.max(np.abs(new.y.data - expected)) < 1e-14
+        assert np.max(np.abs(to_physical(new.y).data - expected)) < 1e-14
 
     def test_step_recomposition_is_bitwise(self, grid8):
         # one Euler step equals y + dt Lambda + noise increment, recomputed
@@ -180,14 +181,15 @@ class TestEulerStep:
         horizon = 0.5
         errs = []
         dts = [horizon / 8, horizon / 16, horizon / 32]
-        y0 = to_physical(sharp_cutoff(to_spectral(u0), level))
+        y0_hat = sharp_cutoff(to_spectral(u0), level)
+        y0 = to_physical(y0_hat)
         ref = scipy.linalg.expm(horizon * gen) @ y0.data.ravel()
         assert np.linalg.norm(gen @ y0.data.ravel()) > 1.0  # honest dynamics
         for dt in dts:
             steps = int(round(horizon / dt))
             bundle = sample_brownian(0, horizon, steps, seed=4)
             res = run_path(spec, em_cfg(dt, level=1), None, bundle,
-                           record_fields=True, initial=y0)
+                           record_fields=True, initial=y0_hat)
             errs.append(np.linalg.norm(res.trajectory.data[-1].ravel() - ref))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 0.9 <= slope <= 1.1
@@ -203,7 +205,7 @@ class TestLieSplitting:
         from mks.operators import maxwell_group
 
         y0 = initial_state(spec, lie_cfg(dt)).y
-        exact = to_physical(maxwell_group(1.0, to_spectral(y0)))
+        exact = to_physical(maxwell_group(1.0, y0))
         gap = np.max(np.abs(res.trajectory.data[-1] - exact.data))
         assert gap < 1e-12 * np.max(np.abs(exact.data))
 
@@ -270,8 +272,7 @@ class TestLambdaProcess:
         lam = StepContext(cfg, spec, bundle).drift(st.y, st.t)
         from mks.operators import maxwell_apply
 
-        expected = to_physical(sharp_cutoff(maxwell_apply(to_spectral(st.y)),
-                                            cfg.cutoff_level))
+        expected = sharp_cutoff(maxwell_apply(st.y), cfg.cutoff_level)
         assert np.max(np.abs(lam.data - expected.data)) < 1e-13
 
     def test_gauged_terms_match_oracles(self, grid8):
@@ -287,7 +288,8 @@ class TestLambdaProcess:
                                banded_field(grid8, seed=17))
         bundle = sample_brownian(1, 1.0, 16, seed=11)
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
-        y = initial_state(spec, cfg).y
+        y_hat = initial_state(spec, cfg).y
+        y = to_physical(y_hat)
         t = float(bundle.times[5])
         assert bundle.values[0, 5] != 0.0
         ctx = StepContext(cfg, spec, bundle)
@@ -297,11 +299,12 @@ class TestLambdaProcess:
                + transformed_current(t, spec, bundle).data)
         expected = to_physical(sharp_cutoff(
             to_spectral(y.with_data(raw)), cfg.cutoff_level))
-        assert np.max(np.abs(ctx.drift(y, t).data - expected.data)) < 1e-12
+        lam = to_physical(ctx.drift(y_hat, t))
+        assert np.max(np.abs(lam.data - expected.data)) < 1e-12
         noise = to_physical(smooth_cutoff(
             to_spectral(transformed_noise(0, t, spec, bundle)), CutoffLevel(1)))
-        (z,) = ctx.noise(y, t)
-        assert np.max(np.abs(z.data - noise.data)) < 1e-13
+        (z,) = ctx.noise(y_hat, t)
+        assert np.max(np.abs(to_physical(z).data - noise.data)) < 1e-13
 
 
 class TestEvaluationCounts:
@@ -341,6 +344,62 @@ class TestEvaluationCounts:
     def test_lie_splitting(self, grid4, monkeypatch, equation):
         counts = self._counted_run(grid4, monkeypatch, lie_cfg, equation)
         assert counts == {"drift": self.STEPS + 1, "noise": 2 * self.STEPS}
+
+
+class TestTransformCounts:
+    """FFTs per step, counted at the to_spectral/to_physical bindings of
+    mks.stepping: y stays spectral, and the physical view is formed once."""
+
+    STEPS = 8
+
+    def _per_step(self, monkeypatch, spec, cfg, kernel=None):
+        calls = {"n": 0}
+        for name in ("to_spectral", "to_physical"):
+            original = getattr(mks.stepping, name)
+
+            def counted(f, _original=original):
+                calls["n"] += 1
+                return _original(f)
+
+            monkeypatch.setattr(mks.stepping, name, counted)
+        bundle = sample_brownian(spec.count, 2 * self.STEPS * cfg.dt,
+                                 2 * self.STEPS, seed=41)
+        totals = []
+        for steps in (self.STEPS, 2 * self.STEPS):
+            calls["n"] = 0
+            run_path(spec, cfg, kernel, bundle, n_steps=steps)
+            totals.append(calls["n"])
+        # the per-path set-up cancels in the difference
+        return (totals[1] - totals[0]) / self.STEPS
+
+    def test_linear_trivial_gauge_euler(self, grid8, monkeypatch):
+        n = grid8.points_per_axis
+        b = [SeparableSource(shape=banded_field(grid8, seed=42 + i, scale=0.1),
+                             profile=TimeProfile("cos", 1.0)) for i in range(2)]
+        J = SeparableSource(shape=banded_field(grid8, seed=44, scale=0.2))
+        spec = make_noise_spec(grid8, [np.zeros((n, n, n))] * 2, b, J,
+                               banded_field(grid8, seed=45))
+        assert self._per_step(monkeypatch, spec, em_cfg(1 / 64)) <= 1
+
+    def test_gauged_tsee_kerr_euler(self, grid8, monkeypatch):
+        b = SeparableSource(shape=constant_amplitude(grid8, 0.1),
+                            profile=TimeProfile("cos", 1.0))
+        J = SeparableSource(shape=banded_field(grid8, seed=46, scale=0.2))
+        spec = make_noise_spec(grid8, [cos_multiplier(grid8)], [b], J,
+                               banded_field(grid8, seed=47))
+        cfg = em_cfg(1 / 64, kerr=KerrExponent(2.0, True))
+        assert self._per_step(monkeypatch, spec, cfg) <= 3
+
+    def test_msee_lie_kerr_memory(self, grid8, monkeypatch):
+        b = SeparableSource(shape=constant_amplitude(grid8, 0.05),
+                            profile=TimeProfile("sin", 2.0))
+        J = SeparableSource(shape=banded_field(grid8, seed=48, scale=0.1))
+        spec = make_noise_spec(grid8, [cos_multiplier(grid8, 0.2)], [b], J,
+                               banded_field(grid8, seed=49))
+        cfg = lie_cfg(1 / 128, equation=MSEE, kerr=KerrExponent(3.0))
+        per_step = self._per_step(monkeypatch, spec, cfg,
+                                  exponential_kernel(0.5, 1.0))
+        assert per_step <= 7
 
 
 class TestRunPath:
@@ -489,3 +548,34 @@ class TestMemoryCoupling:
             cfg = replace(cfg, dt=cfg.dt / 2)
         assert gaps[1] < gaps[0]
         assert gaps[0] < 5.0 * np.sqrt(2 * gaps[1] ** 2)  # roughly sqrt(dt) decay
+
+    def test_iterates_append_only_their_window(self, grid4, monkeypatch):
+        # the states before a window are folded once into a prefix; each
+        # Picard iterate continues from a copy and appends its window only
+        made = []
+
+        class RecordingHistory(History):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.appended = []
+                made.append(self)
+
+            def append(self, t, state):
+                self.appended.append(float(t))
+                super().append(t, state)
+
+        monkeypatch.setattr(mks.stepping, "History", RecordingHistory)
+        spec, bundle, kernel, cfg = self._setup(grid4)
+        _, diag = solve_with_memory(spec, cfg, kernel, bundle)
+        prefix, *iterates = made
+        assert len(iterates) == sum(w["iterations"] for w in diag["windows"])
+        last_start = diag["windows"][-1]["window"][0]
+        assert prefix.appended == [float(t) for t in bundle.times
+                                   if t < last_start]
+        first = 0
+        for w in diag["windows"]:
+            t_a, t_b = w["window"]
+            window_times = [float(t) for t in bundle.times if t_a <= t <= t_b]
+            for h in iterates[first:first + w["iterations"]]:
+                assert h.appended == window_times
+            first += w["iterations"]
