@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import MksError
+from .errors import MksError, ValidationError
 
 
 def _add_common(p):
@@ -47,7 +47,9 @@ def build_parser():
 
 
 def _load_config(args):
-    from .config import parse_config
+    """The config file with the command-line overrides applied, validated
+    again after them."""
+    from .config import parse_config, validate_config
 
     cfg = parse_config(args.config.read_text())
     if args.seed is not None:
@@ -56,7 +58,19 @@ def _load_config(args):
         cfg.paths = args.paths
     if args.out is not None:
         cfg.out_dir = str(args.out)
+    violations = validate_config(cfg)
+    if violations:
+        raise ValidationError(violations)
     return cfg
+
+
+def _limits(check) -> str:
+    lower, bound = check.get("lower"), check["bound"]
+    if lower is None:
+        return f"bound {bound:.3e}"
+    if bound is None:
+        return f"at least {lower:.3e}"
+    return f"between {lower:.3e} and {bound:.3e}"
 
 
 def _parse_fraction(text: str) -> float:
@@ -99,7 +113,7 @@ def _dispatch(args) -> int:
         for c in checks:
             tag = "pass" if c["passed"] else "FAIL"
             print(f"[{tag}] {c['name']}: measured {c['measured']:.3e} "
-                  f"(bound {c['bound']:.3e})")
+                  f"({_limits(c)})")
             failed += 0 if c["passed"] else 1
         print(f"{len(checks) - failed}/{len(checks)} checks passed")
         if args.out is not None:

@@ -102,15 +102,12 @@ def make_grid(points_per_axis: int, box_length: float) -> GridSpec:
 class Field6:
     """Six-component complex field, physical or spectral representation.
 
-    Immutable after construction; ``real_state`` marks fields that represent
-    physically real states (their spectral data must be Hermitian-symmetric,
-    and derivative operators zero the Nyquist planes for them).
+    Immutable after construction.
     """
 
     grid: GridSpec
     representation: str
     data: np.ndarray
-    real_state: bool = False
 
     def __post_init__(self):
         n = self.grid.points_per_axis
@@ -136,13 +133,12 @@ class Field6:
 
     def with_data(self, data, representation=None):
         rep = self.representation if representation is None else representation
-        return Field6(self.grid, rep, data, self.real_state)
+        return Field6(self.grid, rep, data)
 
 
-def zero_field(grid: GridSpec, representation: str = PHYSICAL, real_state=False) -> Field6:
+def zero_field(grid: GridSpec, representation: str = PHYSICAL) -> Field6:
     n = grid.points_per_axis
-    return Field6(grid, representation, np.zeros((6, n, n, n), dtype=np.complex128),
-                  real_state)
+    return Field6(grid, representation, np.zeros((6, n, n, n), dtype=np.complex128))
 
 
 def random_field(grid: GridSpec, seed, representation: str = PHYSICAL,
@@ -178,12 +174,12 @@ def ifft_array(data: np.ndarray, axes=None) -> np.ndarray:
 
 def to_spectral(f: Field6) -> Field6:
     _require_representation(f, PHYSICAL, "to_spectral")
-    return Field6(f.grid, SPECTRAL, fft_array(f.data, _FIELD_AXES), f.real_state)
+    return Field6(f.grid, SPECTRAL, fft_array(f.data, _FIELD_AXES))
 
 
 def to_physical(f: Field6) -> Field6:
     _require_representation(f, SPECTRAL, "to_physical")
-    return Field6(f.grid, PHYSICAL, ifft_array(f.data, _FIELD_AXES), f.real_state)
+    return Field6(f.grid, PHYSICAL, ifft_array(f.data, _FIELD_AXES))
 
 
 def inner_product(u: Field6, v: Field6) -> complex:
@@ -231,9 +227,9 @@ def hermitian_defect(f: Field6) -> float:
 # -- checkpoint format (shared repo-wide) -----------------------------------
 #
 # little-endian: magic "MKS1", u32 points_per_axis, f64 box_length,
-# u8 representation tag (0 physical, 1 spectral), u8 real_state flag,
-# then 6*n^3 complex values as (f64 re, f64 im) pairs in component-major,
-# z-fastest order.
+# u8 representation tag (0 physical, 1 spectral), u8 flag (written as 0;
+# 0 and 1 are accepted on read and ignored), then 6*n^3 complex values as
+# (f64 re, f64 im) pairs in component-major, z-fastest order.
 
 _HEADER = struct.Struct("<4sIdBB")
 
@@ -263,7 +259,7 @@ def write_checkpoint(f: Field6, path):
         f.grid.points_per_axis,
         f.grid.box_length,
         _REP_TAGS[f.representation],
-        1 if f.real_state else 0,
+        0,
     )
     write_atomic(path, header,
                  np.ascontiguousarray(f.data).astype("<c16").tobytes())
@@ -275,13 +271,13 @@ def read_checkpoint(path) -> Field6:
     if len(raw) < _HEADER.size:
         raise UsageError(f"checkpoint {path} is truncated: {len(raw)} bytes, "
                          f"the header alone takes {_HEADER.size}")
-    magic, n, box_length, tag, real_flag = _HEADER.unpack_from(raw)
+    magic, n, box_length, tag, flag = _HEADER.unpack_from(raw)
     if magic != CHECKPOINT_MAGIC:
         raise UsageError(f"bad checkpoint magic {magic!r}")
     if tag not in _TAG_REPS:
         raise UsageError(f"checkpoint {path} has bad representation tag {tag}")
-    if real_flag not in (0, 1):
-        raise UsageError(f"checkpoint {path} has bad real-state flag {real_flag}")
+    if flag not in (0, 1):
+        raise UsageError(f"checkpoint {path} has bad flag byte {flag}")
     expected = _HEADER.size + 6 * n**3 * 16
     if len(raw) != expected:
         raise UsageError(f"checkpoint {path} holds {len(raw)} bytes; a 6x{n}^3 "
@@ -289,4 +285,4 @@ def read_checkpoint(path) -> Field6:
     grid = make_grid(n, box_length)
     data = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     data = data.astype(np.complex128).reshape(6, n, n, n)
-    return Field6(grid, _TAG_REPS[tag], data, bool(real_flag))
+    return Field6(grid, _TAG_REPS[tag], data)

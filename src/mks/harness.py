@@ -28,21 +28,44 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, RuntimeModel, assumption_echo, build_runtime
-from .diagnostics import RunReport
-from .errors import BlowUpError, WorkerLostError
-from .grid import write_atomic, write_checkpoint
-from .noise import sample_brownian
-from .stepping import TSEE, run_path
+from .diagnostics import RunReport, fit_loglog_slope
+from .errors import BlowUpError, ConfigurationError, UsageError, WorkerLostError
+from .grid import (PHYSICAL, Field6, inner_product, l2_norm, lp_norm,
+                   make_grid, pointwise_norm, random_field, to_physical,
+                   to_spectral, write_atomic, write_checkpoint)
+from .kerr import (KerrExponent, implicit_kerr_solve, kerr_force,
+                   kerr_hessian_apply, kerr_jacobian_apply, monotonicity_gap,
+                   monotonicity_gap_scalars)
+from .memory import (History, contraction_step_length, convolve_history,
+                     exponential_kernel)
+from .multipliers import (CutoffLevel, cutoff_sandwich_check,
+                          radial_sharp_cutoff, sharp_cutoff, smooth_cutoff,
+                          standard_window)
+from .noise import (SeparableSource, make_noise_spec, refine_bundle,
+                    restrict_bundle, sample_brownian, zero_source)
+from .operators import (HELMHOLTZ, HODGE_LAPLACIAN, MAXWELL, SHARP_CUTOFF,
+                        SMOOTH_CUTOFF, curl, dense_group_matrix,
+                        dense_operator, div, grad, helmholtz_project,
+                        hodge_laplacian_apply, maxwell_apply, maxwell_group)
+from .stepping import (EULER_MARUYAMA, MSEE, TSEE, SchemeConfig, run_path,
+                       solve_with_memory)
 
 WORKERS_ENV = "MKS_WORKERS"
 
 
 def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """Worker count from MKS_WORKERS; 1 when it is unset or empty."""
+    raw = os.environ.get(WORKERS_ENV, "").strip()
+    if not raw:
         return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = None
+    if workers is None or workers < 1:
+        raise ConfigurationError(f"[workers] {WORKERS_ENV} must be an integer "
+                                 f">= 1, got {WORKERS_ENV}={raw!r}")
+    return workers
 
 
 def _fmt(x) -> str:
@@ -118,13 +141,16 @@ def _run_pool(cfg: ExperimentConfig, indices, workers: int) -> list:
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
                    out_dir: str | None = None):
     """Execute the Monte-Carlo experiment; returns (RunReport, exit_status)."""
-    model = build_runtime(cfg)
     if workers is None:
         workers = default_workers()
+    elif workers < 1:
+        raise ConfigurationError(f"[workers] worker count must be >= 1, got "
+                                 f"{workers}")
+    model = build_runtime(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
 
     indices = list(range(cfg.paths))
-    if workers <= 1 or cfg.paths == 1:
+    if workers == 1 or cfg.paths == 1:
         outcomes = [_run_one_path(model, cfg, p) for p in indices]
     else:
         outcomes = _run_pool(cfg, indices, workers)
@@ -248,199 +274,270 @@ def reaggregate(out_dir) -> list:
     return _monte_carlo_rows(RunReport.from_paths(reports))
 
 
+
+
 # --------------------------------------------------------------------------
-# verify suite
+# verify suite: one battery per area.  The acceptance criteria call the
+# batteries with their defaults, and "full" runs them at those sizes.
 # --------------------------------------------------------------------------
 
-def verify_suite(level: str = "fast") -> list:
-    """Run the module invariant batteries; returns machine-readable records.
+def _check(name, measured, bound=None, lower=None) -> dict:
+    """One record: ``measured`` must lie in [lower, bound] (a None end is
+    open)."""
+    measured = float(measured)
+    record = {"name": name, "measured": measured, "bound": bound}
+    if lower is not None:
+        record["lower"] = lower
+    record["passed"] = bool((bound is None or measured <= bound)
+                            and (lower is None or measured >= lower))
+    return record
 
-    Each record: {"name", "measured", "bound", "passed"}.  "fast" works on
-    4^3/8^3 grids; "full" adds the 16^3 battery and statistical checks.
-    """
-    checks = []
 
-    def check(name, measured, bound):
-        checks.append({"name": name, "measured": float(measured),
-                       "bound": float(bound),
-                       "passed": bool(measured <= bound)})
+def _sup(a: Field6, b: Field6) -> float:
+    return np.max(np.abs(a.data - b.data))
 
-    from .grid import (inner_product, l2_norm, make_grid, random_field,
-                       to_physical, to_spectral)
-    from .kerr import (implicit_kerr_solve, kerr_force, kerr_jacobian_apply,
-                       monotonicity_gap, monotonicity_gap_scalars)
-    from .memory import History, contraction_step_length, convolve_history, \
-        exponential_kernel
-    from .multipliers import (CutoffLevel, cutoff_sandwich_check,
-                              sharp_cutoff, smooth_cutoff, standard_window)
-    from .noise import refine_bundle, restrict_bundle, sample_brownian
-    from .operators import (HELMHOLTZ, HODGE_LAPLACIAN, MAXWELL, SHARP_CUTOFF,
-                            SMOOTH_CUTOFF, curl, dense_group_matrix,
-                            dense_operator, div, grad, helmholtz_project,
-                            hodge_laplacian_apply, maxwell_apply, maxwell_group)
 
-    sizes = [(4, 10), (8, 10)] if level == "fast" else [(4, 10), (8, 20), (16, 100)]
+_TIGHT = {"grid/transform_roundtrip", "grid/parseval", "multipliers/sandwich"}
 
-    for n, n_fields in sizes:
-        g = make_grid(n, 2.0 * np.pi)
-        worst = {"skew": 0.0, "commute": 0.0, "annihilate": 0.0, "square": 0.0,
-                 "laplacian": 0.0, "cutoff": 0.0, "roundtrip": 0.0,
-                 "parseval": 0.0}
-        lev = CutoffLevel(max(1, int(np.log2(g.nyquist)) - 1))
-        for s in range(n_fields):
-            u = random_field(g, seed=(n, s, 1))
-            v = random_field(g, seed=(n, s, 2))
-            uh, vh = to_spectral(u), to_spectral(v)
-            scale = l2_norm(uh) * l2_norm(vh)
-            mu, mv = maxwell_apply(uh), maxwell_apply(vh)
-            worst["skew"] = max(worst["skew"], abs(
-                inner_product(mu, vh) + inner_product(uh, mv)) / scale)
-            ph = helmholtz_project(uh)
-            worst["commute"] = max(worst["commute"], np.max(np.abs(
-                maxwell_apply(ph).data - helmholtz_project(mu).data))
-                / l2_norm(uh))
-            grad_part = uh.with_data(uh.data - ph.data)
-            worst["annihilate"] = max(worst["annihilate"],
-                                      l2_norm(maxwell_apply(grad_part))
-                                      / l2_norm(uh))
-            worst["square"] = max(worst["square"], np.max(np.abs(
-                maxwell_apply(mu).data - hodge_laplacian_apply(ph).data))
-                / l2_norm(uh))
-            lap = hodge_laplacian_apply(uh)
-            for sl in (slice(0, 3), slice(3, 6)):
-                blk = uh.data[sl]
-                composed = grad(g, div(g, blk)) - curl(g, curl(g, blk))
-                worst["laplacian"] = max(worst["laplacian"], np.max(np.abs(
-                    composed - lap.data[sl])) / l2_norm(uh))
-            pn = sharp_cutoff(uh, lev)
-            worst["cutoff"] = max(
-                worst["cutoff"],
-                np.max(np.abs(sharp_cutoff(pn, lev).data - pn.data)) / l2_norm(uh),
-                abs(inner_product(pn, vh) - inner_product(uh, sharp_cutoff(vh, lev)))
-                / scale,
-                np.max(np.abs(maxwell_apply(pn).data
-                              - sharp_cutoff(mu, lev).data)) / l2_norm(uh),
-                np.max(np.abs(maxwell_apply(smooth_cutoff(uh, lev)).data
-                              - smooth_cutoff(mu, lev).data)) / l2_norm(uh))
-            rt = to_physical(uh)
-            worst["roundtrip"] = max(worst["roundtrip"], np.max(np.abs(
-                rt.data - u.data)) / np.max(np.abs(u.data)))
-            worst["parseval"] = max(worst["parseval"], abs(
-                inner_product(u, v) - inner_product(uh, vh)) / scale)
-        check(f"operators/{n}^3/skew_adjoint", worst["skew"], 1e-10)
-        check(f"operators/{n}^3/maxwell_helmholtz_commute", worst["commute"], 1e-10)
-        check(f"operators/{n}^3/maxwell_kills_gradients", worst["annihilate"], 1e-10)
-        check(f"operators/{n}^3/square_is_laplacian", worst["square"], 1e-10)
-        check(f"operators/{n}^3/laplacian_decomposition", worst["laplacian"], 1e-10)
-        check(f"operators/{n}^3/cutoff_projection_family", worst["cutoff"], 1e-10)
-        check(f"grid/{n}^3/transform_roundtrip", worst["roundtrip"], 1e-12)
-        check(f"grid/{n}^3/parseval", worst["parseval"], 1e-12)
-        sandwich = cutoff_sandwich_check(lev, g)
-        check(f"multipliers/{n}^3/sandwich", sandwich["max_violation"], 1e-12)
 
-    # dense oracles on the 4^3 grid
-    g4 = make_grid(4, 2.0 * np.pi)
-    u = random_field(g4, seed=11)
-    x = u.data.ravel()
-    for kind, op in ((MAXWELL, maxwell_apply),
-                     (HODGE_LAPLACIAN, hodge_laplacian_apply),
-                     (HELMHOLTZ, helmholtz_project)):
-        dense = dense_operator(kind, g4)
-        fast = to_physical(op(to_spectral(u))).data.ravel()
-        rel = np.max(np.abs(dense.matrix @ x - fast)) / np.max(np.abs(fast) + 1e-300)
-        check(f"dense/{kind}", rel, 1e-10)
-    for kind, op in ((SHARP_CUTOFF, lambda f: sharp_cutoff(f, CutoffLevel(1))),
-                     (SMOOTH_CUTOFF, lambda f: smooth_cutoff(f, CutoffLevel(1)))):
-        dense = dense_operator(kind, g4, level=1)
-        fast = to_physical(op(to_spectral(u))).data.ravel()
-        rel = np.max(np.abs(dense.matrix @ x - fast)) / np.max(np.abs(x))
-        check(f"dense/{kind}", rel, 1e-10)
-    for t in (0.1, 0.3, 1.0):
-        em = dense_group_matrix(t, g4)
-        fast = to_physical(maxwell_group(t, to_spectral(u))).data.ravel()
-        check(f"dense/group_exp_t{t}", np.max(np.abs(em @ x - fast))
-              / np.max(np.abs(x)), 1e-8)
+def operator_battery(points: int, fields: int) -> list:
+    """Operator, cutoff and transform identities on a points^3 grid of side
+    2 pi, each the worst case over ``fields`` random pairs seeded (1, s) and
+    (2, s).  The cutoffs act one level below Nyquist, the sandwich
+    identities at the Nyquist level, and the mask sandwich at every level
+    up to it.  Bounds: 1e-12 for the transforms and the masks, else 1e-10."""
+    g = make_grid(points, 2.0 * np.pi)
+    top = int(np.log2(g.nyquist))
+    lev = CutoffLevel(max(1, top - 1))
+    nyq, below = CutoffLevel(top), CutoffLevel(top - 1)
+    cutoffs = (lambda f: sharp_cutoff(f, lev),
+               lambda f: radial_sharp_cutoff(f, lev),
+               lambda f: smooth_cutoff(f, lev))
+    worst = {}
 
-    # window partition of unity
-    w = standard_window()
-    xs = np.logspace(-3, 6, 1000)
-    check("multipliers/window_partition",
-          np.max(np.abs(w.partition_sum(xs) - 1.0)), 1e-10)
+    def grow(name, value):
+        worst[name] = max(worst.get(name, 0.0), value)
 
-    # kerr battery
+    for s in range(fields):
+        u = random_field(g, seed=(1, s))
+        v = random_field(g, seed=(2, s))
+        uh, vh = to_spectral(u), to_spectral(v)
+        nu, nv = l2_norm(uh), l2_norm(vh)
+        mu = maxwell_apply(uh)
+        ph = helmholtz_project(uh)
+        grow("operators/skew_adjoint", abs(
+            inner_product(mu, vh) + inner_product(uh, maxwell_apply(vh)))
+            / (nu * nv))
+        grow("operators/maxwell_helmholtz_commute",
+             _sup(maxwell_apply(ph), helmholtz_project(mu)) / nu)
+        grow("operators/maxwell_kills_gradients",
+             l2_norm(maxwell_apply(uh.with_data(uh.data - ph.data))) / nu)
+        grow("operators/square_is_laplacian",
+             _sup(maxwell_apply(mu), hodge_laplacian_apply(ph)) / nu)
+        lap = hodge_laplacian_apply(uh)
+        for sl in (slice(0, 3), slice(3, 6)):
+            blk = uh.data[sl]
+            composed = grad(g, div(g, blk)) - curl(g, curl(g, blk))
+            grow("operators/laplacian_decomposition",
+                 np.max(np.abs(composed - lap.data[sl])) / nu)
+        for cut in cutoffs:
+            cu = cut(uh)
+            grow("multipliers/cutoff_self_adjoint", abs(
+                inner_product(cu, vh) - inner_product(uh, cut(vh))) / (nu * nv))
+            grow("multipliers/cutoff_maxwell_commute",
+                 _sup(maxwell_apply(cu), cut(mu)) / nu)
+        pu = sharp_cutoff(uh, lev)
+        grow("multipliers/cutoff_idempotent", _sup(sharp_cutoff(pu, lev), pu) / nu)
+        pn = radial_sharp_cutoff(uh, nyq)
+        grow("multipliers/sandwich_fields", _sup(smooth_cutoff(pn, nyq), pn) / nu)
+        sb = smooth_cutoff(uh, below)
+        grow("multipliers/sandwich_fields",
+             _sup(radial_sharp_cutoff(sb, nyq), sb) / nu)
+        grow("grid/transform_roundtrip",
+             _sup(to_physical(uh), u) / np.max(np.abs(u.data)))
+        grow("grid/parseval",
+             abs(inner_product(u, v) - inner_product(uh, vh)) / (nu * nv))
+    worst["multipliers/sandwich"] = max(
+        cutoff_sandwich_check(CutoffLevel(n), g)["max_violation"]
+        for n in range(top + 1))
+    return [_check(name.replace("/", f"/{points}^3/", 1), value,
+                   1e-12 if name in _TIGHT else 1e-10)
+            for name, value in worst.items()]
+
+
+def dense_battery(column_step: int = 1) -> list:
+    """The fast operators against explicit matrices on 4^3, one basis
+    vector at a time (every ``column_step``-th column), and exp(tm)
+    against scipy's expm."""
     g = make_grid(4, 2.0 * np.pi)
-    u = random_field(g, seed=21)
-    v = random_field(g, seed=22)
+    ops = {
+        MAXWELL: maxwell_apply,
+        HODGE_LAPLACIAN: hodge_laplacian_apply,
+        HELMHOLTZ: helmholtz_project,
+        SHARP_CUTOFF: lambda f: sharp_cutoff(f, CutoffLevel(1)),
+        SMOOTH_CUTOFF: lambda f: smooth_cutoff(f, CutoffLevel(1)),
+    }
+    dim = 6 * 4**3
+    records = []
+    for kind, op in ops.items():
+        dense = dense_operator(kind, g, level=1)
+        scale = max(np.max(np.abs(dense.matrix)), 1.0)
+        worst = 0.0
+        for j in range(0, dim, column_step):
+            e = np.zeros(dim, dtype=np.complex128)
+            e[j] = 1.0
+            basis = Field6(g, PHYSICAL, e.reshape(6, 4, 4, 4))
+            fast = to_physical(op(to_spectral(basis))).data.ravel()
+            worst = max(worst, np.max(np.abs(dense.matrix[:, j] - fast)) / scale)
+        records.append(_check(f"dense/{kind}", worst, 1e-10))
+    u = random_field(g, seed=3)
+    for t in (0.1, 0.3, 1.0):
+        fast = to_physical(maxwell_group(t, to_spectral(u))).data.ravel()
+        records.append(_check(
+            f"dense/group_exp_t{t}",
+            np.max(np.abs(dense_group_matrix(t, g) @ u.data.ravel() - fast))
+            / np.max(np.abs(u.data)), 1e-8))
+    return records
+
+
+def kerr_battery(pairs: int = 100, scalars: int = 10**6) -> list:
+    """Kerr force on 4^3: finite-difference order of the Jacobian, symmetry
+    of the Hessian, monotonicity over ``pairs`` field pairs (normalized by
+    ||a - b||_4^4) and ``scalars`` C^6 pairs, and the implicit resolvent's
+    residual."""
+    g = make_grid(4, 2.0 * np.pi)
+    u, v, w = (random_field(g, seed=s) for s in (4, 5, 6))
+    records = []
+    eps_list = (1e-3, 1e-4, 1e-5)
     for q in (1.5, 2.0, 3.0):
+        jac = kerr_jacobian_apply(u, v, q)
         errs = []
-        eps_list = (1e-3, 1e-4, 1e-5)
         for eps in eps_list:
             fd = (kerr_force(u.with_data(u.data + eps * v.data), q).data
                   - kerr_force(u, q).data) / eps
-            errs.append(l2_norm(u.with_data(fd - kerr_jacobian_apply(u, v, q).data)))
-        slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
-        check(f"kerr/gradient_order_q{q}", 0.9 - slope, 0.0)
-    gap_worst = max(monotonicity_gap(random_field(g, seed=30 + s),
-                                     random_field(g, seed=60 + s), 2.0)
-                    for s in range(20))
-    check("kerr/monotonicity_fields", gap_worst, 1e-12 * 1e4)
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((6, 10**5)) + 1j * rng.standard_normal((6, 10**5))
-    b = rng.standard_normal((6, 10**5)) + 1j * rng.standard_normal((6, 10**5))
-    check("kerr/monotonicity_scalars",
-          float(np.max(monotonicity_gap_scalars(a, b, 1.5))), 1e-12)
-    wf = random_field(g, seed=33, scale=2.0)
-    sol = implicit_kerr_solve(wf, 0.25, 2.0)
-    from .grid import pointwise_norm
-    res = np.max(np.abs(sol.data * (1 + 0.25 * pointwise_norm(sol) ** 2)
-                        - wf.data) / (1.0 + pointwise_norm(wf)))
-    check("kerr/implicit_residual", res, 1e-12)
+            errs.append(l2_norm(u.with_data(fd - jac.data)))
+        order = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
+        records.append(_check(f"kerr/gradient_order_q{q}", order, lower=0.9))
 
-    # brownian bundle
+    h1 = kerr_hessian_apply(u, v, w, 2.0)
+    records.append(_check("kerr/hessian_symmetry", _sup(
+        h1, kerr_hessian_apply(u, w, v, 2.0)) / max(np.max(np.abs(h1.data)),
+                                                    1.0), 1e-12))
+    gap = -np.inf
+    for s in range(pairs):
+        a = random_field(g, seed=(7, s))
+        b = random_field(g, seed=(8, s))
+        scale = lp_norm(a.with_data(a.data - b.data), 4.0) ** 4.0
+        gap = max(gap, monotonicity_gap(a, b, 2.0) / max(scale, 1.0))
+    records.append(_check("kerr/monotonicity_fields", gap, 1e-12))
+    rng = np.random.default_rng(9)
+    sa = rng.standard_normal((6, scalars)) + 1j * rng.standard_normal((6, scalars))
+    sb = rng.standard_normal((6, scalars)) + 1j * rng.standard_normal((6, scalars))
+    for q in (1.5, 2.0):
+        records.append(_check(f"kerr/monotonicity_scalars_q{q}",
+                              np.max(monotonicity_gap_scalars(sa, sb, q)),
+                              1e-12))
+
+    wf = random_field(g, seed=10, scale=3.0)
+    for q, dt in ((1.5, 0.2), (2.0, 1.0)):
+        sol = implicit_kerr_solve(wf, dt, q)
+        resid = np.abs(sol.data + dt * pointwise_norm(sol) ** q * sol.data
+                       - wf.data)
+        records.append(_check(f"kerr/implicit_residual_q{q}_dt{dt}",
+                              np.max(resid / (1.0 + pointwise_norm(wf))),
+                              1e-12))
+    return records
+
+
+def memory_battery() -> list:
+    """Trapezoid order of the exponential memory law against its closed
+    form, the contraction ratio of windowed Picard on an msee run with
+    multiplicative noise, and the contraction length T0(1, 0, 1)."""
+    g = make_grid(4, 2.0 * np.pi)
+    c = random_field(g, seed=11)
+    lam, amp, horizon = 1.3, 0.8, 0.5
+    ker = exponential_kernel(amp, lam)
+    exact = amp * (1 - np.exp(-lam * horizon)) / lam * c.data
+    errs = []
+    dts = [1e-2, 5e-3, 2.5e-3]
+    for dt in dts:
+        h = History(dt=dt)
+        for k in range(int(round(horizon / dt)) + 1):
+            h.append(k * dt, c)
+        errs.append(np.max(np.abs(convolve_history(h, ker, horizon).data
+                                  - exact)))
+    records = [_check("memory/quadrature_order", fit_loglog_slope(dts, errs),
+                      2.3, lower=1.7)]
+
+    n = 4
+    b = SeparableSource(shape=Field6(
+        g, PHYSICAL, np.full((6, n, n, n), 0.1, dtype=np.complex128)))
+    spec = make_noise_spec(g, [0.2 * np.ones((n, n, n))], [b],
+                           zero_source(g), random_field(g, seed=12, scale=0.5))
+    cfg = SchemeConfig(scheme=EULER_MARUYAMA, dt=0.5 / 32,
+                       cutoff_level=CutoffLevel(1), equation=MSEE,
+                       kerr=KerrExponent(2.0, strong_mode=True))
+    _, diag = solve_with_memory(spec, cfg, exponential_kernel(2.0, 1.0),
+                                sample_brownian(1, 0.5, 32, seed=13))
+    worst_ratio = 0.0
+    for wnd in diag["windows"]:
+        gs = [x for x in wnd["gaps"] if x > 1e-13]
+        ratios = [y / x for x, y in zip(gs, gs[1:])][1:]
+        if ratios:
+            worst_ratio = max(worst_ratio, max(ratios))
+    records.append(_check("memory/picard_ratio", worst_ratio, 0.9))
+    records.append(_check("memory/contraction_window",
+                          contraction_step_length(1.0, 0.0, 1.0), 0.25,
+                          lower=0.25))
+    return records
+
+
+def brownian_battery() -> list:
+    """Bridge refinement followed by restriction returns the coarse path
+    bitwise."""
     base = sample_brownian(2, 1.0, 8, seed=5)
     again = restrict_bundle(refine_bundle(refine_bundle(base)), 4)
-    check("noise/refinement_bitwise",
-          0.0 if np.array_equal(base.values, again.values) else 1.0, 0.0)
-
-    # memory law
-    ker = exponential_kernel(0.8, 1.3)
-    c = random_field(g, seed=41)
-    errs = []
-    for dt in (1e-2, 5e-3, 2.5e-3):
-        steps = int(round(0.5 / dt))
-        h = History(dt=dt)
-        for k in range(steps + 1):
-            h.append(k * dt, c)
-        conv = convolve_history(h, ker, 0.5)
-        exact = 0.8 * (1 - np.exp(-1.3 * 0.5)) / 1.3 * c.data
-        errs.append(np.max(np.abs(conv.data - exact)))
-    slope = np.polyfit(np.log([1e-2, 5e-3, 2.5e-3]), np.log(errs), 1)[0]
-    check("memory/quadrature_order_low", 1.7 - slope, 0.0)
-    check("memory/quadrature_order_high", slope - 2.3, 0.0)
-    check("memory/contraction_window",
-          abs(contraction_step_length(1.0, 0.0, 1.0) - 0.25), 0.0)
-
-    if level == "full":
-        checks.extend(_statistical_checks())
-    return checks
+    return [_check("noise/refinement_bitwise",
+                   0.0 if np.array_equal(base.values, again.values) else 1.0,
+                   0.0)]
 
 
-def _statistical_checks() -> list:
+def statistical_battery() -> list:
     """Seeded statistical witnesses (99%-confidence bands)."""
-    from .noise import sample_brownian
-
-    out = []
     vals = np.array([sample_brownian(1, 1.0, 4, seed=s).values[0, -1]
                      for s in range(10**4)])
-    var = float(vals.var())
-    out.append({"name": "noise/terminal_variance", "measured": var,
-                "bound": 1.06, "passed": bool(0.94 <= var <= 1.06)})
     # Ito isometry with constant Z: mean of (sum Z dbeta)^2 ~ Z^2 T
     acc = []
     for s in range(10**4):
         b = sample_brownian(1, 1.0, 16, seed=77000 + s)
         acc.append(np.sum(np.diff(b.values[0])) ** 2)
-    ratio = float(np.mean(acc))
-    out.append({"name": "noise/ito_isometry", "measured": ratio,
-                "bound": 1.06, "passed": bool(0.94 <= ratio <= 1.06)})
-    return out
+    return [_check("noise/terminal_variance", vals.var(), 1.06, lower=0.94),
+            _check("noise/ito_isometry", np.mean(acc), 1.06, lower=0.94)]
+
+
+_OPERATOR_SIZES = {"fast": ((4, 10), (8, 10)),
+                   "full": ((4, 10), (8, 20), (16, 100))}
+
+
+def verify_suite(level: str = "fast") -> list:
+    """Run every battery; returns records {"name", "measured", "bound",
+    "passed"} plus "lower" where the check has a lower limit.
+
+    "full" runs the acceptance criteria's sizes and counts and adds the
+    statistical checks; "fast" runs smaller grids and counts."""
+    if level not in _OPERATOR_SIZES:
+        raise UsageError(f"unknown verify level {level!r}")
+    full = level == "full"
+    records = []
+    for points, fields in _OPERATOR_SIZES[level]:
+        records += operator_battery(points, fields)
+    records.append(_check("multipliers/window_partition", np.max(np.abs(
+        standard_window().partition_sum(np.logspace(-3, 6, 1000)) - 1.0)),
+        1e-10))
+    records += dense_battery(column_step=1 if full else 16)
+    records += kerr_battery() if full else kerr_battery(20, 10**5)
+    records += memory_battery()
+    records += brownian_battery()
+    if full:
+        records += statistical_battery()
+    return records

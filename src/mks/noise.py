@@ -226,11 +226,14 @@ def zero_source(grid: GridSpec) -> SeparableSource:
 # -- noise structure ----------------------------------------------------------
 
 def spectral_gradient(grid: GridSpec, scalar: np.ndarray) -> np.ndarray:
-    """Gradient of a real scalar field by spectral differentiation."""
-    from .operators import grad as spectral_grad
+    """Gradient of a real scalar field by spectral differentiation; the
+    Nyquist planes of i k are zeroed, so the gradient stays real."""
+    from .operators import _nyquist_mask
 
+    mask = _nyquist_mask(grid)
     hat = fft_array(scalar)
-    g = ifft_array(spectral_grad(grid, hat, zero_nyquist=True), axes=(1, 2, 3))
+    g = ifft_array(np.stack([1j * (k * mask) * hat
+                             for k in grid.k_components()]), axes=(1, 2, 3))
     return np.ascontiguousarray(g.real)
 
 

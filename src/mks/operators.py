@@ -13,8 +13,7 @@ Everything here is diagonal per Fourier mode:
 
 All Field6-level operations demand the spectral representation and raise
 UsageError otherwise.  The raw-array helpers (curl/div/grad) expect spectral
-data by contract.  For ``real_state`` fields, odd-order derivative operators
-zero the Nyquist planes so real states stay real.
+data by contract.
 """
 
 from __future__ import annotations
@@ -52,19 +51,9 @@ def _nyquist_mask(grid: GridSpec):
     return m.reshape(n, 1, 1) * m.reshape(1, n, 1) * m.reshape(1, 1, n)
 
 
-def _k_vectors(grid: GridSpec, zero_nyquist: bool):
-    kx, ky, kz = grid.k_components()
-    if zero_nyquist:
-        mask = _nyquist_mask(grid)
-        return kx * mask, ky * mask, kz * mask
-    n = grid.points_per_axis
-    full = np.broadcast_to
-    return (full(kx, (n, n, n)), full(ky, (n, n, n)), full(kz, (n, n, n)))
-
-
-def curl(grid: GridSpec, u3: np.ndarray, zero_nyquist: bool = False) -> np.ndarray:
+def curl(grid: GridSpec, u3: np.ndarray) -> np.ndarray:
     """(curl u)^(k) = i k x u_hat(k) on a 3-component spectral block."""
-    kx, ky, kz = _k_vectors(grid, zero_nyquist)
+    kx, ky, kz = grid.k_components()
     out = np.empty_like(u3)
     out[0] = 1j * (ky * u3[2] - kz * u3[1])
     out[1] = 1j * (kz * u3[0] - kx * u3[2])
@@ -72,26 +61,22 @@ def curl(grid: GridSpec, u3: np.ndarray, zero_nyquist: bool = False) -> np.ndarr
     return out
 
 
-def div(grid: GridSpec, u3: np.ndarray, zero_nyquist: bool = False) -> np.ndarray:
+def div(grid: GridSpec, u3: np.ndarray) -> np.ndarray:
     """(div u)^(k) = i k . u_hat(k)."""
-    kx, ky, kz = _k_vectors(grid, zero_nyquist)
+    kx, ky, kz = grid.k_components()
     return 1j * (kx * u3[0] + ky * u3[1] + kz * u3[2])
 
 
-def grad(grid: GridSpec, phi: np.ndarray, zero_nyquist: bool = False) -> np.ndarray:
+def grad(grid: GridSpec, phi: np.ndarray) -> np.ndarray:
     """(grad phi)^(k) = i k phi_hat(k)."""
-    kx, ky, kz = _k_vectors(grid, zero_nyquist)
+    kx, ky, kz = grid.k_components()
     return np.stack([1j * kx * phi, 1j * ky * phi, 1j * kz * phi])
 
 
 def maxwell_apply(u: Field6) -> Field6:
     """Block map (u1, u2) -> (curl u2, -curl u1)."""
     _require_representation(u, SPECTRAL, "maxwell_apply")
-    zn = u.real_state
-    data = np.concatenate([
-        curl(u.grid, u.block2, zero_nyquist=zn),
-        -curl(u.grid, u.block1, zero_nyquist=zn),
-    ])
+    data = np.concatenate([curl(u.grid, u.block2), -curl(u.grid, u.block1)])
     return u.with_data(data)
 
 
@@ -127,7 +112,7 @@ def maxwell_group(t: float, u: Field6) -> Field6:
     """
     _require_representation(u, SPECTRAL, "maxwell_group")
     grid = u.grid
-    kx, ky, kz = _k_vectors(grid, zero_nyquist=u.real_state)
+    kx, ky, kz = grid.k_components()
     k2 = kx**2 + ky**2 + kz**2
     kabs = np.sqrt(k2)
     inv_kabs = np.zeros_like(kabs)

@@ -363,9 +363,12 @@ class StepContext:
         return out
 
 
-def _noise_increment(zs, dbeta, shape) -> np.ndarray:
-    incr = np.zeros(shape, dtype=np.complex128)
-    for z, db in zip(zs, dbeta):
+def _noise_increment(zs, dbeta):
+    """sum_i Z_i dbeta_i, summed in channel order; 0.0 without channels."""
+    if not zs:
+        return 0.0
+    incr = dbeta[0] * zs[0].data
+    for z, db in zip(zs[1:], dbeta[1:]):
         incr += db * z.data
     return incr
 
@@ -378,8 +381,7 @@ def step_euler_maruyama(state: PathState, ctx: StepContext, lam: Field6,
     k = state.step_index
     bundle = ctx.bundle
     dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
-    incr = ctx.cfg.dt * lam.data + _noise_increment(zs, dbeta,
-                                                    state.y.data.shape)
+    incr = ctx.cfg.dt * lam.data + _noise_increment(zs, dbeta)
     y_new = state.y.with_data(state.y.data + incr)
     return PathState(step_index=k + 1, t=float(bundle.times[k + 1]), y=y_new,
                      history=state.history)
@@ -411,7 +413,7 @@ def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
     z_prop = ctx.noise(y, t)
     if z_prop:
         dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
-        y = y.with_data(y.data + _noise_increment(z_prop, dbeta, y.data.shape))
+        y = y.with_data(y.data + _noise_increment(z_prop, dbeta))
     return PathState(step_index=k + 1, t=float(bundle.times[k + 1]), y=y,
                      history=state.history)
 

@@ -9,36 +9,17 @@ import time
 import numpy as np
 
 from mks.config import _field_profile, _scalar_profile, parse_config, parse_profile
-from mks.diagnostics import fit_loglog_slope
-from mks.grid import (
-    Field6,
-    inner_product,
-    l2_norm,
-    lp_norm,
-    make_grid,
-    pointwise_norm,
-    random_field,
-    to_physical,
-    to_spectral,
+from mks.diagnostics import RunReport, fit_loglog_slope
+from mks.grid import Field6, l2_norm, make_grid
+from mks.harness import (
+    dense_battery,
+    kerr_battery,
+    memory_battery,
+    operator_battery,
+    run_experiment,
 )
-from mks.harness import run_experiment
-from mks.kerr import (
-    KerrExponent,
-    implicit_kerr_solve,
-    kerr_force,
-    kerr_hessian_apply,
-    kerr_jacobian_apply,
-    monotonicity_gap,
-    monotonicity_gap_scalars,
-)
-from mks.memory import History, contraction_step_length, convolve_history, exponential_kernel
-from mks.multipliers import (
-    CutoffLevel,
-    cutoff_sandwich_check,
-    radial_sharp_cutoff,
-    sharp_cutoff,
-    smooth_cutoff,
-)
+from mks.kerr import KerrExponent
+from mks.multipliers import CutoffLevel
 from mks.noise import (
     SeparableSource,
     TimeProfile,
@@ -47,22 +28,6 @@ from mks.noise import (
     sample_brownian,
     zero_source,
 )
-from mks.operators import (
-    HELMHOLTZ,
-    HODGE_LAPLACIAN,
-    MAXWELL,
-    SHARP_CUTOFF,
-    SMOOTH_CUTOFF,
-    curl,
-    dense_group_matrix,
-    dense_operator,
-    div,
-    grad,
-    helmholtz_project,
-    hodge_laplacian_apply,
-    maxwell_apply,
-    maxwell_group,
-)
 from mks.stepping import (
     EULER_MARUYAMA,
     LIE_SPLITTING,
@@ -70,6 +35,7 @@ from mks.stepping import (
     TSEE,
     SchemeConfig,
     run_path,
+    trajectory_sup_distance,
 )
 
 from conftest import banded_field
@@ -81,143 +47,46 @@ def verdict(criterion, ok, detail):
     assert ok, line
 
 
-def test_criterion_1_operator_identity_suite():
-    """16^3 grid, 100 random fields, all operator identities <= 1e-10."""
-    t0 = time.monotonic()
-    g = make_grid(16, 2.0 * np.pi)
-    lev = CutoffLevel(3)        # 2^3 = 8 = Nyquist
-    lev_lo = CutoffLevel(2)
-    worst = 0.0
-    for s in range(100):
-        u = random_field(g, seed=(1, s))
-        v = random_field(g, seed=(2, s))
-        uh, vh = to_spectral(u), to_spectral(v)
-        nu, nv = l2_norm(uh), l2_norm(vh)
-        mu = maxwell_apply(uh)
-        ph = helmholtz_project(uh)
+def battery_verdict(criterion, records, detail, ok=True):
+    """Verdict on battery records: every one must pass."""
+    failed = [r["name"] for r in records if not r["passed"]]
+    if failed:
+        detail += f"; failed: {', '.join(failed)}"
+    verdict(criterion, ok and not failed, detail)
 
-        worst = max(worst, abs(inner_product(mu, vh)
-                               + inner_product(uh, maxwell_apply(vh))) / (nu * nv))
-        worst = max(worst, np.max(np.abs(maxwell_apply(ph).data
-                                         - helmholtz_project(mu).data)) / nu)
-        grad_part = uh.with_data(uh.data - ph.data)
-        worst = max(worst, l2_norm(maxwell_apply(grad_part)) / nu)
-        worst = max(worst, np.max(np.abs(
-            maxwell_apply(mu).data - hodge_laplacian_apply(ph).data)) / nu)
-        lap = hodge_laplacian_apply(uh)
-        for sl in (slice(0, 3), slice(3, 6)):
-            blk = uh.data[sl]
-            composed = grad(g, div(g, blk)) - curl(g, curl(g, blk))
-            worst = max(worst, np.max(np.abs(composed - lap.data[sl])) / nu)
-        # cutoff family: idempotence, self-adjointness, commutation
-        for cut in (lambda f: sharp_cutoff(f, lev_lo),
-                    lambda f: radial_sharp_cutoff(f, lev_lo),
-                    lambda f: smooth_cutoff(f, lev_lo)):
-            cu = cut(uh)
-            worst = max(worst, abs(inner_product(cu, vh)
-                                   - inner_product(uh, cut(vh))) / (nu * nv))
-            worst = max(worst, np.max(np.abs(maxwell_apply(cu).data
-                                             - cut(mu).data)) / nu)
-        pu = sharp_cutoff(uh, lev_lo)
-        worst = max(worst, np.max(np.abs(sharp_cutoff(pu, lev_lo).data
-                                         - pu.data)) / nu)
-        # sandwich identities through the radial variant
-        sp = smooth_cutoff(radial_sharp_cutoff(uh, lev), lev)
-        worst = max(worst, np.max(np.abs(
-            sp.data - radial_sharp_cutoff(uh, lev).data)) / nu)
-        ps = radial_sharp_cutoff(smooth_cutoff(uh, CutoffLevel(lev.n - 1)), lev)
-        worst = max(worst, np.max(np.abs(
-            ps.data - smooth_cutoff(uh, CutoffLevel(lev.n - 1)).data)) / nu)
-    for n in range(4):
-        worst = max(worst, cutoff_sandwich_check(CutoffLevel(n), g)["max_violation"])
+
+def measured(records, prefix):
+    return [r["measured"] for r in records if r["name"].startswith(prefix)]
+
+
+def test_criterion_1_operator_identity_suite():
+    """16^3 grid, 100 random field pairs: every operator identity within
+    1e-10, transforms and cutoff masks within 1e-12, in under 60 s."""
+    t0 = time.monotonic()
+    records = operator_battery(16, 100)
     elapsed = time.monotonic() - t0
-    verdict(1, worst <= 1e-10 and elapsed < 60.0,
-            f"max relative residual {worst:.3e}, runtime {elapsed:.1f}s")
+    battery_verdict(1, records,
+                    f"max relative residual {max(measured(records, '')):.3e}, "
+                    f"runtime {elapsed:.1f}s", ok=elapsed < 60.0)
 
 
 def test_criterion_2_dense_oracle_equivalence():
     """Fast operators match explicit matrices on 4^3; exp(tm) matches expm."""
-    g = make_grid(4, 2.0 * np.pi)
-    ops = {
-        MAXWELL: maxwell_apply,
-        HODGE_LAPLACIAN: hodge_laplacian_apply,
-        HELMHOLTZ: helmholtz_project,
-        SHARP_CUTOFF: lambda f: sharp_cutoff(f, CutoffLevel(1)),
-        SMOOTH_CUTOFF: lambda f: smooth_cutoff(f, CutoffLevel(1)),
-    }
-    dim = 6 * 4**3
-    worst_cols = 0.0
-    for kind, op in ops.items():
-        dense = dense_operator(kind, g, level=1)
-        scale = max(np.max(np.abs(dense.matrix)), 1.0)
-        for j in range(dim):
-            e = np.zeros(dim, dtype=np.complex128)
-            e[j] = 1.0
-            basis = Field6(g, "physical", e.reshape(6, 4, 4, 4))
-            fast = to_physical(op(to_spectral(basis))).data.ravel()
-            worst_cols = max(worst_cols,
-                             np.max(np.abs(dense.matrix[:, j] - fast)) / scale)
-    worst_exp = 0.0
-    u = random_field(g, seed=3)
-    for t in (0.1, 0.3, 1.0):
-        em = dense_group_matrix(t, g)
-        fast = to_physical(maxwell_group(t, to_spectral(u))).data.ravel()
-        worst_exp = max(worst_exp, np.max(np.abs(em @ u.data.ravel() - fast))
-                        / np.max(np.abs(u.data)))
-    verdict(2, worst_cols <= 1e-10 and worst_exp <= 1e-8,
-            f"column residual {worst_cols:.3e}, group-vs-expm {worst_exp:.3e}")
+    records = dense_battery()
+    columns = [r["measured"] for r in records if "group_exp" not in r["name"]]
+    battery_verdict(2, records, (
+        f"column residual {max(columns):.3e}, "
+        f"group-vs-expm {max(measured(records, 'dense/group_exp')):.3e}"))
 
 
 def test_criterion_3_kerr_suite():
-    g = make_grid(4, 2.0 * np.pi)
-    u = random_field(g, seed=4)
-    v = random_field(g, seed=5)
-    w = random_field(g, seed=6)
-
-    min_order = np.inf
-    for q in (1.5, 2.0, 3.0):
-        jac = kerr_jacobian_apply(u, v, q)
-        eps_list = (1e-3, 1e-4, 1e-5)
-        errs = []
-        for eps in eps_list:
-            fd = (kerr_force(u.with_data(u.data + eps * v.data), q).data
-                  - kerr_force(u, q).data) / eps
-            errs.append(l2_norm(u.with_data(fd - jac.data)))
-        min_order = min(min_order, np.polyfit(np.log(eps_list),
-                                              np.log(errs), 1)[0])
-
-    h1 = kerr_hessian_apply(u, v, w, 2.0)
-    h2 = kerr_hessian_apply(u, w, v, 2.0)
-    sym = np.max(np.abs(h1.data - h2.data)) / max(np.max(np.abs(h1.data)), 1.0)
-
-    worst_gap = -np.inf
-    for s in range(100):
-        a = random_field(g, seed=(7, s))
-        b = random_field(g, seed=(8, s))
-        scale = lp_norm(a.with_data(a.data - b.data), 4.0) ** 4.0
-        worst_gap = max(worst_gap,
-                        monotonicity_gap(a, b, 2.0) / max(scale, 1.0))
-    rng = np.random.default_rng(9)
-    m = 10**6
-    sa = rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m))
-    sb = rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m))
-    scalar_worst = max(float(np.max(monotonicity_gap_scalars(sa, sb, 1.5))),
-                       float(np.max(monotonicity_gap_scalars(sa, sb, 2.0))))
-
-    wf = random_field(g, seed=10, scale=3.0)
-    res_worst = 0.0
-    for q, dt in ((1.5, 0.2), (2.0, 1.0)):
-        sol = implicit_kerr_solve(wf, dt, q)
-        resid = np.abs(sol.data + dt * pointwise_norm(sol) ** q * sol.data
-                       - wf.data)
-        res_worst = max(res_worst,
-                        float(np.max(resid / (1.0 + pointwise_norm(wf)))))
-
-    ok = (min_order >= 0.9 and sym <= 1e-12 and worst_gap <= 1e-12
-          and scalar_worst <= 1e-12 and res_worst <= 1e-12)
-    verdict(3, ok, f"fd order {min_order:.3f}, hessian symmetry {sym:.2e}, "
-                   f"field gap {worst_gap:.2e}, scalar gap {scalar_worst:.2e}, "
-                   f"implicit residual {res_worst:.2e}")
+    records = kerr_battery()
+    battery_verdict(3, records, (
+        f"fd order {min(measured(records, 'kerr/gradient_order')):.3f}, "
+        f"hessian symmetry {measured(records, 'kerr/hessian')[0]:.2e}, "
+        f"field gap {measured(records, 'kerr/monotonicity_fields')[0]:.2e}, "
+        f"scalar gap {max(measured(records, 'kerr/monotonicity_scalars')):.2e}, "
+        f"implicit residual {max(measured(records, 'kerr/implicit')):.2e}"))
 
 
 def test_criterion_4_ito_energy_identity():
@@ -288,7 +157,6 @@ def test_criterion_5_gauge_duality():
     kerr = KerrExponent(2.0, strong_mode=True)
     n_paths = 64
     gaps = {dt: [] for dt in dts}
-    weight = np.sqrt(g.cell_volume)
     for p in range(n_paths):
         bundle = sample_brownian(1, horizon, 16, seed=1000 + p)
         for dt in dts:
@@ -301,9 +169,8 @@ def test_criterion_5_gauge_duality():
             rt = run_path(spec, cfg_t, None, bundle, record_fields=True,
                           record_transformed=True)
             rm = run_path(spec, cfg_m, None, bundle, record_fields=True)
-            diff = rt.transformed.data - rm.trajectory.data
-            gaps[dt].append(max(weight * np.linalg.norm(diff[k])
-                                for k in range(diff.shape[0])))
+            gaps[dt].append(trajectory_sup_distance(rt.transformed,
+                                                    rm.trajectory))
             if dt != dts[-1]:
                 bundle = refine_bundle(bundle)
     means = [float(np.mean(gaps[dt])) for dt in dts]
@@ -328,17 +195,11 @@ def _uniformity_run(level, points):
     cfg = SchemeConfig(scheme=EULER_MARUYAMA, dt=1 / 64,
                        cutoff_level=CutoffLevel(level), equation=TSEE,
                        kerr=KerrExponent(2.0, strong_mode=True))
-    sup_sq = []
-    int_pow = []
-    lam_sq = []
-    for p in range(30):
-        bundle = sample_brownian(1, 0.25, 16, seed=300 + p)
-        rep = run_path(spec, cfg, None, bundle, path_index=p).report
-        sup_sq.append(rep.sup_l2_squared)
-        int_pow.append(rep.integral_power_norm)
-        lam_sq.append(rep.sup_lambda_squared)
-    return (float(np.mean(sup_sq)) + float(np.mean(int_pow)),
-            float(np.mean(lam_sq)))
+    report = RunReport.from_paths([
+        run_path(spec, cfg, None, sample_brownian(1, 0.25, 16, seed=300 + p),
+                 path_index=p).report for p in range(30)])
+    return (report.sup_l2_squared.mean + report.integral_power.mean,
+            report.sup_lambda_squared.mean)
 
 
 def test_criterion_6_apriori_uniformity():
@@ -358,47 +219,11 @@ def test_criterion_6_apriori_uniformity():
 
 
 def test_criterion_7_memory_law():
-    # quadrature order against the closed form
-    g = make_grid(4, 2.0 * np.pi)
-    c = random_field(g, seed=11)
-    lam, amp, horizon = 1.3, 0.8, 0.5
-    ker = exponential_kernel(amp, lam)
-    exact = amp * (1 - np.exp(-lam * horizon)) / lam * c.data
-    errs = []
-    dts = [1e-2, 5e-3, 2.5e-3]
-    for dt in dts:
-        h = History(dt=dt)
-        for k in range(int(round(horizon / dt)) + 1):
-            h.append(k * dt, c)
-        errs.append(np.max(np.abs(convolve_history(h, ker, horizon).data
-                                  - exact)))
-    order = fit_loglog_slope(dts, errs)
-
-    # picard contraction on admissible windows
-    from mks.stepping import solve_with_memory
-
-    n = 4
-    b = SeparableSource(shape=Field6(
-        g, "physical", np.full((6, n, n, n), 0.1, dtype=np.complex128)))
-    spec = make_noise_spec(g, [0.2 * np.ones((n, n, n))], [b],
-                           zero_source(g), random_field(g, seed=12, scale=0.5))
-    bundle = sample_brownian(1, 0.5, 32, seed=13)
-    kernel = exponential_kernel(2.0, 1.0)
-    cfg = SchemeConfig(scheme=EULER_MARUYAMA, dt=0.5 / 32,
-                       cutoff_level=CutoffLevel(1), equation=MSEE,
-                       kerr=KerrExponent(2.0, strong_mode=True))
-    _, diag = solve_with_memory(spec, cfg, kernel, bundle)
-    worst_ratio = 0.0
-    for wnd in diag["windows"]:
-        gs = [x for x in wnd["gaps"] if x > 1e-13]
-        ratios = [y / x for x, y in zip(gs, gs[1:])][1:]
-        if ratios:
-            worst_ratio = max(worst_ratio, max(ratios))
-
-    t0 = contraction_step_length(1.0, 0.0, 1.0)
-    ok = (1.7 <= order <= 2.3 and worst_ratio <= 0.9 and t0 == 0.25)
-    verdict(7, ok, f"quadrature order {order:.3f}, picard ratio "
-                   f"{worst_ratio:.3e}, T0(1,0,1) = {t0}")
+    records = memory_battery()
+    battery_verdict(7, records, (
+        f"quadrature order {measured(records, 'memory/quadrature')[0]:.3f}, "
+        f"picard ratio {measured(records, 'memory/picard')[0]:.3e}, "
+        f"T0(1,0,1) = {measured(records, 'memory/contraction')[0]}"))
 
 
 ACCEPTANCE_RUN = """

@@ -174,7 +174,7 @@ class TestHermitianSymmetry:
         rng = np.random.default_rng(0)
         n = grid8.points_per_axis
         data = rng.standard_normal((6, n, n, n)).astype(np.complex128)
-        f = Field6(grid8, "physical", data, real_state=True)
+        f = Field6(grid8, "physical", data)
         assert hermitian_defect(to_spectral(f)) < 1e-12
 
     def test_complex_field_is_not(self, grid8):
@@ -234,7 +234,16 @@ class TestCheckpoint:
         with pytest.raises(UsageError):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("offset", [16, 17])  # representation, real flag
+    def test_flag_byte_written_as_zero_and_one_accepted(self, grid4, tmp_path):
+        raw = bytearray(self._valid_bytes(grid4, tmp_path))
+        assert raw[17] == 0
+        raw[17] = 1
+        path = tmp_path / "flag.mks"
+        path.write_bytes(bytes(raw))
+        back = read_checkpoint(path)
+        assert np.array_equal(back.data, random_field(grid4, seed=16).data)
+
+    @pytest.mark.parametrize("offset", [16, 17])  # representation, flag
     def test_bad_tag_rejected(self, grid4, tmp_path, offset):
         raw = bytearray(self._valid_bytes(grid4, tmp_path))
         raw[offset] = 7

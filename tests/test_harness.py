@@ -9,8 +9,16 @@ import mks.harness
 import mks.operators
 from mks.cli import main
 from mks.config import parse_config
-from mks.errors import WorkerLostError
-from mks.harness import reaggregate, run_experiment, verify_suite
+from mks.errors import ConfigurationError, UsageError, WorkerLostError
+from mks.harness import (
+    dense_battery,
+    kerr_battery,
+    memory_battery,
+    operator_battery,
+    reaggregate,
+    run_experiment,
+    verify_suite,
+)
 
 ZERO_INPUT = """
 [grid]
@@ -214,13 +222,42 @@ class TestVerifySuite:
         # mutation probe: flip the sign convention and the suite must fail
         original = mks.operators.curl
 
-        def bad_curl(grid, u3, zero_nyquist=False):
-            return -original(grid, u3, zero_nyquist)
+        def bad_curl(grid, u3):
+            return -original(grid, u3)
 
         monkeypatch.setattr(mks.operators, "curl", bad_curl)
         checks = verify_suite("fast")
         failed = {c["name"] for c in checks if not c["passed"]}
         assert any("square_is_laplacian" in n or "dense" in n for n in failed)
+
+    def test_full_level_runs_the_criteria_records(self):
+        checks = verify_suite("full")
+        assert [c["name"] for c in checks if not c["passed"]] == []
+        # criteria 1, 2, 3 and 7 assert these records; "full" must hold
+        # each of them, measured with the same seeds and counts
+        criteria = (operator_battery(16, 100) + dense_battery()
+                    + kerr_battery() + memory_battery())
+        assert [c for c in criteria if c not in checks] == []
+
+    def test_unknown_level_rejected(self):
+        with pytest.raises(UsageError, match="medium"):
+            verify_suite("medium")
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-1"])
+    def test_bad_environment_value_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(mks.harness.WORKERS_ENV, raw)
+        with pytest.raises(ConfigurationError, match="MKS_WORKERS"):
+            mks.harness.default_workers()
+
+    def test_environment_value_used(self, monkeypatch):
+        monkeypatch.setenv(mks.harness.WORKERS_ENV, " 3 ")
+        assert mks.harness.default_workers() == 3
+        monkeypatch.setenv(mks.harness.WORKERS_ENV, "")
+        assert mks.harness.default_workers() == 1
+        monkeypatch.delenv(mks.harness.WORKERS_ENV)
+        assert mks.harness.default_workers() == 1
 
 
 class TestCli:
@@ -263,3 +300,18 @@ class TestCli:
         rc = main(["run", "--config", str(cfg_file)])
         assert rc == 2
         assert "[M1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--paths", "0", "[monte_carlo] paths must be >= 1"),
+        ("--paths", "-2", "[monte_carlo] paths must be >= 1"),
+        ("--workers", "0", "[workers] worker count must be >= 1, got 0"),
+    ], ids=["paths-0", "paths-negative", "workers-0"])
+    def test_bad_override_is_reported(self, tmp_path, capsys, flag, value,
+                                      message):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(SMALL_RUN)
+        rc = main(["run", "--config", str(cfg_file), flag, value,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

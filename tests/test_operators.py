@@ -247,18 +247,3 @@ class TestDenseOperator:
         eye = em @ em.conj().T
         assert np.max(np.abs(eye - np.eye(em.shape[0]))) < 1e-10
 
-
-class TestNyquistHandling:
-    def test_real_state_stays_real_under_maxwell(self, grid4):
-        rng = np.random.default_rng(17)
-        data = rng.standard_normal((6, 4, 4, 4)).astype(np.complex128)
-        f = Field6(grid4, "physical", data, real_state=True)
-        out = to_physical(maxwell_apply(to_spectral(f)))
-        assert np.max(np.abs(out.data.imag)) < 1e-13
-
-    def test_real_state_stays_real_under_group(self, grid4):
-        rng = np.random.default_rng(18)
-        data = rng.standard_normal((6, 4, 4, 4)).astype(np.complex128)
-        f = Field6(grid4, "physical", data, real_state=True)
-        out = to_physical(maxwell_group(0.37, to_spectral(f)))
-        assert np.max(np.abs(out.data.imag)) < 1e-13

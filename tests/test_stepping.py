@@ -162,8 +162,7 @@ class TestEulerStep:
             zs = StepContext(cfg, spec, bundle).noise(st.y, st.t)
             k = st.step_index
             dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
-            incr = cfg.dt * lam.data + _noise_increment(zs, dbeta,
-                                                        st.y.data.shape)
+            incr = cfg.dt * lam.data + _noise_increment(zs, dbeta)
             expected = st.y.data + incr
             ctx = StepContext(cfg, spec, bundle)
             st = step_euler_maruyama(st, ctx, ctx.drift(st.y, st.t),
