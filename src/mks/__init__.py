@@ -9,6 +9,7 @@ from .errors import (
     ValidationError,
     WorkerLostError,
 )
+from .galerkin import GalerkinSpace, galerkin_space
 from .grid import (
     PHYSICAL,
     SPECTRAL,

@@ -102,21 +102,26 @@ def make_grid(points_per_axis: int, box_length: float) -> GridSpec:
 class Field6:
     """Six-component complex field, physical or spectral representation.
 
-    Immutable after construction.
+    A spectral field with a ``space`` (a ``galerkin.GalerkinSpace``) holds
+    only the coefficients of the modes that space retains; without one it
+    holds every mode of the grid.  Immutable after construction.
     """
 
     grid: GridSpec
     representation: str
     data: np.ndarray
+    space: object = None
 
     def __post_init__(self):
         n = self.grid.points_per_axis
         if self.representation not in (PHYSICAL, SPECTRAL):
             raise UsageError(f"unknown representation {self.representation!r}")
-        if self.data.shape != (6, n, n, n):
+        if self.space is not None and self.representation != SPECTRAL:
+            raise UsageError("only spectral fields can be packed")
+        shape = (6, n, n, n) if self.space is None else self.space.shape
+        if self.data.shape != shape:
             raise UsageError(
-                f"expected data shape (6, {n}, {n}, {n}), got {self.data.shape}"
-            )
+                f"expected data shape {shape}, got {self.data.shape}")
         if self.data.dtype != np.complex128:
             object.__setattr__(self, "data", self.data.astype(np.complex128))
         self.data.setflags(write=False)
@@ -131,9 +136,14 @@ class Field6:
         """Magnetic-type components (3, n, n, n)."""
         return self.data[3:]
 
+    @property
+    def modes(self):
+        """The owner of the data's wavenumber tables: the space, else the grid."""
+        return self.grid if self.space is None else self.space
+
     def with_data(self, data, representation=None):
         rep = self.representation if representation is None else representation
-        return Field6(self.grid, rep, data)
+        return Field6(self.grid, rep, data, self.space if rep == SPECTRAL else None)
 
 
 def zero_field(grid: GridSpec, representation: str = PHYSICAL) -> Field6:
@@ -178,8 +188,10 @@ def to_spectral(f: Field6) -> Field6:
 
 
 def to_physical(f: Field6) -> Field6:
+    """Inverse transform; packed coefficients are scattered into zeros first."""
     _require_representation(f, SPECTRAL, "to_physical")
-    return Field6(f.grid, PHYSICAL, ifft_array(f.data, _FIELD_AXES))
+    data = f.data if f.space is None else f.space.scatter(f.data)
+    return Field6(f.grid, PHYSICAL, ifft_array(data, _FIELD_AXES))
 
 
 def inner_product(u: Field6, v: Field6) -> complex:
@@ -191,6 +203,8 @@ def inner_product(u: Field6, v: Field6) -> complex:
         raise UsageError("inner_product requires fields on the same grid")
     if u.representation != v.representation:
         raise UsageError("inner_product requires matching representations")
+    if u.data.shape != v.data.shape:
+        raise UsageError("inner_product requires fields on the same modes")
     return complex(u.grid.cell_volume * np.vdot(v.data, u.data))
 
 
@@ -217,7 +231,8 @@ def l2_norm(u: Field6) -> float:
 
 
 def hermitian_defect(f: Field6) -> float:
-    """Max |u_hat(k) - conj(u_hat(-k))| over modes of a spectral field."""
+    """Max |u_hat(k) - conj(u_hat(-k))| over modes of a spectral field (a
+    packed axis is in fftfreq order too, so the same reversal applies)."""
     _require_representation(f, SPECTRAL, "hermitian_defect")
     rev = f.data[:, ::-1, ::-1, ::-1]
     rev = np.roll(rev, 1, axis=(1, 2, 3))
@@ -234,8 +249,9 @@ def hermitian_defect(f: Field6) -> float:
 _HEADER = struct.Struct("<4sIdBB")
 
 
-def write_atomic(path, *chunks: bytes):
-    """Write the chunks to a temp file beside ``path``, then rename it over
+def write_atomic(path, *chunks):
+    """Write the chunks (bytes-like: bytes or contiguous arrays) to a temp
+    file beside ``path``, then rename it over
     ``path``: readers see the old file or the whole new one, never a part.
     The file gets the mode a plain ``open(path, "wb")`` would (umask)."""
     path = Path(path)
@@ -254,6 +270,8 @@ def write_atomic(path, *chunks: bytes):
 
 
 def write_checkpoint(f: Field6, path):
+    if f.space is not None:
+        raise UsageError("checkpoints hold full-grid fields, not packed ones")
     header = _HEADER.pack(
         CHECKPOINT_MAGIC,
         f.grid.points_per_axis,
@@ -261,8 +279,7 @@ def write_checkpoint(f: Field6, path):
         _REP_TAGS[f.representation],
         0,
     )
-    write_atomic(path, header,
-                 np.ascontiguousarray(f.data).astype("<c16").tobytes())
+    write_atomic(path, header, np.ascontiguousarray(f.data, dtype="<c16"))
 
 
 def read_checkpoint(path) -> Field6:

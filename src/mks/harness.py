@@ -30,6 +30,7 @@ import numpy as np
 from .config import ExperimentConfig, RuntimeModel, assumption_echo, build_runtime
 from .diagnostics import RunReport, fit_loglog_slope
 from .errors import BlowUpError, ConfigurationError, UsageError, WorkerLostError
+from .galerkin import galerkin_space
 from .grid import (PHYSICAL, Field6, inner_product, l2_norm, lp_norm,
                    make_grid, pointwise_norm, random_field, to_physical,
                    to_spectral, write_atomic, write_checkpoint)
@@ -298,18 +299,43 @@ def _sup(a: Field6, b: Field6) -> float:
 
 
 _TIGHT = {"grid/transform_roundtrip", "grid/parseval", "multipliers/sandwich"}
+_EXACT = {"galerkin/scatter_gather_is_cutoff", "galerkin/packed_maxwell",
+          "galerkin/packed_group"}
+
+
+def _plane_wave_defect(space, rng) -> float:
+    """m on u = (a, b) e^{i k.x} against its closed form (i k x b, -i k x a)
+    e^{i k.x}, for a random mode k inside the space's cube and below the
+    Nyquist index (which aliases to -k); relative sup."""
+    g = space.grid
+    top = min(space.retained, g.points_per_axis // 2 - 1)
+    k = rng.integers(-top, top + 1, size=3)
+    a, b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    x = np.meshgrid(*(g.axes(),) * 3, indexing="ij")
+    wave = np.exp(1j * sum(ki * xi for ki, xi in zip(k, x)))
+    amp = np.concatenate([a, b])
+    u = Field6(g, PHYSICAL, amp[:, None, None, None] * wave)
+    closed = np.concatenate([1j * np.cross(k, b), -1j * np.cross(k, a)])
+    exact = closed[:, None, None, None] * wave
+    fast = to_physical(maxwell_apply(space.pack(to_spectral(u)))).data
+    return np.max(np.abs(fast - exact)) / np.max(np.abs(exact))
 
 
 def operator_battery(points: int, fields: int) -> list:
     """Operator, cutoff and transform identities on a points^3 grid of side
     2 pi, each the worst case over ``fields`` random pairs seeded (1, s) and
-    (2, s).  The cutoffs act one level below Nyquist, the sandwich
+    (2, s).  The cutoffs and the Galerkin space act one level below Nyquist
+    (a cube that does not cover grids of 8^3 and up), the sandwich
     identities at the Nyquist level, and the mask sandwich at every level
-    up to it.  Bounds: 1e-12 for the transforms and the masks, else 1e-10."""
+    up to it.  m is checked against its closed form on a plane wave, and
+    packed m and exp(tm) against the gathered full-grid results.  Bounds:
+    0 for the packed space (bitwise), 1e-12 for the transforms and the
+    masks, else 1e-10."""
     g = make_grid(points, 2.0 * np.pi)
     top = int(np.log2(g.nyquist))
     lev = CutoffLevel(max(1, top - 1))
     nyq, below = CutoffLevel(top), CutoffLevel(top - 1)
+    space = galerkin_space(g, lev)
     cutoffs = (lambda f: sharp_cutoff(f, lev),
                lambda f: radial_sharp_cutoff(f, lev),
                lambda f: smooth_cutoff(f, lev))
@@ -348,6 +374,16 @@ def operator_battery(points: int, fields: int) -> list:
                  _sup(maxwell_apply(cu), cut(mu)) / nu)
         pu = sharp_cutoff(uh, lev)
         grow("multipliers/cutoff_idempotent", _sup(sharp_cutoff(pu, lev), pu) / nu)
+        packed = space.pack(uh)
+        grow("galerkin/scatter_gather_is_cutoff",
+             not np.array_equal(space.scatter(packed.data), pu.data))
+        grow("galerkin/packed_maxwell", not np.array_equal(
+            maxwell_apply(packed).data, space.gather(mu.data)))
+        grow("galerkin/packed_group", not np.array_equal(
+            maxwell_group(0.3, packed).data,
+            space.gather(maxwell_group(0.3, uh).data)))
+        grow("operators/maxwell_plane_wave",
+             _plane_wave_defect(space, np.random.default_rng((3, s))))
         pn = radial_sharp_cutoff(uh, nyq)
         grow("multipliers/sandwich_fields", _sup(smooth_cutoff(pn, nyq), pn) / nu)
         sb = smooth_cutoff(uh, below)
@@ -361,6 +397,7 @@ def operator_battery(points: int, fields: int) -> list:
         cutoff_sandwich_check(CutoffLevel(n), g)["max_violation"]
         for n in range(top + 1))
     return [_check(name.replace("/", f"/{points}^3/", 1), value,
+                   0.0 if name in _EXACT else
                    1e-12 if name in _TIGHT else 1e-10)
             for name, value in worst.items()]
 

@@ -171,8 +171,11 @@ def _exponential_convolution(h: History, kernel: KernelSpec,
     if kernel.is_zero:
         return np.zeros_like(u)
     carried = h.fold(kernel.rate)
-    return kernel.amplitude * h.dt * _apply_matrix(kernel.coupling,
-                                                   carried - 0.5 * u)
+    diff = 0.5 * u
+    np.subtract(carried, diff, out=diff)
+    conv = _apply_matrix(kernel.coupling, diff)
+    conv *= kernel.amplitude * h.dt
+    return conv
 
 
 def convolve_history(h: History, kernel: KernelSpec, t: float) -> Field6:

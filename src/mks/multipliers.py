@@ -11,6 +11,9 @@ Two sharp variants are provided deliberately:
 The smooth cutoff applies m_n(k) = sum_{l <= n} window(2^{-l} (1 + |k|^2))
 componentwise; with the standard window this equals 1 for 1 + |k|^2 <= 2^n
 and 0 for 1 + |k|^2 >= 2^{n+1}.
+
+The cutoffs act on the modes a field holds: a packed field (see
+``galerkin``) is multiplied by the masks' values on its retained modes.
 """
 
 from __future__ import annotations
@@ -116,6 +119,20 @@ def _cached_masks(points_per_axis: int, box_length: float, n: int):
     return cube, radial, smooth
 
 
+@lru_cache(maxsize=64)
+def _cached_packed_masks(space, n: int):
+    grid = space.grid
+    return tuple(space.gather(mask) for mask in
+                 _cached_masks(grid.points_per_axis, grid.box_length, n))
+
+
+def _masks_of(u: Field6, level: CutoffLevel):
+    """(cube, radial, smooth) masks on the modes ``u`` holds."""
+    if u.space is not None:
+        return _cached_packed_masks(u.space, level.n)
+    return _cached_masks(u.grid.points_per_axis, u.grid.box_length, level.n)
+
+
 def sharp_mask(grid: GridSpec, level: CutoffLevel) -> np.ndarray:
     """Cube indicator: all |k_i| <= 2^n."""
     return _cached_masks(grid.points_per_axis, grid.box_length, level.n)[0]
@@ -137,19 +154,21 @@ def smooth_mask(grid: GridSpec, level: CutoffLevel,
 def sharp_cutoff(u: Field6, level: CutoffLevel) -> Field6:
     """Cube cutoff: zeroes every mode with any |k_i| > 2^n."""
     _require_representation(u, SPECTRAL, "sharp_cutoff")
-    return u.with_data(u.data * sharp_mask(u.grid, level))
+    return u.with_data(u.data * _masks_of(u, level)[0])
 
 
 def radial_sharp_cutoff(u: Field6, level: CutoffLevel) -> Field6:
     """Radial sharp cutoff 1{1 + |k|^2 <= 2^n} (sandwich-check variant)."""
     _require_representation(u, SPECTRAL, "radial_sharp_cutoff")
-    return u.with_data(u.data * radial_sharp_mask(u.grid, level))
+    return u.with_data(u.data * _masks_of(u, level)[1])
 
 
 def smooth_cutoff(u: Field6, level: CutoffLevel,
                   window: WindowFunction | None = None) -> Field6:
     """Smooth dyadic cutoff applied componentwise."""
     _require_representation(u, SPECTRAL, "smooth_cutoff")
+    if window is None:
+        return u.with_data(u.data * _masks_of(u, level)[2])
     return u.with_data(u.data * smooth_mask(u.grid, level, window))
 
 

@@ -12,16 +12,18 @@ Everything here is diagonal per Fourier mode:
   sin(|k| t)/|k| blocks and leaves the gradient part untouched.
 
 All Field6-level operations demand the spectral representation and raise
-UsageError otherwise.  The raw-array helpers (curl/div/grad) expect spectral
-data by contract.
+UsageError otherwise, and act on the modes the field holds: every mode of
+the grid, or the retained modes of a packed field (``Field6.modes`` owns the
+wavenumber tables).  The raw-array helpers (curl/div/grad) take that owner
+and expect spectral data by contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, UsageError
 from .grid import (
@@ -51,9 +53,10 @@ def _nyquist_mask(grid: GridSpec):
     return m.reshape(n, 1, 1) * m.reshape(1, n, 1) * m.reshape(1, 1, n)
 
 
-def curl(grid: GridSpec, u3: np.ndarray) -> np.ndarray:
-    """(curl u)^(k) = i k x u_hat(k) on a 3-component spectral block."""
-    kx, ky, kz = grid.k_components()
+def curl(modes, u3: np.ndarray) -> np.ndarray:
+    """(curl u)^(k) = i k x u_hat(k) on a 3-component spectral block; ``modes``
+    is a GridSpec or a GalerkinSpace."""
+    kx, ky, kz = modes.k_components()
     out = np.empty_like(u3)
     out[0] = 1j * (ky * u3[2] - kz * u3[1])
     out[1] = 1j * (kz * u3[0] - kx * u3[2])
@@ -76,22 +79,24 @@ def grad(grid: GridSpec, phi: np.ndarray) -> np.ndarray:
 def maxwell_apply(u: Field6) -> Field6:
     """Block map (u1, u2) -> (curl u2, -curl u1)."""
     _require_representation(u, SPECTRAL, "maxwell_apply")
-    data = np.concatenate([curl(u.grid, u.block2), -curl(u.grid, u.block1)])
+    data = np.empty_like(u.data)
+    data[:3] = curl(u.modes, u.block2)
+    data[3:] = curl(u.modes, u.block1)
+    np.negative(data[3:], out=data[3:])
     return u.with_data(data)
 
 
 def hodge_laplacian_apply(u: Field6) -> Field6:
     """Componentwise Laplacian: u_hat(k) -> -|k|^2 u_hat(k)."""
     _require_representation(u, SPECTRAL, "hodge_laplacian_apply")
-    return u.with_data(-u.grid.k_squared() * u.data)
+    return u.with_data(-u.modes.k_squared() * u.data)
 
 
 def helmholtz_project(u: Field6) -> Field6:
     """Orthogonal projection onto divergence-free fields, blockwise."""
     _require_representation(u, SPECTRAL, "helmholtz_project")
-    grid = u.grid
-    kx, ky, kz = grid.k_components()
-    k2 = grid.k_squared()
+    kx, ky, kz = u.modes.k_components()
+    k2 = u.modes.k_squared()
     inv_k2 = np.zeros_like(k2)
     nonzero = k2 > 0
     inv_k2[nonzero] = 1.0 / k2[nonzero]
@@ -104,6 +109,28 @@ def helmholtz_project(u: Field6) -> Field6:
     return u.with_data(data)
 
 
+@lru_cache(maxsize=32)
+def _group_tables(grid: GridSpec, space, t: float):
+    """(kx, ky, kz, 1/|k|^2, cos(|k| t), sin(|k| t)/|k|) for exp(t m) on the
+    grid, or on a packed space (None for the full grid).  A space gathers the
+    grid's tables, so packed and full-grid results agree bitwise."""
+    if space is not None:
+        full = _group_tables(grid, None, t)
+        return space.k_components() + tuple(space.gather(a) for a in full[3:])
+    kx, ky, kz = grid.k_components()
+    k2 = kx**2 + ky**2 + kz**2
+    kabs = np.sqrt(k2)
+    inv_kabs = np.zeros_like(kabs)
+    nonzero = kabs > 0
+    inv_kabs[nonzero] = 1.0 / kabs[nonzero]
+    inv_k2 = inv_kabs**2
+    cos = np.cos(kabs * t)
+    sinc = np.sin(kabs * t) * inv_kabs
+    for table in (inv_k2, cos, sinc):
+        table.setflags(write=False)
+    return kx, ky, kz, inv_k2, cos, sinc
+
+
 def maxwell_group(t: float, u: Field6) -> Field6:
     """Exact propagator exp(t*m), mode-wise.
 
@@ -111,42 +138,27 @@ def maxwell_group(t: float, u: Field6) -> Field6:
     Identity on the gradient part and at k = 0.
     """
     _require_representation(u, SPECTRAL, "maxwell_group")
-    grid = u.grid
-    kx, ky, kz = grid.k_components()
-    k2 = kx**2 + ky**2 + kz**2
-    kabs = np.sqrt(k2)
-    inv_kabs = np.zeros_like(kabs)
-    nonzero = kabs > 0
-    inv_kabs[nonzero] = 1.0 / kabs[nonzero]
+    kx, ky, kz, inv_k2, cos, sinc = _group_tables(u.grid, u.space, float(t))
 
-    # split each block into divergence-free and gradient parts
-    inv_k2 = inv_kabs**2
+    # split each block into gradient and divergence-free parts
     data = u.data
-    out = np.empty_like(data)
-    a = data[:3]
-    b = data[3:]
-    kdota = (kx * a[0] + ky * a[1] + kz * a[2]) * inv_k2
-    kdotb = (kx * b[0] + ky * b[1] + kz * b[2]) * inv_k2
-    a_grad = np.stack([kx * kdota, ky * kdota, kz * kdota])
-    b_grad = np.stack([kx * kdotb, ky * kdotb, kz * kdotb])
-    a_h = a - a_grad
-    b_h = b - b_grad
+    grad = np.empty_like(data)
+    for block in (slice(0, 3), slice(3, 6)):
+        v = data[block]
+        kdot = (kx * v[0] + ky * v[1] + kz * v[2]) * inv_k2
+        for k, g in zip((kx, ky, kz), grad[block]):
+            np.multiply(k, kdot, out=g)
+    h = data - grad
 
-    cos = np.cos(kabs * t)
-    sinc = np.sin(kabs * t) * inv_kabs
-    # m(a_h, b_h) = (i k x b_h, -i k x a_h)
-    cxb = np.stack([
-        1j * (ky * b_h[2] - kz * b_h[1]),
-        1j * (kz * b_h[0] - kx * b_h[2]),
-        1j * (kx * b_h[1] - ky * b_h[0]),
-    ])
-    cxa = np.stack([
-        1j * (ky * a_h[2] - kz * a_h[1]),
-        1j * (kz * a_h[0] - kx * a_h[2]),
-        1j * (kx * a_h[1] - ky * a_h[0]),
-    ])
-    out[:3] = a_grad + cos * a_h + sinc * cxb
-    out[3:] = b_grad + cos * b_h - sinc * cxa
+    # grad + cos h + sinc m h, with m(a_h, b_h) = (i k x b_h, -i k x a_h)
+    out = cos * h
+    out += grad
+    turn = curl(u.modes, h[3:])
+    turn *= sinc
+    out[:3] += turn
+    turn = curl(u.modes, h[:3])
+    turn *= sinc
+    out[3:] -= turn
     return u.with_data(out)
 
 
@@ -265,6 +277,8 @@ def dense_operator(kind: str, grid: GridSpec, level: int | None = None,
 
 def dense_group_matrix(t: float, grid: GridSpec) -> np.ndarray:
     """Matrix exponential oracle for exp(t*m) via scaling-and-squaring."""
+    import scipy.linalg  # only this oracle needs it; `import mks` stays light
+
     op = dense_operator(MAXWELL, grid)
     return scipy.linalg.expm(t * op.matrix)
 

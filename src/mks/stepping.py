@@ -20,21 +20,31 @@ Equation variants share the machinery:
              initial state S_{n-1} u0,
 * ``wsee``:  msee dynamics with sharp initial data P_n u0.
 
-All drift and noise evaluations go through a ``StepContext``, which
-precomputes static coefficient products once, deterministically, so a
-context built twice from the same inputs reproduces the same floats.
+All drift and noise evaluations go through a ``StepContext``.  Its static
+pieces (the filtered initial datum, the spectral current, the filtered
+noise shapes, the coupling products) are pure functions of the noise spec,
+the equation and the cutoff level; they are built once per spec, so once
+per run and once per pool worker, and every path reads the same arrays.
 ``run_path`` evaluates Lambda and the noise amplitudes Z once per step and
 hands both to the stepper: the Euler-Maruyama update is formed from the very
 arrays the Lambda diagnostic and the energy ledger read.
 
-The state is spectral between steps: ``PathState.y`` holds y^, on which m,
-P_n, S_{n-1} and exp(t m) act as diagonal multipliers.  Once per step
-``run_path`` forms the physical view y = to_physical(y^); that one view
-feeds the power norm, the Kerr force, A(t) y, the gauge phase, B y and the
-recorded fields.  Lambda^ is m y^ plus the spectral sources (J outside
-gauged tsee, the memory term) plus one to_spectral of the summed
-physical-space terms, masked once by P_n.  L2 norms and the energy ledger
-use Parseval.  Transforms per step, with N noise channels:
+The state is the vector of Galerkin coefficients: ``PathState.y`` holds y^
+on the modes |k_i| <= 2^n only (``galerkin.GalerkinSpace``; when the cube
+covers the grid that is every mode and the packed array is the full one).
+m, S_{n-1}, exp(t m), the memory sum, the noise shapes, the Euler-Maruyama
+update and the Parseval norms of the ledger all act on packed arrays.  Once
+per step ``run_path`` forms the physical view y = to_physical(y^), which
+scatters the coefficients into zeros and transforms on the full grid; that
+one view feeds the power norm, the Kerr force, A(t) y, the gauge phase, B y
+and the recorded fields.  Lambda^ is m y^ plus the spectral sources (J
+outside gauged tsee, the memory term) plus one to_spectral of the summed
+physical-space terms, gathered onto the retained modes: the gather is P_n,
+so no mask multiply is left.  ``run_path(initial=...)`` applies P_n to the
+start state it is given, which drops the rounding-level modes outside the
+cube of a state that went through physical space (the Picard windows hand
+over a gauge-round-tripped state).  Transforms per step, with N noise
+channels:
 
 * linear, trivial gauge, Euler-Maruyama: 1 (the view),
 * gauged tsee with Kerr, Euler-Maruyama: 2 + N (view, drift, one per channel),
@@ -42,10 +52,9 @@ use Parseval.  Transforms per step, with N noise channels:
   drift, pre-step noise, the Kerr resolvent's round trip, the propagated
   state's view and noise).
 
-Each path adds one transform of u0 and one per spectral source.  Under Lie
-splitting, Lambda and Z at the pre-step state feed only the Lambda series
-and the energy ledger, so the ledger residual measures the Euler-Maruyama
-increment built from them, not the Lie update that was taken.
+Under Lie splitting, Lambda and Z at the pre-step state feed only the
+Lambda series and the energy ledger, so the ledger residual measures the
+Euler-Maruyama increment built from them, not the Lie update that was taken.
 
 The Brownian paths are frozen at the first exit of any |beta_i| over the
 truncation level m (default 8 sqrt(T)); the event is logged, not fatal.
@@ -54,10 +63,12 @@ truncation level m (default 8 sqrt(T)); the event is logged, not fatal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, UsageError
+from .galerkin import GalerkinSpace, galerkin_space
 from .grid import (
     PHYSICAL,
     SPECTRAL,
@@ -72,7 +83,7 @@ from .grid import (
 )
 from .kerr import KerrExponent, implicit_kerr_solve, kerr_force
 from .memory import History, KernelSpec, convolve_history
-from .multipliers import CutoffLevel, sharp_cutoff, smooth_cutoff
+from .multipliers import CutoffLevel, smooth_cutoff
 from .noise import (
     BrownianBundle,
     NoiseSpec,
@@ -126,7 +137,8 @@ class SchemeConfig:
 
 @dataclass
 class PathState:
-    """Mutable per-path integration state (single worker); y is spectral."""
+    """Mutable per-path integration state (single worker); y holds the packed
+    Galerkin coefficients."""
 
     step_index: int
     t: float
@@ -185,13 +197,13 @@ class PathReport:
         return float(np.max(self.lambda_l2) ** 2)
 
 
-def initial_state(spec: NoiseSpec, cfg: SchemeConfig) -> PathState:
-    """Filtered initial datum, spectral: S_{n-1} u0 (sharp P_n u0 for the
-    wsee variant)."""
+@lru_cache(maxsize=8)
+def _initial_coefficients(spec: NoiseSpec, equation: str,
+                          level: CutoffLevel) -> Field6:
     grid = spec.grid
-    if cfg.cutoff_level.scale > grid.nyquist:
+    if level.scale > grid.nyquist:
         raise ConfigurationError(
-            f"cutoff scale 2^{cfg.cutoff_level.n} exceeds the Nyquist "
+            f"cutoff scale 2^{level.n} exceeds the Nyquist "
             f"wavenumber {grid.nyquist:.3f}")
     u0 = spec.u0
     if not np.all(np.isfinite(u0.data)):
@@ -199,10 +211,16 @@ def initial_state(spec: NoiseSpec, cfg: SchemeConfig) -> PathState:
     u0_hat = to_spectral(u0)
     if not np.isfinite(l2_norm(maxwell_apply(u0_hat))):
         raise ConfigurationError("initial datum has non-finite curl energy")
-    if cfg.equation == WSEE:
-        y0 = sharp_cutoff(u0_hat, cfg.cutoff_level)
-    else:
-        y0 = smooth_cutoff(u0_hat, CutoffLevel(cfg.cutoff_level.n - 1))
+    y0 = galerkin_space(grid, level).pack(u0_hat)
+    if equation == WSEE:
+        return y0
+    return smooth_cutoff(y0, CutoffLevel(level.n - 1))
+
+
+def initial_state(spec: NoiseSpec, cfg: SchemeConfig) -> PathState:
+    """Filtered initial datum, packed: S_{n-1} u0 (sharp P_n u0 for the
+    wsee variant).  Built once per (spec, equation, level)."""
+    y0 = _initial_coefficients(spec, cfg.equation, cfg.cutoff_level)
     return PathState(step_index=0, t=0.0, y=y0)
 
 
@@ -211,16 +229,71 @@ def _physical(y: Field6, view: Field6 | None) -> Field6:
     return view if view is not None else to_physical(y)
 
 
-class StepContext:
-    """Precomputed static pieces of the drift and noise for one path.
+@dataclass(frozen=True, eq=False)
+class _StaticPieces:
+    """The path-independent pieces of the drift and noise, packed."""
 
-    Everything here is a pure function of (cfg, spec), so a context built
-    twice from the same inputs reproduces the same floats bit for bit.
-    Sources that no gauge phase touches are kept spectral: the noise shapes
-    under a trivial gauge (already filtered) and the current J, except in
-    gauged tsee.  Drift and noise take the spectral state y and return
-    spectral fields; ``view`` is its physical form when the caller has it,
-    and is formed only when a physical-space term needs it otherwise.
+    space: GalerkinSpace
+    phase_trivial: bool
+    sum_b_squared: np.ndarray | None
+    coupling_shapes: tuple        # -i B_j b_j shape, or None per channel
+    current_zero: bool
+    current_hat: np.ndarray | None
+    noise_level: CutoffLevel
+    cached_noise: tuple | None    # filtered noise shapes (trivial gauge)
+
+
+@lru_cache(maxsize=8)
+def _static_pieces(spec: NoiseSpec, equation: str,
+                   level: CutoffLevel) -> _StaticPieces:
+    space = galerkin_space(spec.grid, level)
+    n3 = (spec.grid.points_per_axis,) * 3
+    phase_trivial = all(not np.any(b) for b in spec.B_fields)
+
+    sum_b_squared = None
+    if not phase_trivial:
+        sum_b_squared = np.zeros(n3)
+        for b_field in spec.B_fields:
+            sum_b_squared += b_field**2
+
+    # -i b_j(t) B_j = g_j(t) * (-i B_j shape_j): static per channel
+    coupling_shapes = tuple(
+        -1j * b_field * source.shape.data
+        if np.any(b_field) and np.any(source.shape.data) else None
+        for b_field, source in zip(spec.B_fields, spec.b_sources))
+
+    current_zero = not np.any(spec.current.shape.data)
+    current_hat = None
+    if not current_zero and (equation != TSEE or phase_trivial):
+        current_hat = space.gather(to_spectral(spec.current.shape).data)
+    noise_level = CutoffLevel(level.n - 1)
+
+    # with a trivial gauge the noise filters commute with the scalar
+    # time profile, so the filtered shapes can be cached
+    cached_noise = None
+    if phase_trivial and spec.count:
+        cached_noise = []
+        for source in spec.b_sources:
+            raw = space.pack(to_spectral(source.shape))
+            if equation == TSEE:
+                raw = smooth_cutoff(raw, noise_level)
+            cached_noise.append(raw)
+        cached_noise = tuple(cached_noise)
+    return _StaticPieces(space, phase_trivial, sum_b_squared, coupling_shapes,
+                         current_zero, current_hat, noise_level, cached_noise)
+
+
+class StepContext:
+    """The drift and noise of one path.
+
+    The static pieces are shared by every path of the same (spec, equation,
+    level) and are pure functions of those, so they reproduce the same
+    floats bit for bit.  Sources that no gauge phase touches are kept
+    spectral: the noise shapes under a trivial gauge (already filtered) and
+    the current J, except in gauged tsee.  Drift and noise take the packed
+    state y and return packed fields; ``view`` is its physical form when the
+    caller has it, and is formed only when a physical-space term needs it
+    otherwise.
     """
 
     def __init__(self, cfg: SchemeConfig, spec: NoiseSpec,
@@ -232,42 +305,8 @@ class StepContext:
         self.kernel_active = (kernel is not None and not kernel.is_zero
                               and cfg.equation in (MSEE, WSEE))
         self.grid = spec.grid
-        n3 = (self.grid.points_per_axis,) * 3
-        self.phase_trivial = all(not np.any(b) for b in spec.B_fields)
-
-        self.sum_b_squared = None
-        if not self.phase_trivial:
-            acc = np.zeros(n3)
-            for b_field in spec.B_fields:
-                acc += b_field**2
-            self.sum_b_squared = acc
-
-        # -i b_j(t) B_j = g_j(t) * (-i B_j shape_j): static per channel
-        self.coupling_shapes = []
-        for b_field, source in zip(spec.B_fields, spec.b_sources):
-            if np.any(b_field) and np.any(source.shape.data):
-                self.coupling_shapes.append(-1j * b_field * source.shape.data)
-            else:
-                self.coupling_shapes.append(None)
-
-        self.current_zero = not np.any(spec.current.shape.data)
-        self.current_hat = None
-        if not self.current_zero and (cfg.equation != TSEE or self.phase_trivial):
-            self.current_hat = to_spectral(spec.current.shape).data
-        self.noise_level = CutoffLevel(cfg.cutoff_level.n - 1)
-
-        # with a trivial gauge the noise filters commute with the scalar
-        # time profile, so the filtered shapes can be cached
-        self.cached_noise = None
-        if self.phase_trivial and spec.count:
-            cached = []
-            for source in spec.b_sources:
-                raw = to_spectral(source.shape)
-                if cfg.equation == TSEE:
-                    cached.append(smooth_cutoff(raw, self.noise_level))
-                else:
-                    cached.append(sharp_cutoff(raw, cfg.cutoff_level))
-            self.cached_noise = cached
+        self.static = _static_pieces(spec, cfg.equation, cfg.cutoff_level)
+        self.space = self.static.space
 
     # -- drift pieces --------------------------------------------------------
 
@@ -275,12 +314,12 @@ class StepContext:
         """(sum_j -i b_j B_j + J)(t) times the gauge phase, or None if zero."""
         spec = self.spec
         total = None
-        for source, shape in zip(spec.b_sources, self.coupling_shapes):
+        for source, shape in zip(spec.b_sources, self.static.coupling_shapes):
             if shape is None:
                 continue
             term = source.profile.value(t) * shape
             total = term if total is None else total + term
-        if not self.current_zero:
+        if not self.static.current_zero:
             j_term = spec.current.at(t)
             total = j_term if total is None else total + j_term
         if total is None:
@@ -291,29 +330,31 @@ class StepContext:
                          y: Field6, view: Field6 | None, t: float,
                          history: History | None,
                          extra_source: np.ndarray | None) -> np.ndarray | None:
-        """acc (spectral) plus every drift term besides m y and -F(y), in a
+        """acc (packed) plus every drift term besides m y and -F(y), in a
         fixed order: A(t) y and the gauged current (gauged tsee) or J, the
         memory term (msee/wsee), then the extra source.  Physical-space terms
         are summed onto ``phys`` (the drift passes -F(y) there) and enter acc
-        through one to_spectral.  An accumulator that is None starts from
-        the first term added (a copy, so both are summed in place); None
-        comes back when there is no term at all."""
+        through one to_spectral, gathered onto the retained modes.  An
+        accumulator that is None starts from the first term added (a copy,
+        so both are summed in place); None comes back when there is no term
+        at all."""
         def add(acc, term):
             if acc is None:
                 return term.astype(np.complex128)
             acc += term
             return acc
 
-        if self.cfg.equation == TSEE and not self.phase_trivial:
+        static = self.static
+        if self.cfg.equation == TSEE and not static.phase_trivial:
             view = _physical(y, view)
             beta = self.bundle.values[:, self.bundle.index_of(t)]
-            phys = add(phys, 0.5 * self.sum_b_squared * view.data)
+            phys = add(phys, 0.5 * static.sum_b_squared * view.data)
             phys = add(phys, cross_drift_apply(self.spec, beta, view))
             current = self._gauged_current(t)
             if current is not None:
                 phys = add(phys, current)
-        elif self.current_hat is not None:
-            acc = add(acc, self.spec.current.profile.value(t) * self.current_hat)
+        elif static.current_hat is not None:
+            acc = add(acc, self.spec.current.profile.value(t) * static.current_hat)
         if self.kernel_active:
             if history is None:
                 raise UsageError("memory kernel requires a history")
@@ -321,45 +362,48 @@ class StepContext:
         if extra_source is not None:
             phys = add(phys, extra_source)
         if phys is not None:
-            acc = add(acc, to_spectral(Field6(self.grid, PHYSICAL, phys)).data)
+            phys_hat = to_spectral(Field6(self.grid, PHYSICAL, phys))
+            acc = add(acc, self.space.gather(phys_hat.data))
         return acc
 
     def drift(self, y: Field6, t: float, history: History | None = None,
               extra_source: np.ndarray | None = None,
               view: Field6 | None = None) -> Field6:
-        """The projected full drift P_n[m y - F(y) + ...] (Lambda), spectral."""
+        """The projected full drift P_n[m y - F(y) + ...] (Lambda), packed."""
         phys = None
         if self.cfg.kerr is not None:
             view = _physical(y, view)
             phys = -kerr_force(view, self.cfg.kerr).data
         acc = maxwell_apply(y).data.copy()
         acc = self._add_drift_terms(acc, phys, y, view, t, history, extra_source)
-        return sharp_cutoff(y.with_data(acc), self.cfg.cutoff_level)
+        return self.space.field(acc)
 
     # -- noise pieces ----------------------------------------------------------
 
     def noise(self, y: Field6, t: float, view: Field6 | None = None) -> list:
-        """Filtered noise amplitudes Z_i(t) multiplying dbeta_i, spectral."""
-        cfg = self.cfg
+        """Filtered noise amplitudes Z_i(t) multiplying dbeta_i, packed."""
         spec = self.spec
+        static = self.static
         if spec.count == 0:
             return []
-        if self.cached_noise is not None:
+        if static.cached_noise is not None:
             # trivial gauge (in msee: B = 0, the multiplicative part vanishes)
             return [cached.with_data(source.profile.value(t) * cached.data)
-                    for source, cached in zip(spec.b_sources, self.cached_noise)]
+                    for source, cached in zip(spec.b_sources,
+                                              static.cached_noise)]
         out = []
-        if cfg.equation == TSEE:
+        if self.cfg.equation == TSEE:
             phase = gauge_phase(spec, self.bundle, t).values
             for source in spec.b_sources:
                 raw = Field6(self.grid, PHYSICAL, source.at(t) * phase)
-                out.append(smooth_cutoff(to_spectral(raw), self.noise_level))
+                out.append(smooth_cutoff(self.space.pack(to_spectral(raw)),
+                                         static.noise_level))
             return out
         view = _physical(y, view)
         for source, b_field in zip(spec.b_sources, spec.B_fields):
             raw = Field6(self.grid, PHYSICAL,
                          source.at(t) + 1j * b_field * view.data)
-            out.append(sharp_cutoff(to_spectral(raw), cfg.cutoff_level))
+            out.append(self.space.pack(to_spectral(raw)))
         return out
 
 
@@ -375,7 +419,7 @@ def _noise_increment(zs, dbeta):
 
 def step_euler_maruyama(state: PathState, ctx: StepContext, lam: Field6,
                         zs: list, src: np.ndarray | None) -> PathState:
-    """y + dt Lambda + sum_i Z_i dbeta_i on spectral data, with Lambda and Z
+    """y + dt Lambda + sum_i Z_i dbeta_i on packed data, with Lambda and Z
     evaluated at the current state by the caller (``src`` is already part
     of Lambda)."""
     k = state.step_index
@@ -403,12 +447,11 @@ def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
     # (2) monotone implicit Kerr resolvent in physical space, re-projected
     if cfg.kerr is not None:
         w = implicit_kerr_solve(to_physical(y), cfg.dt, cfg.kerr)
-        y = sharp_cutoff(to_spectral(w), cfg.cutoff_level)
+        y = ctx.space.pack(to_spectral(w))
     # (3) remaining drift terms
     rest = ctx._add_drift_terms(None, None, y, None, t, state.history, src)
     if rest is not None:
-        y = y.with_data(y.data + cfg.dt * sharp_cutoff(
-            y.with_data(rest), cfg.cutoff_level).data)
+        y = y.with_data(y.data + cfg.dt * rest)
     # (4) noise increment
     z_prop = ctx.noise(y, t)
     if z_prop:
@@ -432,7 +475,7 @@ class _EnergyLedger:
     """Incremental Ito-identity residual: r(t) = ||X||^2 - ||X0||^2
     - sum dt (2 Re<X,Y> + ||Z||^2) - 2 sum Re<X, Z dbeta>.
 
-    X, Y = Lambda and Z are spectral; norms and inner products are those of
+    X, Y = Lambda and Z are packed; norms and inner products are those of
     the physical fields by Parseval.  Y and Z are evaluated at the pre-step
     state, so under Lie splitting the residual measures the Euler-Maruyama
     increment built from them, not the Lie update that was taken."""
@@ -464,9 +507,10 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     ``extra_source``: optional callable (step_index, t) -> physical
     (6,n,n,n) array added to the drift before projection (the Picard driver
     feeds the frozen memory term through it).  ``initial``: optional spectral
-    start state.  ``start_index``/``n_steps`` select a window of the bundle;
-    gauge phases always use absolute time.  The recorded trajectories are
-    physical.
+    start state, full-grid or packed; P_n is applied to it, so modes outside
+    the cube do not enter the run.  ``start_index``/``n_steps`` select a
+    window of the bundle; gauge phases always use absolute time.  The
+    recorded trajectories are physical.
     """
     grid = spec.grid
     total_steps = bundle.steps - start_index
@@ -493,15 +537,16 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
             "level": m_level,
         })
 
+    ctx = StepContext(cfg, spec, bundle, kernel)
     if initial is not None:
         _require_representation(initial, SPECTRAL, "run_path initial state")
         state = PathState(step_index=start_index,
-                          t=float(bundle.times[start_index]), y=initial)
+                          t=float(bundle.times[start_index]),
+                          y=ctx.space.pack(initial))
     else:
         state = initial_state(spec, cfg)
         state.step_index = start_index
         state.t = float(bundle.times[start_index])
-    ctx = StepContext(cfg, spec, bundle, kernel)
     if ctx.kernel_active:
         if start_index != 0:
             raise UsageError("direct memory runs must start at t = 0")

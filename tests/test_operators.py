@@ -199,6 +199,41 @@ class TestMaxwellGroup:
         assert np.max(np.abs(em @ u.data.ravel() - fast)) \
             < 1e-8 * np.max(np.abs(u.data))
 
+    def test_cached_tables_give_the_uncached_formula_bitwise(self, grid8):
+        u = to_spectral(random_field(grid8, seed=16))
+        kx, ky, kz = grid8.k_components()
+        kabs = np.sqrt(kx**2 + ky**2 + kz**2)
+        inv_kabs = np.zeros_like(kabs)
+        inv_kabs[kabs > 0] = 1.0 / kabs[kabs > 0]
+        t = 0.37
+        cos, sinc, inv_k2 = np.cos(kabs * t), np.sin(kabs * t) * inv_kabs, inv_kabs**2
+        a, b = u.data[:3], u.data[3:]
+        kdota = (kx * a[0] + ky * a[1] + kz * a[2]) * inv_k2
+        kdotb = (kx * b[0] + ky * b[1] + kz * b[2]) * inv_k2
+        a_grad = np.stack([k * kdota for k in (kx, ky, kz)])
+        b_grad = np.stack([k * kdotb for k in (kx, ky, kz)])
+        a_h, b_h = a - a_grad, b - b_grad
+        expected = np.concatenate([
+            a_grad + cos * a_h + sinc * curl(grid8, b_h),
+            b_grad + cos * b_h - sinc * curl(grid8, a_h)])
+        for _ in range(2):  # the second call reads the cache
+            assert np.array_equal(maxwell_group(t, u).data, expected)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import mks
+
+    src = os.path.dirname(os.path.dirname(mks.__file__))
+    code = "import sys, mks; print('scipy.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
+
 
 class TestDenseOperator:
     def test_maxwell_matrix_skew_hermitian(self, grid4):

@@ -486,6 +486,86 @@ class TestRunPath:
                 np.linalg.norm(res.transformed.data[k]), rtol=1e-12)
 
 
+class TestGalerkinState:
+    """The state holds the coefficients inside the cube P_n only."""
+
+    def _oversampled(self, grid16):
+        n = grid16.points_per_axis
+        b = [SeparableSource(shape=banded_field(grid16, seed=50 + i, scale=0.1),
+                             profile=TimeProfile("cos", 1.0)) for i in range(2)]
+        J = SeparableSource(shape=banded_field(grid16, seed=52, scale=0.2))
+        spec = make_noise_spec(grid16, [np.zeros((n, n, n))] * 2, b, J,
+                               banded_field(grid16, seed=53))
+        # modes in every corner of the 16^3 grid, far outside |k_i| <= 4
+        start = to_spectral(random_field(grid16, seed=54, scale=0.3))
+        return spec, start, sample_brownian(2, 8 / 64, 8, seed=55)
+
+    def test_start_state_is_projected(self, grid16):
+        spec, start, bundle = self._oversampled(grid16)
+        cfg = em_cfg(1 / 64, level=2, kerr=KerrExponent(2.0, True))
+        level = cfg.cutoff_level
+        assert not sharp_mask(grid16, level).all()
+        res = run_path(spec, cfg, None, bundle, initial=start,
+                       record_fields=True)
+        ref = run_path(spec, cfg, None, bundle,
+                       initial=sharp_cutoff(start, level), record_fields=True)
+        assert np.array_equal(res.trajectory.data, ref.trajectory.data)
+        assert np.isclose(res.report.l2[0],
+                          l2_norm(sharp_cutoff(start, level)), rtol=1e-14)
+        outside = ~sharp_mask(grid16, level)
+        for k in range(len(res.trajectory.times)):
+            hat = to_spectral(res.trajectory.state(k)).data
+            assert np.max(np.abs(hat[:, outside])) <= 1e-14
+
+    def test_matches_full_grid_euler_maruyama(self, grid16):
+        # the packed run against Euler-Maruyama written out on the full grid
+        # with mask multiplies: y + dt P_n[m y - F(y) + J] + sum Z_i dbeta_i
+        from mks.kerr import kerr_force
+        from mks.operators import maxwell_apply
+
+        spec, start, bundle = self._oversampled(grid16)
+        cfg = em_cfg(1 / 64, level=2, kerr=KerrExponent(2.0, True))
+        level, below = cfg.cutoff_level, CutoffLevel(1)
+        res = run_path(spec, cfg, None, bundle, initial=start,
+                       record_fields=True)
+        j_hat = to_spectral(spec.current.shape).data
+        shapes = [smooth_cutoff(to_spectral(b.shape), below).data
+                  for b in spec.b_sources]
+        y = sharp_cutoff(start, level)
+        for k in range(bundle.steps):
+            t = float(bundle.times[k])
+            force = to_spectral(kerr_force(to_physical(y), cfg.kerr)).data
+            lam = sharp_cutoff(y.with_data(
+                maxwell_apply(y).data + j_hat - force), level)
+            incr = cfg.dt * lam.data
+            for b, shape, db in zip(spec.b_sources, shapes,
+                                    bundle.values[:, k + 1] - bundle.values[:, k]):
+                incr = incr + db * b.profile.value(t) * shape
+            y = y.with_data(y.data + incr)
+        final = to_physical(y).data
+        assert np.max(np.abs(res.trajectory.data[-1] - final)) \
+            <= 1e-13 * np.max(np.abs(final))
+
+    def test_path_independent_pieces_are_built_once(self, grid16, monkeypatch):
+        spec, _, bundle = self._oversampled(grid16)
+        cfg = em_cfg(1 / 64, level=2)
+        calls = {"n": 0}
+        original = mks.stepping.to_spectral
+
+        def counted(f):
+            calls["n"] += 1
+            return original(f)
+
+        monkeypatch.setattr(mks.stepping, "to_spectral", counted)
+        first = run_path(spec, cfg, None, bundle)
+        per_run = calls["n"]
+        second = run_path(spec, cfg, None, bundle)
+        assert per_run >= 4  # u0, J and both noise shapes
+        assert calls["n"] == per_run  # the linear step itself has none
+        assert np.array_equal(first.report.l2, second.report.l2)
+        assert initial_state(spec, cfg).y is initial_state(spec, cfg).y
+
+
 class TestMemoryCoupling:
     def _setup(self, grid4):
         n = grid4.points_per_axis
