@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigurationError, UsageError
 
@@ -168,18 +169,20 @@ def _require_representation(f: Field6, representation: str, what: str):
 
 
 # -- the FFT seam: every transform in the package goes through this pair ------
+#
+# scipy.fft, single-threaded: worker processes already use the cores.
 
 _FIELD_AXES = (1, 2, 3)
 
 
 def fft_array(data: np.ndarray, axes=None) -> np.ndarray:
     """Unitary forward DFT of an array over ``axes`` (all axes when None)."""
-    return np.fft.fftn(data, axes=axes, norm="ortho")
+    return scipy.fft.fftn(data, axes=axes, norm="ortho")
 
 
 def ifft_array(data: np.ndarray, axes=None) -> np.ndarray:
     """Unitary inverse DFT of an array over ``axes`` (all axes when None)."""
-    return np.fft.ifftn(data, axes=axes, norm="ortho")
+    return scipy.fft.ifftn(data, axes=axes, norm="ortho")
 
 
 def to_spectral(f: Field6) -> Field6:

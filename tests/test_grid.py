@@ -322,28 +322,31 @@ cutoff = 2
 horizon = 0.25
 """
 
-_NUMPY_TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
-                     "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft",
-                     "ihfft")
+_TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
+               "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
 
 def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
     # build_runtime (band-limited profiles, spectral gradients, band-limit
-    # checks) and run_path call numpy.fft only from fft_array/ifft_array
+    # checks) and run_path call an FFT library (scipy.fft behind the seam,
+    # or numpy.fft) only from fft_array/ifft_array
+    import scipy.fft
+
     import mks.grid
     from mks.config import build_runtime, parse_config
     from mks.noise import sample_brownian
     from mks.stepping import run_path
 
-    counts = {"numpy": 0, "seam": 0}
-    for name in _NUMPY_TRANSFORMS:
-        original = getattr(np.fft, name)
+    counts = {"library": 0, "seam": 0}
+    for library in (np.fft, scipy.fft):
+        for name in _TRANSFORMS:
+            original = getattr(library, name)
 
-        def numpy_counted(*args, _original=original, **kwargs):
-            counts["numpy"] += 1
-            return _original(*args, **kwargs)
+            def library_counted(*args, _original=original, **kwargs):
+                counts["library"] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, numpy_counted)
+            monkeypatch.setattr(library, name, library_counted)
     modules = [m for key, m in list(sys.modules.items())
                if m is not None and (key == "mks" or key.startswith("mks."))]
     for name in ("fft_array", "ifft_array"):
@@ -363,4 +366,4 @@ def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
     run_path(model.spec, model.scheme, model.kernel, bundle)
     assert built["seam"] >= 5  # B_1: profile, band check, gradient; b_1, J, u0
     assert counts["seam"] > built["seam"]
-    assert counts["numpy"] == counts["seam"]
+    assert counts["library"] == counts["seam"]
