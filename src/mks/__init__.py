@@ -54,6 +54,7 @@ from .multipliers import (
 )
 from .noise import (
     BrownianBundle,
+    BundleStack,
     GaugePhase,
     NoiseSpec,
     SeparableSource,
@@ -86,6 +87,7 @@ from .stepping import (
     Trajectory,
     initial_state,
     run_path,
+    run_paths,
     solve_with_memory,
     step_euler_maruyama,
     step_lie_splitting,

@@ -8,7 +8,11 @@ Conventions used throughout the package:
 * unitary FFT normalization (``norm="ortho"``), so the quadrature-weighted
   inner products agree in both representations (Parseval),
 * field data has shape (6, n, n, n), components 0-2 are the electric-type
-  block, components 3-5 the magnetic-type block.
+  block, components 3-5 the magnetic-type block; a stack of P paths' fields
+  has a leading path axis, (P, 6, n, n, n).  Transforms and pointwise maps
+  act on every path at once; each reduction (norms, inner products) reduces
+  one path at a time through ``per_path``, so a path gets the same floats
+  alone and in any stack.
 """
 
 from __future__ import annotations
@@ -105,7 +109,8 @@ class Field6:
 
     A spectral field with a ``space`` (a ``galerkin.GalerkinSpace``) holds
     only the coefficients of the modes that space retains; without one it
-    holds every mode of the grid.  Immutable after construction.
+    holds every mode of the grid.  ``data`` may carry a leading path axis
+    (a stack of P fields, one per path).  Immutable after construction.
     """
 
     grid: GridSpec
@@ -120,22 +125,28 @@ class Field6:
         if self.space is not None and self.representation != SPECTRAL:
             raise UsageError("only spectral fields can be packed")
         shape = (6, n, n, n) if self.space is None else self.space.shape
-        if self.data.shape != shape:
+        if self.data.shape[-4:] != shape or self.data.ndim > 5:
             raise UsageError(
-                f"expected data shape {shape}, got {self.data.shape}")
+                f"expected data shape {shape} or (P,) + {shape}, got "
+                f"{self.data.shape}")
         if self.data.dtype != np.complex128:
             object.__setattr__(self, "data", self.data.astype(np.complex128))
         self.data.setflags(write=False)
 
     @property
+    def stacked(self):
+        """True when the data carries a leading path axis."""
+        return self.data.ndim == 5
+
+    @property
     def block1(self):
-        """Electric-type components (3, n, n, n)."""
-        return self.data[:3]
+        """Electric-type components (..., 3, n, n, n)."""
+        return self.data[..., :3, :, :, :]
 
     @property
     def block2(self):
-        """Magnetic-type components (3, n, n, n)."""
-        return self.data[3:]
+        """Magnetic-type components (..., 3, n, n, n)."""
+        return self.data[..., 3:, :, :, :]
 
     @property
     def modes(self):
@@ -172,7 +183,7 @@ def _require_representation(f: Field6, representation: str, what: str):
 #
 # scipy.fft, single-threaded: worker processes already use the cores.
 
-_FIELD_AXES = (1, 2, 3)
+_FIELD_AXES = (-3, -2, -1)
 
 
 def fft_array(data: np.ndarray, axes=None) -> np.ndarray:
@@ -197,40 +208,63 @@ def to_physical(f: Field6) -> Field6:
     return Field6(f.grid, PHYSICAL, ifft_array(data, _FIELD_AXES))
 
 
-def inner_product(u: Field6, v: Field6) -> complex:
+def per_path(reduce, *arrays, ndim: int = 4):
+    """``reduce`` applied path by path: arrays of ``ndim`` dimensions are one
+    path's, one more is a stack of paths (an unstacked array is shared by
+    every path).  Returns reduce's value for unstacked arguments, else an
+    array of one value per path.  Every reduction meets the path axis here,
+    so a path reduces its own contiguous slice alone and in any stack."""
+    stacks = [a for a in arrays if a.ndim > ndim]
+    if not stacks:
+        return reduce(*arrays)
+    count = len(stacks[0])
+    rows = [a if a.ndim > ndim else (a,) * count for a in arrays]
+    return np.array([reduce(*slices) for slices in zip(*rows)])
+
+
+def inner_product(u: Field6, v: Field6):
     """Quadrature inner product <u, v> = (L/n)^3 sum u * conj(v).
 
-    Same weight in both representations; Parseval makes them agree.
+    Same weight in both representations; Parseval makes them agree.  A
+    complex, or one per path when either field is a stack.
     """
     if u.grid != v.grid:
         raise UsageError("inner_product requires fields on the same grid")
     if u.representation != v.representation:
         raise UsageError("inner_product requires matching representations")
-    if u.data.shape != v.data.shape:
+    if u.data.shape[-4:] != v.data.shape[-4:]:
         raise UsageError("inner_product requires fields on the same modes")
-    return complex(u.grid.cell_volume * np.vdot(v.data, u.data))
+    weight = u.grid.cell_volume
+    return per_path(lambda a, b: complex(weight * np.vdot(b, a)),
+                    u.data, v.data)
 
 
 def pointwise_norm(u: Field6) -> np.ndarray:
-    """Euclidean norm in C^6 at every grid point, shape (n, n, n)."""
-    return np.sqrt(np.sum(np.abs(u.data) ** 2, axis=0))
+    """Euclidean norm in C^6 at every grid point, shape (..., n, n, n)."""
+    return np.sqrt(np.sum(np.abs(u.data) ** 2, axis=-4))
 
 
-def lp_norm(u: Field6, p) -> float:
-    """L^p norm with the C^6 pointwise norm; p = inf gives the max."""
+def lp_norm(u: Field6, p, magnitude: np.ndarray | None = None):
+    """L^p norm with the C^6 pointwise norm; p = inf gives the max.  A float,
+    or one per path for a stack.  ``magnitude`` is pointwise_norm(u) when
+    the caller has it."""
     _require_representation(u, PHYSICAL, "lp_norm")
-    mag = pointwise_norm(u)
+    mag = pointwise_norm(u) if magnitude is None else magnitude
     if p == np.inf:
-        return float(mag.max())
+        return per_path(lambda m: float(m.max()), mag, ndim=3)
     p = float(p)
     if p < 1.0:
         raise UsageError(f"lp_norm requires p >= 1, got {p}")
-    return float((u.grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
+    weight = u.grid.cell_volume
+    return per_path(lambda m: float((weight * np.sum(m**p)) ** (1.0 / p)),
+                    mag, ndim=3)
 
 
-def l2_norm(u: Field6) -> float:
-    """L^2 norm, valid in either representation (Parseval)."""
-    return float(np.sqrt(u.grid.cell_volume) * np.linalg.norm(u.data))
+def l2_norm(u: Field6):
+    """L^2 norm, valid in either representation (Parseval); a float, or one
+    per path for a stack."""
+    weight = np.sqrt(u.grid.cell_volume)
+    return per_path(lambda a: float(weight * np.linalg.norm(a)), u.data)
 
 
 def hermitian_defect(f: Field6) -> float:

@@ -8,10 +8,12 @@ Outputs per experiment directory:
 * ``checkpoints/``   Field6 binary snapshots + ``index.csv`` sidecar
                      (only when save_fields is on)
 
-Workers are independent processes; every path is a pure function of
-(config, path index), and reports are folded in path order, so reruns are
-bitwise identical for any worker count.  File writes go through a
-temp-file rename.
+Paths are integrated in batches of contiguous path indices, stepped
+together (``stepping.run_paths``); the batches depend on the grid size and
+the path count only.  Workers are independent processes, each running whole
+batches; every path is a pure function of (config, path index) whatever its
+batch, and reports are folded in path order, so reruns are bitwise
+identical for any worker count.  File writes go through a temp-file rename.
 """
 
 from __future__ import annotations
@@ -48,10 +50,16 @@ from .operators import (HELMHOLTZ, HODGE_LAPLACIAN, MAXWELL, SHARP_CUTOFF,
                         SMOOTH_CUTOFF, curl, dense_group_matrix,
                         dense_operator, div, grad, helmholtz_project,
                         hodge_laplacian_apply, maxwell_apply, maxwell_group)
-from .stepping import (EULER_MARUYAMA, MSEE, TSEE, SchemeConfig, run_path,
+from .stepping import (EULER_MARUYAMA, MSEE, TSEE, SchemeConfig, run_paths,
                        solve_with_memory)
 
 WORKERS_ENV = "MKS_WORKERS"
+
+# Cap on P * 6 n^3, the values of one stacked field of a batch of P paths on
+# an n^3 grid: 16 paths at 8^3, 2 at 16^3, one at 32^3.  Path-steps per
+# second level off from about P = 4 at 8^3 and P = 2 at 16^3 (2 shared
+# cores, single-threaded FFTs); a larger batch only holds more memory.
+BATCH_VALUES = 6 * 16**3 * 2
 
 
 def default_workers() -> int:
@@ -73,19 +81,27 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _run_one_path(model: RuntimeModel, cfg: ExperimentConfig, path_index: int):
-    """Integrate one path of the model built from ``cfg``."""
-    bundle = sample_brownian(model.spec.count, model.horizon, model.steps,
-                             seed=model.base_seed + path_index)
+def path_batches(points: int, paths: int) -> list:
+    """Contiguous path-index ranges of at most max(1, BATCH_VALUES // 6n^3)
+    paths each: a function of the grid size and path count only."""
+    size = max(1, BATCH_VALUES // (6 * points**3))
+    return [range(start, min(start + size, paths))
+            for start in range(0, paths, size)]
+
+
+def _run_batch(model: RuntimeModel, cfg: ExperimentConfig, batch: range):
+    """Integrate one batch of paths of the model built from ``cfg``; one
+    outcome per path."""
+    bundles = [sample_brownian(model.spec.count, model.horizon, model.steps,
+                               seed=model.base_seed + p) for p in batch]
     record = cfg.save_fields
-    try:
-        result = run_path(model.spec, model.scheme, model.kernel, bundle,
-                          path_index=path_index, record_fields=record,
-                          record_transformed=record and
-                          model.scheme.equation == TSEE)
-        return ("ok", path_index, result)
-    except BlowUpError as exc:
-        return ("blowup", path_index, {"time": exc.time, "norm": exc.norm})
+    results = run_paths(model.spec, model.scheme, model.kernel, bundles,
+                        path_indices=list(batch), record_fields=record,
+                        record_transformed=record and
+                        model.scheme.equation == TSEE)
+    return [("blowup", p, {"time": res.time, "norm": res.norm})
+            if isinstance(res, BlowUpError) else ("ok", p, res)
+            for p, res in zip(batch, results)]
 
 
 _WORKER = {}
@@ -102,38 +118,39 @@ def _init_worker(cfg: ExperimentConfig, running):
 
 def _stopped_by_pool(signum, frame):
     """A broken pool terminates its other workers: their paths were not the
-    lost one, so their flags are cleared on the way out."""
-    path_index = _WORKER.get("path")
-    if path_index is not None:
+    lost ones, so their flags are cleared on the way out."""
+    for path_index in _WORKER.get("batch") or ():
         _WORKER["running"][path_index] = 0
     os._exit(128 + signum)
 
 
-def _run_in_worker(path_index: int):
+def _run_in_worker(batch: range):
     running = _WORKER["running"]
-    _WORKER["path"] = path_index
-    running[path_index] = 1
-    outcome = _run_one_path(_WORKER["model"], _WORKER["cfg"], path_index)
-    running[path_index] = 0
-    _WORKER["path"] = None
-    return outcome
+    _WORKER["batch"] = batch
+    for p in batch:
+        running[p] = 1
+    outcomes = _run_batch(_WORKER["model"], _WORKER["cfg"], batch)
+    for p in batch:
+        running[p] = 0
+    _WORKER["batch"] = None
+    return outcomes
 
 
-def _run_pool(cfg: ExperimentConfig, indices, workers: int) -> list:
-    """Every path's outcome from a worker pool.  Workers flag the path they
-    are running in shared memory, so a worker that dies raises
-    WorkerLostError naming the paths in flight."""
-    running = multiprocessing.RawArray("b", len(indices))
+def _run_pool(cfg: ExperimentConfig, batches, workers: int) -> list:
+    """Every path's outcome from a worker pool, one task per batch.  Workers
+    flag the paths they are running in shared memory, so a worker that dies
+    raises WorkerLostError naming the paths in flight."""
+    running = multiprocessing.RawArray("b", cfg.paths)
     outcomes = []
     lost = []
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(cfg, running)) as pool:
-        futures = [pool.submit(_run_in_worker, p) for p in indices]
-        for p, future in zip(indices, futures):
+        futures = [pool.submit(_run_in_worker, batch) for batch in batches]
+        for batch, future in zip(batches, futures):
             try:
-                outcomes.append(future.result())
+                outcomes += future.result()
             except BrokenProcessPool:
-                lost.append(p)
+                lost += batch
     if lost:
         raise WorkerLostError([p for p in lost if running[p]], lost)
     return outcomes
@@ -150,11 +167,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
     model = build_runtime(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
 
-    indices = list(range(cfg.paths))
-    if workers == 1 or cfg.paths == 1:
-        outcomes = [_run_one_path(model, cfg, p) for p in indices]
+    batches = path_batches(cfg.grid_points, cfg.paths)
+    if workers == 1 or len(batches) == 1:
+        outcomes = [o for batch in batches for o in _run_batch(model, cfg, batch)]
     else:
-        outcomes = _run_pool(cfg, indices, workers)
+        outcomes = _run_pool(cfg, batches, workers)
     outcomes.sort(key=lambda item: item[1])
 
     reports = []

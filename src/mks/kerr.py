@@ -55,10 +55,13 @@ def _re_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a.real * b.real + a.imag * b.imag, axis=0)
 
 
-def kerr_force(u: Field6, q) -> Field6:
+def kerr_force(u: Field6, q, magnitude: np.ndarray | None = None) -> Field6:
+    """|u|^q u, for one field or a stack; ``magnitude`` is pointwise_norm(u)
+    when the caller has it."""
     _require_representation(u, PHYSICAL, "kerr_force")
     e = _exponent(q)
-    return u.with_data(pointwise_norm(u) ** e * u.data)
+    mag = pointwise_norm(u) if magnitude is None else magnitude
+    return u.with_data(np.expand_dims(mag ** e, -4) * u.data)
 
 
 def kerr_jacobian_apply(u: Field6, v: Field6, q) -> Field6:
@@ -137,13 +140,24 @@ def implicit_kerr_solve(w: Field6, dt: float, q) -> Field6:
 
     Reduces to the scalar equation s + dt s^{q+1} = |w| along the direction
     w/|w|; Newton from s0 = |w| (globally convergent for this convex
-    monotone residual), bisection fallback on [0, |w|].
+    monotone residual), bisection fallback on [0, |w|].  Newton stops when
+    every point it is given has converged, so a stack is solved path by
+    path: each path's iterates do not depend on the rest of its batch.
     """
     _require_representation(w, PHYSICAL, "implicit_kerr_solve")
     if not dt > 0:
         raise UsageError(f"implicit_kerr_solve requires dt > 0, got {dt}")
     e = _exponent(q)
     r = pointwise_norm(w)
+    if w.stacked:
+        scale = np.stack([_radial_scale(rp, dt, e) for rp in r])
+    else:
+        scale = _radial_scale(r, dt, e)
+    return w.with_data(np.expand_dims(scale, -4) * w.data)
+
+
+def _radial_scale(r: np.ndarray, dt: float, e: float) -> np.ndarray:
+    """s/r with s + dt s^{e+1} = r at every point of one path (1 where r = 0)."""
     s = r.copy()
     tol = _RESIDUAL_FACTOR * (1.0 + r)
     for _ in range(_NEWTON_ITERATIONS):
@@ -174,4 +188,4 @@ def implicit_kerr_solve(w: Field6, dt: float, q) -> Field6:
     scale = np.ones_like(r)
     pos = r > 0
     scale[pos] = s[pos] / r[pos]
-    return w.with_data(scale * w.data)
+    return scale

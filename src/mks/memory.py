@@ -16,7 +16,8 @@ G' = -r G:
 
 Both act on the six components only, so they commute with the FFT: the
 stepper keeps a ``History`` of spectral states and reads the spectral memory
-term, the Picard driver keeps physical ones.
+term, the Picard driver keeps physical ones.  The stepper's states carry the
+batch's path axis, and the history carries it along.
 
 ``TABLE`` kernels have no recursion; no config builds them, and the direct
 trapezoid sum over a table lives in the tests as the oracle.
@@ -137,6 +138,13 @@ class History:
         carried = None if self.carried is None else self.carried.copy()
         return replace(self, pending=list(self.pending), carried=carried)
 
+    def take(self, rows) -> "History":
+        """The history of the given paths of a stacked record."""
+        return replace(
+            self, latest=self.latest.with_data(self.latest.data[rows]),
+            pending=[data[rows] for data in self.pending],
+            carried=None if self.carried is None else self.carried[rows])
+
     def fold(self, rate: float) -> np.ndarray:
         """Fold the pending states into H_k with decay e^{-rate dt}; returns H_k."""
         if self.rate is not None and rate != self.rate:
@@ -155,6 +163,13 @@ class History:
 
 
 def _apply_matrix(g: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """g acting on the six components; a stack of paths one path at a time,
+    so each path's sums run as they do alone."""
+    if data.ndim == 5:
+        out = np.empty(data.shape, np.result_type(g, data))
+        for d, o in zip(data, out):
+            np.einsum("ab,b...->a...", g, d, out=o)
+        return out
     return np.einsum("ab,b...->a...", g, data)
 
 

@@ -40,22 +40,8 @@ BUNDLE_MAGIC = b"BRW1"
 _BUNDLE_HEADER = struct.Struct("<4sIIqdI")
 
 
-@dataclass(frozen=True, eq=False)
-class BrownianBundle:
-    """N scalar Brownian paths sampled on a uniform grid over [0, T]."""
-
-    times: np.ndarray   # (K+1,), increasing, times[0] = 0
-    values: np.ndarray  # (N, K+1), values[:, 0] = 0
-    seed: int
-    level: int = 0
-
-    def __post_init__(self):
-        self.times.setflags(write=False)
-        self.values.setflags(write=False)
-
-    @property
-    def count(self):
-        return self.values.shape[0]
+class _TimeGrid:
+    """The uniform time grid ``times`` of a bundle or a stack of bundles."""
 
     @property
     def steps(self):
@@ -73,9 +59,51 @@ class BrownianBundle:
             raise UsageError(f"time {t} is not on the bundle grid")
         return idx
 
+
+@dataclass(frozen=True, eq=False)
+class BrownianBundle(_TimeGrid):
+    """N scalar Brownian paths sampled on a uniform grid over [0, T]."""
+
+    times: np.ndarray   # (K+1,), increasing, times[0] = 0
+    values: np.ndarray  # (N, K+1), values[:, 0] = 0
+    seed: int
+    level: int = 0
+
+    def __post_init__(self):
+        self.times.setflags(write=False)
+        self.values.setflags(write=False)
+
+    @property
+    def count(self):
+        return self.values.shape[0]
+
     def increments(self) -> np.ndarray:
         """(N, K) forward increments."""
         return np.diff(self.values, axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class BundleStack(_TimeGrid):
+    """The bundles of a batch of P paths on one time grid: ``values`` is
+    (P, N, K+1), row p the bundle of path p, so ``values[..., k]`` reads
+    beta(t_k) for a bundle and for a stack alike."""
+
+    times: np.ndarray
+    values: np.ndarray
+    seeds: tuple
+
+    @classmethod
+    def of(cls, bundles) -> "BundleStack":
+        times = bundles[0].times
+        if any(not np.array_equal(b.times, times) for b in bundles[1:]):
+            raise UsageError("the bundles of a batch must share one time grid")
+        return cls(times=times, values=np.stack([b.values for b in bundles]),
+                   seeds=tuple(b.seed for b in bundles))
+
+    def take(self, rows) -> "BundleStack":
+        """The stack of the given paths."""
+        return BundleStack(times=self.times, values=self.values[rows],
+                           seeds=tuple(self.seeds[r] for r in rows))
 
 
 def sample_brownian(count: int, horizon: float, steps: int, seed: int) -> BrownianBundle:
@@ -299,49 +327,69 @@ def make_noise_spec(grid: GridSpec, B_fields, b_sources, current, u0,
 
 @dataclass(frozen=True, eq=False)
 class GaugePhase:
-    """exp(-i sum_j B_j(x) beta_j(t)) on the grid, plus the beta values used."""
+    """exp(-i sum_j B_j(x) beta_j(t)) on the grid, plus the beta values used;
+    one per path, with a leading path axis, for a stack of bundles."""
 
-    values: np.ndarray  # (n, n, n), unimodular
-    beta: np.ndarray    # (N,)
+    values: np.ndarray  # (..., n, n, n), unimodular
+    beta: np.ndarray    # (..., N)
     time: float
 
+    @property
+    def of_fields(self) -> np.ndarray:
+        """The phase shaped to multiply (..., 6, n, n, n) field data."""
+        return np.expand_dims(self.values, -4)
 
-def gauge_phase(spec: NoiseSpec, bundle: BrownianBundle, t: float) -> GaugePhase:
-    idx = bundle.index_of(t)
-    beta = bundle.values[:, idx]
-    phase = np.zeros(spec.B_fields[0].shape if spec.count else
-                     (spec.grid.points_per_axis,) * 3)
-    for b_field, b_val in zip(spec.B_fields, beta):
-        phase = phase + b_field * b_val
+
+def gauge_phase(spec: NoiseSpec, bundle, t: float,
+                index: int | None = None) -> GaugePhase:
+    """The phase at t of a bundle, or of every path of a ``BundleStack``;
+    ``index`` is t's grid index when the caller has it."""
+    idx = bundle.index_of(t) if index is None else index
+    beta = bundle.values[..., idx]
+    phase = np.zeros(beta.shape[:-1] + (spec.grid.points_per_axis,) * 3)
+    for j, b_field in enumerate(spec.B_fields):
+        phase = phase + b_field * beta[..., j, None, None, None]
     return GaugePhase(values=np.exp(-1j * phase), beta=beta.copy(), time=t)
 
 
 def apply_gauge(u: Field6, phase: GaugePhase, direction: str = "forward") -> Field6:
     _require_representation(u, PHYSICAL, "apply_gauge")
     if direction == "forward":
-        return u.with_data(u.data * phase.values)
+        return u.with_data(u.data * phase.of_fields)
     if direction == "inverse":
-        return u.with_data(u.data * np.conj(phase.values))
+        return u.with_data(u.data * np.conj(phase.of_fields))
     raise UsageError(f"unknown gauge direction {direction!r}")
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise cross product of (3, ...) arrays."""
+    """Componentwise cross product of a (3, ...) array with a (..., 3, n, n, n)
+    one."""
+    b0, b1, b2 = (b[..., i, :, :, :] for i in range(3))
     return np.stack([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+        a[1] * b2 - a[2] * b1,
+        a[2] * b0 - a[0] * b2,
+        a[0] * b1 - a[1] * b0,
+    ], axis=-4)
 
 
 def cross_drift_apply(spec: NoiseSpec, beta: np.ndarray, y: Field6) -> np.ndarray:
-    """sum_j i beta_j (grad B_j x y2, -grad B_j x y1); skew on L^2."""
+    """sum_j i beta_j (grad B_j x y2, -grad B_j x y1); skew on L^2.
+
+    A stack of fields takes one row of beta per path, (P, N).  A term whose
+    beta_j is 0 is skipped, for that path alone."""
     out = np.zeros_like(y.data)
-    for gb, b_val in zip(spec.grad_B, beta):
-        if b_val == 0.0:
+    for gb, b_val in zip(spec.grad_B, np.moveaxis(beta, -1, 0)):
+        live = b_val != 0.0
+        if not np.any(live):
             continue
-        out[:3] += 1j * b_val * _cross(gb, y.block2)
-        out[3:] -= 1j * b_val * _cross(gb, y.block1)
+        rows = ()
+        if y.stacked:
+            rows = (slice(None) if np.all(live) else np.flatnonzero(live),)
+            b_val = b_val[rows + (None,) * 4]
+        top, bottom = rows + (slice(0, 3),), rows + (slice(3, 6),)
+        coef = 1j * b_val
+        out[top] += coef * _cross(gb, y.data[bottom])
+        out[bottom] -= coef * _cross(gb, y.data[top])
     return out
 
 

@@ -14,8 +14,9 @@ Everything here is diagonal per Fourier mode:
 All Field6-level operations demand the spectral representation and raise
 UsageError otherwise, and act on the modes the field holds: every mode of
 the grid, or the retained modes of a packed field (``Field6.modes`` owns the
-wavenumber tables).  The raw-array helpers (curl/div/grad) take that owner
-and expect spectral data by contract.
+wavenumber tables).  m, exp(tm) and the Laplacian also act on a stack of
+fields (a leading path axis) mode by mode.  The raw-array helpers
+(curl/div/grad) take that owner and expect spectral data by contract.
 """
 
 from __future__ import annotations
@@ -54,13 +55,14 @@ def _nyquist_mask(grid: GridSpec):
 
 
 def curl(modes, u3: np.ndarray) -> np.ndarray:
-    """(curl u)^(k) = i k x u_hat(k) on a 3-component spectral block; ``modes``
-    is a GridSpec or a GalerkinSpace."""
+    """(curl u)^(k) = i k x u_hat(k) on a 3-component spectral block (with
+    any leading axes); ``modes`` is a GridSpec or a GalerkinSpace."""
     kx, ky, kz = modes.k_components()
+    a, b, c = (u3[..., i, :, :, :] for i in range(3))
     out = np.empty_like(u3)
-    out[0] = 1j * (ky * u3[2] - kz * u3[1])
-    out[1] = 1j * (kz * u3[0] - kx * u3[2])
-    out[2] = 1j * (kx * u3[1] - ky * u3[0])
+    out[..., 0, :, :, :] = 1j * (ky * c - kz * b)
+    out[..., 1, :, :, :] = 1j * (kz * a - kx * c)
+    out[..., 2, :, :, :] = 1j * (kx * b - ky * a)
     return out
 
 
@@ -80,9 +82,10 @@ def maxwell_apply(u: Field6) -> Field6:
     """Block map (u1, u2) -> (curl u2, -curl u1)."""
     _require_representation(u, SPECTRAL, "maxwell_apply")
     data = np.empty_like(u.data)
-    data[:3] = curl(u.modes, u.block2)
-    data[3:] = curl(u.modes, u.block1)
-    np.negative(data[3:], out=data[3:])
+    top, bottom = data[..., :3, :, :, :], data[..., 3:, :, :, :]
+    top[...] = curl(u.modes, u.block2)
+    bottom[...] = curl(u.modes, u.block1)
+    np.negative(bottom, out=bottom)
     return u.with_data(data)
 
 
@@ -143,22 +146,22 @@ def maxwell_group(t: float, u: Field6) -> Field6:
     # split each block into gradient and divergence-free parts
     data = u.data
     grad = np.empty_like(data)
-    for block in (slice(0, 3), slice(3, 6)):
-        v = data[block]
-        kdot = (kx * v[0] + ky * v[1] + kz * v[2]) * inv_k2
-        for k, g in zip((kx, ky, kz), grad[block]):
-            np.multiply(k, kdot, out=g)
+    for first in (0, 3):
+        v0, v1, v2 = (data[..., first + i, :, :, :] for i in range(3))
+        kdot = (kx * v0 + ky * v1 + kz * v2) * inv_k2
+        for i, k in enumerate((kx, ky, kz)):
+            np.multiply(k, kdot, out=grad[..., first + i, :, :, :])
     h = data - grad
 
     # grad + cos h + sinc m h, with m(a_h, b_h) = (i k x b_h, -i k x a_h)
     out = cos * h
     out += grad
-    turn = curl(u.modes, h[3:])
+    turn = curl(u.modes, h[..., 3:, :, :, :])
     turn *= sinc
-    out[:3] += turn
-    turn = curl(u.modes, h[:3])
+    out[..., :3, :, :, :] += turn
+    turn = curl(u.modes, h[..., :3, :, :, :])
     turn *= sinc
-    out[3:] -= turn
+    out[..., 3:, :, :, :] -= turn
     return u.with_data(out)
 
 

@@ -25,16 +25,34 @@ pieces (the filtered initial datum, the spectral current, the filtered
 noise shapes, the coupling products) are pure functions of the noise spec,
 the equation and the cutoff level; they are built once per spec, so once
 per run and once per pool worker, and every path reads the same arrays.
-``run_path`` evaluates Lambda and the noise amplitudes Z once per step and
+``run_paths`` evaluates Lambda and the noise amplitudes Z once per step and
 hands both to the stepper: the Euler-Maruyama update is formed from the very
-arrays the Lambda diagnostic and the energy ledger read.
+arrays the Lambda diagnostic and the energy ledger read.  The gauge phase
+(gauged tsee, or a recorded transformed field) is formed once per step too,
+with beta read by step index, and the pointwise norm of the physical view
+feeds both the power norm and the next Kerr force.
+
+Paths are stepped in batches: ``run_paths`` advances P paths, one Brownian
+bundle each, with one call per operation.  The packed state is
+(P, 6, m, m, m), its physical view (P, 6, n, n, n), the bundles are stacked
+as (P, N, K+1) (``noise.BundleStack``) and the gauge phases are
+(P, n, n, n); path-independent pieces (the trivial-gauge noise shapes, the
+current) keep no path axis and broadcast.  Transforms and pointwise maps
+act on every slice alone, so they give each path the floats it would get
+alone; every reduction (norms, inner products, the ledger) runs one path at
+a time through ``grid.per_path``, and the branches that depend on the
+state take each path's own: the zero-beta skip of the cross drift, the
+Newton stop of the Kerr resolvent (solved path by path), beta truncation
+(each path freezes its own bundle) and blow-up (the path leaves the batch,
+the rest go on).  So a path's results are bitwise the same in any batch,
+and ``run_path`` is the same code with a batch of one.
 
 The state is the vector of Galerkin coefficients: ``PathState.y`` holds y^
 on the modes |k_i| <= 2^n only (``galerkin.GalerkinSpace``; when the cube
 covers the grid that is every mode and the packed array is the full one).
 m, S_{n-1}, exp(t m), the memory sum, the noise shapes, the Euler-Maruyama
 update and the Parseval norms of the ledger all act on packed arrays.  Once
-per step ``run_path`` forms the physical view y = to_physical(y^), which
+per step ``run_paths`` forms the physical view y = to_physical(y^), which
 scatters the coefficients into zeros and transforms on the full grid; that
 one view feeds the power norm, the Kerr force, A(t) y, the gauge phase, B y
 and the recorded fields.  Lambda^ is m y^ plus the spectral sources (J
@@ -44,7 +62,8 @@ so no mask multiply is left.  ``run_path(initial=...)`` applies P_n to the
 start state it is given, which drops the rounding-level modes outside the
 cube of a state that went through physical space (the Picard windows hand
 over a gauge-round-tripped state).  Transforms per step, with N noise
-channels:
+channels (one transform call covers a whole batch, so these are also the
+calls per batched step):
 
 * linear, trivial gauge, Euler-Maruyama: 1 (the view),
 * gauged tsee with Kerr, Euler-Maruyama: 2 + N (view, drift, one per channel),
@@ -56,8 +75,9 @@ Under Lie splitting, Lambda and Z at the pre-step state feed only the
 Lambda series and the energy ledger, so the ledger residual measures the
 Euler-Maruyama increment built from them, not the Lie update that was taken.
 
-The Brownian paths are frozen at the first exit of any |beta_i| over the
-truncation level m (default 8 sqrt(T)); the event is logged, not fatal.
+The Brownian paths of a bundle are frozen at the first exit of any
+|beta_i| over the truncation level m (default 8 sqrt(T)); the event is
+logged, not fatal.
 """
 
 from __future__ import annotations
@@ -78,6 +98,7 @@ from .grid import (
     inner_product,
     l2_norm,
     lp_norm,
+    pointwise_norm,
     to_physical,
     to_spectral,
 )
@@ -86,6 +107,8 @@ from .memory import History, KernelSpec, convolve_history
 from .multipliers import CutoffLevel, smooth_cutoff
 from .noise import (
     BrownianBundle,
+    BundleStack,
+    GaugePhase,
     NoiseSpec,
     apply_gauge,
     cross_drift_apply,
@@ -137,8 +160,9 @@ class SchemeConfig:
 
 @dataclass
 class PathState:
-    """Mutable per-path integration state (single worker); y holds the packed
-    Galerkin coefficients."""
+    """Mutable integration state of one path or of a batch (single worker); y
+    holds the packed Galerkin coefficients, stacked along a leading path axis
+    in a batch."""
 
     step_index: int
     t: float
@@ -284,7 +308,7 @@ def _static_pieces(spec: NoiseSpec, equation: str,
 
 
 class StepContext:
-    """The drift and noise of one path.
+    """The drift and noise of one path or of a batch of paths.
 
     The static pieces are shared by every path of the same (spec, equation,
     level) and are pure functions of those, so they reproduce the same
@@ -293,11 +317,17 @@ class StepContext:
     the current J, except in gauged tsee.  Drift and noise take the packed
     state y and return packed fields; ``view`` is its physical form when the
     caller has it, and is formed only when a physical-space term needs it
-    otherwise.
+    otherwise, ``magnitude`` the view's pointwise norm, and ``gauge`` the
+    phase at t (``gauge_at``), formed when a gauged term needs it otherwise.
+
+    ``bundle`` is a BrownianBundle for one path, or a BundleStack whose rows
+    belong to the rows of a stacked y.  Noise amplitudes that do not depend
+    on the path (a trivial gauge) come back without a path axis.
     """
 
     def __init__(self, cfg: SchemeConfig, spec: NoiseSpec,
-                 bundle: BrownianBundle, kernel: KernelSpec | None = None):
+                 bundle: BrownianBundle | BundleStack,
+                 kernel: KernelSpec | None = None):
         self.cfg = cfg
         self.spec = spec
         self.bundle = bundle
@@ -308,9 +338,18 @@ class StepContext:
         self.static = _static_pieces(spec, cfg.equation, cfg.cutoff_level)
         self.space = self.static.space
 
+    def gauge_at(self, index: int) -> GaugePhase:
+        """The gauge phase of every path at grid index ``index``."""
+        return gauge_phase(self.spec, self.bundle,
+                           float(self.bundle.times[index]), index=index)
+
+    def _gauge(self, t: float, gauge: GaugePhase | None) -> GaugePhase:
+        return gauge if gauge is not None else gauge_phase(self.spec,
+                                                           self.bundle, t)
+
     # -- drift pieces --------------------------------------------------------
 
-    def _gauged_current(self, t: float) -> np.ndarray | None:
+    def _gauged_current(self, t: float, gauge: GaugePhase) -> np.ndarray | None:
         """(sum_j -i b_j B_j + J)(t) times the gauge phase, or None if zero."""
         spec = self.spec
         total = None
@@ -324,33 +363,37 @@ class StepContext:
             total = j_term if total is None else total + j_term
         if total is None:
             return None
-        return total * gauge_phase(spec, self.bundle, t).values
+        return total * gauge.of_fields
 
     def _add_drift_terms(self, acc: np.ndarray | None, phys: np.ndarray | None,
                          y: Field6, view: Field6 | None, t: float,
                          history: History | None,
-                         extra_source: np.ndarray | None) -> np.ndarray | None:
+                         extra_source: np.ndarray | None,
+                         gauge: GaugePhase | None = None) -> np.ndarray | None:
         """acc (packed) plus every drift term besides m y and -F(y), in a
         fixed order: A(t) y and the gauged current (gauged tsee) or J, the
         memory term (msee/wsee), then the extra source.  Physical-space terms
         are summed onto ``phys`` (the drift passes -F(y) there) and enter acc
         through one to_spectral, gathered onto the retained modes.  An
-        accumulator that is None starts from the first term added (a copy,
-        so both are summed in place); None comes back when there is no term
-        at all."""
+        accumulator that is None starts from the first term added (a copy
+        with y's path axis, so every later term is summed in place); None
+        comes back when there is no term at all."""
+        paths = y.data.shape[:-4]
+
         def add(acc, term):
             if acc is None:
-                return term.astype(np.complex128)
+                return np.broadcast_to(term, paths + term.shape[-4:]).astype(
+                    np.complex128)
             acc += term
             return acc
 
         static = self.static
         if self.cfg.equation == TSEE and not static.phase_trivial:
             view = _physical(y, view)
-            beta = self.bundle.values[:, self.bundle.index_of(t)]
+            gauge = self._gauge(t, gauge)
             phys = add(phys, 0.5 * static.sum_b_squared * view.data)
-            phys = add(phys, cross_drift_apply(self.spec, beta, view))
-            current = self._gauged_current(t)
+            phys = add(phys, cross_drift_apply(self.spec, gauge.beta, view))
+            current = self._gauged_current(t, gauge)
             if current is not None:
                 phys = add(phys, current)
         elif static.current_hat is not None:
@@ -368,19 +411,23 @@ class StepContext:
 
     def drift(self, y: Field6, t: float, history: History | None = None,
               extra_source: np.ndarray | None = None,
-              view: Field6 | None = None) -> Field6:
+              view: Field6 | None = None, gauge: GaugePhase | None = None,
+              magnitude: np.ndarray | None = None) -> Field6:
         """The projected full drift P_n[m y - F(y) + ...] (Lambda), packed."""
         phys = None
         if self.cfg.kerr is not None:
-            view = _physical(y, view)
-            phys = -kerr_force(view, self.cfg.kerr).data
+            if view is None:
+                view, magnitude = to_physical(y), None
+            phys = -kerr_force(view, self.cfg.kerr, magnitude).data
         acc = maxwell_apply(y).data.copy()
-        acc = self._add_drift_terms(acc, phys, y, view, t, history, extra_source)
+        acc = self._add_drift_terms(acc, phys, y, view, t, history,
+                                    extra_source, gauge)
         return self.space.field(acc)
 
     # -- noise pieces ----------------------------------------------------------
 
-    def noise(self, y: Field6, t: float, view: Field6 | None = None) -> list:
+    def noise(self, y: Field6, t: float, view: Field6 | None = None,
+              gauge: GaugePhase | None = None) -> list:
         """Filtered noise amplitudes Z_i(t) multiplying dbeta_i, packed."""
         spec = self.spec
         static = self.static
@@ -393,7 +440,7 @@ class StepContext:
                                               static.cached_noise)]
         out = []
         if self.cfg.equation == TSEE:
-            phase = gauge_phase(spec, self.bundle, t).values
+            phase = self._gauge(t, gauge).of_fields
             for source in spec.b_sources:
                 raw = Field6(self.grid, PHYSICAL, source.at(t) * phase)
                 out.append(smooth_cutoff(self.space.pack(to_spectral(raw)),
@@ -408,38 +455,50 @@ class StepContext:
 
 
 def _noise_increment(zs, dbeta):
-    """sum_i Z_i dbeta_i, summed in channel order; 0.0 without channels."""
+    """sum_i Z_i dbeta_i, summed in channel order; 0.0 without channels.
+    dbeta is (N,), or (P, N) with one row per path of a batch."""
     if not zs:
         return 0.0
-    incr = dbeta[0] * zs[0].data
-    for z, db in zip(zs[1:], dbeta[1:]):
-        incr += db * z.data
+    dbeta = np.asarray(dbeta)
+
+    def term(i):
+        return dbeta[..., i, None, None, None, None] * zs[i].data
+
+    incr = term(0)
+    for i in range(1, len(zs)):
+        incr += term(i)
     return incr
 
 
+def _increments(ctx: StepContext, k: int) -> np.ndarray:
+    """beta(t_{k+1}) - beta(t_k) of every path: (N,), or (P, N) for a batch."""
+    values = ctx.bundle.values
+    return values[..., k + 1] - values[..., k]
+
+
 def step_euler_maruyama(state: PathState, ctx: StepContext, lam: Field6,
-                        zs: list, src: np.ndarray | None) -> PathState:
+                        zs: list, src: np.ndarray | None,
+                        gauge: GaugePhase | None = None) -> PathState:
     """y + dt Lambda + sum_i Z_i dbeta_i on packed data, with Lambda and Z
     evaluated at the current state by the caller (``src`` is already part
     of Lambda)."""
     k = state.step_index
-    bundle = ctx.bundle
-    dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
-    incr = ctx.cfg.dt * lam.data + _noise_increment(zs, dbeta)
+    incr = ctx.cfg.dt * lam.data + _noise_increment(zs, _increments(ctx, k))
     y_new = state.y.with_data(state.y.data + incr)
-    return PathState(step_index=k + 1, t=float(bundle.times[k + 1]), y=y_new,
-                     history=state.history)
+    return PathState(step_index=k + 1, t=float(ctx.bundle.times[k + 1]),
+                     y=y_new, history=state.history)
 
 
 def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
-                       zs: list, src: np.ndarray | None) -> PathState:
+                       zs: list, src: np.ndarray | None,
+                       gauge: GaugePhase | None = None) -> PathState:
     """Exact free flow, Kerr resolvent, remaining drift, noise increment.
 
     Lambda and Z at the current state are not used: the remaining drift and
-    the noise are evaluated at the propagated state.  Only the Kerr
-    resolvent and the noise at the propagated state leave Fourier space."""
+    the noise are evaluated at the propagated state, with the step's gauge
+    phase.  Only the Kerr resolvent and the noise at the propagated state
+    leave Fourier space."""
     cfg = ctx.cfg
-    bundle = ctx.bundle
     k = state.step_index
     t = state.t
     # (1) exact free propagator, mode-wise (commutes with the projection)
@@ -449,15 +508,15 @@ def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
         w = implicit_kerr_solve(to_physical(y), cfg.dt, cfg.kerr)
         y = ctx.space.pack(to_spectral(w))
     # (3) remaining drift terms
-    rest = ctx._add_drift_terms(None, None, y, None, t, state.history, src)
+    rest = ctx._add_drift_terms(None, None, y, None, t, state.history, src,
+                                gauge)
     if rest is not None:
         y = y.with_data(y.data + cfg.dt * rest)
     # (4) noise increment
-    z_prop = ctx.noise(y, t)
+    z_prop = ctx.noise(y, t, gauge=gauge)
     if z_prop:
-        dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
-        y = y.with_data(y.data + _noise_increment(z_prop, dbeta))
-    return PathState(step_index=k + 1, t=float(bundle.times[k + 1]), y=y,
+        y = y.with_data(y.data + _noise_increment(z_prop, _increments(ctx, k)))
+    return PathState(step_index=k + 1, t=float(ctx.bundle.times[k + 1]), y=y,
                      history=state.history)
 
 
@@ -471,30 +530,51 @@ class PathResult:
     transformed: Trajectory | None = None  # back-transformed u for tsee runs
 
 
+def _rows(value, count: int) -> list:
+    """A reduction's per-path values as Python numbers; a value computed once
+    for a path-independent field is every path's."""
+    return value.tolist() if isinstance(value, np.ndarray) else [value] * count
+
+
 class _EnergyLedger:
-    """Incremental Ito-identity residual: r(t) = ||X||^2 - ||X0||^2
-    - sum dt (2 Re<X,Y> + ||Z||^2) - 2 sum Re<X, Z dbeta>.
+    """Incremental Ito-identity residual of each path of a batch: r(t) =
+    ||X||^2 - ||X0||^2 - sum dt (2 Re<X,Y> + ||Z||^2) - 2 sum Re<X, Z dbeta>.
 
     X, Y = Lambda and Z are packed; norms and inner products are those of
-    the physical fields by Parseval.  Y and Z are evaluated at the pre-step
-    state, so under Lie splitting the residual measures the Euler-Maruyama
-    increment built from them, not the Lie update that was taken."""
+    the physical fields by Parseval.  They come in reduced path by path
+    (``grid.per_path``) and each path's sums are carried in Python floats,
+    so a path's residual does not depend on its batch.  Y and Z are
+    evaluated at the pre-step state, so under Lie splitting the residual
+    measures the Euler-Maruyama increment built from them, not the Lie
+    update that was taken."""
 
-    def __init__(self, x0: Field6):
-        self.base = l2_norm(x0) ** 2
-        self.drift_sum = 0.0
-        self.noise_sum = 0.0
+    def __init__(self, x0_norms: list):
+        self.base = [v ** 2 for v in x0_norms]
+        self.drift_sum = [0.0] * len(x0_norms)
+        self.noise_sum = [0.0] * len(x0_norms)
 
     def update(self, x: Field6, y_drift: Field6, zs, dbeta, dt: float):
-        quad = 2.0 * inner_product(x, y_drift).real
+        """One step; dbeta is (P, N), one row per path."""
+        count = len(self.base)
+        quad = [2.0 * ip.real for ip in _rows(inner_product(x, y_drift), count)]
         for z in zs:
-            quad += l2_norm(z) ** 2
-        self.drift_sum += dt * quad
-        for z, db in zip(zs, dbeta):
-            self.noise_sum += 2.0 * inner_product(x, z).real * db
+            quad = [qd + zn ** 2 for qd, zn in zip(quad, _rows(l2_norm(z), count))]
+        self.drift_sum = [s + dt * qd for s, qd in zip(self.drift_sum, quad)]
+        for i, z in enumerate(zs):
+            self.noise_sum = [
+                s + 2.0 * ip.real * db for s, ip, db in
+                zip(self.noise_sum, _rows(inner_product(x, z), count),
+                    dbeta[:, i])]
 
-    def residual(self, x: Field6) -> float:
-        return l2_norm(x) ** 2 - self.base - self.drift_sum - self.noise_sum
+    def residual(self, x_norms: list) -> list:
+        return [v ** 2 - base - drift - noise for v, base, drift, noise in
+                zip(x_norms, self.base, self.drift_sum, self.noise_sum)]
+
+    def take(self, rows):
+        """Keep the given paths only."""
+        for name in ("base", "drift_sum", "noise_sum"):
+            values = getattr(self, name)
+            setattr(self, name, [values[r] for r in rows])
 
 
 def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
@@ -502,51 +582,78 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
              record_fields: bool = False, record_transformed: bool = False,
              extra_source=None, initial: Field6 | None = None,
              start_index: int = 0, n_steps: int | None = None) -> PathResult:
-    """Integrate one path over the bundle grid and collect diagnostics.
+    """Integrate one path: ``run_paths`` with a batch of one, raising the
+    BlowUpError of a path that blew up."""
+    (result,) = run_paths(spec, cfg, kernel, [bundle], path_indices=[path_index],
+                          record_fields=record_fields,
+                          record_transformed=record_transformed,
+                          extra_source=extra_source, initial=initial,
+                          start_index=start_index, n_steps=n_steps)
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
 
-    ``extra_source``: optional callable (step_index, t) -> physical
-    (6,n,n,n) array added to the drift before projection (the Picard driver
-    feeds the frozen memory term through it).  ``initial``: optional spectral
-    start state, full-grid or packed; P_n is applied to it, so modes outside
-    the cube do not enter the run.  ``start_index``/``n_steps`` select a
-    window of the bundle; gauge phases always use absolute time.  The
-    recorded trajectories are physical.
+
+def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
+              bundles, *, path_indices=None, record_fields: bool = False,
+              record_transformed: bool = False, extra_source=None,
+              initial: Field6 | None = None, start_index: int = 0,
+              n_steps: int | None = None) -> list:
+    """Integrate a batch of paths, one bundle each, stepped together.
+
+    Returns one entry per bundle: its PathResult, or the BlowUpError of a
+    path whose norm left the threshold; such a path leaves the batch and
+    the rest go on.  Each path's results are bitwise the same in any batch.
+
+    ``path_indices`` label the reports (default 0..P-1).  ``extra_source``:
+    optional callable (step_index, t) -> physical (6,n,n,n) array added to
+    the drift of every path before projection (the Picard driver feeds the
+    frozen memory term through it).  ``initial``: optional spectral start
+    state of every path, full-grid or packed; P_n is applied to it, so modes
+    outside the cube do not enter the run.  ``start_index``/``n_steps``
+    select a window of the bundles; gauge phases always use absolute time.
+    The recorded trajectories are physical.
     """
     grid = spec.grid
-    total_steps = bundle.steps - start_index
+    count = len(bundles)
+    path_indices = list(range(count) if path_indices is None else path_indices)
+    if count < 1 or len(path_indices) != count:
+        raise UsageError("run_paths needs one path index per bundle, and at "
+                         "least one bundle")
+    first = bundles[0]
+    total_steps = first.steps - start_index
     if n_steps is not None:
         total_steps = min(n_steps, total_steps)
     if total_steps < 1:
         raise UsageError("run_path needs at least one step")
-    dt_bundle = float(bundle.times[1] - bundle.times[0])
+    dt_bundle = float(first.times[1] - first.times[0])
     if abs(dt_bundle - cfg.dt) > 1e-9 * max(1.0, cfg.dt):
         raise UsageError(
             f"bundle spacing {dt_bundle} does not match cfg.dt {cfg.dt}")
 
-    horizon = bundle.horizon
     m_level = cfg.beta_truncation_m
     if m_level is None:
-        m_level = 8.0 * np.sqrt(horizon)
-    bundle, exit_index = freeze_bundle_at_exit(bundle, m_level)
-
-    events = []
-    if exit_index is not None:
-        events.append({
+        m_level = 8.0 * np.sqrt(first.horizon)
+    frozen, events = [], []
+    for bundle in bundles:
+        bundle, exit_index = freeze_bundle_at_exit(bundle, m_level)
+        frozen.append(bundle)
+        events.append([] if exit_index is None else [{
             "kind": "beta_truncation",
             "time": float(bundle.times[exit_index]),
             "level": m_level,
-        })
+        }])
 
-    ctx = StepContext(cfg, spec, bundle, kernel)
+    ctx = StepContext(cfg, spec, BundleStack.of(frozen), kernel)
     if initial is not None:
         _require_representation(initial, SPECTRAL, "run_path initial state")
-        state = PathState(step_index=start_index,
-                          t=float(bundle.times[start_index]),
-                          y=ctx.space.pack(initial))
+        y0 = ctx.space.pack(initial)
     else:
-        state = initial_state(spec, cfg)
-        state.step_index = start_index
-        state.t = float(bundle.times[start_index])
+        y0 = initial_state(spec, cfg).y
+    state = PathState(step_index=start_index,
+                      t=float(ctx.bundle.times[start_index]),
+                      y=y0.with_data(np.broadcast_to(y0.data,
+                                                     (count,) + y0.data.shape)))
     if ctx.kernel_active:
         if start_index != 0:
             raise UsageError("direct memory runs must start at t = 0")
@@ -554,77 +661,112 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
 
     stepper = _STEPPERS[cfg.scheme]
     power = cfg.power
+    record_u = record_transformed and cfg.equation == TSEE
+    # one gauge phase per step, shared by drift, noise and the records
+    phased = cfg.equation == TSEE and (not ctx.static.phase_trivial or record_u)
 
     k_range = range(start_index, start_index + total_steps)
-    times = bundle.times[start_index:start_index + total_steps + 1].copy()
-    l2 = np.empty(total_steps + 1)
-    power_norm = np.empty(total_steps + 1)
-    lambda_l2 = np.empty(total_steps + 1)
-    residual = np.empty(total_steps + 1)
+    times = ctx.bundle.times[start_index:start_index + total_steps + 1].copy()
+    l2, power_norm, lambda_l2, residual = (
+        np.empty((count, total_steps + 1)) for _ in range(4))
+    residual[:, 0] = 0.0
+    outcomes = [None] * count
+    alive = list(range(count))  # the batch's rows still stepping
 
+    # per saved time level, (rows of the batch, the level's stacked fields)
     saved = []
     saved_u = []
 
-    def observe(local, t, view):
-        """Power norm and recorded fields from the physical view at t."""
-        power_norm[local] = lp_norm(view, power) ** power
-        if local % cfg.save_stride:
-            return
-        if record_fields:
-            saved.append(view.data)
-        if record_transformed and cfg.equation == TSEE:
-            phase = gauge_phase(spec, bundle, t)
-            saved_u.append(apply_gauge(view, phase, "inverse").data)
+    def observe(local, view, gauge):
+        """Power norm and recorded fields from the physical view; returns
+        the view's pointwise norm when the next Kerr force needs it."""
+        magnitude = pointwise_norm(view)
+        norms = lp_norm(view, power, magnitude).tolist()
+        power_norm[alive, local] = [v ** power for v in norms]
+        if not local % cfg.save_stride:
+            if record_fields:
+                saved.append((alive, view.data))
+            if record_u:
+                saved_u.append((alive,
+                                apply_gauge(view, gauge, "inverse").data))
+        return magnitude if cfg.kerr is not None else None
 
-    ledger = _EnergyLedger(state.y)
-    l2[0] = l2_norm(state.y)
-    residual[0] = 0.0
+    def recorded(levels, row):
+        return np.stack([data[rows.index(row)] for rows, data in levels])
+
+    norms = l2_norm(state.y).tolist()
+    ledger = _EnergyLedger(norms)
+    l2[:, 0] = norms
+    gauge = ctx.gauge_at(start_index) if phased else None
     view = to_physical(state.y)
-    observe(0, state.t, view)
+    magnitude = observe(0, view, gauge)
 
     for local, k in enumerate(k_range):
         if state.history is not None:
             state.history.append(state.t, state.y)
         src = extra_source(k, state.t) if extra_source is not None else None
         lam = ctx.drift(state.y, state.t, history=state.history,
-                        extra_source=src, view=view)
-        lambda_l2[local] = l2_norm(lam)
-        zs = ctx.noise(state.y, state.t, view=view)
-        dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
-        ledger.update(state.y, lam, zs, dbeta, cfg.dt)
-        state = stepper(state, ctx, lam, zs, src)
+                        extra_source=src, view=view, gauge=gauge,
+                        magnitude=magnitude)
+        lambda_l2[alive, local] = l2_norm(lam)
+        zs = ctx.noise(state.y, state.t, view=view, gauge=gauge)
+        ledger.update(state.y, lam, zs, _increments(ctx, k), cfg.dt)
+        state = stepper(state, ctx, lam, zs, src, gauge)
 
-        norm = l2_norm(state.y)
-        if not np.isfinite(norm) or norm > cfg.blowup_threshold:
-            raise BlowUpError(
-                f"trajectory blew up at t = {state.t:.6g} (||y|| = {norm:.3e})",
-                time=state.t, norm=norm)
-        l2[local + 1] = norm
-        residual[local + 1] = ledger.residual(state.y)
+        norms = l2_norm(state.y).tolist()
+        kept = [i for i, norm in enumerate(norms)
+                if np.isfinite(norm) and norm <= cfg.blowup_threshold]
+        if len(kept) < len(alive):
+            for i, norm in enumerate(norms):
+                if i not in kept:
+                    outcomes[alive[i]] = BlowUpError(
+                        f"trajectory blew up at t = {state.t:.6g} "
+                        f"(||y|| = {norm:.3e})", time=state.t, norm=norm)
+            alive = [alive[i] for i in kept]
+            if not alive:
+                break
+            norms = [norms[i] for i in kept]
+            ledger.take(kept)
+            ctx = StepContext(cfg, spec, ctx.bundle.take(kept), kernel)
+            history = state.history
+            state = PathState(state.step_index, state.t,
+                              state.y.with_data(state.y.data[kept]),
+                              None if history is None else history.take(kept))
+        l2[alive, local + 1] = norms
+        residual[alive, local + 1] = ledger.residual(norms)
+        gauge = ctx.gauge_at(k + 1) if phased else None
         view = to_physical(state.y)
-        observe(local + 1, state.t, view)
+        magnitude = observe(local + 1, view, gauge)
 
-    if state.history is not None:
-        state.history.append(state.t, state.y)
-    src = extra_source(k_range[-1] + 1, state.t) if extra_source is not None else None
-    final_lam = ctx.drift(state.y, state.t, history=state.history,
-                          extra_source=src, view=view)
-    lambda_l2[-1] = l2_norm(final_lam)
+    if alive:
+        if state.history is not None:
+            state.history.append(state.t, state.y)
+        src = (extra_source(k_range[-1] + 1, state.t)
+               if extra_source is not None else None)
+        final_lam = ctx.drift(state.y, state.t, history=state.history,
+                              extra_source=src, view=view, gauge=gauge,
+                              magnitude=magnitude)
+        lambda_l2[alive, -1] = l2_norm(final_lam)
 
-    report = PathReport(path_index=path_index, seed=bundle.seed, times=times,
-                        l2=l2, power_norm=power_norm, lambda_l2=lambda_l2,
-                        energy_residual=residual, events=events,
-                        q=None if cfg.kerr is None else cfg.kerr.q)
-    result = PathResult(report=report)
-    if record_fields:
-        save_times = times[::cfg.save_stride]
-        result.trajectory = Trajectory(grid=grid, times=save_times,
-                                       data=np.stack(saved))
-    if saved_u:
-        save_times = times[::cfg.save_stride]
-        result.transformed = Trajectory(grid=grid, times=save_times,
-                                        data=np.stack(saved_u))
-    return result
+    save_times = times[::cfg.save_stride]
+    for row in alive:
+        report = PathReport(path_index=path_indices[row],
+                            seed=bundles[row].seed, times=times.copy(),
+                            l2=l2[row].copy(),
+                            power_norm=power_norm[row].copy(),
+                            lambda_l2=lambda_l2[row].copy(),
+                            energy_residual=residual[row].copy(),
+                            events=events[row],
+                            q=None if cfg.kerr is None else cfg.kerr.q)
+        result = PathResult(report=report)
+        if record_fields:
+            result.trajectory = Trajectory(grid=grid, times=save_times.copy(),
+                                           data=recorded(saved, row))
+        if record_u:
+            result.transformed = Trajectory(grid=grid, times=save_times.copy(),
+                                            data=recorded(saved_u, row))
+        outcomes[row] = result
+    return outcomes
 
 
 def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,

@@ -11,11 +11,13 @@ import numpy as np
 from mks.config import _field_profile, _scalar_profile, parse_config, parse_profile
 from mks.diagnostics import RunReport, fit_loglog_slope
 from mks.grid import Field6, l2_norm, make_grid
+import mks.harness
 from mks.harness import (
     dense_battery,
     kerr_battery,
     memory_battery,
     operator_battery,
+    path_batches,
     run_experiment,
 )
 from mks.kerr import KerrExponent
@@ -35,6 +37,7 @@ from mks.stepping import (
     TSEE,
     SchemeConfig,
     run_path,
+    run_paths,
     trajectory_sup_distance,
 )
 
@@ -138,7 +141,8 @@ def test_criterion_4_ito_energy_identity():
 
 def test_criterion_5_gauge_duality():
     """TSEE-solve-then-untransform vs direct MSEE on shared paths: the sup-t
-    L2 gap decays in dt with slope >= 0.4 (E over 64 paths)."""
+    L2 gap decays in dt with slope >= 0.4 (E over 64 paths, run in the
+    harness's path batches)."""
     t0 = time.monotonic()
     g = make_grid(8, 2.0 * np.pi)
     n = 8
@@ -157,8 +161,9 @@ def test_criterion_5_gauge_duality():
     kerr = KerrExponent(2.0, strong_mode=True)
     n_paths = 64
     gaps = {dt: [] for dt in dts}
-    for p in range(n_paths):
-        bundle = sample_brownian(1, horizon, 16, seed=1000 + p)
+    for batch in path_batches(n, n_paths):
+        bundles = [sample_brownian(1, horizon, 16, seed=1000 + p)
+                   for p in batch]
         for dt in dts:
             cfg_t = SchemeConfig(scheme=EULER_MARUYAMA, dt=dt,
                                  cutoff_level=CutoffLevel(2), equation=TSEE,
@@ -166,13 +171,12 @@ def test_criterion_5_gauge_duality():
             cfg_m = SchemeConfig(scheme=EULER_MARUYAMA, dt=dt,
                                  cutoff_level=CutoffLevel(2), equation=MSEE,
                                  kerr=kerr)
-            rt = run_path(spec, cfg_t, None, bundle, record_fields=True,
-                          record_transformed=True)
-            rm = run_path(spec, cfg_m, None, bundle, record_fields=True)
-            gaps[dt].append(trajectory_sup_distance(rt.transformed,
-                                                    rm.trajectory))
+            rt = run_paths(spec, cfg_t, None, bundles, record_transformed=True)
+            rm = run_paths(spec, cfg_m, None, bundles, record_fields=True)
+            gaps[dt] += [trajectory_sup_distance(t.transformed, m.trajectory)
+                         for t, m in zip(rt, rm)]
             if dt != dts[-1]:
-                bundle = refine_bundle(bundle)
+                bundles = [refine_bundle(b) for b in bundles]
     means = [float(np.mean(gaps[dt])) for dt in dts]
     slope = fit_loglog_slope(dts, means)
     elapsed = time.monotonic() - t0
@@ -196,8 +200,10 @@ def _uniformity_run(level, points):
                        cutoff_level=CutoffLevel(level), equation=TSEE,
                        kerr=KerrExponent(2.0, strong_mode=True))
     report = RunReport.from_paths([
-        run_path(spec, cfg, None, sample_brownian(1, 0.25, 16, seed=300 + p),
-                 path_index=p).report for p in range(30)])
+        result.report for batch in path_batches(points, 30)
+        for result in run_paths(
+            spec, cfg, None, [sample_brownian(1, 0.25, 16, seed=300 + p)
+                              for p in batch], path_indices=list(batch))])
     return (report.sup_l2_squared.mean + report.integral_power.mean,
             report.sup_lambda_squared.mean)
 
@@ -257,13 +263,22 @@ base_seed = 424242
 """
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
+    """Identical CSV bytes for batches of 1, 3 and all 6 paths, each with 1
+    and 3 workers."""
     cfg = parse_config(ACCEPTANCE_RUN)
-    run_experiment(cfg, workers=1, out_dir=tmp_path / "w1")
-    run_experiment(cfg, workers=3, out_dir=tmp_path / "w3")
-    s1 = (tmp_path / "w1" / "summary.csv").read_bytes()
-    s3 = (tmp_path / "w3" / "summary.csv").read_bytes()
-    series_equal = (tmp_path / "w1" / "series.csv").read_bytes() == \
-        (tmp_path / "w3" / "series.csv").read_bytes()
-    verdict(8, s1 == s3 and series_equal,
-            "summary and series CSVs bitwise identical across worker counts")
+    outputs = {}
+    for per_batch in (1, 3, cfg.paths):
+        monkeypatch.setattr(mks.harness, "BATCH_VALUES",
+                            per_batch * 6 * cfg.grid_points**3)
+        assert len(path_batches(cfg.grid_points, cfg.paths)) == \
+            -(-cfg.paths // per_batch)
+        for workers in (1, 3):
+            out = tmp_path / f"b{per_batch}w{workers}"
+            run_experiment(cfg, workers=workers, out_dir=out)
+            outputs[per_batch, workers] = [(out / name).read_bytes() for name
+                                           in ("summary.csv", "series.csv")]
+    first = next(iter(outputs.values()))
+    verdict(8, all(o == first for o in outputs.values()),
+            "summary and series CSVs bitwise identical across batch sizes "
+            f"{sorted({b for b, _ in outputs})} and worker counts 1 and 3")

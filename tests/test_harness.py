@@ -139,17 +139,25 @@ class TestRunExperiment:
         run_experiment(cfg, workers=1, out_dir=tmp_path)
         assert cfg.paths == 4 and len(calls) == 1
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the patched run_path reaches workers by fork")
-    def test_lost_worker_names_the_path(self, tmp_path, monkeypatch):
-        original = mks.harness.run_path
+    @staticmethod
+    def _dies_on_path_one(monkeypatch, paths_per_batch):
+        """Batches of the given size on 8^3; the batch holding path 1 kills
+        its worker."""
+        monkeypatch.setattr(mks.harness, "BATCH_VALUES",
+                            paths_per_batch * 6 * 8**3)
+        original = mks.harness.run_paths
 
         def dies_on_path_one(*args, **kwargs):
-            if kwargs["path_index"] == 1:
+            if 1 in kwargs["path_indices"]:
                 os._exit(3)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mks.harness, "run_path", dies_on_path_one)
+        monkeypatch.setattr(mks.harness, "run_paths", dies_on_path_one)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched run_paths reaches workers by fork")
+    def test_lost_worker_names_the_path(self, tmp_path, monkeypatch):
+        self._dies_on_path_one(monkeypatch, paths_per_batch=1)
         cfg = parse_config(SMALL_RUN)
         cfg.paths = 3
         with pytest.raises(WorkerLostError) as info:
@@ -160,6 +168,20 @@ class TestRunExperiment:
         assert 1 in info.value.lost
         assert str(info.value).startswith(
             "[workers] a worker process exited while running path 1;")
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched run_paths reaches workers by fork")
+    def test_lost_worker_names_every_path_of_its_batch(self, tmp_path,
+                                                        monkeypatch):
+        self._dies_on_path_one(monkeypatch, paths_per_batch=2)
+        cfg = parse_config(SMALL_RUN)
+        cfg.paths = 4
+        with pytest.raises(WorkerLostError) as info:
+            run_experiment(cfg, workers=2, out_dir=tmp_path)
+        assert info.value.running == [0, 1]
+        assert {0, 1} <= set(info.value.lost)
+        assert str(info.value).startswith(
+            "[workers] a worker process exited while running paths 0, 1;")
 
     def test_blowup_is_logged_not_fatal(self, tmp_path):
         cfg = parse_config(BLOWUP_RUN)
@@ -206,6 +228,28 @@ class TestRunExperiment:
         with open(tmp_path / "assumptions.csv") as fh:
             tags = {r["tag"] for r in csv.DictReader(fh)}
         assert {"M1", "M5", "M6", "W3"} <= tags
+
+
+class TestPathBatches:
+    def test_batches_are_contiguous_and_cover_the_paths(self):
+        for points, paths in ((8, 6), (8, 40), (16, 5), (32, 3)):
+            batches = mks.harness.path_batches(points, paths)
+            assert [p for b in batches for p in b] == list(range(paths))
+            assert all(b.step == 1 for b in batches)
+
+    def test_batch_size_follows_the_grid(self):
+        # all paths of an 8^3 run of six in one batch, one path per batch
+        # at 32^3
+        assert mks.harness.path_batches(8, 6) == [range(0, 6)]
+        assert [len(b) for b in mks.harness.path_batches(32, 3)] == [1, 1, 1]
+
+    def test_every_blown_up_path_of_a_batch_is_logged(self, tmp_path):
+        cfg = parse_config(BLOWUP_RUN)
+        assert len(mks.harness.path_batches(cfg.grid_points, cfg.paths)) == 1
+        report, status = run_experiment(cfg, workers=1, out_dir=tmp_path)
+        assert status == 1
+        assert sorted(e["path"] for e in report.events
+                      if e["kind"] == "blowup") == [0, 1]
 
 
 class TestVerifySuite:

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mks.grid
+import mks.kerr
 import mks.stepping
 from mks.errors import BlowUpError, ConfigurationError, UsageError
-from mks.grid import Field6, l2_norm, random_field, to_physical, to_spectral, zero_field
+from mks.grid import (Field6, l2_norm, lp_norm, random_field, to_physical,
+                      to_spectral, zero_field)
 from mks.kerr import KerrExponent
 from mks.memory import History, exponential_kernel
 from mks.multipliers import CutoffLevel, sharp_cutoff, sharp_mask, smooth_cutoff
 from mks.noise import (
+    BrownianBundle,
     SeparableSource,
     TimeProfile,
     make_noise_spec,
@@ -27,6 +31,7 @@ from mks.stepping import (
     StepContext,
     initial_state,
     run_path,
+    run_paths,
     solve_with_memory,
     step_euler_maruyama,
     trajectory_sup_distance,
@@ -344,6 +349,42 @@ class TestEvaluationCounts:
         counts = self._counted_run(grid4, monkeypatch, lie_cfg, equation)
         assert counts == {"drift": self.STEPS + 1, "noise": 2 * self.STEPS}
 
+    @pytest.mark.parametrize("make_cfg", [em_cfg, lie_cfg])
+    def test_one_phase_and_one_norm_of_each_kind_per_step(
+            self, grid4, monkeypatch, make_cfg):
+        # gauged tsee with Kerr and one channel, recording u: the phase and
+        # the view's pointwise norm are formed once per time level; the L2
+        # norms per step are those of Lambda, Z and the new state
+        b = SeparableSource(shape=banded_field(grid4, seed=35, scale=0.1),
+                            profile=TimeProfile("cos", 1.0))
+        J = SeparableSource(shape=banded_field(grid4, seed=36, scale=0.1))
+        spec = make_noise_spec(grid4, [cos_multiplier(grid4)], [b], J,
+                               banded_field(grid4, seed=37))
+        bundle = sample_brownian(1, 0.25, self.STEPS, seed=38)
+        cfg = make_cfg(0.25 / self.STEPS, level=1, kerr=KerrExponent(2.0, True))
+        initial_state(spec, cfg)  # the cached start state checks u0's norms
+        counts = {"gauge_phase": 0, "pointwise_norm": 0, "l2_norm": 0}
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(mks.stepping, "gauge_phase",
+                            counted("gauge_phase", mks.stepping.gauge_phase))
+        pointwise = counted("pointwise_norm", mks.grid.pointwise_norm)
+        for module in (mks.stepping, mks.grid, mks.kerr):
+            monkeypatch.setattr(module, "pointwise_norm", pointwise)
+        monkeypatch.setattr(mks.stepping, "l2_norm",
+                            counted("l2_norm", mks.stepping.l2_norm))
+        run_path(spec, cfg, None, bundle, record_transformed=True)
+        # the Lie resolvent takes the pointwise norm of its own argument
+        resolvent = self.STEPS if cfg.scheme == LIE_SPLITTING else 0
+        assert counts == {"gauge_phase": self.STEPS + 1,
+                          "pointwise_norm": self.STEPS + 1 + resolvent,
+                          "l2_norm": 3 * self.STEPS + 2}
+
 
 class TestTransformCounts:
     """FFTs per step, counted at the to_spectral/to_physical bindings of
@@ -564,6 +605,119 @@ class TestGalerkinState:
         assert calls["n"] == per_run  # the linear step itself has none
         assert np.array_equal(first.report.l2, second.report.l2)
         assert initial_state(spec, cfg).y is initial_state(spec, cfg).y
+
+
+class TestBatchEquivalence:
+    """One batch of paths equals each path run alone, bitwise: every report
+    array, event and recorded trajectory.  A path that blows up leaves the
+    batch and a truncated path freezes its own bundle; neither disturbs the
+    others."""
+
+    STEPS = 8
+    JUMP = 5          # the blow-up path's first channel jumps into step 5
+    CROSSING = 3      # the truncated path's second channel leaves m at step 3
+    TRUNCATION = 1.0  # beta truncation level m
+    THRESHOLD = 300.0
+
+    def _bundles(self):
+        """Two channels; every |beta| stays under 0.1 except: path 1's second
+        channel leaves m mid-run, and path 2's first channel jumps by 0.85
+        (staying under m), which its strong first amplitude turns into a
+        norm over the blow-up threshold."""
+        horizon = self.STEPS / 64
+        out = []
+        for p in range(4):
+            raw = sample_brownian(2, horizon, self.STEPS, seed=60 + p).values
+            values = raw * (0.1 / np.max(np.abs(raw), axis=1, keepdims=True))
+            if p == 1:
+                values[1, self.CROSSING:] += 1.2
+            if p == 2:
+                values[0, self.JUMP:] += 0.85
+            out.append(BrownianBundle(times=np.linspace(0.0, horizon,
+                                                        self.STEPS + 1),
+                                      values=values, seed=60 + p))
+        return out
+
+    def _case(self, grid8, name):
+        n = grid8.points_per_axis
+        strong = SeparableSource(shape=constant_amplitude(grid8, 20.0),
+                                 profile=TimeProfile("cos", 1.0))
+        weak = SeparableSource(shape=banded_field(grid8, seed=72, scale=0.01))
+        J = SeparableSource(shape=banded_field(grid8, seed=70, scale=0.1))
+        u0 = banded_field(grid8, seed=71, scale=0.05, level=2)
+        spec = make_noise_spec(grid8, [cos_multiplier(grid8, 0.2),
+                                       np.zeros((n, n, n))],
+                               [strong, weak], J, u0)
+        kerr = KerrExponent(2.0, True)
+        kw = dict(beta_truncation_m=self.TRUNCATION,
+                  blowup_threshold=self.THRESHOLD)
+        if name == "tsee_euler":
+            return spec, em_cfg(1 / 64, kerr=kerr, **kw), None
+        kernel = exponential_kernel(0.5, 1.0)
+        if name == "msee_lie_memory":
+            return spec, lie_cfg(1 / 64, equation=MSEE,
+                                 kerr=KerrExponent(3.0), **kw), kernel
+        return spec, em_cfg(1 / 64, equation=WSEE, kerr=kerr, **kw), kernel
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def _assert_same_path(self, batched, alone):
+        ra, rb = batched.report, alone.report
+        assert (ra.path_index, ra.seed, ra.q, ra.events) == \
+            (rb.path_index, rb.seed, rb.q, rb.events)
+        for key in ("times", "l2", "power_norm", "lambda_l2", "energy_residual"):
+            assert self._same_bits(getattr(ra, key), getattr(rb, key)), key
+        for key in ("trajectory", "transformed"):
+            ta, tb = getattr(batched, key), getattr(alone, key)
+            assert (ta is None) == (tb is None), key
+            if ta is not None:
+                assert self._same_bits(ta.times, tb.times), key
+                assert self._same_bits(ta.data, tb.data), key
+
+    @pytest.mark.parametrize("name", ["tsee_euler", "msee_lie_memory", "wsee"])
+    def test_a_path_reduces_like_an_unstacked_field(self, grid8, name):
+        # the first norms of a run equal those of the same fields without a
+        # path axis, evaluated by hand
+        spec, cfg, kernel = self._case(grid8, name)
+        bundle = self._bundles()[0]
+        report = run_path(spec, cfg, kernel, bundle).report
+        y0 = initial_state(spec, cfg).y
+        history = History(dt=cfg.dt)
+        history.append(0.0, y0)
+        lam = StepContext(cfg, spec, bundle, kernel).drift(y0, 0.0, history)
+        view = to_physical(y0)
+        assert report.l2[0] == l2_norm(y0)
+        assert report.lambda_l2[0] == l2_norm(lam)
+        assert report.power_norm[0] == lp_norm(view, cfg.power) ** cfg.power
+
+    @pytest.mark.parametrize("name", ["tsee_euler", "msee_lie_memory", "wsee"])
+    def test_batch_equals_paths_alone(self, grid8, name):
+        spec, cfg, kernel = self._case(grid8, name)
+        bundles = self._bundles()
+        record = dict(record_fields=True,
+                      record_transformed=(name == "tsee_euler"))
+        singles = {p: run_path(spec, cfg, kernel, bundles[p], path_index=p,
+                               **record) for p in (0, 1, 3)}
+        with pytest.raises(BlowUpError) as blown:
+            run_path(spec, cfg, kernel, bundles[2], path_index=2, **record)
+        assert blown.value.time == bundles[2].times[self.JUMP]
+        assert singles[1].report.events == [{
+            "kind": "beta_truncation",
+            "time": bundles[1].times[self.CROSSING], "level": self.TRUNCATION}]
+        assert not singles[0].report.events and not singles[3].report.events
+
+        for order in ([0, 1, 2, 3], [3, 2, 1], [1, 0]):
+            batch = run_paths(spec, cfg, kernel, [bundles[p] for p in order],
+                              path_indices=order, **record)
+            for p, out in zip(order, batch):
+                if p == 2:
+                    assert isinstance(out, BlowUpError)
+                    assert (out.time, out.norm, str(out)) == \
+                        (blown.value.time, blown.value.norm, str(blown.value))
+                else:
+                    self._assert_same_path(out, singles[p])
 
 
 class TestMemoryCoupling:
