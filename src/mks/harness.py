@@ -56,10 +56,12 @@ from .stepping import (EULER_MARUYAMA, MSEE, TSEE, SchemeConfig, run_paths,
 WORKERS_ENV = "MKS_WORKERS"
 
 # Cap on P * 6 n^3, the values of one stacked field of a batch of P paths on
-# an n^3 grid: 16 paths at 8^3, 2 at 16^3, one at 32^3.  Path-steps per
-# second level off from about P = 4 at 8^3 and P = 2 at 16^3 (2 shared
-# cores, single-threaded FFTs); a larger batch only holds more memory.
-BATCH_VALUES = 6 * 16**3 * 2
+# an n^3 grid: 8 paths at 8^3, one from 16^3 up.  At 8^3 path-steps per
+# second level off from about P = 4 and P = 8 beats P = 16 (2 shared cores,
+# single-threaded FFTs); two paths at 16^3 would gain about 1.3x, but the
+# cap that allows them puts 16 paths in an 8^3 batch, whose recorded
+# trajectories (criterion 5) hold twice the memory.
+BATCH_VALUES = 6 * 8**3 * 8
 
 
 def default_workers() -> int:
