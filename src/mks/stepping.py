@@ -448,9 +448,12 @@ class StepContext:
             return out
         view = _physical(y, view)
         for source, b_field in zip(spec.b_sources, spec.B_fields):
-            raw = Field6(self.grid, PHYSICAL,
-                         source.at(t) + 1j * b_field * view.data)
-            out.append(self.space.pack(to_spectral(raw)))
+            # summed into the stacked term: numpy reuses a temporary only
+            # when both operands have its shape
+            raw = 1j * b_field * view.data
+            raw += source.at(t)
+            out.append(self.space.pack(to_spectral(
+                Field6(self.grid, PHYSICAL, raw))))
         return out
 
 
