@@ -9,7 +9,7 @@ on log-log points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -196,8 +196,10 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
 
     All step sizes share Brownian paths: the coarsest bundle is refined
     dyadically, so coarse increments are sums of fine ones bitwise.  The
-    reference runs at min(dts)/refine_factor.
+    reference runs at min(dts)/refine_factor.  Paths are recorded at save
+    stride 1, so the last record is y(T) whatever ``cfg`` says.
     """
+    cfg = replace(cfg, save_stride=1)
     dts = sorted(dts, reverse=True)
     for a, b in zip(dts, dts[1:]):
         if abs(a / b - 2.0) > 1e-12:
@@ -239,14 +241,14 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
 
 
 def _with_dt(cfg: SchemeConfig, dt: float) -> SchemeConfig:
-    from dataclasses import replace
-
     return replace(cfg, dt=dt)
 
 
 def galerkin_convergence(spec: NoiseSpec, cfg: SchemeConfig, kernel,
                          levels, seeds, horizon: float = 0.25) -> dict:
-    """E sup_t ||y_{n+1} - y_n||_2 on shared paths for increasing cutoffs."""
+    """E sup_t ||y_{n+1} - y_n||_2 on shared paths for increasing cutoffs;
+    the sup runs over every step (save stride 1 whatever ``cfg`` says)."""
+    cfg = replace(cfg, save_stride=1)
     levels = sorted(levels)
     steps = max(1, int(round(horizon / cfg.dt)))
     rows = []
@@ -267,8 +269,6 @@ def galerkin_convergence(spec: NoiseSpec, cfg: SchemeConfig, kernel,
 
 
 def _with_level(cfg: SchemeConfig, n: int) -> SchemeConfig:
-    from dataclasses import replace
-
     return replace(cfg, cutoff_level=CutoffLevel(n))
 
 

@@ -60,7 +60,7 @@ WORKERS_ENV = "MKS_WORKERS"
 # second level off from about P = 4 and P = 8 beats P = 16 (2 shared cores,
 # single-threaded FFTs); two paths at 16^3 would gain about 1.3x, but the
 # cap that allows them puts 16 paths in an 8^3 batch, whose recorded
-# trajectories (criterion 5) hold twice the memory.
+# trajectories (criterion 5) are one array twice as large.
 BATCH_VALUES = 6 * 8**3 * 8
 
 

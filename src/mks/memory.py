@@ -19,8 +19,11 @@ stepper keeps a ``History`` of spectral states and reads the spectral memory
 term, the Picard driver keeps physical ones.  The stepper's states carry the
 batch's path axis, and the history carries it along.
 
-``TABLE`` kernels have no recursion; no config builds them, and the direct
-trapezoid sum over a table lives in the tests as the oracle.
+The Picard driver (``stepping.solve_with_memory``) iterates on one
+contraction window at a time: an iterate holds that window's states only,
+and the states before the window are folded once into a carried sum that
+every iterate continues from.  The direct trapezoid re-summation lives in
+the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -34,30 +37,22 @@ from .grid import Field6
 
 ZERO = "zero"
 EXPONENTIAL = "exponential"
-TABLE = "table"
 
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Memory kernel G(t): zero, amplitude*exp(-rate*t)*coupling, or a table."""
+    """Memory kernel G(t): zero, or amplitude*exp(-rate*t)*coupling."""
 
     form: str = ZERO
     amplitude: float = 0.0
     rate: float = 0.0
     coupling: np.ndarray | None = None       # 6x6 real, defaults to identity
-    table_times: np.ndarray | None = None    # increasing sample times
-    table_values: np.ndarray | None = None   # (m, 6, 6)
 
     def __post_init__(self):
-        if self.form not in (ZERO, EXPONENTIAL, TABLE):
+        if self.form not in (ZERO, EXPONENTIAL):
             raise ConfigurationError(f"unknown kernel form {self.form!r}")
         if self.form == EXPONENTIAL and self.coupling is None:
             object.__setattr__(self, "coupling", np.eye(6))
-        if self.form == TABLE:
-            if self.table_times is None or self.table_values is None:
-                raise ConfigurationError("table kernel needs times and values")
-            if not np.all(np.isfinite(self.table_values)):
-                raise ConfigurationError("table kernel values must be finite")
 
     @property
     def is_zero(self):
@@ -66,33 +61,21 @@ class KernelSpec:
     def matrix_at(self, t: float) -> np.ndarray:
         if self.form == ZERO:
             return np.zeros((6, 6))
-        if self.form == EXPONENTIAL:
-            return self.amplitude * np.exp(-self.rate * t) * self.coupling
-        idx = np.clip(np.searchsorted(self.table_times, t), 1,
-                      len(self.table_times) - 1)
-        t0, t1 = self.table_times[idx - 1], self.table_times[idx]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1 - w) * self.table_values[idx - 1] + w * self.table_values[idx]
+        return self.amplitude * np.exp(-self.rate * t) * self.coupling
 
     def derivative_at(self, t: float) -> np.ndarray:
         if self.form == ZERO:
             return np.zeros((6, 6))
-        if self.form == EXPONENTIAL:
-            return -self.rate * self.amplitude * np.exp(-self.rate * t) * self.coupling
-        raise UsageError("table kernels do not support the analytic derivative")
+        return -self.rate * self.amplitude * np.exp(-self.rate * t) * self.coupling
 
     def l1_norm(self, horizon: float) -> float:
         """integral_0^T of the spectral operator norm of G(t)."""
         if self.form == ZERO:
             return 0.0
-        if self.form == EXPONENTIAL:
-            op = float(np.linalg.norm(self.coupling, 2)) * abs(self.amplitude)
-            if self.rate == 0.0:
-                return op * horizon
-            return op * (1.0 - np.exp(-self.rate * horizon)) / self.rate
-        times = self.table_times
-        norms = [np.linalg.norm(v, 2) for v in self.table_values]
-        return float(np.trapezoid(norms, times))
+        op = float(np.linalg.norm(self.coupling, 2)) * abs(self.amplitude)
+        if self.rate == 0.0:
+            return op * horizon
+        return op * (1.0 - np.exp(-self.rate * horizon)) / self.rate
 
 
 def exponential_kernel(amplitude: float, rate: float,
@@ -180,8 +163,6 @@ def _exponential_convolution(h: History, kernel: KernelSpec,
         raise UsageError("the memory law needs at least the t = 0 state")
     if abs(h.t_last - t) > 1e-9 * max(1.0, abs(t)):
         raise UsageError(f"t = {t} must be the latest history time {h.t_last}")
-    if kernel.form == TABLE:
-        raise UsageError("table kernels have no recursive memory law")
     u = h.latest.data
     if kernel.is_zero:
         return np.zeros_like(u)

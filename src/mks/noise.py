@@ -90,20 +90,17 @@ class BundleStack(_TimeGrid):
 
     times: np.ndarray
     values: np.ndarray
-    seeds: tuple
 
     @classmethod
     def of(cls, bundles) -> "BundleStack":
         times = bundles[0].times
         if any(not np.array_equal(b.times, times) for b in bundles[1:]):
             raise UsageError("the bundles of a batch must share one time grid")
-        return cls(times=times, values=np.stack([b.values for b in bundles]),
-                   seeds=tuple(b.seed for b in bundles))
+        return cls(times=times, values=np.stack([b.values for b in bundles]))
 
     def take(self, rows) -> "BundleStack":
         """The stack of the given paths."""
-        return BundleStack(times=self.times, values=self.values[rows],
-                           seeds=tuple(self.seeds[r] for r in rows))
+        return BundleStack(times=self.times, values=self.values[rows])
 
 
 def sample_brownian(count: int, horizon: float, steps: int, seed: int) -> BrownianBundle:
@@ -237,9 +234,6 @@ class SeparableSource:
     def at(self, t: float) -> np.ndarray:
         return self.profile.value(t) * self.shape.data
 
-    def rate_at(self, t: float) -> np.ndarray:
-        return self.profile.derivative(t) * self.shape.data
-
     def l2_series_squared(self, times: np.ndarray) -> np.ndarray:
         base = l2_norm(self.shape) ** 2
         return np.array([self.profile.value(t) ** 2 for t in times]) * base
@@ -296,9 +290,6 @@ class NoiseSpec:
     @property
     def count(self):
         return len(self.B_fields)
-
-    def b_source(self, i: int) -> SeparableSource:
-        return self.b_sources[i]
 
 
 def make_noise_spec(grid: GridSpec, B_fields, b_sources, current, u0,

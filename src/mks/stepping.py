@@ -82,7 +82,7 @@ logged, not fatal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -615,7 +615,9 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     state of every path, full-grid or packed; P_n is applied to it, so modes
     outside the cube do not enter the run.  ``start_index``/``n_steps``
     select a window of the bundles; gauge phases always use absolute time.
-    The recorded trajectories are physical.
+    The recorded trajectories are physical, every ``cfg.save_stride``-th
+    step from the first; each kind is one array for the batch, and a
+    path's trajectory is its row.
     """
     grid = spec.grid
     count = len(bundles)
@@ -676,9 +678,11 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     outcomes = [None] * count
     alive = list(range(count))  # the batch's rows still stepping
 
-    # per saved time level, (rows of the batch, the level's stacked fields)
-    saved = []
-    saved_u = []
+    # one record array per kind: row p holds path p's saved levels
+    levels = (total_steps + cfg.save_stride) // cfg.save_stride
+    shape = (count, levels, 6) + (grid.points_per_axis,) * 3
+    saved = np.empty(shape, np.complex128) if record_fields else None
+    saved_u = np.empty(shape, np.complex128) if record_u else None
 
     def observe(local, view, gauge):
         """Power norm and recorded fields from the physical view; returns
@@ -686,16 +690,14 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         magnitude = pointwise_norm(view)
         norms = lp_norm(view, power, magnitude).tolist()
         power_norm[alive, local] = [v ** power for v in norms]
-        if not local % cfg.save_stride:
+        level, off_level = divmod(local, cfg.save_stride)
+        if not off_level:
             if record_fields:
-                saved.append((alive, view.data))
+                saved[alive, level] = view.data
             if record_u:
-                saved_u.append((alive,
-                                apply_gauge(view, gauge, "inverse").data))
+                saved_u[alive, level] = apply_gauge(view, gauge,
+                                                    "inverse").data
         return magnitude if cfg.kerr is not None else None
-
-    def recorded(levels, row):
-        return np.stack([data[rows.index(row)] for rows, data in levels])
 
     norms = l2_norm(state.y).tolist()
     ledger = _EnergyLedger(norms)
@@ -764,10 +766,10 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         result = PathResult(report=report)
         if record_fields:
             result.trajectory = Trajectory(grid=grid, times=save_times.copy(),
-                                           data=recorded(saved, row))
+                                           data=saved[row])
         if record_u:
             result.transformed = Trajectory(grid=grid, times=save_times.copy(),
-                                            data=recorded(saved_u, row))
+                                            data=saved_u[row])
         outcomes[row] = result
     return outcomes
 
@@ -783,12 +785,17 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     then iterates the single-window solver (the memory term frozen from the
     previous iterate) to a fixed point and glues windows together.  Works
     for any equation variant; for ``tsee`` the memory term is computed from
-    the back-transformed trajectory and gauged into the y-equation.
+    the back-transformed trajectory and gauged into the y-equation.  Every
+    step is kept, so the windows are integrated at save stride 1 whatever
+    ``cfg`` says.  An iterate holds its window's states only: the states
+    before the window are the same in every iterate, so the sup distance
+    over the window is the one over [0, T].
 
     Returns (u trajectory on the full grid, diagnostics dict).
     """
     from .memory import contraction_step_length, picard_solve
 
+    cfg = replace(cfg, save_stride=1)
     horizon = bundle.horizon
     k_total = bundle.steps
     if lipschitz_noise is None:
@@ -820,7 +827,8 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     y_start = probe.y
     while start < k_total:
         count = min(steps_per_window, k_total - start)
-        window = (float(bundle.times[start]), float(bundle.times[start + count]))
+        stop = start + count
+        window = (float(bundle.times[start]), float(bundle.times[stop]))
         while len(prefix) < start:
             j = len(prefix)
             prefix.append(bundle.times[j], Field6(grid, PHYSICAL, u_data[j]))
@@ -835,8 +843,8 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
             def source(k_idx, t):
                 while len(history) <= k_idx:
                     j = len(history)
-                    history.append(bundle.times[j],
-                                   Field6(grid, PHYSICAL, u_traj.data[j]))
+                    history.append(bundle.times[j], Field6(
+                        grid, PHYSICAL, u_traj.data[j - _start]))
                 conv = convolve_history(history, kernel, t).data
                 if cfg.equation == TSEE:
                     phase = gauge_phase(spec, bundle, t)
@@ -848,27 +856,23 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
                            record_fields=(cfg.equation != TSEE),
                            record_transformed=(cfg.equation == TSEE),
                            extra_source=source)
-            new = u_traj.data.copy()
-            window_traj = (res.transformed if cfg.equation == TSEE
-                           else res.trajectory)
-            new[_start:_start + _count + 1] = window_traj.data
-            return Trajectory(grid=grid, times=bundle.times.copy(), data=new)
+            return res.transformed if cfg.equation == TSEE else res.trajectory
 
-        guess_data = u_data.copy()
-        guess_data[start + 1:start + count + 1] = u_data[start]
-        guess = Trajectory(grid=grid, times=bundle.times.copy(), data=guess_data)
+        times = bundle.times[start:stop + 1].copy()
+        guess = Trajectory(grid=grid, times=times, data=np.broadcast_to(
+            u_data[start], (count + 1,) + u_data[start].shape))
         fixed, n_iter, gaps = picard_solve(window, guess, one_window, tol,
                                            max_iter)
         iterations.append({"window": window, "iterations": n_iter,
                            "gaps": gaps})
-        u_data = fixed.data.copy()
+        u_data[start:stop + 1] = fixed.data
         # the terminal state of this window seeds the next one
-        end_state = Field6(grid, PHYSICAL, u_data[start + count])
+        end_state = Field6(grid, PHYSICAL, u_data[stop])
         if cfg.equation == TSEE:
-            phase = gauge_phase(spec, bundle, bundle.times[start + count])
+            phase = gauge_phase(spec, bundle, bundle.times[stop])
             end_state = apply_gauge(end_state, phase, "forward")
         y_start = to_spectral(end_state)
-        start += count
+        start = stop
 
     traj = Trajectory(grid=grid, times=bundle.times.copy(), data=u_data)
     return traj, {"windows": iterations, "window_length": t0,

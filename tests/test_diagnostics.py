@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,21 @@ class TestStrongConvergence:
                                        horizon=0.5)
         assert out["slope"] >= 0.4
 
+    def test_save_stride_does_not_move_the_terminal_time(self, grid4):
+        # at stride 3 the last record of 16 steps is t = 15/16, not T: the
+        # sweep records every step, so the table does not depend on it
+        b = SeparableSource(shape=constant_amplitude(grid4, 0.1))
+        n = grid4.points_per_axis
+        spec = make_noise_spec(grid4, [np.zeros((n, n, n))], [b],
+                               zero_source(grid4),
+                               banded_field(grid4, seed=6, level=1))
+        cfg = em_cfg(1.0, level=1)
+        kw = dict(seeds=[1, 2], dts=[1 / 16, 1 / 32, 1 / 64], horizon=1.0)
+        every = strong_convergence_order(spec, cfg, None, **kw)
+        strided = strong_convergence_order(
+            spec, replace(cfg, save_stride=3), None, **kw)
+        assert strided == every
+
     def test_requires_three_dts(self, grid4):
         spec = make_noise_spec(grid4, [], [], zero_source(grid4),
                                zero_field(grid4))
@@ -252,6 +269,18 @@ class TestGalerkinConvergence:
         gaps = [r["mean_gap"] for r in out["rows"]]
         assert out["decreasing"]
         assert gaps[0] > gaps[-1] > 0.0
+
+
+    def test_sup_covers_every_step(self, grid8):
+        spec = make_noise_spec(grid8, [], [], zero_source(grid8),
+                               random_field(grid8, seed=3))
+        cfg = em_cfg(1 / 32, level=1)
+        every = galerkin_convergence(spec, cfg, None, levels=[1, 2],
+                                     seeds=[1], horizon=0.25)
+        strided = galerkin_convergence(spec, replace(cfg, save_stride=3),
+                                       None, levels=[1, 2], seeds=[1],
+                                       horizon=0.25)
+        assert strided == every
 
 
 class TestMonotoneLimit:

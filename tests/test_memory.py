@@ -81,14 +81,6 @@ class TestKernelSpec:
         flat = exponential_kernel(1.5, 0.0)
         assert np.isclose(flat.l1_norm(2.0), 3.0)
 
-    def test_table_interpolation(self):
-        times = np.array([0.0, 1.0])
-        vals = np.stack([np.eye(6), 3.0 * np.eye(6)])
-        ker = KernelSpec(form="table", table_times=times, table_values=vals)
-        assert np.allclose(ker.matrix_at(0.5), 2.0 * np.eye(6))
-        with pytest.raises(UsageError):
-            ker.derivative_at(0.5)
-
 
 class TestConvolution:
     def test_zero_kernel(self, grid4):
@@ -177,15 +169,6 @@ class TestConvolutionDerivative:
         fd = (after.data - before.data) / dt
         # trapezoid + forward difference: O(dt) agreement
         assert np.max(np.abs(fd - deriv.data)) < 10 * dt
-
-    def test_table_unsupported(self, grid4):
-        times = np.array([0.0, 1.0])
-        vals = np.stack([np.eye(6), np.eye(6)])
-        ker = KernelSpec(form="table", table_times=times, table_values=vals)
-        c = random_field(grid4, seed=10)
-        h = constant_history(c, 0.25, 0.5)
-        with pytest.raises(UsageError):
-            convolution_derivative(h, ker, 0.5)
 
 
 class TestContractionStepLength:
@@ -387,14 +370,6 @@ class TestRecursiveHistory:
             convolve_history(h, exponential_kernel(1.0, 2.0), 0.2)
         with pytest.raises(UsageError):
             convolution_derivative(h, exponential_kernel(1.0, 0.0), 0.2)
-
-    def test_table_kernel_rejected(self, grid4):
-        times = np.array([0.0, 1.0])
-        ker = KernelSpec(form="table", table_times=times,
-                         table_values=np.stack([np.eye(6), np.eye(6)]))
-        h = constant_history(random_field(grid4, seed=9), 0.25, 0.5)
-        with pytest.raises(UsageError):
-            convolve_history(h, ker, 0.5)
 
     def test_empty_history_rejected(self):
         with pytest.raises(UsageError):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import mks.grid
 import mks.kerr
+import mks.memory
 import mks.stepping
 from mks.errors import BlowUpError, ConfigurationError, UsageError
 from mks.grid import (Field6, l2_norm, lp_norm, random_field, to_physical,
@@ -619,22 +622,22 @@ class TestBatchEquivalence:
     TRUNCATION = 1.0  # beta truncation level m
     THRESHOLD = 300.0
 
-    def _bundles(self):
+    def _bundles(self, steps=STEPS):
         """Two channels; every |beta| stays under 0.1 except: path 1's second
         channel leaves m mid-run, and path 2's first channel jumps by 0.85
         (staying under m), which its strong first amplitude turns into a
         norm over the blow-up threshold."""
-        horizon = self.STEPS / 64
+        horizon = steps / 64
         out = []
         for p in range(4):
-            raw = sample_brownian(2, horizon, self.STEPS, seed=60 + p).values
+            raw = sample_brownian(2, horizon, steps, seed=60 + p).values
             values = raw * (0.1 / np.max(np.abs(raw), axis=1, keepdims=True))
             if p == 1:
                 values[1, self.CROSSING:] += 1.2
             if p == 2:
                 values[0, self.JUMP:] += 0.85
             out.append(BrownianBundle(times=np.linspace(0.0, horizon,
-                                                        self.STEPS + 1),
+                                                        steps + 1),
                                       values=values, seed=60 + p))
         return out
 
@@ -719,6 +722,48 @@ class TestBatchEquivalence:
                 else:
                     self._assert_same_path(out, singles[p])
 
+    @pytest.mark.parametrize("name", ["tsee_euler", "msee_lie_memory"])
+    def test_stride_records_every_third_level(self, grid8, name):
+        # 16 steps at stride 3 keep levels 0, 3, ..., 15 of the stride-1
+        # record bitwise; path 2 blows up at step 5, between two saved levels
+        spec, cfg, kernel = self._case(grid8, name)
+        bundles = self._bundles(steps=16)
+        record = dict(record_fields=True,
+                      record_transformed=(name == "tsee_euler"))
+        every = run_paths(spec, cfg, kernel, bundles, **record)
+        strided = run_paths(spec, replace(cfg, save_stride=3), kernel,
+                            bundles, **record)
+        assert isinstance(every[2], BlowUpError)
+        assert isinstance(strided[2], BlowUpError)
+        for p in (0, 1, 3):
+            full, part = every[p], strided[p]
+            for key in ("times", "l2", "lambda_l2", "energy_residual"):
+                assert self._same_bits(getattr(full.report, key),
+                                       getattr(part.report, key)), key
+            for key in ("trajectory", "transformed"):
+                whole, kept = getattr(full, key), getattr(part, key)
+                assert (whole is None) == (kept is None), key
+                if whole is None:
+                    continue
+                assert len(whole) == 17 and len(kept) == 6
+                assert self._same_bits(kept.times, whole.times[::3]), key
+                assert self._same_bits(kept.data, whole.data[::3]), key
+
+    def test_records_are_rows_of_one_array(self, grid8):
+        spec, cfg, kernel = self._case(grid8, "tsee_euler")
+        batch = run_paths(spec, cfg, kernel, self._bundles(),
+                          record_fields=True, record_transformed=True)
+        kept = [p for p, out in enumerate(batch)
+                if not isinstance(out, BlowUpError)]
+        assert kept == [0, 1, 3]
+        for key in ("trajectory", "transformed"):
+            rows = [getattr(batch[p], key).data for p in kept]
+            base = rows[0].base
+            assert base.shape == (4, self.STEPS + 1) + rows[0].shape[1:]
+            for p, row in zip(kept, rows):
+                assert row.base is base
+                assert row.ctypes.data == base[p].ctypes.data
+
 
 class TestMemoryCoupling:
     def _setup(self, grid4):
@@ -768,8 +813,6 @@ class TestMemoryCoupling:
         # same memory law integrated through the transformed equation: both
         # converge to the same continuum object; the gap is scheme-level and
         # shrinks when the shared path is refined
-        from dataclasses import replace
-
         spec, bundle, kernel, cfg = self._setup(grid4)
         gaps = []
         for _ in range(2):
@@ -781,6 +824,37 @@ class TestMemoryCoupling:
             cfg = replace(cfg, dt=cfg.dt / 2)
         assert gaps[1] < gaps[0]
         assert gaps[0] < 5.0 * np.sqrt(2 * gaps[1] ** 2)  # roughly sqrt(dt) decay
+
+    def test_save_stride_is_ignored(self, grid4):
+        # the driver keeps every step, so it integrates at stride 1
+        spec, bundle, kernel, cfg = self._setup(grid4)
+        a, diag_a = solve_with_memory(spec, cfg, kernel, bundle)
+        b, diag_b = solve_with_memory(spec, replace(cfg, save_stride=3),
+                                      kernel, bundle)
+        assert a.data.tobytes() == b.data.tobytes()
+        assert diag_a["windows"] == diag_b["windows"]
+
+    def test_iterates_hold_their_window_only(self, grid4, monkeypatch):
+        # every iterate handed to the step, and every one it returns, holds
+        # the window's count + 1 states
+        seen = []
+        solve = mks.memory.picard_solve
+
+        def recording(window, guess, step, *args, **kwargs):
+            def counted(v):
+                w = step(v)
+                seen.append((window, v.data.shape[0], w.data.shape[0],
+                             len(v), len(w)))
+                return w
+            return solve(window, guess, counted, *args, **kwargs)
+
+        monkeypatch.setattr(mks.memory, "picard_solve", recording)
+        spec, bundle, kernel, cfg = self._setup(grid4)
+        _, diag = solve_with_memory(spec, cfg, kernel, bundle)
+        assert len(seen) == sum(w["iterations"] for w in diag["windows"])
+        for window, *sizes in seen:
+            count = bundle.index_of(window[1]) - bundle.index_of(window[0])
+            assert sizes == [count + 1] * 4
 
     def test_iterates_append_only_their_window(self, grid4, monkeypatch):
         # the states before a window are folded once into a prefix; each
