@@ -270,7 +270,6 @@ class TestGalerkinConvergence:
         assert out["decreasing"]
         assert gaps[0] > gaps[-1] > 0.0
 
-
     def test_sup_covers_every_step(self, grid8):
         spec = make_noise_spec(grid8, [], [], zero_source(grid8),
                                random_field(grid8, seed=3))
