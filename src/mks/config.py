@@ -379,7 +379,8 @@ def validate_config(cfg: ExperimentConfig) -> list:
 
 @dataclass
 class RuntimeModel:
-    """Instantiated model: everything run_path needs."""
+    """Instantiated model: everything ``run_paths`` needs to integrate the
+    experiment's paths."""
 
     grid: GridSpec
     spec: NoiseSpec

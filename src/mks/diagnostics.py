@@ -4,7 +4,9 @@ Every estimate with an existential constant is reported as the empirical
 ratio left/right with the constant set to 1; sweeps assert boundedness and
 trend, never a specific constant.  Monte-Carlo confidence intervals use
 half-width 1.96 * sample std / sqrt(samples); slopes come from least squares
-on log-log points.
+on log-log points.  The convergence studies run on the shared Brownian
+paths of ``bundle_ladder``, one ``run_paths`` call per batch and step size
+(or cutoff level); a path that blows up raises its BlowUpError.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .grid import inner_product, l2_norm, lp_norm, to_spectral
 from .multipliers import CutoffLevel
 from .noise import BrownianBundle, NoiseSpec, sample_brownian, refine_bundle
 from .operators import maxwell_apply
-from .stepping import SchemeConfig, Trajectory, run_path, trajectory_sup_distance
+from .stepping import (SchemeConfig, Trajectory, path_batches, raise_blowups,
+                       run_paths, trajectory_sup_distance)
 
 
 @dataclass
@@ -110,18 +113,17 @@ def energy_identity_residual(states, drifts, noises, bundle: BrownianBundle,
     return out
 
 
-def apriori_bound_report(reports, spec: NoiseSpec, horizon: float,
-                         constant: float = 1.0, min_paths: int = 30) -> dict:
+def apriori_bound_report(reports, spec: NoiseSpec, horizon: float) -> dict:
     """Left/right sides of the uniform energy estimate, with CI.
 
     left  = E sup_t ||y||^2 + E int ||y||_{q+2}^{q+2} dt
-    right = constant * (||J~||^2 + sum ||b~_j||^2 + ||u0||^2)
+    right = ||J~||^2 + sum ||b~_j||^2 + ||u0||^2
 
     The right side is deterministic: the gauge phase is unimodular, so the
     transformed current and amplitudes have path-independent norms.
     """
-    if len(reports) < min_paths:
-        raise UsageError(f"need at least {min_paths} paths, got {len(reports)}")
+    if len(reports) < 30:
+        raise UsageError(f"need at least 30 paths, got {len(reports)}")
     sup_part = MonteCarloSummary.from_values([p.sup_l2_squared for p in reports])
     int_part = MonteCarloSummary.from_values(
         [p.integral_power_norm for p in reports])
@@ -129,11 +131,11 @@ def apriori_bound_report(reports, spec: NoiseSpec, horizon: float,
     left_half = sup_part.ci_half_width + int_part.ci_half_width
 
     times = reports[0].times
-    current_sq = _source_l2_time_integral(spec, times, with_noise_coupling=True)
+    current_sq = _source_l2_time_integral(spec, times)
     amp_sq = sum(_time_integral(s.l2_series_squared(times), times)
                  for s in spec.b_sources)
     u0_sq = l2_norm(spec.u0) ** 2
-    right = constant * (current_sq + amp_sq + u0_sq)
+    right = current_sq + amp_sq + u0_sq
     return {
         "left": left,
         "left_ci_half_width": left_half,
@@ -149,34 +151,32 @@ def _time_integral(series, times) -> float:
     return float(np.trapezoid(series, times))
 
 
-def _source_l2_time_integral(spec: NoiseSpec, times, with_noise_coupling) -> float:
+def _source_l2_time_integral(spec: NoiseSpec, times) -> float:
     """int_0^T || sum_j (-i b_j B_j) + J ||_2^2 dt (modulus is gauge-free)."""
     vals = []
     for t in times:
         total = spec.current.at(t).astype(np.complex128)
-        if with_noise_coupling:
-            for b_field, source in zip(spec.B_fields, spec.b_sources):
-                total = total - 1j * b_field * source.at(t)
+        for b_field, source in zip(spec.B_fields, spec.b_sources):
+            total = total - 1j * b_field * source.at(t)
         vals.append(spec.grid.cell_volume * np.sum(np.abs(total) ** 2))
     return _time_integral(np.asarray(vals), times)
 
 
-def lambda_initial_bound(spec: NoiseSpec, report_q: float, lambda0: float,
-                         constant: float = 1.0) -> dict:
-    """||Lambda(0)|| against c (1 + ||m u0|| + ||u0||_{2(q+1)}^{q+1} + ||u0||)."""
+def lambda_initial_bound(spec: NoiseSpec, report_q: float,
+                         lambda0: float) -> dict:
+    """||Lambda(0)|| against 1 + ||m u0|| + ||u0||_{2(q+1)}^{q+1} + ||u0||."""
     m_u0 = maxwell_apply(to_spectral(spec.u0))  # its L2 norm by Parseval
-    bound = constant * (1.0 + l2_norm(m_u0)
-                        + lp_norm(spec.u0, 2.0 * (report_q + 1.0)) ** (report_q + 1.0)
-                        + l2_norm(spec.u0))
+    bound = (1.0 + l2_norm(m_u0)
+             + lp_norm(spec.u0, 2.0 * (report_q + 1.0)) ** (report_q + 1.0)
+             + l2_norm(spec.u0))
     return {"lambda0": lambda0, "bound": bound, "ratio": lambda0 / bound,
             "ok": lambda0 <= bound}
 
 
-def lambda_bound_report(reports, spec: NoiseSpec, constant: float = 1.0,
-                        min_paths: int = 30) -> dict:
+def lambda_bound_report(reports, spec: NoiseSpec) -> dict:
     """Monte-Carlo estimate of E sup_t ||Lambda||^2 and the t = 0 check."""
-    if len(reports) < min_paths:
-        raise UsageError(f"need at least {min_paths} paths, got {len(reports)}")
+    if len(reports) < 30:
+        raise UsageError(f"need at least 30 paths, got {len(reports)}")
     qs = {p.q for p in reports}
     if len(qs) != 1 or None in qs:
         raise UsageError("lambda bound needs kerr runs with one exponent")
@@ -185,8 +185,23 @@ def lambda_bound_report(reports, spec: NoiseSpec, constant: float = 1.0,
         raise UsageError(f"strong mode requires q in (1, 2], got {q}")
     sup_sq = MonteCarloSummary.from_values([p.sup_lambda_squared for p in reports])
     lambda0 = float(np.mean([p.lambda_l2[0] for p in reports]))
-    initial = lambda_initial_bound(spec, q, lambda0, constant)
+    initial = lambda_initial_bound(spec, q, lambda0)
     return {"sup_lambda_squared": sup_sq, "initial": initial}
+
+
+def bundle_ladder(spec: NoiseSpec, seeds, horizon: float, steps: int,
+                  rungs: int):
+    """Yield, per batch of ``path_batches`` over ``seeds`` (contiguous, in
+    order), ``rungs`` lists of bundles, one per seed: the first sampled with
+    ``steps`` steps on [0, horizon], each later one the bridge refinement of
+    the one before (coarse increments are sums of fine ones bitwise)."""
+    seeds = list(seeds)
+    for batch in path_batches(spec.grid.points_per_axis, len(seeds)):
+        ladder = [[sample_brownian(spec.count, horizon, steps, seeds[i])
+                   for i in batch]]
+        for _ in range(rungs - 1):
+            ladder.append([refine_bundle(b) for b in ladder[-1]])
+        yield ladder
 
 
 def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
@@ -194,12 +209,11 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
                              refine_factor: int = 4) -> dict:
     """Strong error at T against a bridge-refined fine reference.
 
-    All step sizes share Brownian paths: the coarsest bundle is refined
-    dyadically, so coarse increments are sums of fine ones bitwise.  The
-    reference runs at min(dts)/refine_factor.  Paths are recorded at save
-    stride 1, so the last record is y(T) whatever ``cfg`` says.
+    The step sizes and the reference, at min(dts)/refine_factor, are rungs
+    of one ``bundle_ladder``: one run_paths call per batch and step size,
+    one for the reference.  Paths record only t = 0 and T, whatever ``cfg``
+    says.
     """
-    cfg = replace(cfg, save_stride=1)
     dts = sorted(dts, reverse=True)
     for a, b in zip(dts, dts[1:]):
         if abs(a / b - 2.0) > 1e-12:
@@ -208,30 +222,21 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
         raise UsageError("need at least three step sizes")
     if refine_factor < 1 or refine_factor & (refine_factor - 1):
         raise UsageError("refine_factor must be a power of two")
+
+    def terminal_states(dt, bundles):
+        run = replace(cfg, dt=dt, save_stride=bundles[0].steps)
+        return [res.trajectory.data[-1] for res in raise_blowups(
+            run_paths(spec, run, kernel, bundles, record_fields=True))]
+
+    rungs = len(dts) + int(np.log2(refine_factor))
     errors = {dt: [] for dt in dts}
-    for seed in seeds:
-        bundles = {}
-        bundle = None
-        for dt in dts:
-            if bundle is None:
-                bundle = sample_brownian(spec.count, horizon,
-                                         int(round(horizon / dt)), seed)
-            else:
-                bundle = refine_bundle(bundle)
-            bundles[dt] = bundle
-        fine = bundle
-        for _ in range(int(np.log2(refine_factor))):
-            fine = refine_bundle(fine)
-        ref_cfg = _with_dt(cfg, dts[-1] / refine_factor)
-        ref = run_path(spec, ref_cfg, kernel, fine, record_fields=True,
-                       path_index=seed)
-        y_ref = ref.trajectory.data[-1]
-        for dt in dts:
-            res = run_path(spec, _with_dt(cfg, dt), kernel, bundles[dt],
-                           record_fields=True, path_index=seed)
-            diff = res.trajectory.data[-1] - y_ref
-            errors[dt].append(np.sqrt(spec.grid.cell_volume) *
-                              np.linalg.norm(diff))
+    for ladder in bundle_ladder(spec, seeds, horizon,
+                                int(round(horizon / dts[0])), rungs):
+        y_ref = terminal_states(dts[-1] / refine_factor, ladder[-1])
+        for dt, bundles in zip(dts, ladder):
+            errors[dt] += [np.sqrt(spec.grid.cell_volume)
+                           * np.linalg.norm(y - r) for y, r in
+                           zip(terminal_states(dt, bundles), y_ref)]
     table = [(dt, float(np.mean(errors[dt]))) for dt in dts]
     mean_errors = [row[1] for row in table]
     if max(mean_errors) == 0.0:
@@ -240,36 +245,31 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
     return {"table": table, "slope": slope, "exact": False}
 
 
-def _with_dt(cfg: SchemeConfig, dt: float) -> SchemeConfig:
-    return replace(cfg, dt=dt)
-
-
 def galerkin_convergence(spec: NoiseSpec, cfg: SchemeConfig, kernel,
                          levels, seeds, horizon: float = 0.25) -> dict:
-    """E sup_t ||y_{n+1} - y_n||_2 on shared paths for increasing cutoffs;
-    the sup runs over every step (save stride 1 whatever ``cfg`` says)."""
+    """E sup_t ||y_{n+1} - y_n||_2 on shared paths for increasing cutoffs,
+    one run_paths call per batch and level; the sup runs over every step
+    (save stride 1 whatever ``cfg`` says)."""
     cfg = replace(cfg, save_stride=1)
     levels = sorted(levels)
     steps = max(1, int(round(horizon / cfg.dt)))
-    rows = []
-    for lo, hi in zip(levels, levels[1:]):
-        gaps = []
-        for seed in seeds:
-            bundle = sample_brownian(spec.count, steps * cfg.dt, steps, seed)
-            res_lo = run_path(spec, _with_level(cfg, lo), kernel, bundle,
-                              record_fields=True)
-            res_hi = run_path(spec, _with_level(cfg, hi), kernel, bundle,
-                              record_fields=True)
-            gaps.append(trajectory_sup_distance(res_lo.trajectory,
-                                                res_hi.trajectory))
-        rows.append({"levels": (lo, hi), "mean_gap": float(np.mean(gaps))})
+    gaps = [[] for _ in levels[1:]]
+    for (bundles,) in bundle_ladder(spec, seeds, steps * cfg.dt, steps, 1):
+        previous = None
+        for i, n in enumerate(levels):
+            runs = raise_blowups(run_paths(
+                spec, replace(cfg, cutoff_level=CutoffLevel(n)), kernel,
+                bundles, record_fields=True))
+            if previous is not None:
+                gaps[i - 1] += [trajectory_sup_distance(lo.trajectory,
+                                                        hi.trajectory)
+                                for lo, hi in zip(previous, runs)]
+            previous = runs
+    rows = [{"levels": pair, "mean_gap": float(np.mean(pair_gaps))}
+            for pair, pair_gaps in zip(zip(levels, levels[1:]), gaps)]
     return {"rows": rows,
             "decreasing": all(a["mean_gap"] >= b["mean_gap"] - 1e-14
                               for a, b in zip(rows, rows[1:]))}
-
-
-def _with_level(cfg: SchemeConfig, n: int) -> SchemeConfig:
-    return replace(cfg, cutoff_level=CutoffLevel(n))
 
 
 def monotone_limit_check(u: Trajectory, v: Trajectory, growth_rate: float) -> float:

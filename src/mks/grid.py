@@ -58,10 +58,6 @@ class GridSpec:
         return hash((self.points_per_axis, self.box_length))
 
     @property
-    def n(self):
-        return self.points_per_axis
-
-    @property
     def cell_volume(self):
         return (self.box_length / self.points_per_axis) ** 3
 

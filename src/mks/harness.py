@@ -9,11 +9,12 @@ Outputs per experiment directory:
                      (only when save_fields is on)
 
 Paths are integrated in batches of contiguous path indices, stepped
-together (``stepping.run_paths``); the batches depend on the grid size and
-the path count only.  Workers are independent processes, each running whole
-batches; every path is a pure function of (config, path index) whatever its
-batch, and reports are folded in path order, so reruns are bitwise
-identical for any worker count.  File writes go through a temp-file rename.
+together (``stepping.run_paths``); the batches (``stepping.path_batches``)
+depend on the grid size and the path count only.  Workers are independent
+processes, each running whole batches; every path is a pure function of
+(config, path index) whatever its batch, and reports are folded in path
+order, so reruns are bitwise identical for any worker count.  File writes
+go through a temp-file rename.
 """
 
 from __future__ import annotations
@@ -50,19 +51,10 @@ from .operators import (HELMHOLTZ, HODGE_LAPLACIAN, MAXWELL, SHARP_CUTOFF,
                         SMOOTH_CUTOFF, curl, dense_group_matrix,
                         dense_operator, div, grad, helmholtz_project,
                         hodge_laplacian_apply, maxwell_apply, maxwell_group)
-from .stepping import (EULER_MARUYAMA, MSEE, TSEE, SchemeConfig, run_paths,
-                       solve_with_memory)
+from .stepping import (EULER_MARUYAMA, MSEE, TSEE, SchemeConfig, path_batches,
+                       run_paths, solve_with_memory)
 
 WORKERS_ENV = "MKS_WORKERS"
-
-# Cap on P * 6 n^3, the values of one stacked field of a batch of P paths on
-# an n^3 grid: 8 paths at 8^3, one from 16^3 up.  At 8^3 path-steps per
-# second level off from about P = 4 and P = 8 beats P = 16 (2 shared cores,
-# single-threaded FFTs); two paths at 16^3 would gain about 1.3x, but the
-# cap that allows them puts 16 paths in an 8^3 batch, and criterion 5,
-# which holds a batch's tsee and msee records at once, then peaks at about
-# 340 MB against 226 MB (ru_maxrss).
-BATCH_VALUES = 6 * 8**3 * 8
 
 
 def default_workers() -> int:
@@ -82,14 +74,6 @@ def default_workers() -> int:
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
-
-
-def path_batches(points: int, paths: int) -> list:
-    """Contiguous path-index ranges of at most max(1, BATCH_VALUES // 6n^3)
-    paths each: a function of the grid size and path count only."""
-    size = max(1, BATCH_VALUES // (6 * points**3))
-    return [range(start, min(start + size, paths))
-            for start in range(0, paths, size)]
 
 
 def _run_batch(model: RuntimeModel, cfg: ExperimentConfig, batch: range):

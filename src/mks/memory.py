@@ -187,23 +187,23 @@ def convolution_derivative(h: History, kernel: KernelSpec, t: float) -> Field6:
     return h.latest.with_data(out)
 
 
-def contraction_step_length(g_l1: float, lipschitz_noise: float, horizon: float,
-                            burkholder: float = 2.0) -> float:
+def contraction_step_length(g_l1: float, lipschitz_noise: float,
+                            horizon: float) -> float:
     """Largest dyadic fraction T0 = T/2^m with kappa(T0) <= 1/2.
 
     kappa(T0) = (T0 g_l1^2 / 2) exp(2 (1 + 2 Ctil^2 + C^2) T0) with
-    C the noise Lipschitz constant and Ctil = burkholder * C the
-    Burkholder-side constant (so the noise contribution drops when C = 0).
-    Uses the squared ||G||_{L^1} form.
+    C the noise Lipschitz constant and Ctil = 2 C the Burkholder-side
+    constant (so the noise contribution drops when C = 0).  Uses the
+    squared ||G||_{L^1} form.
     """
-    if g_l1 < 0 or lipschitz_noise < 0 or burkholder < 0:
+    if g_l1 < 0 or lipschitz_noise < 0:
         raise ConfigurationError("contraction constants must be nonnegative")
     if not horizon > 0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
     if g_l1 == 0.0:
         return horizon
     c = lipschitz_noise
-    ctil = burkholder * lipschitz_noise
+    ctil = 2.0 * lipschitz_noise
     rate = 2.0 * (1.0 + 2.0 * ctil**2 + c**2)
 
     def kappa(t0):

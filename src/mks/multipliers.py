@@ -143,12 +143,9 @@ def radial_sharp_mask(grid: GridSpec, level: CutoffLevel) -> np.ndarray:
     return _cached_masks(grid.points_per_axis, grid.box_length, level.n)[1]
 
 
-def smooth_mask(grid: GridSpec, level: CutoffLevel,
-                window: WindowFunction | None = None) -> np.ndarray:
+def smooth_mask(grid: GridSpec, level: CutoffLevel) -> np.ndarray:
     """Smooth multiplier values of m_n at 1 + |k|^2."""
-    if window is None:
-        return _cached_masks(grid.points_per_axis, grid.box_length, level.n)[2]
-    return _window_sum_up_to(window, level.n, 1.0 + grid.k_squared())
+    return _cached_masks(grid.points_per_axis, grid.box_length, level.n)[2]
 
 
 def sharp_cutoff(u: Field6, level: CutoffLevel) -> Field6:
@@ -163,13 +160,10 @@ def radial_sharp_cutoff(u: Field6, level: CutoffLevel) -> Field6:
     return u.with_data(u.data * _masks_of(u, level)[1])
 
 
-def smooth_cutoff(u: Field6, level: CutoffLevel,
-                  window: WindowFunction | None = None) -> Field6:
+def smooth_cutoff(u: Field6, level: CutoffLevel) -> Field6:
     """Smooth dyadic cutoff applied componentwise."""
     _require_representation(u, SPECTRAL, "smooth_cutoff")
-    if window is None:
-        return u.with_data(u.data * _masks_of(u, level)[2])
-    return u.with_data(u.data * smooth_mask(u.grid, level, window))
+    return u.with_data(u.data * _masks_of(u, level)[2])
 
 
 def cutoff_sandwich_check(levelP: CutoffLevel, grid: GridSpec) -> dict:

@@ -259,11 +259,11 @@ def spectral_gradient(grid: GridSpec, scalar: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(g.real)
 
 
-def band_limit_defect(grid: GridSpec, scalar: np.ndarray, fraction: float = 0.5) -> float:
-    """Relative spectral mass beyond fraction*Nyquist (per-axis cube)."""
+def band_limit_defect(grid: GridSpec, scalar: np.ndarray) -> float:
+    """Relative spectral mass beyond half-Nyquist (per-axis cube)."""
     hat = fft_array(scalar)
     kx, ky, kz = grid.k_components()
-    lim = fraction * grid.nyquist
+    lim = 0.5 * grid.nyquist
     outside = ~((np.abs(kx) <= lim) & (np.abs(ky) <= lim) & (np.abs(kz) <= lim))
     total = np.linalg.norm(hat)
     if total == 0:
@@ -292,8 +292,8 @@ class NoiseSpec:
         return len(self.B_fields)
 
 
-def make_noise_spec(grid: GridSpec, B_fields, b_sources, current, u0,
-                    band_limit_tol: float = 1e-10) -> NoiseSpec:
+def make_noise_spec(grid: GridSpec, B_fields, b_sources, current,
+                    u0) -> NoiseSpec:
     """Validate the coefficient fields and precompute grad B spectrally."""
     B_fields = tuple(np.asarray(b, dtype=float) for b in B_fields)
     b_sources = tuple(b_sources)
@@ -306,7 +306,7 @@ def make_noise_spec(grid: GridSpec, B_fields, b_sources, current, u0,
         if b.shape != (n, n, n):
             raise ConfigurationError(f"B_{j + 1} has shape {b.shape}")
         defect = band_limit_defect(grid, b)
-        if defect > band_limit_tol:
+        if defect > 1e-10:
             raise ConfigurationError(
                 f"B_{j + 1} is not band-limited to half-Nyquist "
                 f"(relative leakage {defect:.2e}); spectral differentiation "

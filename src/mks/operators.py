@@ -221,12 +221,12 @@ def _cross_matrix(grid: GridSpec) -> np.ndarray:
     return np.block(blocks)
 
 
-def dense_operator(kind: str, grid: GridSpec, level: int | None = None,
-                   window=None) -> DenseOperator:
+def dense_operator(kind: str, grid: GridSpec,
+                   level: int | None = None) -> DenseOperator:
     """Explicit matrix oracle for the fast spectral operators.
 
-    ``level`` is required for the cutoffs; ``window`` optionally overrides the
-    standard smooth window.  Guarded to at most 6*8^3 unknowns.
+    ``level`` is required for the cutoffs.  Guarded to at most 6*8^3
+    unknowns.
     """
     if kind not in _DENSE_KINDS:
         raise ConfigurationError(f"unknown dense operator kind {kind!r}")
@@ -269,7 +269,7 @@ def dense_operator(kind: str, grid: GridSpec, level: int | None = None,
         if kind == SHARP_CUTOFF:
             mult = sharp_mask(grid, lev).astype(float).ravel()
         else:
-            mult = smooth_mask(grid, lev, window).ravel()
+            mult = smooth_mask(grid, lev).ravel()
         spec = np.diag(np.tile(mult, 6))
         w6 = np.kron(np.eye(6), w)
         matrix = w6.conj().T @ spec @ w6

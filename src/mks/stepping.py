@@ -45,7 +45,8 @@ state take each path's own: the zero-beta skip of the cross drift, the
 Newton stop of the Kerr resolvent (solved path by path), beta truncation
 (each path freezes its own bundle) and blow-up (the path leaves the batch,
 the rest go on).  So a path's results are bitwise the same in any batch,
-and ``run_path`` is the same code with a batch of one.
+and ``run_path`` is the same code with a batch of one.  Runs and studies
+cut their paths into ``path_batches``, capped by ``BATCH_VALUES``.
 
 The state is the vector of Galerkin coefficients: ``PathState.y`` holds y^
 on the modes |k_i| <= 2^n only (``galerkin.GalerkinSpace``; when the cube
@@ -174,11 +175,10 @@ class PathState:
 class Trajectory:
     grid: GridSpec
     times: np.ndarray
-    data: np.ndarray  # (len(times), 6, n, n, n)
-    representation: str = PHYSICAL
+    data: np.ndarray  # (len(times), 6, n, n, n), physical
 
     def state(self, idx: int) -> Field6:
-        return Field6(self.grid, self.representation, self.data[idx].copy())
+        return Field6(self.grid, PHYSICAL, self.data[idx].copy())
 
     def __len__(self):
         return len(self.times)
@@ -580,6 +580,23 @@ class _EnergyLedger:
             setattr(self, name, [values[r] for r in rows])
 
 
+# Cap on P * 6 n^3, the values of one stacked field of a batch of P paths on
+# an n^3 grid: 8 paths at 8^3, one from 16^3 up.  At 8^3 path-steps per
+# second level off from about P = 4 and P = 8 beats P = 16 (2 shared cores,
+# single-threaded FFTs); two paths at 16^3 would gain about 1.3x, but the
+# cap that allows them puts 16 paths in an 8^3 batch, where criterion 5
+# peaks at 270 MB against 171 MB (ru_maxrss).
+BATCH_VALUES = 6 * 8**3 * 8
+
+
+def path_batches(points: int, paths: int) -> list:
+    """Contiguous path-index ranges of at most max(1, BATCH_VALUES // 6n^3)
+    paths each: a function of the grid size and path count only."""
+    size = max(1, BATCH_VALUES // (6 * points**3))
+    return [range(start, min(start + size, paths))
+            for start in range(0, paths, size)]
+
+
 def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
              bundle: BrownianBundle, *, path_index: int = 0,
              record_fields: bool = False, record_transformed: bool = False,
@@ -587,14 +604,21 @@ def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
              start_index: int = 0, n_steps: int | None = None) -> PathResult:
     """Integrate one path: ``run_paths`` with a batch of one, raising the
     BlowUpError of a path that blew up."""
-    (result,) = run_paths(spec, cfg, kernel, [bundle], path_indices=[path_index],
-                          record_fields=record_fields,
-                          record_transformed=record_transformed,
-                          extra_source=extra_source, initial=initial,
-                          start_index=start_index, n_steps=n_steps)
-    if isinstance(result, BlowUpError):
-        raise result
+    (result,) = raise_blowups(run_paths(
+        spec, cfg, kernel, [bundle], path_indices=[path_index],
+        record_fields=record_fields, record_transformed=record_transformed,
+        extra_source=extra_source, initial=initial, start_index=start_index,
+        n_steps=n_steps))
     return result
+
+
+def raise_blowups(results: list) -> list:
+    """The results of ``run_paths``; raises the BlowUpError of the first
+    path that blew up."""
+    for result in results:
+        if isinstance(result, BlowUpError):
+            raise result
+    return results
 
 
 def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
@@ -776,7 +800,6 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
 
 def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
                       kernel: KernelSpec, bundle: BrownianBundle, *,
-                      lipschitz_noise: float | None = None,
                       tol: float = 1e-10, max_iter: int = 60,
                       window_length: float | None = None):
     """Windowed fixed-point solve of the memory-coupled equation.
@@ -798,9 +821,8 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     cfg = replace(cfg, save_stride=1)
     horizon = bundle.horizon
     k_total = bundle.steps
-    if lipschitz_noise is None:
-        lipschitz_noise = max((float(np.max(np.abs(b))) for b in spec.B_fields),
-                              default=0.0)
+    lipschitz_noise = max((float(np.max(np.abs(b))) for b in spec.B_fields),
+                          default=0.0)
     g_l1 = kernel.l1_norm(horizon)
     t0 = contraction_step_length(g_l1, lipschitz_noise, horizon)
     if window_length is not None:

@@ -5,19 +5,18 @@ deterministic and reproducible.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from mks.config import _field_profile, _scalar_profile, parse_config, parse_profile
-from mks.diagnostics import RunReport, fit_loglog_slope
+from mks.config import parse_config
+from mks.diagnostics import bundle_ladder, fit_loglog_slope
 from mks.grid import Field6, l2_norm, make_grid
-import mks.harness
 from mks.harness import (
     dense_battery,
     kerr_battery,
     memory_battery,
     operator_battery,
-    path_batches,
     run_experiment,
 )
 from mks.kerr import KerrExponent
@@ -26,16 +25,17 @@ from mks.noise import (
     SeparableSource,
     TimeProfile,
     make_noise_spec,
-    refine_bundle,
     sample_brownian,
     zero_source,
 )
+import mks.stepping
 from mks.stepping import (
     EULER_MARUYAMA,
     LIE_SPLITTING,
     MSEE,
     TSEE,
     SchemeConfig,
+    raise_blowups,
     run_path,
     run_paths,
     trajectory_sup_distance,
@@ -112,15 +112,13 @@ def test_criterion_4_ito_energy_identity():
     dts = [1 / 64, 1 / 128, 1 / 256, 1 / 512]
     n_paths = 32
     residuals = {dt: [] for dt in dts}
-    for p in range(n_paths):
-        bundle = sample_brownian(2, horizon, 64, seed=100 + p)
-        for dt in dts:
+    for ladder in bundle_ladder(spec, range(100, 100 + n_paths), horizon, 64,
+                                len(dts)):
+        for dt, bundles in zip(dts, ladder):
             cfg = SchemeConfig(scheme=EULER_MARUYAMA, dt=dt,
                                cutoff_level=CutoffLevel(2), equation=TSEE)
-            res = run_path(spec, cfg, None, bundle)
-            residuals[dt].append(abs(res.report.energy_residual[-1]))
-            if dt != dts[-1]:
-                bundle = refine_bundle(bundle)
+            runs = raise_blowups(run_paths(spec, cfg, None, bundles))
+            residuals[dt] += [abs(r.report.energy_residual[-1]) for r in runs]
     means = [float(np.mean(residuals[dt])) for dt in dts]
     slope = fit_loglog_slope(dts, means)
 
@@ -141,8 +139,8 @@ def test_criterion_4_ito_energy_identity():
 
 def test_criterion_5_gauge_duality():
     """TSEE-solve-then-untransform vs direct MSEE on shared paths: the sup-t
-    L2 gap decays in dt with slope >= 0.4 (E over 64 paths, run in the
-    harness's path batches)."""
+    L2 gap decays in dt with slope >= 0.4 (E over 64 paths, run on one
+    bundle ladder in path batches)."""
     t0 = time.monotonic()
     g = make_grid(8, 2.0 * np.pi)
     n = 8
@@ -161,22 +159,19 @@ def test_criterion_5_gauge_duality():
     kerr = KerrExponent(2.0, strong_mode=True)
     n_paths = 64
     gaps = {dt: [] for dt in dts}
-    for batch in path_batches(n, n_paths):
-        bundles = [sample_brownian(1, horizon, 16, seed=1000 + p)
-                   for p in batch]
-        for dt in dts:
+    for ladder in bundle_ladder(spec, range(1000, 1000 + n_paths), horizon,
+                                16, len(dts)):
+        for dt, bundles in zip(dts, ladder):
             cfg_t = SchemeConfig(scheme=EULER_MARUYAMA, dt=dt,
                                  cutoff_level=CutoffLevel(2), equation=TSEE,
                                  kerr=kerr)
-            cfg_m = SchemeConfig(scheme=EULER_MARUYAMA, dt=dt,
-                                 cutoff_level=CutoffLevel(2), equation=MSEE,
-                                 kerr=kerr)
-            rt = run_paths(spec, cfg_t, None, bundles, record_transformed=True)
-            rm = run_paths(spec, cfg_m, None, bundles, record_fields=True)
+            rt = raise_blowups(run_paths(spec, cfg_t, None, bundles,
+                                         record_transformed=True))
+            rm = raise_blowups(run_paths(spec, replace(cfg_t, equation=MSEE),
+                                         None, bundles, record_fields=True))
             gaps[dt] += [trajectory_sup_distance(t.transformed, m.trajectory)
                          for t, m in zip(rt, rm)]
-            if dt != dts[-1]:
-                bundles = [refine_bundle(b) for b in bundles]
+            del rt, rm  # the next dt's runs start without these records
     means = [float(np.mean(gaps[dt])) for dt in dts]
     slope = fit_loglog_slope(dts, means)
     elapsed = time.monotonic() - t0
@@ -185,36 +180,43 @@ def test_criterion_5_gauge_duality():
             f"runtime {elapsed:.0f}s")
 
 
-def _uniformity_run(level, points):
-    """One cutoff level on its matching grid (L = pi), 30 paths."""
-    g = make_grid(points, np.pi)
-    B = _scalar_profile(g, parse_profile("plane-wave(amplitude=0.2, mode=1 0 0)"))
-    b = SeparableSource(shape=_field_profile(
-        g, parse_profile("constant(value=0.05)")))
-    J = SeparableSource(shape=_field_profile(
-        g, parse_profile("constant(value=0.05, component=1)")))
-    u0 = _field_profile(g, parse_profile(
-        "plane-wave(amplitude=0.4, mode=1 0 0, component=0)"))
-    spec = make_noise_spec(g, [B], [b], J, u0)
-    cfg = SchemeConfig(scheme=EULER_MARUYAMA, dt=1 / 64,
-                       cutoff_level=CutoffLevel(level), equation=TSEE,
-                       kerr=KerrExponent(2.0, strong_mode=True))
-    report = RunReport.from_paths([
-        result.report for batch in path_batches(points, 30)
-        for result in run_paths(
-            spec, cfg, None, [sample_brownian(1, 0.25, 16, seed=300 + p)
-                              for p in batch], path_indices=list(batch))])
-    return (report.sup_l2_squared.mean + report.integral_power.mean,
-            report.sup_lambda_squared.mean)
+UNIFORMITY_RUN = """
+[grid]
+points = {points}
+length = 3.141592653589793
+[model]
+q = 2.0
+mode = strong
+[noise]
+count = 1
+B_1 = plane-wave(amplitude=0.2, mode=1 0 0)
+b_1 = constant(value=0.05)
+J = constant(value=0.05, component=1)
+u0 = plane-wave(amplitude=0.4, mode=1 0 0, component=0)
+[scheme]
+dt = 0.015625
+cutoff = {level}
+horizon = 0.25
+[monte_carlo]
+paths = 30
+base_seed = 300
+"""
 
 
-def test_criterion_6_apriori_uniformity():
-    """Cutoff sweep n in {3,4,5} on matching 8^3-32^3 grids: the energy and
-    Lambda statistics stay within a factor 2 across levels."""
+def test_criterion_6_apriori_uniformity(tmp_path):
+    """Cutoff sweep n in {3,4,5} on matching 8^3-32^3 grids (L = pi, 30
+    paths): the energy and Lambda statistics stay within a factor 2 across
+    levels."""
     energies = {}
     lambdas = {}
     for level, points in ((3, 8), (4, 16), (5, 32)):
-        energies[level], lambdas[level] = _uniformity_run(level, points)
+        report, status = run_experiment(
+            parse_config(UNIFORMITY_RUN.format(points=points, level=level)),
+            workers=1, out_dir=tmp_path / f"level{level}")
+        assert status == 0, report.events
+        energies[level] = (report.sup_l2_squared.mean
+                           + report.integral_power.mean)
+        lambdas[level] = report.sup_lambda_squared.mean
     e_vals = list(energies.values())
     l_vals = list(lambdas.values())
     e_ratio = max(e_vals) / min(e_vals)
@@ -269,9 +271,9 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
     cfg = parse_config(ACCEPTANCE_RUN)
     outputs = {}
     for per_batch in (1, 3, cfg.paths):
-        monkeypatch.setattr(mks.harness, "BATCH_VALUES",
+        monkeypatch.setattr(mks.stepping, "BATCH_VALUES",
                             per_batch * 6 * cfg.grid_points**3)
-        assert len(path_batches(cfg.grid_points, cfg.paths)) == \
+        assert len(mks.stepping.path_batches(cfg.grid_points, cfg.paths)) == \
             -(-cfg.paths // per_batch)
         for workers in (1, 3):
             out = tmp_path / f"b{per_batch}w{workers}"

@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mks.diagnostics
 from mks.diagnostics import (
     MonteCarloSummary,
     RunReport,
     apriori_bound_report,
+    bundle_ladder,
     energy_identity_residual,
     fit_loglog_slope,
     galerkin_convergence,
@@ -14,16 +16,18 @@ from mks.diagnostics import (
     monotone_limit_check,
     strong_convergence_order,
 )
-from mks.errors import UsageError
+from mks.errors import BlowUpError, UsageError
 from mks.grid import Field6, l2_norm, random_field, to_spectral, zero_field
 from mks.kerr import KerrExponent
 from mks.multipliers import CutoffLevel
-from mks.noise import SeparableSource, make_noise_spec, sample_brownian, zero_source
+from mks.noise import (SeparableSource, make_noise_spec, restrict_bundle,
+                       sample_brownian, zero_source)
 from mks.stepping import (
     EULER_MARUYAMA,
     TSEE,
     SchemeConfig,
     Trajectory,
+    path_batches,
     run_path,
 )
 
@@ -194,6 +198,52 @@ class TestLambdaBound:
         assert out["sup_lambda_squared"].mean >= 0.0
 
 
+def additive_spec(grid, channels=1):
+    """Constant additive noise on a banded initial field."""
+    n = grid.points_per_axis
+    b = SeparableSource(shape=constant_amplitude(grid, 0.1))
+    return make_noise_spec(grid, [np.zeros((n, n, n))] * channels,
+                           [b] * channels, zero_source(grid),
+                           banded_field(grid, seed=6, level=1))
+
+
+@pytest.fixture
+def run_paths_calls(monkeypatch):
+    """(dt, cutoff level, bundle count) of every run_paths call the
+    studies make."""
+    calls = []
+    original = mks.diagnostics.run_paths
+
+    def counted(spec, cfg, kernel, bundles, **kwargs):
+        calls.append((cfg.dt, cfg.cutoff_level.n, len(bundles)))
+        return original(spec, cfg, kernel, bundles, **kwargs)
+
+    monkeypatch.setattr(mks.diagnostics, "run_paths", counted)
+    return calls
+
+
+class TestBundleLadder:
+    def test_batches_are_the_path_batches_in_seed_order(self, grid8):
+        seeds = list(range(20, 31))
+        ladders = list(bundle_ladder(additive_spec(grid8, 2), seeds, 0.5, 4,
+                                     3))
+        assert [len(ladder[0]) for ladder in ladders] == \
+            [len(b) for b in path_batches(8, len(seeds))] == [8, 3]
+        for rung in range(3):
+            assert [b.seed for ladder in ladders
+                    for b in ladder[rung]] == seeds
+        assert [b.steps for b in ladders[0][2]] == [16] * 8
+        assert all(b.count == 2 for b in ladders[1][0])
+
+    def test_each_rung_restricts_to_the_one_before(self, grid4):
+        (ladder,) = bundle_ladder(additive_spec(grid4), [5, 6, 7], 1.0, 8, 4)
+        for coarse, fine in zip(ladder, ladder[1:]):
+            for a, b in zip(coarse, fine):
+                restricted = restrict_bundle(b, 2)
+                assert restricted.values.tobytes() == a.values.tobytes()
+                assert restricted.times.tobytes() == a.times.tobytes()
+
+
 class TestStrongConvergence:
     def test_zero_inputs_exact(self, grid4):
         spec = make_noise_spec(grid4, [], [], zero_source(grid4),
@@ -233,6 +283,22 @@ class TestStrongConvergence:
             spec, replace(cfg, save_stride=3), None, **kw)
         assert strided == every
 
+    def test_one_run_paths_call_per_step_size(self, grid4, run_paths_calls):
+        # one batch of four seeds: three step sizes and the reference at
+        # 1/64 / 4; the rung at 1/128 is only refined through, never run
+        strong_convergence_order(additive_spec(grid4), em_cfg(1.0, level=1),
+                                 None, seeds=[1, 2, 3, 4],
+                                 dts=[1 / 16, 1 / 32, 1 / 64], horizon=1.0,
+                                 refine_factor=4)
+        assert run_paths_calls == [(1 / 256, 1, 4), (1 / 16, 1, 4),
+                                   (1 / 32, 1, 4), (1 / 64, 1, 4)]
+
+    def test_blown_up_path_raises(self, grid4):
+        cfg = replace(em_cfg(1.0, level=1), blowup_threshold=1e-3)
+        with pytest.raises(BlowUpError):
+            strong_convergence_order(additive_spec(grid4), cfg, None,
+                                     seeds=[1, 2], dts=[1 / 4, 1 / 8, 1 / 16])
+
     def test_requires_three_dts(self, grid4):
         spec = make_noise_spec(grid4, [], [], zero_source(grid4),
                                zero_field(grid4))
@@ -269,6 +335,18 @@ class TestGalerkinConvergence:
         gaps = [r["mean_gap"] for r in out["rows"]]
         assert out["decreasing"]
         assert gaps[0] > gaps[-1] > 0.0
+
+    def test_one_run_paths_call_per_level(self, grid8, run_paths_calls):
+        galerkin_convergence(additive_spec(grid8), em_cfg(1 / 32, level=1),
+                             None, levels=[2, 1], seeds=[1, 2, 3],
+                             horizon=0.25)
+        assert run_paths_calls == [(1 / 32, 1, 3), (1 / 32, 2, 3)]
+
+    def test_blown_up_path_raises(self, grid8):
+        cfg = replace(em_cfg(1 / 32, level=1), blowup_threshold=1e-3)
+        with pytest.raises(BlowUpError):
+            galerkin_convergence(additive_spec(grid8), cfg, None,
+                                 levels=[1, 2], seeds=[1, 2], horizon=0.25)
 
     def test_sup_covers_every_step(self, grid8):
         spec = make_noise_spec(grid8, [], [], zero_source(grid8),

@@ -2,11 +2,13 @@ import csv
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 
 import mks.harness
 import mks.operators
+import mks.stepping
 from mks.cli import main
 from mks.config import parse_config
 from mks.errors import ConfigurationError, UsageError, WorkerLostError
@@ -143,7 +145,7 @@ class TestRunExperiment:
     def _dies_on_path_one(monkeypatch, paths_per_batch):
         """Batches of the given size on 8^3; the batch holding path 1 kills
         its worker."""
-        monkeypatch.setattr(mks.harness, "BATCH_VALUES",
+        monkeypatch.setattr(mks.stepping, "BATCH_VALUES",
                             paths_per_batch * 6 * 8**3)
         original = mks.harness.run_paths
 
@@ -337,6 +339,15 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "fitted slope" in out or "exact" in out
+
+    def test_convergence_verb_galerkin_mode(self, capsys):
+        config = Path(__file__).resolve().parents[1] / "configs" / \
+            "example_strong.cfg"
+        rc = main(["convergence", "--config", str(config), "--mode",
+                   "galerkin", "--levels", "1 2"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "levels 1->2: mean sup gap 3.422578e-01\ndecreasing: True\n")
 
     def test_invalid_config_is_reported(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
