@@ -38,7 +38,6 @@ from .memory import (
     History,
     KernelSpec,
     contraction_step_length,
-    convolution_derivative,
     convolve_history,
     exponential_kernel,
     picard_solve,

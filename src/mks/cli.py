@@ -37,8 +37,10 @@ def build_parser():
     conv_p.add_argument("--mode", choices=("dt", "galerkin"), default="dt")
     conv_p.add_argument("--dts", type=str, default="1/16 1/32 1/64",
                         help="space-separated dyadic step sizes (fractions ok)")
-    conv_p.add_argument("--levels", type=str, default="1 2 3",
-                        help="space-separated cutoff levels for galerkin mode")
+    conv_p.add_argument("--levels", type=str, default=None,
+                        help="space-separated cutoff levels for galerkin mode "
+                             "(default: 1 up to the finest level the grid "
+                             "resolves)")
 
     rep_p = sub.add_parser("report", help="re-aggregate series.csv into a summary")
     rep_p.add_argument("--out", type=Path, required=True,
@@ -140,7 +142,13 @@ def _dispatch(args) -> int:
             else:
                 print(f"fitted slope: {result['slope']:.3f}")
         else:
-            levels = [int(x) for x in args.levels.split()]
+            if args.levels is None:
+                # every level whose scale 2^n the grid's Nyquist wavenumber
+                # resolves (CutoffLevel caps n at 60)
+                levels = [n for n in range(1, 61)
+                          if 2.0 ** n <= model.spec.grid.nyquist]
+            else:
+                levels = [int(x) for x in args.levels.split()]
             result = galerkin_convergence(model.spec, model.scheme,
                                           model.kernel, levels, seeds,
                                           horizon=model.horizon)

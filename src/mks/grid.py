@@ -62,10 +62,6 @@ class GridSpec:
         return (self.box_length / self.points_per_axis) ** 3
 
     @property
-    def volume(self):
-        return self.box_length**3
-
-    @property
     def nyquist(self):
         """Largest resolved |k| = pi*n/L."""
         return np.pi * self.points_per_axis / self.box_length
@@ -154,19 +150,18 @@ class Field6:
         return Field6(self.grid, rep, data, self.space if rep == SPECTRAL else None)
 
 
-def zero_field(grid: GridSpec, representation: str = PHYSICAL) -> Field6:
+def zero_field(grid: GridSpec) -> Field6:
     n = grid.points_per_axis
-    return Field6(grid, representation, np.zeros((6, n, n, n), dtype=np.complex128))
+    return Field6(grid, PHYSICAL, np.zeros((6, n, n, n), dtype=np.complex128))
 
 
-def random_field(grid: GridSpec, seed, representation: str = PHYSICAL,
-                 scale: float = 1.0) -> Field6:
+def random_field(grid: GridSpec, seed, scale: float = 1.0) -> Field6:
     """Componentwise complex standard normal field (test/profile helper)."""
     rng = np.random.default_rng(seed)
     n = grid.points_per_axis
     shape = (6, n, n, n)
     data = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return Field6(grid, representation, data)
+    return Field6(grid, PHYSICAL, data)
 
 
 def _require_representation(f: Field6, representation: str, what: str):
@@ -261,15 +256,6 @@ def l2_norm(u: Field6):
     per path for a stack."""
     weight = np.sqrt(u.grid.cell_volume)
     return per_path(lambda a: float(weight * np.linalg.norm(a)), u.data)
-
-
-def hermitian_defect(f: Field6) -> float:
-    """Max |u_hat(k) - conj(u_hat(-k))| over modes of a spectral field (a
-    packed axis is in fftfreq order too, so the same reversal applies)."""
-    _require_representation(f, SPECTRAL, "hermitian_defect")
-    rev = f.data[:, ::-1, ::-1, ::-1]
-    rev = np.roll(rev, 1, axis=(1, 2, 3))
-    return float(np.max(np.abs(f.data - np.conj(rev))))
 
 
 # -- checkpoint format (shared repo-wide) -----------------------------------

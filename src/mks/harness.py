@@ -51,7 +51,7 @@ from .operators import (HELMHOLTZ, HODGE_LAPLACIAN, MAXWELL, SHARP_CUTOFF,
                         SMOOTH_CUTOFF, curl, dense_group_matrix,
                         dense_operator, div, grad, helmholtz_project,
                         hodge_laplacian_apply, maxwell_apply, maxwell_group)
-from .stepping import (EULER_MARUYAMA, MSEE, TSEE, SchemeConfig, path_batches,
+from .stepping import (EULER_MARUYAMA, MSEE, SchemeConfig, path_batches,
                        run_paths, solve_with_memory)
 
 WORKERS_ENV = "MKS_WORKERS"
@@ -81,11 +81,8 @@ def _run_batch(model: RuntimeModel, cfg: ExperimentConfig, batch: range):
     outcome per path."""
     bundles = [sample_brownian(model.spec.count, model.horizon, model.steps,
                                seed=model.base_seed + p) for p in batch]
-    record = cfg.save_fields
     results = run_paths(model.spec, model.scheme, model.kernel, bundles,
-                        path_indices=list(batch), record_fields=record,
-                        record_transformed=record and
-                        model.scheme.equation == TSEE)
+                        path_indices=list(batch), record_fields=cfg.save_fields)
     return [("blowup", p, {"time": res.time, "norm": res.norm})
             if isinstance(res, BlowUpError) else ("ok", p, res)
             for p, res in zip(batch, results)]

@@ -94,9 +94,6 @@ def kerr_hessian_apply(u: Field6, v: Field6, w: Field6, q) -> Field6:
     return u.with_data(out)
 
 
-MONOTONICITY_CONSTANT_SCALE = 0.5  # c_q = 2^{-q} = scale**q
-
-
 def monotonicity_constant(q) -> float:
     return 2.0 ** (-_exponent(q))
 

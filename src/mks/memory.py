@@ -8,16 +8,12 @@ trapezoid sum is carried forward instead of re-summed: ``History`` keeps
     H_0 = u_0 / 2,    H_{k+1} = e^{-r dt} H_k + u_{k+1},
 
 so (G * u)(t_k) = a dt C (H_k - u_k / 2), the trapezoid sum exactly in exact
-arithmetic, at O(1) work and storage per step.  Its time derivative uses
-G' = -r G:
+arithmetic, at O(1) work and storage per step.
 
-    d/dt (G * u)(t) = G(0) u(t) + integral_0^t G'(t - s) u(s) ds
-                    = a C u(t) - r (G * u)(t).
-
-Both act on the six components only, so they commute with the FFT: the
-stepper keeps a ``History`` of spectral states and reads the spectral memory
-term, the Picard driver keeps physical ones.  The stepper's states carry the
-batch's path axis, and the history carries it along.
+The convolution acts on the six components only, so it commutes with the
+FFT: the stepper keeps a ``History`` of spectral states and reads the
+spectral memory term, the Picard driver keeps physical ones.  The stepper's
+states carry the batch's path axis, and the history carries it along.
 
 The Picard driver (``stepping.solve_with_memory``) iterates on one
 contraction window at a time: an iterate holds that window's states only,
@@ -57,16 +53,6 @@ class KernelSpec:
     @property
     def is_zero(self):
         return self.form == ZERO or (self.form == EXPONENTIAL and self.amplitude == 0.0)
-
-    def matrix_at(self, t: float) -> np.ndarray:
-        if self.form == ZERO:
-            return np.zeros((6, 6))
-        return self.amplitude * np.exp(-self.rate * t) * self.coupling
-
-    def derivative_at(self, t: float) -> np.ndarray:
-        if self.form == ZERO:
-            return np.zeros((6, 6))
-        return -self.rate * self.amplitude * np.exp(-self.rate * t) * self.coupling
 
     def l1_norm(self, horizon: float) -> float:
         """integral_0^T of the spectral operator norm of G(t)."""
@@ -156,35 +142,22 @@ def _apply_matrix(g: np.ndarray, data: np.ndarray) -> np.ndarray:
     return np.einsum("ab,b...->a...", g, data)
 
 
-def _exponential_convolution(h: History, kernel: KernelSpec,
-                             t: float) -> np.ndarray:
-    """a dt C (H_k - u_k / 2): the trapezoid of the exponential kernel at t_k."""
+def convolve_history(h: History, kernel: KernelSpec, t: float) -> Field6:
+    """Trapezoidal quadrature of integral_0^t G(t - s) u(s) ds at the latest
+    history time t_k, O(1) per step: a dt C (H_k - u_k / 2)."""
     if not h.count:
         raise UsageError("the memory law needs at least the t = 0 state")
     if abs(h.t_last - t) > 1e-9 * max(1.0, abs(t)):
         raise UsageError(f"t = {t} must be the latest history time {h.t_last}")
     u = h.latest.data
     if kernel.is_zero:
-        return np.zeros_like(u)
+        return h.latest.with_data(np.zeros_like(u))
     carried = h.fold(kernel.rate)
     diff = 0.5 * u
     np.subtract(carried, diff, out=diff)
     conv = _apply_matrix(kernel.coupling, diff)
     conv *= kernel.amplitude * h.dt
-    return conv
-
-
-def convolve_history(h: History, kernel: KernelSpec, t: float) -> Field6:
-    """Trapezoidal quadrature of integral_0^t G(t - s) u(s) ds, O(1) per step."""
-    conv = _exponential_convolution(h, kernel, t)
     return h.latest.with_data(conv)
-
-
-def convolution_derivative(h: History, kernel: KernelSpec, t: float) -> Field6:
-    """G(0) u(t) + trapezoid of G'(t - s) u(s) = a C u(t) - r (G * u)(t)."""
-    conv = _exponential_convolution(h, kernel, t)
-    out = _apply_matrix(kernel.matrix_at(0.0), h.latest.data) - kernel.rate * conv
-    return h.latest.with_data(out)
 
 
 def contraction_step_length(g_l1: float, lipschitz_noise: float,

@@ -17,7 +17,6 @@ together with the transformed current and additive noise amplitudes.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +29,7 @@ from .grid import (
     _require_representation,
     fft_array,
     ifft_array,
-    l2_norm,
-    to_physical,
-    to_spectral,
-    write_atomic,
 )
-
-BUNDLE_MAGIC = b"BRW1"
-_BUNDLE_HEADER = struct.Struct("<4sIIqdI")
 
 
 class _TimeGrid:
@@ -76,10 +68,6 @@ class BrownianBundle(_TimeGrid):
     @property
     def count(self):
         return self.values.shape[0]
-
-    def increments(self) -> np.ndarray:
-        """(N, K) forward increments."""
-        return np.diff(self.values, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,32 +151,6 @@ def freeze_bundle_at_exit(bundle: BrownianBundle, threshold: float):
     return frozen, k_exit
 
 
-def save_bundle(bundle: BrownianBundle, path):
-    header = _BUNDLE_HEADER.pack(BUNDLE_MAGIC, bundle.count, bundle.steps,
-                                 bundle.seed, bundle.horizon, bundle.level)
-    write_atomic(path, header, bundle.times.astype("<f8").tobytes(),
-                 np.ascontiguousarray(bundle.values).astype("<f8").tobytes())
-
-
-def load_bundle(path) -> BrownianBundle:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _BUNDLE_HEADER.size:
-        raise UsageError(f"bundle {path} is truncated: {len(raw)} bytes, the "
-                         f"header alone takes {_BUNDLE_HEADER.size}")
-    magic, count, steps, seed, _horizon, level = _BUNDLE_HEADER.unpack_from(raw)
-    if magic != BUNDLE_MAGIC:
-        raise UsageError(f"bad bundle magic {magic!r}")
-    expected = _BUNDLE_HEADER.size + 8 * (count + 1) * (steps + 1)
-    if len(raw) != expected:
-        raise UsageError(f"bundle {path} holds {len(raw)} bytes; {count} paths "
-                         f"of {steps} steps take {expected}")
-    payload = np.frombuffer(raw, dtype="<f8", offset=_BUNDLE_HEADER.size)
-    times = payload[:steps + 1].copy()
-    values = payload[steps + 1:].copy().reshape(count, steps + 1)
-    return BrownianBundle(times=times, values=values, seed=seed, level=level)
-
-
 # -- time profiles and separable sources -------------------------------------
 
 _TIME_PROFILES = ("const", "cos", "sin", "exp")
@@ -196,7 +158,7 @@ _TIME_PROFILES = ("const", "cos", "sin", "exp")
 
 @dataclass(frozen=True)
 class TimeProfile:
-    """Closed-form scalar g(t) with analytic derivative."""
+    """Closed-form scalar g(t)."""
 
     kind: str = "const"
     rate: float = 0.0
@@ -214,29 +176,16 @@ class TimeProfile:
             return float(np.sin(self.rate * t))
         return float(np.exp(-self.rate * t))
 
-    def derivative(self, t: float) -> float:
-        if self.kind == "const":
-            return 0.0
-        if self.kind == "cos":
-            return float(-self.rate * np.sin(self.rate * t))
-        if self.kind == "sin":
-            return float(self.rate * np.cos(self.rate * t))
-        return float(-self.rate * np.exp(-self.rate * t))
-
 
 @dataclass(frozen=True)
 class SeparableSource:
-    """g(t) * shape(x) with analytic g'; shape is a physical Field6."""
+    """g(t) * shape(x); shape is a physical Field6."""
 
     shape: Field6
     profile: TimeProfile = TimeProfile()
 
     def at(self, t: float) -> np.ndarray:
         return self.profile.value(t) * self.shape.data
-
-    def l2_series_squared(self, times: np.ndarray) -> np.ndarray:
-        base = l2_norm(self.shape) ** 2
-        return np.array([self.profile.value(t) ** 2 for t in times]) * base
 
 
 def zero_source(grid: GridSpec) -> SeparableSource:
@@ -323,7 +272,6 @@ class GaugePhase:
 
     values: np.ndarray  # (..., n, n, n), unimodular
     beta: np.ndarray    # (..., N)
-    time: float
 
     @property
     def of_fields(self) -> np.ndarray:
@@ -340,7 +288,7 @@ def gauge_phase(spec: NoiseSpec, bundle, t: float,
     phase = np.zeros(beta.shape[:-1] + (spec.grid.points_per_axis,) * 3)
     for j, b_field in enumerate(spec.B_fields):
         phase = phase + b_field * beta[..., j, None, None, None]
-    return GaugePhase(values=np.exp(-1j * phase), beta=beta.copy(), time=t)
+    return GaugePhase(values=np.exp(-1j * phase), beta=beta.copy())
 
 
 def apply_gauge(u: Field6, phase: GaugePhase, direction: str = "forward") -> Field6:
@@ -382,22 +330,3 @@ def cross_drift_apply(spec: NoiseSpec, beta: np.ndarray, y: Field6) -> np.ndarra
         out[top] += coef * _cross(gb, y.data[bottom])
         out[bottom] -= coef * _cross(gb, y.data[top])
     return out
-
-
-def gauge_conjugation_defect(spec: NoiseSpec, bundle: BrownianBundle,
-                             t: float, y: Field6) -> float:
-    """L^2 defect of exp(-iPhi) m(exp(iPhi) y) - m y - cross-term drift.
-
-    The product-rule identity behind the whole transform; should vanish to
-    spectral-differentiation accuracy for band-limited B_j.
-    """
-    from .operators import maxwell_apply
-
-    phase = gauge_phase(spec, bundle, t)
-    lifted = apply_gauge(y, phase, "inverse")  # multiply by exp(+iPhi)
-    m_lifted = to_physical(maxwell_apply(to_spectral(lifted)))
-    left = apply_gauge(m_lifted, phase, "forward").data
-    my = to_physical(maxwell_apply(to_spectral(y))).data
-    expected = cross_drift_apply(spec, bundle.values[:, bundle.index_of(t)], y)
-    defect = left - my - expected
-    return l2_norm(y.with_data(defect))

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError
 from .grid import (
     SPECTRAL,
     Field6,
@@ -176,17 +176,6 @@ class DenseOperator:
     grid: GridSpec
     kind: str
     matrix: np.ndarray
-
-    @property
-    def dimension(self):
-        return self.matrix.shape[0]
-
-    def apply(self, f: Field6) -> Field6:
-        if f.grid != self.grid:
-            raise UsageError("DenseOperator.apply: grid mismatch")
-        out = self.matrix @ f.data.ravel()
-        n = self.grid.points_per_axis
-        return Field6(self.grid, f.representation, out.reshape(6, n, n, n))
 
 
 def _dft_matrix(grid: GridSpec) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from mks.grid import (
     PHYSICAL,
+    SPECTRAL,
     Field6,
     _require_representation,
     make_grid,
@@ -49,6 +50,15 @@ def plane_wave(grid, mode, component=0, amplitude=1.0):
     data = np.zeros((6, n, n, n), dtype=np.complex128)
     data[component] = amplitude * np.exp(1j * (kx * x + ky * y + kz * z))
     return Field6(grid, "physical", data)
+
+
+def hermitian_defect(f: Field6) -> float:
+    """Max |u_hat(k) - conj(u_hat(-k))| over modes of a spectral field (a
+    packed axis is in fftfreq order too, so the same reversal applies)."""
+    _require_representation(f, SPECTRAL, "hermitian_defect")
+    rev = f.data[:, ::-1, ::-1, ::-1]
+    rev = np.roll(rev, 1, axis=(1, 2, 3))
+    return float(np.max(np.abs(f.data - np.conj(rev))))
 
 
 # -- direct oracles for the gauge-transformed coefficients --------------------

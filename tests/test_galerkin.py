@@ -4,7 +4,6 @@ import pytest
 from mks.errors import UsageError
 from mks.galerkin import galerkin_space
 from mks.grid import (
-    hermitian_defect,
     inner_product,
     l2_norm,
     make_grid,
@@ -20,6 +19,8 @@ from mks.operators import (
     maxwell_apply,
     maxwell_group,
 )
+
+from conftest import hermitian_defect
 
 
 @pytest.fixture(scope="module")

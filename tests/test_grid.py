@@ -10,7 +10,6 @@ from mks.errors import ConfigurationError, UsageError
 from mks.grid import (
     CHECKPOINT_MAGIC,
     Field6,
-    hermitian_defect,
     inner_product,
     l2_norm,
     lp_norm,
@@ -24,7 +23,7 @@ from mks.grid import (
     zero_field,
 )
 
-from conftest import plane_wave
+from conftest import hermitian_defect, plane_wave
 
 
 class TestMakeGrid:
@@ -115,7 +114,7 @@ class TestTransforms:
 class TestInnerProduct:
     def test_unit_plane_wave_gives_volume(self, grid4):
         f = plane_wave(grid4, (1, 1, 0))
-        assert np.isclose(inner_product(f, f), grid4.volume)
+        assert np.isclose(inner_product(f, f), grid4.box_length**3)
 
     def test_zero(self, grid4):
         f = random_field(grid4, seed=5)
@@ -144,7 +143,7 @@ class TestLpNorm:
         data = np.zeros_like(f.data)
         data[0] = 3.0  # pointwise C^6 norm is 3 everywhere
         f = f.with_data(data)
-        assert np.isclose(lp_norm(f, 2), 3.0 * np.sqrt(grid4.volume))
+        assert np.isclose(lp_norm(f, 2), 3.0 * np.sqrt(grid4.box_length**3))
 
     def test_max_norm_spike(self, grid4):
         f = zero_field(grid4)

@@ -209,6 +209,24 @@ class TestRunExperiment:
         state = read_checkpoint(tmp_path / "checkpoints" / rows[0]["file"])
         assert state.grid.points_per_axis == 8
 
+    def test_checkpoints_take_no_back_transformed_record(self, tmp_path,
+                                                         monkeypatch):
+        # checkpoints hold the tsee state y; no u = exp(iPhi) y is formed
+        directions = []
+        original = mks.stepping.apply_gauge
+
+        def recording(u, phase, direction="forward"):
+            directions.append(direction)
+            return original(u, phase, direction)
+
+        monkeypatch.setattr(mks.stepping, "apply_gauge", recording)
+        cfg = parse_config(SMALL_RUN)
+        cfg.save_fields = True
+        cfg.paths = 1
+        run_experiment(cfg, workers=1, out_dir=tmp_path)
+        assert (tmp_path / "checkpoints" / "index.csv").exists()
+        assert "inverse" not in directions
+
     def test_reaggregate_matches_summary(self, tmp_path):
         cfg = parse_config(SMALL_RUN)
         run_experiment(cfg, workers=1, out_dir=tmp_path)
@@ -348,6 +366,28 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out == (
             "levels 1->2: mean sup gap 3.422578e-01\ndecreasing: True\n")
+
+    @pytest.mark.parametrize("name, gap", [("strong", "3.422578e-01"),
+                                           ("weak", "2.776096e-01")])
+    def test_default_levels_follow_the_grid(self, capsys, name, gap):
+        # 8^3 on [0, 2 pi): Nyquist 4 resolves levels 1 and 2
+        config = Path(__file__).resolve().parents[1] / "configs" / \
+            f"example_{name}.cfg"
+        rc = main(["convergence", "--config", str(config), "--mode",
+                   "galerkin"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            f"levels 1->2: mean sup gap {gap}\ndecreasing: True\n")
+
+    @pytest.mark.parametrize("levels", ["1", "2 2"])
+    def test_galerkin_mode_needs_two_distinct_levels(self, capsys, levels):
+        config = Path(__file__).resolve().parents[1] / "configs" / \
+            "example_strong.cfg"
+        rc = main(["convergence", "--config", str(config), "--mode",
+                   "galerkin", "--levels", levels])
+        assert rc == 2
+        assert "need at least two distinct cutoff levels" in \
+            capsys.readouterr().err
 
     def test_invalid_config_is_reported(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"

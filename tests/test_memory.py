@@ -9,7 +9,6 @@ from mks.memory import (
     History,
     KernelSpec,
     contraction_step_length,
-    convolution_derivative,
     convolve_history,
     exponential_kernel,
     picard_solve,
@@ -19,15 +18,17 @@ from mks.noise import SeparableSource, make_noise_spec, sample_brownian, zero_so
 from mks.stepping import EULER_MARUYAMA, LIE_SPLITTING, MSEE, SchemeConfig, run_path
 
 
-def direct_trapezoid(matrix_at, times, states, t, dt):
-    """Oracle: the trapezoid sum of integral_0^t M(t - s) u(s) ds, re-summed."""
+def direct_trapezoid(ker, times, states, t, dt):
+    """Oracle: the trapezoid sum of integral_0^t G(t - s) u(s) ds, re-summed,
+    with G(t) = a e^{-rt} C built from the exponential kernel's parameters."""
     acc = np.zeros_like(states[0].data)
     last = len(states) - 1
     if last == 0:
         return acc
     for k, (tk, state) in enumerate(zip(times, states)):
         weight = 0.5 if k in (0, last) else 1.0
-        acc += weight * np.einsum("ab,b...->a...", matrix_at(t - tk), state.data)
+        g = ker.amplitude * np.exp(-ker.rate * (t - tk)) * ker.coupling
+        acc += weight * np.einsum("ab,b...->a...", g, state.data)
     return dt * acc
 
 
@@ -136,39 +137,6 @@ class TestConvolution:
         out = convolve_history(h, ker, 0.5)
         expected = 0.5 * np.concatenate([c.data[3:], c.data[:3]])
         assert np.max(np.abs(out.data - expected)) < 1e-14
-
-
-class TestConvolutionDerivative:
-    def test_constant_kernel(self, grid4):
-        # G' = 0: derivative reduces to G(0) u(t)
-        c = random_field(grid4, seed=7)
-        ker = exponential_kernel(2.0, 0.0)
-        h = constant_history(c, 0.125, 0.5)
-        out = convolution_derivative(h, ker, 0.5)
-        assert np.max(np.abs(out.data - 2.0 * c.data)) < 1e-14
-
-    def test_zero_kernel(self, grid4):
-        c = random_field(grid4, seed=8)
-        h = constant_history(c, 0.125, 0.5)
-        assert l2_norm(convolution_derivative(h, KernelSpec(), 0.5)) == 0.0
-
-    def test_matches_time_finite_difference(self, grid4):
-        ker = exponential_kernel(0.8, 1.3)
-        c = random_field(grid4, seed=9)
-        dt = 1e-3
-        horizon = 0.2
-        steps = int(round(horizon / dt))
-        h = History(dt=dt)
-        for k in range(steps + 1):
-            h.append(k * dt, c.with_data(np.cos(3 * k * dt) * c.data))
-        deriv = convolution_derivative(h, ker, horizon)
-        before = convolve_history(h, ker, horizon)
-        h.append((steps + 1) * dt,
-                 c.with_data(np.cos(3 * (steps + 1) * dt) * c.data))
-        after = convolve_history(h, ker, horizon + dt)
-        fd = (after.data - before.data) / dt
-        # trapezoid + forward difference: O(dt) agreement
-        assert np.max(np.abs(fd - deriv.data)) < 10 * dt
 
 
 class TestContractionStepLength:
@@ -309,7 +277,7 @@ class TestRecursiveHistory:
             if k == 0:
                 assert l2_norm(out) == 0.0
                 continue
-            oracle = direct_trapezoid(ker.matrix_at, [j * dt for j in range(k + 1)],
+            oracle = direct_trapezoid(ker, [j * dt for j in range(k + 1)],
                                       states[:k + 1], t, dt)
             worst = max(worst, relative_error(out.data, oracle))
         assert worst <= 1e-12
@@ -326,26 +294,8 @@ class TestRecursiveHistory:
         for tk, state in zip(times, states):
             h.append(tk, state)
         out = convolve_history(h, ker, times[-1])
-        oracle = direct_trapezoid(ker.matrix_at, times, states, times[-1], dt)
+        oracle = direct_trapezoid(ker, times, states, times[-1], dt)
         assert relative_error(out.data, oracle) <= 1e-12
-
-    @pytest.mark.parametrize("rate", RATES)
-    def test_derivative_matches_direct_sum(self, grid4, rate):
-        dt = 0.01
-        ker = KernelSpec(form="exponential", amplitude=0.9, rate=rate,
-                         coupling=nonsymmetric_coupling(5))
-        states = random_states(grid4, 101, seed=6)
-        times = [k * dt for k in range(len(states))]
-        h = History(dt=dt)
-        for k, (tk, state) in enumerate(zip(times, states)):
-            h.append(tk, state)
-            if k % 10:
-                continue
-            out = convolution_derivative(h, ker, tk)
-            oracle = np.einsum("ab,b...->a...", ker.matrix_at(0.0), state.data) \
-                + direct_trapezoid(ker.derivative_at, times[:k + 1],
-                                   states[:k + 1], tk, dt)
-            assert relative_error(out.data, oracle) <= 1e-12
 
     def test_repeated_reads_are_bitwise_idempotent(self, grid4):
         ker = exponential_kernel(0.8, 1.3)
@@ -368,8 +318,6 @@ class TestRecursiveHistory:
         h.append(0.2, states[2])
         with pytest.raises(UsageError):
             convolve_history(h, exponential_kernel(1.0, 2.0), 0.2)
-        with pytest.raises(UsageError):
-            convolution_derivative(h, exponential_kernel(1.0, 0.0), 0.2)
 
     def test_empty_history_rejected(self):
         with pytest.raises(UsageError):

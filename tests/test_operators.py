@@ -257,7 +257,7 @@ class TestDenseOperator:
             SMOOTH_CUTOFF: lambda f: smooth_cutoff(f, CutoffLevel(1)),
         }
         dense = dense_operator(kind, grid4, level=1)
-        dim = dense.dimension
+        dim = dense.matrix.shape[0]
         rng = np.random.default_rng(16)
         cols = rng.choice(dim, size=40, replace=False)
         scale = max(np.max(np.abs(dense.matrix)), 1.0)

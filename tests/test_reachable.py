@@ -1,0 +1,63 @@
+"""Every definition in the package is reached by the program, not by tests
+alone.
+
+A module-level function or class of ``src/mks`` (``__init__.py`` aside), or
+a non-dunder method of such a class, counts as reached when some name or
+attribute in the package modules or in ``perfbench/`` spells it, or when a
+string constant in ``perfbench/`` does (the tracer names its targets that
+way).  Oracles that only check other code belong in ``tests/``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted(p for p in (ROOT / "src" / "mks").glob("*.py")
+                 if p.name != "__init__.py")
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+# read_checkpoint reads the MKS1 checkpoints that ``mks run`` writes and
+# rejects corrupt ones; no run reads a checkpoint back, but the format's
+# reader belongs next to its writer.
+UNREACHED_BY_DESIGN = {"read_checkpoint"}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield item.name
+
+
+def _references(tree, strings: bool):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            yield node.value
+
+
+def test_every_definition_is_reached_by_the_program():
+    defined, used = set(), set()
+    for path in PACKAGE:
+        tree = _parse(path)
+        defined.update(_definitions(tree))
+        used.update(_references(tree, strings=False))
+    for path in PERFBENCH:
+        used.update(_references(_parse(path), strings=True))
+    assert defined - used == UNREACHED_BY_DESIGN
