@@ -17,13 +17,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError, UsageError
 
@@ -145,9 +146,8 @@ class Field6:
         """The owner of the data's wavenumber tables: the space, else the grid."""
         return self.grid if self.space is None else self.space
 
-    def with_data(self, data, representation=None):
-        rep = self.representation if representation is None else representation
-        return Field6(self.grid, rep, data, self.space if rep == SPECTRAL else None)
+    def with_data(self, data):
+        return Field6(self.grid, self.representation, data, self.space)
 
 
 def zero_field(grid: GridSpec) -> Field6:
@@ -172,19 +172,47 @@ def _require_representation(f: Field6, representation: str, what: str):
 
 # -- the FFT seam: every transform in the package goes through this pair ------
 #
-# scipy.fft, single-threaded: worker processes already use the cores.
+# scipy's compiled pocketfft kernel, loaded from its file: the scipy.fft
+# package would also import scipy.special, numpy.f2py and numpy.testing, about
+# 0.35 s on a 2-core x86-64 host and most of `import mks`.  The call
+# ``c2c(a, axes, forward, 1, None, 1)`` is the one scipy.fft.fftn/ifftn(
+# norm="ortho") ends in (norm 1 is "ortho", no output buffer, one thread:
+# worker processes already use the cores), so the transforms are bitwise
+# scipy's.  The kernel reads None as every axis and wraps negative axes
+# itself, and takes real input down its symmetric path, so real data passes
+# through uncast.
 
+
+def _load_pocketfft():
+    """scipy's pypocketfft extension module; find_spec runs no scipy code."""
+    scipy = importlib.util.find_spec("scipy")
+    folders = [] if scipy is None else scipy.submodule_search_locations
+    files = [Path(folder, "fft", "_pocketfft", "pypocketfft" + suffix)
+             for folder in folders
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((f for f in files if f.is_file()), None)
+    if path is None:
+        raise ImportError("mks needs scipy>=1.10 (see pyproject.toml): its FFT "
+                          "kernel scipy/fft/_pocketfft/pypocketfft was not found")
+    loader = importlib.machinery.ExtensionFileLoader("pypocketfft", str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader("pypocketfft", loader))
+    loader.exec_module(module)
+    return module
+
+
+_c2c = _load_pocketfft().c2c
 _FIELD_AXES = (-3, -2, -1)
 
 
 def fft_array(data: np.ndarray, axes=None) -> np.ndarray:
     """Unitary forward DFT of an array over ``axes`` (all axes when None)."""
-    return scipy.fft.fftn(data, axes=axes, norm="ortho")
+    return _c2c(data, axes, True, 1, None, 1)
 
 
 def ifft_array(data: np.ndarray, axes=None) -> np.ndarray:
     """Unitary inverse DFT of an array over ``axes`` (all axes when None)."""
-    return scipy.fft.ifftn(data, axes=axes, norm="ortho")
+    return _c2c(data, axes, False, 1, None, 1)
 
 
 def to_spectral(f: Field6) -> Field6:

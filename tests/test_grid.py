@@ -327,8 +327,9 @@ _TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
 
 def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
     # build_runtime (band-limited profiles, spectral gradients, band-limit
-    # checks) and run_path call an FFT library (scipy.fft behind the seam,
-    # or numpy.fft) only from fft_array/ifft_array
+    # checks) and run_path transform only through fft_array/ifft_array, each
+    # call is one call of the pocketfft kernel, and neither numpy.fft nor
+    # scipy.fft is called
     import scipy.fft
 
     import mks.grid
@@ -336,7 +337,7 @@ def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
     from mks.noise import sample_brownian
     from mks.stepping import run_path
 
-    counts = {"library": 0, "seam": 0}
+    counts = {"library": 0, "kernel": 0, "seam": 0}
     for library in (np.fft, scipy.fft):
         for name in _TRANSFORMS:
             original = getattr(library, name)
@@ -346,6 +347,13 @@ def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(library, name, library_counted)
+    kernel = mks.grid._c2c
+
+    def kernel_counted(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(mks.grid, "_c2c", kernel_counted)
     modules = [m for key, m in list(sys.modules.items())
                if m is not None and (key == "mks" or key.startswith("mks."))]
     for name in ("fft_array", "ifft_array"):
@@ -365,4 +373,47 @@ def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
     run_path(model.spec, model.scheme, model.kernel, bundle)
     assert built["seam"] >= 5  # B_1: profile, band check, gradient; b_1, J, u0
     assert counts["seam"] > built["seam"]
-    assert counts["library"] == counts["seam"]
+    assert counts["kernel"] == counts["seam"]
+    assert counts["library"] == 0
+
+
+def _seam_cases():
+    rng = np.random.default_rng(21)
+
+    def normal(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    stack = normal((3, 6, 8, 8, 8))
+    return [
+        pytest.param(stack, (-3, -2, -1), id="stack_P6n3"),
+        pytest.param(normal((8, 8, 8)), None, id="cube_all_axes"),
+        pytest.param(normal((3, 8, 8, 8)), (1, 2, 3), id="vector_axes_123"),
+        pytest.param(rng.standard_normal((8, 8, 8)), None, id="real_float64"),
+        pytest.param(stack[:, 1::2], (-3, -2, -1), id="strided_view"),
+    ]
+
+
+@pytest.mark.parametrize("data,axes", _seam_cases())
+def test_seam_is_bitwise_scipy_fft_ortho(data, axes):
+    import scipy.fft
+
+    from mks.grid import fft_array, ifft_array
+
+    data.setflags(write=False)  # Field6 data is read-only
+    assert np.array_equal(fft_array(data, axes),
+                          scipy.fft.fftn(data, axes=axes, norm="ortho"))
+    assert np.array_equal(ifft_array(data, axes),
+                          scipy.fft.ifftn(data, axes=axes, norm="ortho"))
+
+
+def test_missing_fft_kernel_names_the_scipy_requirement():
+    import subprocess
+
+    import mks
+
+    src = os.path.dirname(os.path.dirname(mks.__file__))
+    code = "import sys; sys.modules['scipy'] = None; import mks"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode != 0
+    assert "ImportError: mks needs scipy>=1.10" in done.stderr

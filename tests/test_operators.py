@@ -235,6 +235,24 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_fft_unloaded():
+    # the FFT seam loads scipy's compiled kernel alone: the scipy.fft
+    # package would pull in scipy.special and numpy.f2py at import
+    import os
+    import subprocess
+    import sys
+
+    import mks
+
+    src = os.path.dirname(os.path.dirname(mks.__file__))
+    code = ("import sys, mks, mks.harness, mks.cli; print(sorted(m for m in "
+            "('scipy.fft', 'scipy.special', 'numpy.f2py') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
+
+
 class TestDenseOperator:
     def test_maxwell_matrix_skew_hermitian(self, grid4):
         m = dense_operator(MAXWELL, grid4).matrix
