@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import MksError, ValidationError
+from .errors import MksError, UsageError, ValidationError
 
 
 def _add_common(p):
@@ -75,11 +75,16 @@ def _limits(check) -> str:
     return f"between {lower:.3e} and {bound:.3e}"
 
 
-def _parse_fraction(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+def _values(flag: str, text: str, parse) -> list:
+    try:
+        return [parse(x) for x in text.split()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{flag}: cannot read {text!r}") from exc
+
+
+def _fraction(text: str) -> float:
+    num, slash, den = text.partition("/")
+    return float(num) / float(den) if slash else float(num)
 
 
 def main(argv=None) -> int:
@@ -131,7 +136,7 @@ def _dispatch(args) -> int:
         model = build_runtime(cfg)
         seeds = [cfg.base_seed + p for p in range(cfg.paths)]
         if args.mode == "dt":
-            dts = [_parse_fraction(x) for x in args.dts.split()]
+            dts = _values("--dts", args.dts, _fraction)
             result = strong_convergence_order(model.spec, model.scheme,
                                               model.kernel, seeds, dts,
                                               horizon=model.horizon)
@@ -148,7 +153,7 @@ def _dispatch(args) -> int:
                 levels = [n for n in range(1, 61)
                           if 2.0 ** n <= model.spec.grid.nyquist]
             else:
-                levels = [int(x) for x in args.levels.split()]
+                levels = _values("--levels", args.levels, int)
             result = galerkin_convergence(model.spec, model.scheme,
                                           model.kernel, levels, seeds,
                                           horizon=model.horizon)

@@ -39,8 +39,7 @@ class ProfileSpec:
 
     name: str
     args: dict
-    time: TimeProfile = TimeProfile()
-    text: str = ""
+    time: TimeProfile
 
 
 @dataclass
@@ -125,7 +124,7 @@ def parse_profile(text: str) -> ProfileSpec:
         raise ConfigurationError(f"bad profile {text!r}")
     name, body = m.group(1), m.group(2)
     return ProfileSpec(name=name, args=_parse_args(body or ""),
-                       time=time_part, text=text.strip())
+                       time=time_part)
 
 
 def _coords(grid: GridSpec):
@@ -357,6 +356,10 @@ def validate_config(cfg: ExperimentConfig) -> list:
                  f"got {cfg.kernel_form!r}")
     if cfg.kernel_form not in (ZERO, EXPONENTIAL):
         v.append(f"[kernel] unknown form {cfg.kernel_form!r}")
+    elif (cfg.kernel_form == EXPONENTIAL and cfg.kernel_amplitude != 0.0
+          and cfg.equation == TSEE):
+        v.append("[kernel] a nonzero memory kernel needs equation msee or "
+                 "wsee, got tsee")
     if cfg.dt <= 0 or cfg.horizon <= 0:
         v.append("[scheme] dt and horizon must be positive")
     else:
@@ -421,9 +424,9 @@ def build_runtime(cfg: ExperimentConfig) -> RuntimeModel:
                         base_seed=cfg.base_seed)
 
 
-def assumption_echo(cfg: ExperimentConfig, model: RuntimeModel | None = None):
+def assumption_echo(cfg: ExperimentConfig, model: RuntimeModel):
     """Status of every assumption tag: validated / violated / not machine-checkable."""
-    from .grid import l2_norm, lp_norm
+    from .grid import lp_norm
     from .noise import band_limit_defect
 
     rows = []
@@ -435,8 +438,7 @@ def assumption_echo(cfg: ExperimentConfig, model: RuntimeModel | None = None):
         "domain is the periodic torus [0, L)^3; boundary traces are vacuous")
     add("W2", "not machine-checkable",
         "F_0-measurability; deterministic profiles are trivially measurable")
-    add("M2", "validated" if model is not None else "deferred",
-        "initial-datum norms finite on the grid" if model is None else
+    add("M2", "validated",
         f"||m u0||={_m_u0_norm(model):.6g}, "
         f"||u0||_{{2(q+1)}}={lp_norm(model.spec.u0, 2 * (cfg.q + 1)):.6g}")
     add("W3", "validated", f"kernel form {cfg.kernel_form!r} has finite L^1 norm")
@@ -456,13 +458,10 @@ def assumption_echo(cfg: ExperimentConfig, model: RuntimeModel | None = None):
     else:
         add("M1", "validated", f"weak mode, q={cfg.q} > 0")
         add("M5", "validated", "weak mode places no extra condition on b_j")
-    if model is not None:
-        worst = max((band_limit_defect(model.grid, b) for b in
-                     model.spec.B_fields), default=0.0)
-        add("M6", "validated" if worst <= 1e-10 else "violated",
-            f"B_j band-limited to half-Nyquist (max leakage {worst:.2e})")
-    else:
-        add("M6", "deferred", "checked when the model is instantiated")
+    worst = max((band_limit_defect(model.grid, b) for b in
+                 model.spec.B_fields), default=0.0)
+    add("M6", "validated" if worst <= 1e-10 else "violated",
+        f"B_j band-limited to half-Nyquist (max leakage {worst:.2e})")
     return rows
 
 

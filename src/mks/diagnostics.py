@@ -10,7 +10,7 @@ that blows up raises its BlowUpError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .multipliers import CutoffLevel
 from .noise import NoiseSpec, sample_brownian, refine_bundle
 from .stepping import (SchemeConfig, path_batches, raise_blowups, run_paths,
                        trajectory_sup_distance)
+
+REFINE_FACTOR = 4  # strong-error reference step min(dts) / REFINE_FACTOR
 
 
 @dataclass
@@ -42,13 +44,12 @@ class MonteCarloSummary:
 class RunReport:
     """Aggregated outcome of a Monte-Carlo experiment."""
 
-    paths: list = field(default_factory=list)          # PathReport per path
-    sup_l2_squared: MonteCarloSummary | None = None
-    integral_power: MonteCarloSummary | None = None
-    sup_lambda_squared: MonteCarloSummary | None = None
-    terminal_residual: MonteCarloSummary | None = None
-    events: list = field(default_factory=list)
-    convergence: list = field(default_factory=list)    # dicts of sweep tables
+    paths: list                     # PathReport per path
+    sup_l2_squared: MonteCarloSummary
+    integral_power: MonteCarloSummary
+    sup_lambda_squared: MonteCarloSummary
+    terminal_residual: MonteCarloSummary
+    events: list
 
     @classmethod
     def from_paths(cls, paths) -> "RunReport":
@@ -99,34 +100,33 @@ def bundle_ladder(spec: NoiseSpec, seeds, horizon: float, steps: int,
 
 
 def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
-                             seeds, dts, horizon: float = 1.0,
-                             refine_factor: int = 4) -> dict:
+                             seeds, dts, horizon: float) -> dict:
     """Strong error at T against a bridge-refined fine reference.
 
-    The step sizes and the reference, at min(dts)/refine_factor, are rungs
+    The step sizes and the reference, at min(dts)/REFINE_FACTOR, are rungs
     of one ``bundle_ladder``: one run_paths call per batch and step size,
     one for the reference.  Paths record only t = 0 and T, whatever ``cfg``
     says.
     """
     dts = sorted(dts, reverse=True)
+    if not all(dt > 0 for dt in dts):  # rejects nan too
+        raise UsageError("dts must be positive")
     for a, b in zip(dts, dts[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise UsageError("dts must be dyadic (each half the previous)")
     if len(dts) < 3:
         raise UsageError("need at least three step sizes")
-    if refine_factor < 1 or refine_factor & (refine_factor - 1):
-        raise UsageError("refine_factor must be a power of two")
 
     def terminal_states(dt, bundles):
         run = replace(cfg, dt=dt, save_stride=bundles[0].steps)
         return [res.trajectory.data[-1] for res in raise_blowups(
             run_paths(spec, run, kernel, bundles, record_fields=True))]
 
-    rungs = len(dts) + int(np.log2(refine_factor))
+    rungs = len(dts) + int(np.log2(REFINE_FACTOR))
     errors = {dt: [] for dt in dts}
     for ladder in bundle_ladder(spec, seeds, horizon,
                                 int(round(horizon / dts[0])), rungs):
-        y_ref = terminal_states(dts[-1] / refine_factor, ladder[-1])
+        y_ref = terminal_states(dts[-1] / REFINE_FACTOR, ladder[-1])
         for dt, bundles in zip(dts, ladder):
             errors[dt] += [np.sqrt(spec.grid.cell_volume)
                            * np.linalg.norm(y - r) for y, r in
@@ -140,7 +140,7 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
 
 
 def galerkin_convergence(spec: NoiseSpec, cfg: SchemeConfig, kernel,
-                         levels, seeds, horizon: float = 0.25) -> dict:
+                         levels, seeds, horizon: float) -> dict:
     """E sup_t ||y_{n+1} - y_n||_2 on shared paths between consecutive
     distinct cutoff levels (at least two), one run_paths call per batch and
     level; the sup runs over every step (save stride 1 whatever ``cfg``

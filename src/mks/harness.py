@@ -557,7 +557,7 @@ _OPERATOR_SIZES = {"fast": ((4, 10), (8, 10)),
                    "full": ((4, 10), (8, 20), (16, 100))}
 
 
-def verify_suite(level: str = "fast") -> list:
+def verify_suite(level: str) -> list:
     """Run every battery; returns records {"name", "measured", "bound",
     "passed"} plus "lower" where the check has a lower limit.
 

@@ -15,11 +15,12 @@ FFT: the stepper keeps a ``History`` of spectral states and reads the
 spectral memory term, the Picard driver keeps physical ones.  The stepper's
 states carry the batch's path axis, and the history carries it along.
 
-The Picard driver (``stepping.solve_with_memory``) iterates on one
-contraction window at a time: an iterate holds that window's states only,
-and the states before the window are folded once into a carried sum that
-every iterate continues from.  The direct trapezoid re-summation lives in
-the tests as the oracle.
+The windowed Picard solve (``stepping.solve_with_memory``) iterates on one
+window of ``contraction_step_length`` at a time, to ``stepping.PICARD_TOL``
+between iterates: an iterate holds that window's states only, and the
+states before the window are folded once into a carried sum that every
+iterate continues from.  The direct trapezoid re-summation lives in the
+tests as the oracle.
 """
 
 from __future__ import annotations
@@ -190,19 +191,16 @@ def contraction_step_length(g_l1: float, lipschitz_noise: float,
     raise NumericalError("contraction window underflow; kernel norm too large")
 
 
-def picard_solve(window, initial_guess, step, tol: float, max_iter: int = 50,
-                 distance=None):
+def picard_solve(window, initial_guess, step, tol: float, max_iter: int,
+                 distance):
     """Iterate v -> step(v) to a fixed point on one window.
 
     ``step`` solves the memory-frozen equation given the input trajectory
-    (its G * v is computed from v).  ``distance`` measures the sup-in-time
-    L^2 gap between successive iterates; geometric decay is expected on
-    admissible windows.  Returns (fixed point, iterations, gap history).
+    (its G * v is computed from v).  ``distance`` measures the gap between
+    successive iterates (``solve_with_memory`` passes the sup-in-time L^2
+    distance); geometric decay is expected on admissible windows.  Returns
+    (fixed point, iterations, gap history).
     """
-    if distance is None:
-        from .stepping import trajectory_sup_distance
-
-        distance = trajectory_sup_distance
     t_a, t_b = window
     if not t_b > t_a:
         raise UsageError(f"empty window {window}")

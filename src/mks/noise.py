@@ -291,7 +291,7 @@ def gauge_phase(spec: NoiseSpec, bundle, t: float,
     return GaugePhase(values=np.exp(-1j * phase), beta=beta.copy())
 
 
-def apply_gauge(u: Field6, phase: GaugePhase, direction: str = "forward") -> Field6:
+def apply_gauge(u: Field6, phase: GaugePhase, direction: str) -> Field6:
     _require_representation(u, PHYSICAL, "apply_gauge")
     if direction == "forward":
         return u.with_data(u.data * phase.of_fields)

@@ -126,6 +126,9 @@ WSEE = "wsee"
 
 _SCHEMES = (EULER_MARUYAMA, LIE_SPLITTING)
 _EQUATIONS = (TSEE, MSEE, WSEE)
+BLOWUP_THRESHOLD = 1e8   # a path whose l2 norm passes this has blown up
+PICARD_TOL = 1e-10       # sup-in-time L^2 gap at a Picard fixed point
+PICARD_MAX_ITER = 60     # Picard iterations per window
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,6 @@ class SchemeConfig:
     kerr: KerrExponent | None = None
     beta_truncation_m: float | None = None
     save_stride: int = 1
-    blowup_threshold: float = 1e8
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -315,10 +317,11 @@ class StepContext:
     floats bit for bit.  Sources that no gauge phase touches are kept
     spectral: the noise shapes under a trivial gauge (already filtered) and
     the current J, except in gauged tsee.  Drift and noise take the packed
-    state y and return packed fields; ``view`` is its physical form when the
-    caller has it, and is formed only when a physical-space term needs it
-    otherwise, ``magnitude`` the view's pointwise norm, and ``gauge`` the
-    phase at t (``gauge_at``), formed when a gauged term needs it otherwise.
+    state y and return packed fields.  The drift also takes y's physical
+    ``view``, its pointwise norm ``magnitude`` (None without Kerr) and the
+    phase ``gauge`` at t (``gauge_at``; None when no gauged term is
+    evaluated); the noise takes the phase and, when the caller has it, the
+    view.  A nonzero kernel needs msee or wsee (tsee: ``solve_with_memory``).
 
     ``bundle`` is a BrownianBundle for one path, or a BundleStack whose rows
     belong to the rows of a stacked y.  Noise amplitudes that do not depend
@@ -327,13 +330,15 @@ class StepContext:
 
     def __init__(self, cfg: SchemeConfig, spec: NoiseSpec,
                  bundle: BrownianBundle | BundleStack,
-                 kernel: KernelSpec | None = None):
+                 kernel: KernelSpec | None):
         self.cfg = cfg
         self.spec = spec
         self.bundle = bundle
         self.kernel = kernel
-        self.kernel_active = (kernel is not None and not kernel.is_zero
-                              and cfg.equation in (MSEE, WSEE))
+        self.kernel_active = kernel is not None and not kernel.is_zero
+        if self.kernel_active and cfg.equation == TSEE:
+            raise UsageError("[kernel] a memory kernel needs equation msee or "
+                             "wsee; tsee takes it through solve_with_memory")
         self.grid = spec.grid
         self.static = _static_pieces(spec, cfg.equation, cfg.cutoff_level)
         self.space = self.static.space
@@ -342,10 +347,6 @@ class StepContext:
         """The gauge phase of every path at grid index ``index``."""
         return gauge_phase(self.spec, self.bundle,
                            float(self.bundle.times[index]), index=index)
-
-    def _gauge(self, t: float, gauge: GaugePhase | None) -> GaugePhase:
-        return gauge if gauge is not None else gauge_phase(self.spec,
-                                                           self.bundle, t)
 
     # -- drift pieces --------------------------------------------------------
 
@@ -369,7 +370,7 @@ class StepContext:
                          y: Field6, view: Field6 | None, t: float,
                          history: History | None,
                          extra_source: np.ndarray | None,
-                         gauge: GaugePhase | None = None) -> np.ndarray | None:
+                         gauge: GaugePhase | None) -> np.ndarray | None:
         """acc (packed) plus every drift term besides m y and -F(y), in a
         fixed order: A(t) y and the gauged current (gauged tsee) or J, the
         memory term (msee/wsee), then the extra source.  Physical-space terms
@@ -390,7 +391,6 @@ class StepContext:
         static = self.static
         if self.cfg.equation == TSEE and not static.phase_trivial:
             view = _physical(y, view)
-            gauge = self._gauge(t, gauge)
             phys = add(phys, 0.5 * static.sum_b_squared * view.data)
             phys = add(phys, cross_drift_apply(self.spec, gauge.beta, view))
             current = self._gauged_current(t, gauge)
@@ -409,15 +409,13 @@ class StepContext:
             acc = add(acc, self.space.gather(phys_hat.data))
         return acc
 
-    def drift(self, y: Field6, t: float, history: History | None = None,
-              extra_source: np.ndarray | None = None,
-              view: Field6 | None = None, gauge: GaugePhase | None = None,
-              magnitude: np.ndarray | None = None) -> Field6:
+    def drift(self, y: Field6, t: float, history: History | None,
+              extra_source: np.ndarray | None, view: Field6,
+              gauge: GaugePhase | None,
+              magnitude: np.ndarray | None) -> Field6:
         """The projected full drift P_n[m y - F(y) + ...] (Lambda), packed."""
         phys = None
         if self.cfg.kerr is not None:
-            if view is None:
-                view, magnitude = to_physical(y), None
             phys = -kerr_force(view, self.cfg.kerr, magnitude).data
         acc = maxwell_apply(y).data.copy()
         acc = self._add_drift_terms(acc, phys, y, view, t, history,
@@ -426,8 +424,8 @@ class StepContext:
 
     # -- noise pieces ----------------------------------------------------------
 
-    def noise(self, y: Field6, t: float, view: Field6 | None = None,
-              gauge: GaugePhase | None = None) -> list:
+    def noise(self, y: Field6, t: float, gauge: GaugePhase | None,
+              view: Field6 | None = None) -> list:
         """Filtered noise amplitudes Z_i(t) multiplying dbeta_i, packed."""
         spec = self.spec
         static = self.static
@@ -440,7 +438,7 @@ class StepContext:
                                               static.cached_noise)]
         out = []
         if self.cfg.equation == TSEE:
-            phase = self._gauge(t, gauge).of_fields
+            phase = gauge.of_fields
             for source in spec.b_sources:
                 raw = Field6(self.grid, PHYSICAL, source.at(t) * phase)
                 out.append(smooth_cutoff(self.space.pack(to_spectral(raw)),
@@ -481,7 +479,7 @@ def _increments(ctx: StepContext, k: int) -> np.ndarray:
 
 def step_euler_maruyama(state: PathState, ctx: StepContext, lam: Field6,
                         zs: list, src: np.ndarray | None,
-                        gauge: GaugePhase | None = None) -> PathState:
+                        gauge: GaugePhase | None) -> PathState:
     """y + dt Lambda + sum_i Z_i dbeta_i on packed data, with Lambda and Z
     evaluated at the current state by the caller (``src`` is already part
     of Lambda)."""
@@ -494,7 +492,7 @@ def step_euler_maruyama(state: PathState, ctx: StepContext, lam: Field6,
 
 def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
                        zs: list, src: np.ndarray | None,
-                       gauge: GaugePhase | None = None) -> PathState:
+                       gauge: GaugePhase | None) -> PathState:
     """Exact free flow, Kerr resolvent, remaining drift, noise increment.
 
     Lambda and Z at the current state are not used: the remaining drift and
@@ -744,7 +742,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
 
         norms = l2_norm(state.y).tolist()
         kept = [i for i, norm in enumerate(norms)
-                if np.isfinite(norm) and norm <= cfg.blowup_threshold]
+                if np.isfinite(norm) and norm <= BLOWUP_THRESHOLD]
         if len(kept) < len(alive):
             for i, norm in enumerate(norms):
                 if i not in kept:
@@ -799,9 +797,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
 
 
 def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
-                      kernel: KernelSpec, bundle: BrownianBundle, *,
-                      tol: float = 1e-10, max_iter: int = 60,
-                      window_length: float | None = None):
+                      kernel: KernelSpec, bundle: BrownianBundle):
     """Windowed fixed-point solve of the memory-coupled equation.
 
     Splits [0, T] into sub-windows no longer than the contraction length,
@@ -825,8 +821,6 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
                           default=0.0)
     g_l1 = kernel.l1_norm(horizon)
     t0 = contraction_step_length(g_l1, lipschitz_noise, horizon)
-    if window_length is not None:
-        t0 = min(t0, window_length)
     steps_per_window = max(1, int(round(t0 / cfg.dt)))
 
     grid = spec.grid
@@ -857,24 +851,25 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
         if len(prefix):
             prefix.fold(kernel.rate)
 
-        def one_window(u_traj, _start=start, _count=count, _y0=y_start):
-            # the source is read at increasing k, so the iterate's history
-            # folds each of its window's states once
+        def one_window(u_traj):
+            # picard_solve calls this before the loop moves on (start, count
+            # and y_start are this window's); the source is read at
+            # increasing k, so the history folds each window state once
             history = prefix.copy()
 
             def source(k_idx, t):
                 while len(history) <= k_idx:
                     j = len(history)
                     history.append(bundle.times[j], Field6(
-                        grid, PHYSICAL, u_traj.data[j - _start]))
+                        grid, PHYSICAL, u_traj.data[j - start]))
                 conv = convolve_history(history, kernel, t).data
                 if cfg.equation == TSEE:
                     phase = gauge_phase(spec, bundle, t)
                     conv = conv * phase.values
                 return conv
 
-            res = run_path(spec, cfg, None, bundle, initial=_y0,
-                           start_index=_start, n_steps=_count,
+            res = run_path(spec, cfg, None, bundle, initial=y_start,
+                           start_index=start, n_steps=count,
                            record_fields=(cfg.equation != TSEE),
                            record_transformed=(cfg.equation == TSEE),
                            extra_source=source)
@@ -883,8 +878,9 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
         times = bundle.times[start:stop + 1].copy()
         guess = Trajectory(grid=grid, times=times, data=np.broadcast_to(
             u_data[start], (count + 1,) + u_data[start].shape))
-        fixed, n_iter, gaps = picard_solve(window, guess, one_window, tol,
-                                           max_iter)
+        fixed, n_iter, gaps = picard_solve(window, guess, one_window,
+                                           PICARD_TOL, PICARD_MAX_ITER,
+                                           trajectory_sup_distance)
         iterations.append({"window": window, "iterations": n_iter,
                            "gaps": gaps})
         u_data[start:stop + 1] = fixed.data

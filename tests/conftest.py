@@ -61,6 +61,17 @@ def hermitian_defect(f: Field6) -> float:
     return float(np.max(np.abs(f.data - np.conj(rev))))
 
 
+def drift_and_noise(ctx, y: Field6, k: int, history=None):
+    """Lambda and Z of a ``StepContext`` at grid index k, formed from what
+    ``run_paths`` hands them: y's physical view and the step's gauge phase
+    (the Kerr force forms the view's norm itself)."""
+    t = float(ctx.bundle.times[k])
+    view, gauge = to_physical(y), ctx.gauge_at(k)
+    lam = ctx.drift(y, t, history=history, extra_source=None, view=view,
+                    gauge=gauge, magnitude=None)
+    return lam, ctx.noise(y, t, gauge=gauge, view=view)
+
+
 # -- direct oracles for the gauge-transformed coefficients --------------------
 #
 # Straight transcriptions of the formulas, independent of the coefficient

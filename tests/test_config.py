@@ -84,6 +84,24 @@ class TestParse:
             q=2.0, b="constant(value=0.1)"))
         assert cfg.mode == "strong"
 
+    def test_tsee_with_a_memory_kernel_rejected(self, tmp_path, capsys):
+        # the stepper carries the memory term in msee and wsee only
+        strong = STRONG_TEMPLATE.format(q=2.0, b="constant(value=0.1)")
+        kernel = "\n[kernel]\nform = exponential\namplitude = {}\nrate = 1.0\n"
+        with pytest.raises(ValidationError) as info:
+            parse_config(strong + kernel.format(5.0))
+        assert [v for v in info.value.violations if v.startswith("[kernel]")]
+        parse_config(strong + kernel.format(0.0))
+        parse_config(strong.replace("equation = tsee", "equation = msee")
+                     + kernel.format(5.0))
+        cfg_file = tmp_path / "tsee_kernel.cfg"
+        cfg_file.write_text(strong + kernel.format(5.0))
+        rc = main(["run", "--config", str(cfg_file),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "[kernel]" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_key(self):
         with pytest.raises(ConfigurationError):
             parse_config("[grid]\npoints = 8\n")
@@ -140,11 +158,13 @@ class TestProfiles:
     def test_gaussian_bump_is_periodic(self):
         from mks.config import ProfileSpec, _scalar_profile
         from mks.grid import make_grid
+        from mks.noise import TimeProfile
 
         g = make_grid(16, 2 * np.pi)
         p = ProfileSpec(name="gaussian-bump",
                         args={"amplitude": 1.0, "width": 0.15,
-                              "center": (0.0, 0.5, 0.5)})
+                              "center": (0.0, 0.5, 0.5)},
+                        time=TimeProfile())
         f = _scalar_profile(g, p)
         # the bump sits on the seam; periodization keeps it smooth there
         assert np.isclose(f[0, 8, 8], f.max())
@@ -165,8 +185,9 @@ class TestAssumptionEcho:
 
     def test_violated_kernel_reported(self):
         cfg = parse_config(MINIMAL_WEAK)
+        model = build_runtime(cfg)
         cfg.kernel_form = "table"
-        rows = assumption_echo(cfg)
+        rows = assumption_echo(cfg, model)
         statuses = {r["tag"]: r["status"] for r in rows}
         assert statuses["M3"] == "violated"
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mks.diagnostics
+import mks.stepping
 from mks.diagnostics import (
     MonteCarloSummary,
     RunReport,
@@ -28,7 +29,7 @@ from mks.stepping import (
     run_path,
 )
 
-from conftest import banded_field, coords
+from conftest import banded_field, coords, drift_and_noise
 
 
 def em_cfg(dt, level=2, kerr=None):
@@ -136,11 +137,9 @@ class TestEnergyResidual:
         res = run_path(spec, cfg, None, bundle, record_fields=True)
         states = [to_spectral(res.trajectory.state(k)) for k in range(17)]
         ctx_states = states[:-1]
-        ctx = StepContext(cfg, spec, bundle)
-        drifts = [ctx.drift(ctx_states[k], float(bundle.times[k]))
-                  for k in range(16)]
-        noises = [ctx.noise(ctx_states[k], float(bundle.times[k]))
-                  for k in range(16)]
+        ctx = StepContext(cfg, spec, bundle, None)
+        drifts, noises = zip(*(drift_and_noise(ctx, ctx_states[k], k)
+                               for k in range(16)))
         r = energy_identity_residual(states, drifts, noises, bundle, cfg.dt)
         assert np.allclose(r, res.report.energy_residual, atol=1e-12)
 
@@ -256,23 +255,23 @@ class TestStrongConvergence:
         # 1/64 / 4; the rung at 1/128 is only refined through, never run
         strong_convergence_order(additive_spec(grid4), em_cfg(1.0, level=1),
                                  None, seeds=[1, 2, 3, 4],
-                                 dts=[1 / 16, 1 / 32, 1 / 64], horizon=1.0,
-                                 refine_factor=4)
+                                 dts=[1 / 16, 1 / 32, 1 / 64], horizon=1.0)
         assert run_paths_calls == [(1 / 256, 1, 4), (1 / 16, 1, 4),
                                    (1 / 32, 1, 4), (1 / 64, 1, 4)]
 
-    def test_blown_up_path_raises(self, grid4):
-        cfg = replace(em_cfg(1.0, level=1), blowup_threshold=1e-3)
+    def test_blown_up_path_raises(self, grid4, monkeypatch):
+        monkeypatch.setattr(mks.stepping, "BLOWUP_THRESHOLD", 1e-3)
         with pytest.raises(BlowUpError):
-            strong_convergence_order(additive_spec(grid4), cfg, None,
-                                     seeds=[1, 2], dts=[1 / 4, 1 / 8, 1 / 16])
+            strong_convergence_order(additive_spec(grid4),
+                                     em_cfg(1.0, level=1), None, seeds=[1, 2],
+                                     dts=[1 / 4, 1 / 8, 1 / 16], horizon=1.0)
 
     def test_requires_three_dts(self, grid4):
         spec = make_noise_spec(grid4, [], [], zero_source(grid4),
                                zero_field(grid4))
         with pytest.raises(UsageError):
             strong_convergence_order(spec, em_cfg(1.0, level=1), None, [1],
-                                     [1 / 4, 1 / 8])
+                                     [1 / 4, 1 / 8], horizon=1.0)
 
 
 class TestGalerkinConvergence:
@@ -310,10 +309,11 @@ class TestGalerkinConvergence:
                              horizon=0.25)
         assert run_paths_calls == [(1 / 32, 1, 3), (1 / 32, 2, 3)]
 
-    def test_blown_up_path_raises(self, grid8):
-        cfg = replace(em_cfg(1 / 32, level=1), blowup_threshold=1e-3)
+    def test_blown_up_path_raises(self, grid8, monkeypatch):
+        monkeypatch.setattr(mks.stepping, "BLOWUP_THRESHOLD", 1e-3)
         with pytest.raises(BlowUpError):
-            galerkin_convergence(additive_spec(grid8), cfg, None,
+            galerkin_convergence(additive_spec(grid8),
+                                 em_cfg(1 / 32, level=1), None,
                                  levels=[1, 2], seeds=[1, 2], horizon=0.25)
 
     def test_sup_covers_every_step(self, grid8):

@@ -389,6 +389,23 @@ class TestCli:
         assert "need at least two distinct cutoff levels" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--dts", "1/0 1/32 1/64"], "--dts: cannot read '1/0 1/32 1/64'"),
+        (["--dts", "abc"], "--dts: cannot read 'abc'"),
+        (["--dts", "0 1/32 1/64"], "dts must be positive"),
+        (["--dts", "nan 1/32 1/64"], "dts must be positive"),
+        (["--mode", "galerkin", "--levels", "1 x"],
+         "--levels: cannot read '1 x'"),
+    ], ids=["dts-zero-denominator", "dts-word", "dts-zero", "dts-nan",
+            "levels-word"])
+    def test_malformed_sweep_is_reported(self, capsys, args, message):
+        config = Path(__file__).resolve().parents[1] / "configs" / \
+            "example_strong.cfg"
+        rc = main(["convergence", "--config", str(config)] + args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_invalid_config_is_reported(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(SMALL_RUN.replace("q = 2.0", "q = 3.0"))

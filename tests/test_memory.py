@@ -220,7 +220,7 @@ class TestPicard:
     def test_empty_window_rejected(self):
         with pytest.raises(UsageError):
             picard_solve((1.0, 1.0), None, lambda v: v, tol=1e-12,
-                         distance=lambda a, b: 0.0)
+                         max_iter=5, distance=lambda a, b: 0.0)
 
 
 class TestHistory:

@@ -6,6 +6,11 @@ a non-dunder method of such a class, counts as reached when some name or
 attribute in the package modules or in ``perfbench/`` spells it, or when a
 string constant in ``perfbench/`` does (the tracer names its targets that
 way).  Oracles that only check other code belong in ``tests/``.
+
+The package's settable values are counted too: function parameters with a
+default plus class fields with a default, over every module of ``src/mks``.
+The count is pinned, so a change that adds or removes one shows it in its
+own diff.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(p for p in (ROOT / "src" / "mks").glob("*.py")
                  if p.name != "__init__.py")
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+# settable values in src/mks, by the rule above
+SETTABLE_VALUES = 59
 
 # read_checkpoint reads the MKS1 checkpoints that ``mks run`` writes and
 # rejects corrupt ones; no run reads a checkpoint back, but the format's
@@ -61,3 +69,21 @@ def test_every_definition_is_reached_by_the_program():
     for path in PERFBENCH:
         used.update(_references(_parse(path), strings=True))
     assert defined - used == UNREACHED_BY_DESIGN
+
+
+def _settable_values(tree) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef):
+            count += sum(isinstance(item, ast.AnnAssign)
+                         and item.value is not None for item in node.body)
+    return count
+
+
+def test_settable_values_are_counted():
+    modules = sorted((ROOT / "src" / "mks").glob("*.py"))
+    assert sum(_settable_values(_parse(p)) for p in modules) == SETTABLE_VALUES

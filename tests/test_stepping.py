@@ -45,6 +45,7 @@ from conftest import (
     banded_field,
     coords,
     drift_A_apply,
+    drift_and_noise,
     plane_wave,
     transformed_current,
     transformed_noise,
@@ -151,9 +152,9 @@ class TestEulerStep:
         expected = cfg.dt * proj.data + dbeta * filt.data
 
         st = initial_state(spec, cfg)
-        ctx = StepContext(cfg, spec, bundle)
-        new = step_euler_maruyama(st, ctx, ctx.drift(st.y, st.t),
-                                  ctx.noise(st.y, st.t), None)
+        ctx = StepContext(cfg, spec, bundle, None)
+        new = step_euler_maruyama(st, ctx, *drift_and_noise(ctx, st.y, 0),
+                                  None, ctx.gauge_at(0))
         assert np.max(np.abs(to_physical(new.y).data - expected)) < 1e-14
 
     def test_step_recomposition_is_bitwise(self, grid8):
@@ -166,15 +167,15 @@ class TestEulerStep:
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
         st = initial_state(spec, cfg)
         for _ in range(3):
-            lam = StepContext(cfg, spec, bundle).drift(st.y, st.t)
-            zs = StepContext(cfg, spec, bundle).noise(st.y, st.t)
             k = st.step_index
+            lam, zs = drift_and_noise(StepContext(cfg, spec, bundle, None),
+                                      st.y, k)
             dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
             incr = cfg.dt * lam.data + _noise_increment(zs, dbeta)
             expected = st.y.data + incr
-            ctx = StepContext(cfg, spec, bundle)
-            st = step_euler_maruyama(st, ctx, ctx.drift(st.y, st.t),
-                                     ctx.noise(st.y, st.t), None)
+            ctx = StepContext(cfg, spec, bundle, None)
+            st = step_euler_maruyama(st, ctx, *drift_and_noise(ctx, st.y, k),
+                                     None, ctx.gauge_at(k))
             assert np.array_equal(st.y.data, expected)
 
     def test_deterministic_linear_matches_dense_ode(self, grid4):
@@ -247,7 +248,8 @@ class TestLieSplitting:
             [[0.0], np.cumsum(dt * r.power_norm[1:])])
         assert np.all(lhs <= r.l2[0] ** 2 + 10 * dt)
 
-    def test_strong_order_at_least_half(self, grid8):
+    def test_strong_order_at_least_half(self, grid8, monkeypatch):
+        import mks.diagnostics
         from mks.diagnostics import strong_convergence_order
 
         b = SeparableSource(shape=constant_amplitude(grid8, 0.1))
@@ -256,9 +258,10 @@ class TestLieSplitting:
                                zero_source(grid8),
                                banded_field(grid8, seed=13))
         cfg = lie_cfg(1.0, kerr=KerrExponent(2.0, True))
+        monkeypatch.setattr(mks.diagnostics, "REFINE_FACTOR", 16)
         out = strong_convergence_order(spec, cfg, None, seeds=[1, 2, 3, 4],
                                        dts=[1 / 8, 1 / 16, 1 / 32],
-                                       horizon=0.5, refine_factor=16)
+                                       horizon=0.5)
         assert out["slope"] >= 0.5
 
 
@@ -268,7 +271,8 @@ class TestLambdaProcess:
         bundle = sample_brownian(0, 1.0, 16, seed=9)
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
         st = initial_state(spec, cfg)
-        assert l2_norm(StepContext(cfg, spec, bundle).drift(st.y, st.t)) == 0.0
+        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, None), st.y, 0)
+        assert l2_norm(lam) == 0.0
 
     def test_linear_case_is_projected_maxwell(self, grid8):
         u0 = banded_field(grid8, seed=14)
@@ -276,7 +280,7 @@ class TestLambdaProcess:
         bundle = sample_brownian(0, 1.0, 16, seed=10)
         cfg = em_cfg(1 / 16)
         st = initial_state(spec, cfg)
-        lam = StepContext(cfg, spec, bundle).drift(st.y, st.t)
+        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, None), st.y, 0)
         from mks.operators import maxwell_apply
 
         expected = sharp_cutoff(maxwell_apply(st.y), cfg.cutoff_level)
@@ -299,18 +303,18 @@ class TestLambdaProcess:
         y = to_physical(y_hat)
         t = float(bundle.times[5])
         assert bundle.values[0, 5] != 0.0
-        ctx = StepContext(cfg, spec, bundle)
+        ctx = StepContext(cfg, spec, bundle, None)
         raw = (to_physical(maxwell_apply(to_spectral(y))).data
                - kerr_force(y, cfg.kerr).data
                + drift_A_apply(y, t, spec, bundle).data
                + transformed_current(t, spec, bundle).data)
         expected = to_physical(sharp_cutoff(
             to_spectral(y.with_data(raw)), cfg.cutoff_level))
-        lam = to_physical(ctx.drift(y_hat, t))
+        lam, (z,) = drift_and_noise(ctx, y_hat, 5)
+        lam = to_physical(lam)
         assert np.max(np.abs(lam.data - expected.data)) < 1e-12
         noise = to_physical(smooth_cutoff(
             to_spectral(transformed_noise(0, t, spec, bundle)), CutoffLevel(1)))
-        (z,) = ctx.noise(y_hat, t)
         assert np.max(np.abs(to_physical(z).data - noise.data)) < 1e-13
 
 
@@ -485,13 +489,13 @@ class TestRunPath:
         assert max(leaks) <= 1e-13 * max(scale, 1.0)
         assert leaks[-1] <= 10 * max(leaks[1], 1e-17)  # no growth in time
 
-    def test_blow_up_detected(self, grid8):
+    def test_blow_up_detected(self, grid8, monkeypatch):
         J = SeparableSource(shape=constant_amplitude(grid8, 1e6))
         spec = make_noise_spec(grid8, [], [], J, zero_field(grid8))
         bundle = sample_brownian(0, 1.0, 4, seed=13)
-        cfg = em_cfg(0.25, blowup_threshold=1e3)
+        monkeypatch.setattr(mks.stepping, "BLOWUP_THRESHOLD", 1e3)
         with pytest.raises(BlowUpError) as info:
-            run_path(spec, cfg, None, bundle)
+            run_path(spec, em_cfg(0.25), None, bundle)
         assert info.value.norm > 1e3
 
     def test_beta_truncation_freezes_and_logs(self, grid8):
@@ -641,6 +645,10 @@ class TestBatchEquivalence:
                                       values=values, seed=60 + p))
         return out
 
+    @pytest.fixture(autouse=True)
+    def _threshold(self, monkeypatch):
+        monkeypatch.setattr(mks.stepping, "BLOWUP_THRESHOLD", self.THRESHOLD)
+
     def _case(self, grid8, name):
         n = grid8.points_per_axis
         strong = SeparableSource(shape=constant_amplitude(grid8, 20.0),
@@ -652,8 +660,7 @@ class TestBatchEquivalence:
                                        np.zeros((n, n, n))],
                                [strong, weak], J, u0)
         kerr = KerrExponent(2.0, True)
-        kw = dict(beta_truncation_m=self.TRUNCATION,
-                  blowup_threshold=self.THRESHOLD)
+        kw = dict(beta_truncation_m=self.TRUNCATION)
         if name == "tsee_euler":
             return spec, em_cfg(1 / 64, kerr=kerr, **kw), None
         kernel = exponential_kernel(0.5, 1.0)
@@ -689,7 +696,8 @@ class TestBatchEquivalence:
         y0 = initial_state(spec, cfg).y
         history = History(dt=cfg.dt)
         history.append(0.0, y0)
-        lam = StepContext(cfg, spec, bundle, kernel).drift(y0, 0.0, history)
+        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, kernel), y0, 0,
+                                 history)
         view = to_physical(y0)
         assert report.l2[0] == l2_norm(y0)
         assert report.lambda_l2[0] == l2_norm(lam)
@@ -778,6 +786,15 @@ class TestMemoryCoupling:
                      kerr=KerrExponent(2.0, True))
         return spec, bundle, kernel, cfg
 
+    def test_tsee_refuses_a_memory_kernel(self, grid4):
+        # the stepper carries the memory term in msee and wsee only; tsee
+        # takes it through solve_with_memory
+        spec, bundle, kernel, cfg = self._setup(grid4)
+        with pytest.raises(UsageError, match=r"\[kernel\]"):
+            run_path(spec, replace(cfg, equation=TSEE), kernel, bundle)
+        run_path(spec, replace(cfg, equation=TSEE), exponential_kernel(0.0, 1.0),
+                 bundle)
+
     def test_picard_matches_direct_history_run(self, grid4):
         spec, bundle, kernel, cfg = self._setup(grid4)
         direct = run_path(spec, cfg, kernel, bundle, record_fields=True)
@@ -785,11 +802,14 @@ class TestMemoryCoupling:
         assert trajectory_sup_distance(fixed, direct.trajectory) < 1e-10
         assert len(diag["windows"]) >= 2  # the kernel forces sub-windows
 
-    def test_window_independence(self, grid4):
+    def test_window_independence(self, grid4, monkeypatch):
         spec, bundle, kernel, cfg = self._setup(grid4)
         a, diag = solve_with_memory(spec, cfg, kernel, bundle)
-        b, _ = solve_with_memory(spec, cfg, kernel, bundle,
-                                 window_length=diag["window_length"] / 2)
+        half = diag["window_length"] / 2
+        monkeypatch.setattr(mks.memory, "contraction_step_length",
+                            lambda *args: half)
+        b, diag_b = solve_with_memory(spec, cfg, kernel, bundle)
+        assert diag_b["window_length"] == half
         assert trajectory_sup_distance(a, b) <= 5e-10
 
     def test_picard_gaps_contract(self, grid4):
