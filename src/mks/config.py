@@ -22,12 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .grid import PHYSICAL, Field6, GridSpec, ifft_array, make_grid, zero_field
+from .galerkin import cube_space
+from .grid import (
+    PHYSICAL,
+    Field6,
+    GridSpec,
+    cube_scratch,
+    ifft_array,
+    ifft_cube,
+    make_grid,
+    zero_field,
+)
 from .kerr import KerrExponent
 from .memory import EXPONENTIAL, ZERO, KernelSpec
 from .multipliers import CutoffLevel
 from .noise import NoiseSpec, SeparableSource, TimeProfile, make_noise_spec
-from .stepping import MSEE, TSEE, WSEE, SchemeConfig
+from .stepping import MSEE, TSEE, WSEE, SchemeConfig, m_u0_norm
 
 WEAK = "weak"
 STRONG = "strong"
@@ -133,6 +143,24 @@ def _coords(grid: GridSpec):
     return (x.reshape(n, 1, 1), x.reshape(1, n, 1), x.reshape(1, 1, n))
 
 
+def _band_limited(grid: GridSpec, p: ProfileSpec, stream: int,
+                  lead: tuple) -> np.ndarray:
+    """The physical (lead..., n, n, n) draw of a band-limited-random profile:
+    complex normals drawn on the full grid, so the RNG stream is the one of
+    a full-grid draw, kept on the cube |fftfreq index| <= max_mode and
+    transformed by the pruned passes (bitwise the masked full-grid ifft)."""
+    n = grid.points_per_axis
+    shape = lead + (n, n, n)
+    rng = np.random.default_rng([int(p.args.get("seed", 0)), stream])
+    cube = cube_space(grid, int(p.args.get("max_mode", 1)))
+    hat = (cube.gather(rng.standard_normal(shape))
+           + 1j * cube.gather(rng.standard_normal(shape)))
+    if cube.covers:
+        return ifft_array(hat, (-3, -2, -1))
+    m = cube.modes_per_axis
+    return ifft_cube(hat, n, cube_scratch(int(np.prod(lead)), n, m))
+
+
 def _scalar_profile(grid: GridSpec, p: ProfileSpec) -> np.ndarray:
     """Real scalar field on the grid (the gauge multipliers B_j)."""
     n = grid.points_per_axis
@@ -166,15 +194,8 @@ def _scalar_profile(grid: GridSpec, p: ProfileSpec) -> np.ndarray:
                     out += np.exp(-(dx**2 + dy**2 + dz**2) / (2 * (width * L) ** 2))
         return amp * out
     if p.name == "band-limited-random":
-        seed = int(p.args.get("seed", 0))
         amp = float(p.args.get("amplitude", 1.0))
-        max_mode = int(p.args.get("max_mode", 1))
-        rng = np.random.default_rng([seed, 101])
-        kx, ky, kz = grid.k_components()
-        lim = 2.0 * np.pi * max_mode / grid.box_length + 1e-12
-        mask = (np.abs(kx) <= lim) & (np.abs(ky) <= lim) & (np.abs(kz) <= lim)
-        hat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
-        f = ifft_array(hat).real
+        f = _band_limited(grid, p, 101, ()).real
         peak = np.max(np.abs(f))
         return amp * f / peak if peak > 0 else np.zeros(shape)
     raise ConfigurationError(f"unknown scalar profile {p.name!r}")
@@ -222,16 +243,8 @@ def _field_profile(grid: GridSpec, p: ProfileSpec) -> Field6:
             data[int(comp)] = bump
         return Field6(grid, PHYSICAL, data)
     if p.name == "band-limited-random":
-        seed = int(p.args.get("seed", 0))
         amp = float(p.args.get("amplitude", 1.0))
-        max_mode = int(p.args.get("max_mode", 1))
-        rng = np.random.default_rng([seed, 606])
-        kx, ky, kz = grid.k_components()
-        lim = 2.0 * np.pi * max_mode / grid.box_length + 1e-12
-        mask = (np.abs(kx) <= lim) & (np.abs(ky) <= lim) & (np.abs(kz) <= lim)
-        hat = (rng.standard_normal((6, n, n, n))
-               + 1j * rng.standard_normal((6, n, n, n))) * mask
-        data = ifft_array(hat, axes=(1, 2, 3))
+        data = _band_limited(grid, p, 606, (6,))
         norm = np.sqrt(grid.cell_volume) * np.linalg.norm(data)
         if norm > 0:
             data = amp * data / norm
@@ -377,6 +390,15 @@ def validate_config(cfg: ExperimentConfig) -> list:
         v.append(f"[scheme] tau_m must be positive or auto, got {cfg.tau_m}")
     if cfg.paths < 1:
         v.append("[monte_carlo] paths must be >= 1")
+    profiles = [("u0", cfg.u0_profile), ("J", cfg.J_profile)]
+    profiles += [(f"b_{j + 1}", p) for j, p in enumerate(cfg.b_profiles)]
+    profiles += [(f"B_{j + 1}", p) for j, p in enumerate(cfg.B_profiles)]
+    for key, p in profiles:
+        mode = p.args.get("max_mode", 1.0)
+        if p.name == "band-limited-random" and not (
+                isinstance(mode, float) and mode.is_integer() and mode >= 0):
+            v.append(f"[noise] {key}: band-limited-random needs a whole "
+                     f"max_mode >= 0, got {mode!r}")
     return v
 
 
@@ -439,7 +461,7 @@ def assumption_echo(cfg: ExperimentConfig, model: RuntimeModel):
     add("W2", "not machine-checkable",
         "F_0-measurability; deterministic profiles are trivially measurable")
     add("M2", "validated",
-        f"||m u0||={_m_u0_norm(model):.6g}, "
+        f"||m u0||={m_u0_norm(model.spec):.6g}, "
         f"||u0||_{{2(q+1)}}={lp_norm(model.spec.u0, 2 * (cfg.q + 1)):.6g}")
     add("W3", "validated", f"kernel form {cfg.kernel_form!r} has finite L^1 norm")
     add("M3", "validated" if cfg.kernel_form in (ZERO, EXPONENTIAL) else "violated",
@@ -463,10 +485,3 @@ def assumption_echo(cfg: ExperimentConfig, model: RuntimeModel):
     add("M6", "validated" if worst <= 1e-10 else "violated",
         f"B_j band-limited to half-Nyquist (max leakage {worst:.2e})")
     return rows
-
-
-def _m_u0_norm(model: RuntimeModel) -> float:
-    from .grid import l2_norm, to_spectral
-    from .operators import maxwell_apply
-
-    return l2_norm(maxwell_apply(to_spectral(model.spec.u0)))  # Parseval

@@ -7,16 +7,25 @@ order of a (2M+1)-point axis.  A ``GalerkinSpace`` stores the coefficients
 of those modes only, shape (6, m, m, m) with m = 2M+1, and is the one place
 that decides which modes those are:
 
-* ``gather`` keeps the retained modes of a full-grid spectral array; it is
-  P_n followed by packing, so it replaces the P_n mask multiply,
-* ``scatter`` puts packed coefficients into zeros on the full grid,
+* ``physical`` transforms packed coefficients to the full grid and
+  ``spectral`` a physical field to its packed coefficients (P_n of the
+  transform, so no mask multiply is left).  Both run the pruned passes of
+  ``grid.ifft_cube``/``grid.fft_cube``, bitwise equal to scatter plus the
+  full-grid inverse and to the full-grid forward plus gather, on two scratch
+  arrays held per (n, m, number of fields) in a small cache,
+* ``gather`` keeps the retained modes of a full-grid spectral array: ``pack``
+  of a full-grid field (a start state handed to ``run_paths``) and the
+  packed multiplier tables; ``scatter`` puts packed coefficients into zeros
+  on the full grid, for the checks that compare against full-grid results,
 * ``k_components``/``k_squared`` are the wavenumber tables of the retained
   modes, so every diagonal multiplier acts on packed data as it stands.
 
 When the cube covers the grid (2^n at or above the Nyquist wavenumber)
-every mode is retained: the packed array is the full array, and gather and
-scatter return their input without a copy.  Spaces are cached per
-(grid, level), like the cutoff masks.
+every mode is retained: the packed array is the full array, gather and
+scatter return their input without a copy, and the transforms are the
+full-grid ones.  Spaces are cached per (grid, level), like the cutoff masks;
+``cube_space`` builds the space of any index cube (the band-limited random
+profiles draw on one).
 """
 
 from __future__ import annotations
@@ -27,7 +36,19 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UsageError
-from .grid import SPECTRAL, Field6, GridSpec, _require_representation, make_grid
+from .grid import (
+    PHYSICAL,
+    SPECTRAL,
+    Field6,
+    GridSpec,
+    _require_representation,
+    cube_scratch,
+    fft_cube,
+    ifft_array,
+    ifft_cube,
+    make_grid,
+    to_spectral,
+)
 from .multipliers import CutoffLevel
 
 
@@ -93,6 +114,28 @@ class GalerkinSpace:
             out[full] = data[packed]
         return out
 
+    def physical(self, data: np.ndarray) -> np.ndarray:
+        """The full-grid inverse transform of packed coefficients."""
+        if self.covers:
+            return ifft_array(data, (-3, -2, -1))
+        return ifft_cube(data, self.grid.points_per_axis,
+                         self._scratch(data.shape[:-3]))
+
+    def spectral(self, f: Field6) -> Field6:
+        """P_n of the transform of a physical field, packed: pack of
+        to_spectral, with only the retained modes computed."""
+        _require_representation(f, PHYSICAL, "GalerkinSpace.spectral")
+        if f.grid != self.grid:
+            raise UsageError("spectral needs a field on the space's own grid")
+        if self.covers:
+            return self.field(to_spectral(f).data)
+        return self.field(fft_cube(f.data, self.modes_per_axis,
+                                   self._scratch(f.data.shape[:-3])))
+
+    def _scratch(self, lead: tuple) -> tuple:
+        return _cached_scratch(self.grid.points_per_axis, self.modes_per_axis,
+                               int(np.prod(lead)))
+
     def field(self, data: np.ndarray) -> Field6:
         """Packed coefficients as a spectral Field6 of this space."""
         return Field6(self.grid, SPECTRAL, data, space=self)
@@ -108,17 +151,32 @@ class GalerkinSpace:
         return self.field(self.gather(f.data))
 
 
+# a run transforms one or two shapes of fields (the path-independent pieces
+# and the batch); spaces of a study's other levels and batch sizes evict them
+@lru_cache(maxsize=4)
+def _cached_scratch(points_per_axis: int, modes_per_axis: int, count: int):
+    return cube_scratch(count, points_per_axis, modes_per_axis)
+
+
+def cube_space(grid: GridSpec, retained: int) -> GalerkinSpace:
+    """The space of the modes with every |fftfreq index| <= ``retained``; from
+    n/2 on it covers the grid."""
+    n = grid.points_per_axis
+    k = grid.wavenumbers
+    if 2 * retained >= n:
+        return GalerkinSpace(grid, n // 2, True, k)
+    wavenumbers = np.concatenate([k[:retained + 1], k[n - retained:]])
+    wavenumbers.setflags(write=False)
+    return GalerkinSpace(grid, retained, False, wavenumbers)
+
+
 @lru_cache(maxsize=64)
 def _cached_space(points_per_axis: int, box_length: float, n: int):
     grid = make_grid(points_per_axis, box_length)
-    k = grid.wavenumbers
-    kept = np.abs(k) <= CutoffLevel(n).scale
-    if kept.all():
-        return GalerkinSpace(grid, points_per_axis // 2, True, k)
-    retained = int(np.count_nonzero(kept[:points_per_axis // 2]) - 1)
-    wavenumbers = np.concatenate([k[:retained + 1], k[points_per_axis - retained:]])
-    wavenumbers.setflags(write=False)
-    return GalerkinSpace(grid, retained, False, wavenumbers)
+    kept = np.abs(grid.wavenumbers) <= CutoffLevel(n).scale
+    # kept indices 0..M of the non-negative half, Nyquist (n/2) included
+    return cube_space(grid,
+                      int(np.count_nonzero(kept[:points_per_axis // 2 + 1])) - 1)
 
 
 def galerkin_space(grid: GridSpec, level: CutoffLevel) -> GalerkinSpace:

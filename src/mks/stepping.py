@@ -53,24 +53,30 @@ on the modes |k_i| <= 2^n only (``galerkin.GalerkinSpace``; when the cube
 covers the grid that is every mode and the packed array is the full one).
 m, S_{n-1}, exp(t m), the memory sum, the noise shapes, the Euler-Maruyama
 update and the Parseval norms of the ledger all act on packed arrays.  Once
-per step ``run_paths`` forms the physical view y = to_physical(y^), which
-scatters the coefficients into zeros and transforms on the full grid; that
-one view feeds the power norm, the Kerr force, A(t) y, the gauge phase, B y
-and the recorded fields.  Lambda^ is m y^ plus the spectral sources (J
-outside gauged tsee, the memory term) plus one to_spectral of the summed
-physical-space terms, gathered onto the retained modes: the gather is P_n,
-so no mask multiply is left.  ``run_path(initial=...)`` applies P_n to the
-start state it is given, which drops the rounding-level modes outside the
-cube of a state that went through physical space (the Picard windows hand
-over a gauge-round-tripped state).  Transforms per step, with N noise
-channels (one transform call covers a whole batch, so these are also the
-calls per batched step):
+per step ``run_paths`` forms the physical view y = to_physical(y^), whose
+pruned inverse passes cover only the grid lines that hold a retained mode;
+that one view feeds the power norm, the Kerr force, A(t) y, the gauge phase,
+B y and the recorded fields.  Lambda^ is m y^ plus the spectral sources (J
+outside gauged tsee, the memory term) plus one packed transform
+(``GalerkinSpace.spectral``) of the summed physical-space terms: its pruned
+forward passes compute the retained modes only, so it is P_n and no mask
+multiply is left.  ``run_path(initial=...)`` applies P_n to the start state
+it is given, which drops the rounding-level modes outside the cube of a state
+that went through physical space (the Picard windows hand over a
+gauge-round-tripped state).  Both pruned transforms are bitwise the
+full-grid ones, and a covering cube runs the full-grid ones.  Transforms per
+step, with N noise channels (one transform call covers a whole batch, so
+these are also the calls per batched step; each is one ``to_physical`` or
+one ``GalerkinSpace.spectral``):
 
 * linear, trivial gauge, Euler-Maruyama: 1 (the view),
 * gauged tsee with Kerr, Euler-Maruyama: 2 + N (view, drift, one per channel),
 * msee with Kerr and multiplicative noise, Lie splitting: 5 + 2N (view,
   drift, pre-step noise, the Kerr resolvent's round trip, the propagated
   state's view and noise).
+
+The memory term is evaluated once per step (``StepContext.memory_term``);
+the drift and, under Lie splitting, the remaining drift read that array.
 
 Under Lie splitting, Lambda and Z at the pre-step state feed only the
 Lambda series and the energy ledger, so the ledger residual measures the
@@ -224,6 +230,13 @@ class PathReport:
 
 
 @lru_cache(maxsize=8)
+def m_u0_norm(spec: NoiseSpec) -> float:
+    """||m u0|| (Parseval, on the full grid): the start state's curl-energy
+    check and the M2 row of assumptions.csv read it; built once per spec."""
+    return l2_norm(maxwell_apply(to_spectral(spec.u0)))
+
+
+@lru_cache(maxsize=8)
 def _initial_coefficients(spec: NoiseSpec, equation: str,
                           level: CutoffLevel) -> Field6:
     grid = spec.grid
@@ -234,10 +247,9 @@ def _initial_coefficients(spec: NoiseSpec, equation: str,
     u0 = spec.u0
     if not np.all(np.isfinite(u0.data)):
         raise ConfigurationError("initial datum contains non-finite values")
-    u0_hat = to_spectral(u0)
-    if not np.isfinite(l2_norm(maxwell_apply(u0_hat))):
+    if not np.isfinite(m_u0_norm(spec)):
         raise ConfigurationError("initial datum has non-finite curl energy")
-    y0 = galerkin_space(grid, level).pack(u0_hat)
+    y0 = galerkin_space(grid, level).spectral(u0)
     if equation == WSEE:
         return y0
     return smooth_cutoff(y0, CutoffLevel(level.n - 1))
@@ -291,7 +303,7 @@ def _static_pieces(spec: NoiseSpec, equation: str,
     current_zero = not np.any(spec.current.shape.data)
     current_hat = None
     if not current_zero and (equation != TSEE or phase_trivial):
-        current_hat = space.gather(to_spectral(spec.current.shape).data)
+        current_hat = space.spectral(spec.current.shape).data
     noise_level = CutoffLevel(level.n - 1)
 
     # with a trivial gauge the noise filters commute with the scalar
@@ -300,7 +312,7 @@ def _static_pieces(spec: NoiseSpec, equation: str,
     if phase_trivial and spec.count:
         cached_noise = []
         for source in spec.b_sources:
-            raw = space.pack(to_spectral(source.shape))
+            raw = space.spectral(source.shape)
             if equation == TSEE:
                 raw = smooth_cutoff(raw, noise_level)
             cached_noise.append(raw)
@@ -317,11 +329,12 @@ class StepContext:
     floats bit for bit.  Sources that no gauge phase touches are kept
     spectral: the noise shapes under a trivial gauge (already filtered) and
     the current J, except in gauged tsee.  Drift and noise take the packed
-    state y and return packed fields.  The drift also takes y's physical
-    ``view``, its pointwise norm ``magnitude`` (None without Kerr) and the
-    phase ``gauge`` at t (``gauge_at``; None when no gauged term is
-    evaluated); the noise takes the phase and, when the caller has it, the
-    view.  A nonzero kernel needs msee or wsee (tsee: ``solve_with_memory``).
+    state y and return packed fields.  The drift also takes the memory term
+    at t (``memory_term``), y's physical ``view``, its pointwise norm
+    ``magnitude`` (None without Kerr) and the phase ``gauge`` at t
+    (``gauge_at``; None when no gauged term is evaluated); the noise takes
+    the phase and, when the caller has it, the view.  A nonzero kernel needs
+    msee or wsee (tsee: ``solve_with_memory``).
 
     ``bundle`` is a BrownianBundle for one path, or a BundleStack whose rows
     belong to the rows of a stacked y.  Noise amplitudes that do not depend
@@ -366,16 +379,26 @@ class StepContext:
             return None
         return total * gauge.of_fields
 
+    def memory_term(self, history: History | None, t: float):
+        """The memory term (G * y)(t), packed; None without a kernel.  A step
+        evaluates it once: the drift and the Lie stepper's remaining drift
+        read the same array."""
+        if not self.kernel_active:
+            return None
+        if history is None:
+            raise UsageError("memory kernel requires a history")
+        return convolve_history(history, self.kernel, t).data
+
     def _add_drift_terms(self, acc: np.ndarray | None, phys: np.ndarray | None,
                          y: Field6, view: Field6 | None, t: float,
-                         history: History | None,
+                         memory: np.ndarray | None,
                          extra_source: np.ndarray | None,
                          gauge: GaugePhase | None) -> np.ndarray | None:
         """acc (packed) plus every drift term besides m y and -F(y), in a
         fixed order: A(t) y and the gauged current (gauged tsee) or J, the
-        memory term (msee/wsee), then the extra source.  Physical-space terms
-        are summed onto ``phys`` (the drift passes -F(y) there) and enter acc
-        through one to_spectral, gathered onto the retained modes.  An
+        memory term (``memory_term``; msee/wsee), then the extra source.
+        Physical-space terms are summed onto ``phys`` (the drift passes -F(y)
+        there) and enter acc through one packed transform.  An
         accumulator that is None starts from the first term added (a copy
         with y's path axis, so every later term is summed in place); None
         comes back when there is no term at all."""
@@ -398,18 +421,16 @@ class StepContext:
                 phys = add(phys, current)
         elif static.current_hat is not None:
             acc = add(acc, self.spec.current.profile.value(t) * static.current_hat)
-        if self.kernel_active:
-            if history is None:
-                raise UsageError("memory kernel requires a history")
-            acc = add(acc, convolve_history(history, self.kernel, t).data)
+        if memory is not None:
+            acc = add(acc, memory)
         if extra_source is not None:
             phys = add(phys, extra_source)
         if phys is not None:
-            phys_hat = to_spectral(Field6(self.grid, PHYSICAL, phys))
-            acc = add(acc, self.space.gather(phys_hat.data))
+            acc = add(acc, self.space.spectral(
+                Field6(self.grid, PHYSICAL, phys)).data)
         return acc
 
-    def drift(self, y: Field6, t: float, history: History | None,
+    def drift(self, y: Field6, t: float, memory: np.ndarray | None,
               extra_source: np.ndarray | None, view: Field6,
               gauge: GaugePhase | None,
               magnitude: np.ndarray | None) -> Field6:
@@ -418,7 +439,7 @@ class StepContext:
         if self.cfg.kerr is not None:
             phys = -kerr_force(view, self.cfg.kerr, magnitude).data
         acc = maxwell_apply(y).data.copy()
-        acc = self._add_drift_terms(acc, phys, y, view, t, history,
+        acc = self._add_drift_terms(acc, phys, y, view, t, memory,
                                     extra_source, gauge)
         return self.space.field(acc)
 
@@ -441,7 +462,7 @@ class StepContext:
             phase = gauge.of_fields
             for source in spec.b_sources:
                 raw = Field6(self.grid, PHYSICAL, source.at(t) * phase)
-                out.append(smooth_cutoff(self.space.pack(to_spectral(raw)),
+                out.append(smooth_cutoff(self.space.spectral(raw),
                                          static.noise_level))
             return out
         view = _physical(y, view)
@@ -450,8 +471,7 @@ class StepContext:
             # when both operands have its shape
             raw = 1j * b_field * view.data
             raw += source.at(t)
-            out.append(self.space.pack(to_spectral(
-                Field6(self.grid, PHYSICAL, raw))))
+            out.append(self.space.spectral(Field6(self.grid, PHYSICAL, raw)))
         return out
 
 
@@ -479,10 +499,11 @@ def _increments(ctx: StepContext, k: int) -> np.ndarray:
 
 def step_euler_maruyama(state: PathState, ctx: StepContext, lam: Field6,
                         zs: list, src: np.ndarray | None,
+                        memory: np.ndarray | None,
                         gauge: GaugePhase | None) -> PathState:
     """y + dt Lambda + sum_i Z_i dbeta_i on packed data, with Lambda and Z
-    evaluated at the current state by the caller (``src`` is already part
-    of Lambda)."""
+    evaluated at the current state by the caller (``src`` and ``memory`` are
+    already part of Lambda)."""
     k = state.step_index
     incr = ctx.cfg.dt * lam.data + _noise_increment(zs, _increments(ctx, k))
     y_new = state.y.with_data(state.y.data + incr)
@@ -492,13 +513,15 @@ def step_euler_maruyama(state: PathState, ctx: StepContext, lam: Field6,
 
 def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
                        zs: list, src: np.ndarray | None,
+                       memory: np.ndarray | None,
                        gauge: GaugePhase | None) -> PathState:
     """Exact free flow, Kerr resolvent, remaining drift, noise increment.
 
     Lambda and Z at the current state are not used: the remaining drift and
     the noise are evaluated at the propagated state, with the step's gauge
-    phase.  Only the Kerr resolvent and the noise at the propagated state
-    leave Fourier space."""
+    phase; the memory term depends on the history and t only, so the step's
+    one evaluation ``memory`` enters as it is.  Only the Kerr resolvent and
+    the noise at the propagated state leave Fourier space."""
     cfg = ctx.cfg
     k = state.step_index
     t = state.t
@@ -507,10 +530,9 @@ def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
     # (2) monotone implicit Kerr resolvent in physical space, re-projected
     if cfg.kerr is not None:
         w = implicit_kerr_solve(to_physical(y), cfg.dt, cfg.kerr)
-        y = ctx.space.pack(to_spectral(w))
+        y = ctx.space.spectral(w)
     # (3) remaining drift terms
-    rest = ctx._add_drift_terms(None, None, y, None, t, state.history, src,
-                                gauge)
+    rest = ctx._add_drift_terms(None, None, y, None, t, memory, src, gauge)
     if rest is not None:
         y = y.with_data(y.data + cfg.dt * rest)
     # (4) noise increment
@@ -732,13 +754,13 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         if state.history is not None:
             state.history.append(state.t, state.y)
         src = extra_source(k, state.t) if extra_source is not None else None
-        lam = ctx.drift(state.y, state.t, history=state.history,
-                        extra_source=src, view=view, gauge=gauge,
-                        magnitude=magnitude)
+        memory = ctx.memory_term(state.history, state.t)
+        lam = ctx.drift(state.y, state.t, memory=memory, extra_source=src,
+                        view=view, gauge=gauge, magnitude=magnitude)
         lambda_l2[alive, local] = l2_norm(lam)
         zs = ctx.noise(state.y, state.t, view=view, gauge=gauge)
         ledger.update(state.y, lam, zs, _increments(ctx, k), cfg.dt)
-        state = stepper(state, ctx, lam, zs, src, gauge)
+        state = stepper(state, ctx, lam, zs, src, memory, gauge)
 
         norms = l2_norm(state.y).tolist()
         kept = [i for i, norm in enumerate(norms)
@@ -770,7 +792,8 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
             state.history.append(state.t, state.y)
         src = (extra_source(k_range[-1] + 1, state.t)
                if extra_source is not None else None)
-        final_lam = ctx.drift(state.y, state.t, history=state.history,
+        final_lam = ctx.drift(state.y, state.t,
+                              memory=ctx.memory_term(state.history, state.t),
                               extra_source=src, view=view, gauge=gauge,
                               magnitude=magnitude)
         lambda_l2[alive, -1] = l2_norm(final_lam)

@@ -67,8 +67,8 @@ def drift_and_noise(ctx, y: Field6, k: int, history=None):
     (the Kerr force forms the view's norm itself)."""
     t = float(ctx.bundle.times[k])
     view, gauge = to_physical(y), ctx.gauge_at(k)
-    lam = ctx.drift(y, t, history=history, extra_source=None, view=view,
-                    gauge=gauge, magnitude=None)
+    lam = ctx.drift(y, t, memory=ctx.memory_term(history, t),
+                    extra_source=None, view=view, gauge=gauge, magnitude=None)
     return lam, ctx.noise(y, t, gauge=gauge, view=view)
 
 

@@ -8,9 +8,14 @@ from mks.config import (
     parse_profile,
     validate_config,
 )
+import mks.operators
+import mks.stepping
 from mks.cli import main
+from mks.config import ProfileSpec, _field_profile, _scalar_profile
 from mks.errors import ConfigurationError, MksError, ValidationError
-from mks.grid import l2_norm
+from mks.grid import ifft_array, l2_norm, make_grid, to_spectral
+from mks.noise import TimeProfile
+from mks.stepping import initial_state
 
 MINIMAL_WEAK = """
 [grid]
@@ -171,7 +176,73 @@ class TestProfiles:
         assert f.max() <= 1.0 + 1e-6
 
 
+def _masked_synthesis(grid, seed, stream, max_mode, lead):
+    """The full-grid band-limited draw the profiles made before the pruned
+    passes: normals on every mode, masked to |k_i| <= 2 pi max_mode / L."""
+    n = grid.points_per_axis
+    shape = lead + (n, n, n)
+    rng = np.random.default_rng([seed, stream])
+    kx, ky, kz = grid.k_components()
+    lim = 2.0 * np.pi * max_mode / grid.box_length + 1e-12
+    mask = (np.abs(kx) <= lim) & (np.abs(ky) <= lim) & (np.abs(kz) <= lim)
+    hat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
+    return ifft_array(hat, axes=(-3, -2, -1))
+
+
+def masked_field_profile(grid, seed, amplitude, max_mode):
+    data = _masked_synthesis(grid, seed, 606, max_mode, (6,))
+    norm = np.sqrt(grid.cell_volume) * np.linalg.norm(data)
+    return amplitude * data / norm if norm > 0 else data
+
+
+def masked_scalar_profile(grid, seed, amplitude, max_mode):
+    f = _masked_synthesis(grid, seed, 101, max_mode, ()).real
+    peak = np.max(np.abs(f))
+    return amplitude * f / peak if peak > 0 else np.zeros(f.shape)
+
+
+class TestBandLimitedRandom:
+    """The profiles draw the full grid's normals and transform only the cube
+    |fftfreq index| <= max_mode, bitwise equal to the masked full-grid
+    synthesis, zero signs included; from n/2 on the cube covers the grid."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("box", [2.0 * np.pi, 4.0 * np.pi])
+    @pytest.mark.parametrize("max_mode", [0, 1, 3, 7, 16])
+    def test_equal_to_the_masked_full_grid_synthesis(self, n, box, max_mode):
+        grid = make_grid(n, box)
+        p = ProfileSpec("band-limited-random",
+                        {"seed": 5.0, "amplitude": 0.3,
+                         "max_mode": float(max_mode)}, TimeProfile())
+        field = _field_profile(grid, p).data
+        scalar = _scalar_profile(grid, p)
+        expected = masked_field_profile(grid, 5, 0.3, max_mode)
+        assert field.tobytes() == expected.tobytes()
+        expected = masked_scalar_profile(grid, 5, 0.3, max_mode)
+        assert scalar.tobytes() == expected.tobytes()
+
+
 class TestAssumptionEcho:
+    def test_m_u0_norm_is_computed_once(self, monkeypatch):
+        # the start state's curl-energy check and the M2 row share it
+        calls = {"n": 0}
+        original = mks.stepping.maxwell_apply
+
+        def counted(f):
+            calls["n"] += 1
+            return original(f)
+
+        for module in (mks.stepping, mks.operators):
+            monkeypatch.setattr(module, "maxwell_apply", counted)
+        cfg = parse_config(MINIMAL_WEAK)
+        model = build_runtime(cfg)
+        rows = {r["tag"]: r["detail"] for r in assumption_echo(cfg, model)}
+        initial_state(model.spec, model.scheme)
+        assumption_echo(cfg, model)
+        assert calls["n"] == 1
+        norm = l2_norm(original(to_spectral(model.spec.u0)))
+        assert rows["M2"].startswith(f"||m u0||={norm:.6g}, ")
+
     def test_all_tags_present(self):
         cfg = parse_config(STRONG_TEMPLATE.format(q=2.0, b="constant(value=0.1)"))
         model = build_runtime(cfg)
@@ -219,6 +290,11 @@ BAD_VALUES = [
                  "[model] nonlinearity", "yes", id="nonlinearity-yes"),
     pytest.param(MINIMAL_WEAK + "\n[outputs]\nsave_fields = yes\n",
                  "[outputs] save_fields", "yes", id="save_fields-yes"),
+    pytest.param(MINIMAL_WEAK.replace("max_mode=1", "max_mode=-1"),
+                 "[noise] u0", "-1", id="u0-max_mode-negative"),
+    pytest.param(MINIMAL_WEAK.replace(
+        "B_1 = zero", "B_1 = band-limited-random(seed=2, max_mode=1.5)"),
+        "[noise] B_1", "1.5", id="B_1-max_mode-fraction"),
 ]
 
 
@@ -240,6 +316,23 @@ class TestBadValues:
         assert rc != 0
         err = capsys.readouterr().err
         assert "Traceback" not in err and where in err
+        assert not (tmp_path / "out").exists()
+
+    def test_degenerate_max_mode_exits_2_with_one_error_line(
+            self, tmp_path, capsys):
+        # max_mode = -1 masks every mode: the run would start from u0 = 0
+        text = MINIMAL_WEAK.replace("max_mode=1", "max_mode=-1").replace(
+            "b_1 = zero", "b_1 = band-limited-random(seed=3, max_mode=0.5)")
+        with pytest.raises(ValidationError) as info:
+            parse_config(text)
+        assert [v.split(":")[0] for v in info.value.violations] == \
+            ["[noise] u0", "[noise] b_1"]
+        cfg_file = tmp_path / "degenerate.cfg"
+        cfg_file.write_text(text)
+        rc = main(["run", "--config", str(cfg_file),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
 
     def test_tau_m_zero_rejected(self):

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mks.errors import UsageError
 from mks.galerkin import galerkin_space
 from mks.grid import (
+    PHYSICAL,
+    Field6,
+    fft_array,
+    ifft_array,
     inner_product,
     l2_norm,
     make_grid,
@@ -126,3 +132,51 @@ class TestPackedFields:
         uh = to_spectral(random_field(grid32, seed=10))
         assert np.array_equal(op(space.pack(uh)).data,
                               space.gather(op(uh).data))
+
+
+# every cutoff level up to the Nyquist wavenumber on each grid; the last one
+# covers the grid
+CUBE_CASES = [(n, level) for n in (8, 16, 32)
+              for level in range(1, n.bit_length() - 1)]
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestPrunedTransforms:
+    """The packed transforms run single-axis passes over the lines that can
+    hold a retained mode; they are bitwise the full-grid transforms around
+    scatter and gather, zero signs included."""
+
+    @pytest.mark.parametrize("n, level", CUBE_CASES)
+    @pytest.mark.parametrize("paths", [None, 1, 2, 3])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=3, deadline=None)
+    def test_equal_to_the_full_grid_transforms(self, n, level, paths, seed):
+        space = galerkin_space(make_grid(n, 2.0 * np.pi), CutoffLevel(level))
+        assert space.covers == (2**level >= n // 2)
+        lead = (6,) if paths is None else (paths, 6)
+        rng = np.random.default_rng(seed)
+
+        def normal(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        axes = (-3, -2, -1)
+        for _ in range(2):  # the second pair runs on the first one's scratch
+            packed = space.field(normal(lead + space.shape[1:]))
+            assert _bits(to_physical(packed).data) == \
+                _bits(ifft_array(space.scatter(packed.data), axes))
+            u = Field6(space.grid, PHYSICAL, normal(lead + (n, n, n)))
+            spectral = space.spectral(u)
+            assert spectral.space is space
+            assert _bits(spectral.data) == \
+                _bits(space.gather(fft_array(u.data, axes)))
+
+    def test_spectral_takes_a_physical_field_on_its_grid(self, grid32):
+        space = galerkin_space(grid32, CutoffLevel(3))
+        with pytest.raises(UsageError):
+            space.spectral(to_spectral(random_field(grid32, seed=11)))
+        with pytest.raises(UsageError):
+            space.spectral(random_field(make_grid(16, 2 * np.pi), seed=11))
+

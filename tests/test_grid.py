@@ -327,9 +327,10 @@ _TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
 
 def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
     # build_runtime (band-limited profiles, spectral gradients, band-limit
-    # checks) and run_path transform only through fft_array/ifft_array, each
-    # call is one call of the pocketfft kernel, and neither numpy.fft nor
-    # scipy.fft is called
+    # checks) and run_path transform only through fft_array/ifft_array and
+    # the pruned fft_cube/ifft_cube; a full-grid call is one call of the
+    # pocketfft kernel and a pruned one three (one pass per axis), and
+    # neither numpy.fft nor scipy.fft is called
     import scipy.fft
 
     import mks.grid
@@ -337,7 +338,7 @@ def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
     from mks.noise import sample_brownian
     from mks.stepping import run_path
 
-    counts = {"library": 0, "kernel": 0, "seam": 0}
+    counts = {"library": 0, "kernel": 0, "seam": 0, "cube": 0}
     for library in (np.fft, scipy.fft):
         for name in _TRANSFORMS:
             original = getattr(library, name)
@@ -356,11 +357,12 @@ def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
     monkeypatch.setattr(mks.grid, "_c2c", kernel_counted)
     modules = [m for key, m in list(sys.modules.items())
                if m is not None and (key == "mks" or key.startswith("mks."))]
-    for name in ("fft_array", "ifft_array"):
+    for name, kind in (("fft_array", "seam"), ("ifft_array", "seam"),
+                       ("fft_cube", "cube"), ("ifft_cube", "cube")):
         original = getattr(mks.grid, name)
 
-        def seam_counted(*args, _original=original, **kwargs):
-            counts["seam"] += 1
+        def seam_counted(*args, _original=original, _kind=kind, **kwargs):
+            counts[_kind] += 1
             return _original(*args, **kwargs)
 
         for module in modules:
@@ -371,9 +373,12 @@ def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
     built = dict(counts)
     bundle = sample_brownian(1, model.horizon, model.steps, seed=7)
     run_path(model.spec, model.scheme, model.kernel, bundle)
-    assert built["seam"] >= 5  # B_1: profile, band check, gradient; b_1, J, u0
-    assert counts["seam"] > built["seam"]
-    assert counts["kernel"] == counts["seam"]
+    # B_1: profile, band check, gradient; b_1, J, u0.  max_mode 1 keeps 3 of
+    # 8 modes per axis, so the four profiles take the pruned passes
+    assert built["seam"] + built["cube"] >= 5
+    assert built["cube"] == 4
+    assert counts["seam"] + counts["cube"] > built["seam"] + built["cube"]
+    assert counts["kernel"] == counts["seam"] + 3 * counts["cube"]
     assert counts["library"] == 0
 
 

@@ -9,6 +9,7 @@ import mks.kerr
 import mks.memory
 import mks.stepping
 from mks.errors import BlowUpError, ConfigurationError, UsageError
+from mks.galerkin import GalerkinSpace
 from mks.grid import (Field6, l2_norm, lp_norm, random_field, to_physical,
                       to_spectral, zero_field)
 from mks.kerr import KerrExponent
@@ -154,7 +155,7 @@ class TestEulerStep:
         st = initial_state(spec, cfg)
         ctx = StepContext(cfg, spec, bundle, None)
         new = step_euler_maruyama(st, ctx, *drift_and_noise(ctx, st.y, 0),
-                                  None, ctx.gauge_at(0))
+                                  None, None, ctx.gauge_at(0))
         assert np.max(np.abs(to_physical(new.y).data - expected)) < 1e-14
 
     def test_step_recomposition_is_bitwise(self, grid8):
@@ -175,7 +176,7 @@ class TestEulerStep:
             expected = st.y.data + incr
             ctx = StepContext(cfg, spec, bundle, None)
             st = step_euler_maruyama(st, ctx, *drift_and_noise(ctx, st.y, k),
-                                     None, ctx.gauge_at(k))
+                                     None, None, ctx.gauge_at(k))
             assert np.array_equal(st.y.data, expected)
 
     def test_deterministic_linear_matches_dense_ode(self, grid4):
@@ -319,14 +320,15 @@ class TestLambdaProcess:
 
 
 class TestEvaluationCounts:
-    """run_path evaluates Lambda and Z once per step and the steppers reuse
-    them; Lie splitting re-evaluates only the noise, at the propagated state."""
+    """run_path evaluates Lambda, Z and the memory term once per step and the
+    steppers reuse them; Lie splitting re-evaluates only the noise, at the
+    propagated state."""
 
     STEPS = 8
 
     def _counted_run(self, grid4, monkeypatch, make_cfg, equation):
-        counts = {"drift": 0, "noise": 0}
-        for name in counts:
+        counts = {"drift": 0, "noise": 0, "memory": 0}
+        for name in ("drift", "noise"):
             original = getattr(StepContext, name)
 
             def counted(self, *args, _name=name, _original=original, **kw):
@@ -334,6 +336,13 @@ class TestEvaluationCounts:
                 return _original(self, *args, **kw)
 
             monkeypatch.setattr(StepContext, name, counted)
+        convolve = mks.stepping.convolve_history
+
+        def convolve_counted(*args):
+            counts["memory"] += 1
+            return convolve(*args)
+
+        monkeypatch.setattr(mks.stepping, "convolve_history", convolve_counted)
         b = SeparableSource(shape=banded_field(grid4, seed=31, scale=0.1),
                             profile=TimeProfile("cos", 1.0))
         J = SeparableSource(shape=banded_field(grid4, seed=32, scale=0.1))
@@ -349,12 +358,16 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("equation", [TSEE, MSEE])
     def test_euler_maruyama(self, grid4, monkeypatch, equation):
         counts = self._counted_run(grid4, monkeypatch, em_cfg, equation)
-        assert counts == {"drift": self.STEPS + 1, "noise": self.STEPS}
+        memory = self.STEPS + 1 if equation == MSEE else 0
+        assert counts == {"drift": self.STEPS + 1, "noise": self.STEPS,
+                          "memory": memory}
 
     @pytest.mark.parametrize("equation", [TSEE, MSEE])
     def test_lie_splitting(self, grid4, monkeypatch, equation):
         counts = self._counted_run(grid4, monkeypatch, lie_cfg, equation)
-        assert counts == {"drift": self.STEPS + 1, "noise": 2 * self.STEPS}
+        memory = self.STEPS + 1 if equation == MSEE else 0
+        assert counts == {"drift": self.STEPS + 1, "noise": 2 * self.STEPS,
+                          "memory": memory}
 
     @pytest.mark.parametrize("make_cfg", [em_cfg, lie_cfg])
     def test_one_phase_and_one_norm_of_each_kind_per_step(
@@ -599,16 +612,24 @@ class TestGalerkinState:
         cfg = em_cfg(1 / 64, level=2)
         calls = {"n": 0}
         original = mks.stepping.to_spectral
+        packed = GalerkinSpace.spectral
 
         def counted(f):
             calls["n"] += 1
             return original(f)
 
+        def packed_counted(space, f):
+            calls["n"] += 1
+            return packed(space, f)
+
         monkeypatch.setattr(mks.stepping, "to_spectral", counted)
+        monkeypatch.setattr(GalerkinSpace, "spectral", packed_counted)
         first = run_path(spec, cfg, None, bundle)
         per_run = calls["n"]
         second = run_path(spec, cfg, None, bundle)
-        assert per_run >= 4  # u0, J and both noise shapes
+        # u0 twice (||m u0|| on the full grid, the packed start state), J
+        # and both noise shapes
+        assert per_run == 5
         assert calls["n"] == per_run  # the linear step itself has none
         assert np.array_equal(first.report.l2, second.report.l2)
         assert initial_state(spec, cfg).y is initial_state(spec, cfg).y
