@@ -152,7 +152,9 @@ class GalerkinSpace:
 
 
 # a run transforms one or two shapes of fields (the path-independent pieces
-# and the batch); spaces of a study's other levels and batch sizes evict them
+# and the batch); spaces of a study's other levels and batch sizes evict them.
+# Every transform of a shape overwrites the same arrays, so two transforms
+# must not run at once (the package steps one thread per process)
 @lru_cache(maxsize=4)
 def _cached_scratch(points_per_axis: int, modes_per_axis: int, count: int):
     return cube_scratch(count, points_per_axis, modes_per_axis)
