@@ -81,10 +81,9 @@ from .stepping import (
     MSEE,
     TSEE,
     WSEE,
-    PathState,
     SchemeConfig,
     Trajectory,
-    initial_state,
+    initial_coefficients,
     run_path,
     run_paths,
     solve_with_memory,

@@ -83,6 +83,13 @@ class ExperimentConfig:
 _PROFILE_RE = re.compile(r"^\s*([a-z0-9-]+)\s*(?:\((.*)\))?\s*$")
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ConfigurationError("expected a finite number")
+    return value
+
+
 def _parse_args(body: str) -> dict:
     args = {}
     if not body or not body.strip():
@@ -98,7 +105,7 @@ def _parse_args(body: str) -> dict:
         val = val.strip()
         parts = val.split()
         try:
-            nums = [float(p) for p in parts]
+            nums = [_finite(p) for p in parts]
         except ValueError as exc:
             raise ConfigurationError(f"non-numeric profile argument {val!r}") from exc
         args[key] = nums[0] if len(nums) == 1 else tuple(nums)
@@ -122,7 +129,7 @@ def parse_profile(text: str) -> ProfileSpec:
             if body is None or not body.strip():
                 raise ConfigurationError(f"time profile {kind!r} needs a rate")
             try:
-                rate = float(body)
+                rate = _finite(body)
             except ValueError as exc:
                 raise ConfigurationError(
                     f"non-numeric time profile rate {body!r}") from exc
@@ -156,7 +163,7 @@ def _band_limited(grid: GridSpec, p: ProfileSpec, stream: int,
     hat = (cube.gather(rng.standard_normal(shape))
            + 1j * cube.gather(rng.standard_normal(shape)))
     if cube.covers:
-        return ifft_array(hat, (-3, -2, -1))
+        return ifft_array(hat)
     m = cube.modes_per_axis
     return ifft_cube(hat, n, cube_scratch(int(np.prod(lead)), n, m))
 
@@ -247,7 +254,8 @@ def _field_profile(grid: GridSpec, p: ProfileSpec) -> Field6:
         data = _band_limited(grid, p, 606, (6,))
         norm = np.sqrt(grid.cell_volume) * np.linalg.norm(data)
         if norm > 0:
-            data = amp * data / norm
+            data *= amp
+            data /= norm
         return Field6(grid, PHYSICAL, data)
     raise ConfigurationError(f"unknown field profile {p.name!r}")
 
@@ -266,7 +274,7 @@ def _switch(raw: str) -> bool:
 
 def _auto_or_float(raw: str) -> float | None:
     word = raw.strip().lower()
-    return None if word == "auto" else float(word)
+    return None if word == "auto" else _finite(word)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -293,8 +301,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"[{section}] {key} = {raw!r}: {exc}") from exc
 
     grid_points = get("grid", "points", cast=int)
-    box_length = get("grid", "length", cast=float)
-    q = get("model", "q", cast=float)
+    box_length = get("grid", "length", cast=_finite)
+    q = get("model", "q", cast=_finite)
     mode = get("model", "mode", default=WEAK).strip().lower()
     equation = get("model", "equation", default=TSEE).strip().lower()
     nonlinearity = get("model", "nonlinearity", default="on", cast=_switch)
@@ -308,14 +316,14 @@ def parse_config(text: str) -> ExperimentConfig:
     u0_profile = get("noise", "u0", default="zero", cast=parse_profile)
 
     kernel_form = get("kernel", "form", default="zero").strip().lower()
-    kernel_amplitude = get("kernel", "amplitude", default="0.0", cast=float)
-    kernel_rate = get("kernel", "rate", default="0.0", cast=float)
+    kernel_amplitude = get("kernel", "amplitude", default="0.0", cast=_finite)
+    kernel_rate = get("kernel", "rate", default="0.0", cast=_finite)
 
     scheme = get("scheme", "type", default="euler_maruyama").strip().lower()
-    dt = get("scheme", "dt", cast=float)
+    dt = get("scheme", "dt", cast=_finite)
     cutoff = get("scheme", "cutoff", cast=int)
     tau_m = get("scheme", "tau_m", default="auto", cast=_auto_or_float)
-    horizon = get("scheme", "horizon", default="1.0", cast=float)
+    horizon = get("scheme", "horizon", default="1.0", cast=_finite)
 
     paths = get("monte_carlo", "paths", default="1", cast=int)
     base_seed = get("monte_carlo", "base_seed", default="0", cast=int)
@@ -390,6 +398,10 @@ def validate_config(cfg: ExperimentConfig) -> list:
         v.append(f"[scheme] tau_m must be positive or auto, got {cfg.tau_m}")
     if cfg.paths < 1:
         v.append("[monte_carlo] paths must be >= 1")
+    if cfg.noise_count < 0:
+        v.append(f"[noise] count must be >= 0, got {cfg.noise_count}")
+    if cfg.stride < 1:
+        v.append(f"[outputs] stride must be >= 1, got {cfg.stride}")
     profiles = [("u0", cfg.u0_profile), ("J", cfg.J_profile)]
     profiles += [(f"b_{j + 1}", p) for j, p in enumerate(cfg.b_profiles)]
     profiles += [(f"B_{j + 1}", p) for j, p in enumerate(cfg.B_profiles)]

@@ -117,7 +117,7 @@ class GalerkinSpace:
     def physical(self, data: np.ndarray) -> np.ndarray:
         """The full-grid inverse transform of packed coefficients."""
         if self.covers:
-            return ifft_array(data, (-3, -2, -1))
+            return ifft_array(data)
         return ifft_cube(data, self.grid.points_per_axis,
                          self._scratch(data.shape[:-3]))
 

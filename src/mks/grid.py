@@ -206,25 +206,25 @@ _c2c = _load_pocketfft().c2c
 _FIELD_AXES = (-3, -2, -1)
 
 
-def fft_array(data: np.ndarray, axes=None) -> np.ndarray:
-    """Unitary forward DFT of an array over ``axes`` (all axes when None)."""
-    return _c2c(data, axes, True, 1, None, 1)
+def fft_array(data: np.ndarray) -> np.ndarray:
+    """Unitary forward DFT of an array over its last three axes."""
+    return _c2c(data, _FIELD_AXES, True, 1, None, 1)
 
 
-def ifft_array(data: np.ndarray, axes=None) -> np.ndarray:
-    """Unitary inverse DFT of an array over ``axes`` (all axes when None)."""
-    return _c2c(data, axes, False, 1, None, 1)
+def ifft_array(data: np.ndarray) -> np.ndarray:
+    """Unitary inverse DFT of an array over its last three axes."""
+    return _c2c(data, _FIELD_AXES, False, 1, None, 1)
 
 
 def to_spectral(f: Field6) -> Field6:
     _require_representation(f, PHYSICAL, "to_spectral")
-    return Field6(f.grid, SPECTRAL, fft_array(f.data, _FIELD_AXES))
+    return Field6(f.grid, SPECTRAL, fft_array(f.data))
 
 
 def to_physical(f: Field6) -> Field6:
     """Inverse transform; a packed field transforms through its space."""
     _require_representation(f, SPECTRAL, "to_physical")
-    data = (ifft_array(f.data, _FIELD_AXES) if f.space is None
+    data = (ifft_array(f.data) if f.space is None
             else f.space.physical(f.data))
     return Field6(f.grid, PHYSICAL, data)
 

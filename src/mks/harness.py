@@ -499,11 +499,10 @@ def memory_battery() -> list:
     errs = []
     dts = [1e-2, 5e-3, 2.5e-3]
     for dt in dts:
-        h = History(dt=dt)
-        for k in range(int(round(horizon / dt)) + 1):
-            h.append(k * dt, c)
-        errs.append(np.max(np.abs(convolve_history(h, ker, horizon).data
-                                  - exact)))
+        h = History(ker, dt)
+        for _ in range(int(round(horizon / dt)) + 1):
+            h.append(c)
+        errs.append(np.max(np.abs(convolve_history(h).data - exact)))
     records = [_check("memory/quadrature_order", fit_loglog_slope(dts, errs),
                       2.3, lower=1.7)]
 

@@ -3,12 +3,14 @@
 G acts as a space-constant 6x6 real matrix multiplier.  The convolution is
 the trapezoidal rule on the integrator's uniform history grid (O(dt^2) for
 smooth integrands).  For the exponential kernel G(t) = a e^{-rt} C the
-trapezoid sum is carried forward instead of re-summed: ``History`` keeps
+trapezoid sum is carried forward instead of re-summed: a ``History`` is
+built with its kernel and folds each state as it is appended,
 
     H_0 = u_0 / 2,    H_{k+1} = e^{-r dt} H_k + u_{k+1},
 
 so (G * u)(t_k) = a dt C (H_k - u_k / 2), the trapezoid sum exactly in exact
-arithmetic, at O(1) work and storage per step.
+arithmetic, at O(1) work and storage per step.  The record has no clock of
+its own: its k-th state is the state at t_k of the integrator's grid.
 
 The convolution acts on the six components only, so it commutes with the
 FFT: the stepper keeps a ``History`` of spectral states and reads the
@@ -25,7 +27,7 @@ tests as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,29 +77,26 @@ def exponential_kernel(amplitude: float, rate: float,
 class History:
     """Carried trapezoid sum of a uniformly spaced state record.
 
-    Single writer (the stepper).  Appended states wait in ``pending`` until
-    the next read folds them into ``carried`` (H_k, folded with ``rate``);
-    only the latest state and the carried sum outlive a read.  ``len`` is
-    the number of states appended.
+    Single writer (the stepper).  Each appended state is folded into
+    ``carried`` at once, with the decay e^{-rate dt} of ``kernel``: H_k is
+    ready for the next read, and only the latest state and the carried sum
+    are kept.  ``len`` is the number of states appended.
     """
 
+    kernel: KernelSpec
     dt: float
     count: int = 0
-    t_last: float = 0.0
     latest: Field6 | None = None
-    pending: list = field(default_factory=list)
     carried: np.ndarray | None = None
-    rate: float | None = None
 
-    def append(self, t: float, state: Field6):
-        if self.count:
-            gap = t - self.t_last
-            if abs(gap - self.dt) > 1e-9 * max(1.0, self.dt):
-                raise UsageError(
-                    f"history spacing {gap} does not match dt {self.dt}")
-        self.t_last = float(t)
+    def append(self, state: Field6):
+        data = state.data
+        if self.carried is None:
+            self.carried = 0.5 * data
+        else:
+            self.carried *= np.exp(-self.kernel.rate * self.dt)
+            self.carried += data
         self.latest = state
-        self.pending.append(state.data)
         self.count += 1
 
     def __len__(self):
@@ -106,30 +105,13 @@ class History:
     def copy(self) -> "History":
         """An independent History that continues from this one's state."""
         carried = None if self.carried is None else self.carried.copy()
-        return replace(self, pending=list(self.pending), carried=carried)
+        return replace(self, carried=carried)
 
     def take(self, rows) -> "History":
         """The history of the given paths of a stacked record."""
         return replace(
             self, latest=self.latest.with_data(self.latest.data[rows]),
-            pending=[data[rows] for data in self.pending],
             carried=None if self.carried is None else self.carried[rows])
-
-    def fold(self, rate: float) -> np.ndarray:
-        """Fold the pending states into H_k with decay e^{-rate dt}; returns H_k."""
-        if self.rate is not None and rate != self.rate:
-            raise UsageError(
-                f"history was folded with rate {self.rate}, read with {rate}")
-        self.rate = rate
-        decay = np.exp(-rate * self.dt)
-        for data in self.pending:
-            if self.carried is None:
-                self.carried = 0.5 * data
-            else:
-                self.carried *= decay
-                self.carried += data
-        self.pending.clear()
-        return self.carried
 
 
 def _apply_matrix(g: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -143,19 +125,17 @@ def _apply_matrix(g: np.ndarray, data: np.ndarray) -> np.ndarray:
     return np.einsum("ab,b...->a...", g, data)
 
 
-def convolve_history(h: History, kernel: KernelSpec, t: float) -> Field6:
-    """Trapezoidal quadrature of integral_0^t G(t - s) u(s) ds at the latest
-    history time t_k, O(1) per step: a dt C (H_k - u_k / 2)."""
+def convolve_history(h: History) -> Field6:
+    """Trapezoidal quadrature of integral_0^t G(t - s) u(s) ds at the time
+    t_k of the latest state, O(1) per step: a dt C (H_k - u_k / 2)."""
     if not h.count:
         raise UsageError("the memory law needs at least the t = 0 state")
-    if abs(h.t_last - t) > 1e-9 * max(1.0, abs(t)):
-        raise UsageError(f"t = {t} must be the latest history time {h.t_last}")
     u = h.latest.data
+    kernel = h.kernel
     if kernel.is_zero:
         return h.latest.with_data(np.zeros_like(u))
-    carried = h.fold(kernel.rate)
     diff = 0.5 * u
-    np.subtract(carried, diff, out=diff)
+    np.subtract(h.carried, diff, out=diff)
     conv = _apply_matrix(kernel.coupling, diff)
     conv *= kernel.amplitude * h.dt
     return h.latest.with_data(conv)

@@ -43,14 +43,6 @@ class _TimeGrid:
     def horizon(self):
         return float(self.times[-1])
 
-    def index_of(self, t: float) -> int:
-        """Grid index of time t; UsageError when t is off the grid."""
-        dt = self.times[1] - self.times[0] if self.steps else 1.0
-        idx = int(round(t / dt))
-        if idx < 0 or idx > self.steps or abs(self.times[idx] - t) > 1e-9 * max(1.0, self.horizon):
-            raise UsageError(f"time {t} is not on the bundle grid")
-        return idx
-
 
 @dataclass(frozen=True, eq=False)
 class BrownianBundle(_TimeGrid):
@@ -204,7 +196,7 @@ def spectral_gradient(grid: GridSpec, scalar: np.ndarray) -> np.ndarray:
     mask = _nyquist_mask(grid)
     hat = fft_array(scalar)
     g = ifft_array(np.stack([1j * (k * mask) * hat
-                             for k in grid.k_components()]), axes=(1, 2, 3))
+                             for k in grid.k_components()]))
     return np.ascontiguousarray(g.real)
 
 
@@ -279,12 +271,10 @@ class GaugePhase:
         return np.expand_dims(self.values, -4)
 
 
-def gauge_phase(spec: NoiseSpec, bundle, t: float,
-                index: int | None = None) -> GaugePhase:
-    """The phase at t of a bundle, or of every path of a ``BundleStack``;
-    ``index`` is t's grid index when the caller has it."""
-    idx = bundle.index_of(t) if index is None else index
-    beta = bundle.values[..., idx]
+def gauge_phase(spec: NoiseSpec, bundle, index: int) -> GaugePhase:
+    """The phase at the grid time t_index of a bundle, or of every path of a
+    ``BundleStack``."""
+    beta = bundle.values[..., index]
     phase = np.zeros(beta.shape[:-1] + (spec.grid.points_per_axis,) * 3)
     for j, b_field in enumerate(spec.B_fields):
         phase = phase + b_field * beta[..., j, None, None, None]

@@ -29,8 +29,14 @@ per run and once per pool worker, and every path reads the same arrays.
 hands both to the stepper: the Euler-Maruyama update is formed from the very
 arrays the Lambda diagnostic and the energy ledger read.  The gauge phase
 (gauged tsee, or a recorded transformed field) is formed once per step too,
-with beta read by step index, and the pointwise norm of the physical view
-feeds both the power norm and the next Kerr force.
+and the pointwise norm of the physical view feeds both the power norm and
+the next Kerr force.
+
+The step index k is the only clock.  A stepper maps (y, k) to the state at
+t_{k+1}; the gauge phase reads beta at index k, the memory ``History`` holds
+one state per index, and an ``extra_source`` is called with k.  The time
+t_k = ``bundle.times[k]`` is read where a time profile (J(t), b_j(t)) needs
+it.
 
 Paths are stepped in batches: ``run_paths`` advances P paths, one Brownian
 bundle each, with one call per operation.  The packed state is
@@ -48,7 +54,7 @@ the rest go on).  So a path's results are bitwise the same in any batch,
 and ``run_path`` is the same code with a batch of one.  Runs and studies
 cut their paths into ``path_batches``, capped by ``BATCH_VALUES``.
 
-The state is the vector of Galerkin coefficients: ``PathState.y`` holds y^
+The state is the vector of Galerkin coefficients: the packed y holds y^
 on the modes |k_i| <= 2^n only (``galerkin.GalerkinSpace``; when the cube
 covers the grid that is every mode and the packed array is the full one).
 m, S_{n-1}, exp(t m), the memory sum, the noise shapes, the Euler-Maruyama
@@ -167,18 +173,6 @@ class SchemeConfig:
         return (self.kerr.q if self.kerr is not None else 2.0) + 2.0
 
 
-@dataclass
-class PathState:
-    """Mutable integration state of one path or of a batch (single worker); y
-    holds the packed Galerkin coefficients, stacked along a leading path axis
-    in a batch."""
-
-    step_index: int
-    t: float
-    y: Field6
-    history: History | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     grid: GridSpec
@@ -212,7 +206,6 @@ class PathReport:
     lambda_l2: np.ndarray
     energy_residual: np.ndarray
     events: list = field(default_factory=list)
-    q: float | None = None
 
     @property
     def sup_l2_squared(self):
@@ -237,8 +230,10 @@ def m_u0_norm(spec: NoiseSpec) -> float:
 
 
 @lru_cache(maxsize=8)
-def _initial_coefficients(spec: NoiseSpec, equation: str,
-                          level: CutoffLevel) -> Field6:
+def initial_coefficients(spec: NoiseSpec, equation: str,
+                         level: CutoffLevel) -> Field6:
+    """Filtered initial datum, packed: S_{n-1} u0 (sharp P_n u0 for the
+    wsee variant).  Built once per (spec, equation, level)."""
     grid = spec.grid
     if level.scale > grid.nyquist:
         raise ConfigurationError(
@@ -253,13 +248,6 @@ def _initial_coefficients(spec: NoiseSpec, equation: str,
     if equation == WSEE:
         return y0
     return smooth_cutoff(y0, CutoffLevel(level.n - 1))
-
-
-def initial_state(spec: NoiseSpec, cfg: SchemeConfig) -> PathState:
-    """Filtered initial datum, packed: S_{n-1} u0 (sharp P_n u0 for the
-    wsee variant).  Built once per (spec, equation, level)."""
-    y0 = _initial_coefficients(spec, cfg.equation, cfg.cutoff_level)
-    return PathState(step_index=0, t=0.0, y=y0)
 
 
 def _physical(y: Field6, view: Field6 | None) -> Field6:
@@ -332,9 +320,9 @@ class StepContext:
     state y and return packed fields.  The drift also takes the memory term
     at t (``memory_term``), y's physical ``view``, its pointwise norm
     ``magnitude`` (None without Kerr) and the phase ``gauge`` at t
-    (``gauge_at``; None when no gauged term is evaluated); the noise takes
-    the phase and, when the caller has it, the view.  A nonzero kernel needs
-    msee or wsee (tsee: ``solve_with_memory``).
+    (``noise.gauge_phase`` at t's grid index; None when no gauged term is
+    evaluated); the noise takes the phase and, when the caller has it, the
+    view.  A nonzero kernel needs msee or wsee (tsee: ``solve_with_memory``).
 
     ``bundle`` is a BrownianBundle for one path, or a BundleStack whose rows
     belong to the rows of a stacked y.  Noise amplitudes that do not depend
@@ -356,11 +344,6 @@ class StepContext:
         self.static = _static_pieces(spec, cfg.equation, cfg.cutoff_level)
         self.space = self.static.space
 
-    def gauge_at(self, index: int) -> GaugePhase:
-        """The gauge phase of every path at grid index ``index``."""
-        return gauge_phase(self.spec, self.bundle,
-                           float(self.bundle.times[index]), index=index)
-
     # -- drift pieces --------------------------------------------------------
 
     def _gauged_current(self, t: float, gauge: GaugePhase) -> np.ndarray | None:
@@ -379,15 +362,15 @@ class StepContext:
             return None
         return total * gauge.of_fields
 
-    def memory_term(self, history: History | None, t: float):
-        """The memory term (G * y)(t), packed; None without a kernel.  A step
-        evaluates it once: the drift and the Lie stepper's remaining drift
-        read the same array."""
+    def memory_term(self, history: History | None):
+        """The memory term (G * y)(t_k) at the latest state of ``history``,
+        packed; None without a kernel.  A step evaluates it once: the drift
+        and the Lie stepper's remaining drift read the same array."""
         if not self.kernel_active:
             return None
         if history is None:
             raise UsageError("memory kernel requires a history")
-        return convolve_history(history, self.kernel, t).data
+        return convolve_history(history).data
 
     def _add_drift_terms(self, acc: np.ndarray | None, phys: np.ndarray | None,
                          y: Field6, view: Field6 | None, t: float,
@@ -497,25 +480,23 @@ def _increments(ctx: StepContext, k: int) -> np.ndarray:
     return values[..., k + 1] - values[..., k]
 
 
-def step_euler_maruyama(state: PathState, ctx: StepContext, lam: Field6,
+def step_euler_maruyama(y: Field6, k: int, ctx: StepContext, lam: Field6,
                         zs: list, src: np.ndarray | None,
                         memory: np.ndarray | None,
-                        gauge: GaugePhase | None) -> PathState:
-    """y + dt Lambda + sum_i Z_i dbeta_i on packed data, with Lambda and Z
-    evaluated at the current state by the caller (``src`` and ``memory`` are
-    already part of Lambda)."""
-    k = state.step_index
+                        gauge: GaugePhase | None) -> Field6:
+    """y(t_{k+1}) = y + dt Lambda + sum_i Z_i dbeta_i on packed data, with
+    Lambda and Z evaluated at y = y(t_k) by the caller (``src`` and
+    ``memory`` are already part of Lambda)."""
     incr = ctx.cfg.dt * lam.data + _noise_increment(zs, _increments(ctx, k))
-    y_new = state.y.with_data(state.y.data + incr)
-    return PathState(step_index=k + 1, t=float(ctx.bundle.times[k + 1]),
-                     y=y_new, history=state.history)
+    return y.with_data(y.data + incr)
 
 
-def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
+def step_lie_splitting(y: Field6, k: int, ctx: StepContext, lam: Field6,
                        zs: list, src: np.ndarray | None,
                        memory: np.ndarray | None,
-                       gauge: GaugePhase | None) -> PathState:
-    """Exact free flow, Kerr resolvent, remaining drift, noise increment.
+                       gauge: GaugePhase | None) -> Field6:
+    """Exact free flow, Kerr resolvent, remaining drift, noise increment:
+    y(t_k) to y(t_{k+1}).
 
     Lambda and Z at the current state are not used: the remaining drift and
     the noise are evaluated at the propagated state, with the step's gauge
@@ -523,10 +504,9 @@ def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
     one evaluation ``memory`` enters as it is.  Only the Kerr resolvent and
     the noise at the propagated state leave Fourier space."""
     cfg = ctx.cfg
-    k = state.step_index
-    t = state.t
+    t = float(ctx.bundle.times[k])
     # (1) exact free propagator, mode-wise (commutes with the projection)
-    y = maxwell_group(cfg.dt, state.y)
+    y = maxwell_group(cfg.dt, y)
     # (2) monotone implicit Kerr resolvent in physical space, re-projected
     if cfg.kerr is not None:
         w = implicit_kerr_solve(to_physical(y), cfg.dt, cfg.kerr)
@@ -539,8 +519,7 @@ def step_lie_splitting(state: PathState, ctx: StepContext, lam: Field6,
     z_prop = ctx.noise(y, t, gauge=gauge)
     if z_prop:
         y = y.with_data(y.data + _noise_increment(z_prop, _increments(ctx, k)))
-    return PathState(step_index=k + 1, t=float(ctx.bundle.times[k + 1]), y=y,
-                     history=state.history)
+    return y
 
 
 _STEPPERS = {EULER_MARUYAMA: step_euler_maruyama, LIE_SPLITTING: step_lie_splitting}
@@ -653,12 +632,13 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     the rest go on.  Each path's results are bitwise the same in any batch.
 
     ``path_indices`` label the reports (default 0..P-1).  ``extra_source``:
-    optional callable (step_index, t) -> physical (6,n,n,n) array added to
-    the drift of every path before projection (the Picard driver feeds the
+    optional callable step_index -> physical (6,n,n,n) array added to the
+    drift of every path before projection (the Picard driver feeds the
     frozen memory term through it).  ``initial``: optional spectral start
     state of every path, full-grid or packed; P_n is applied to it, so modes
     outside the cube do not enter the run.  ``start_index``/``n_steps``
-    select a window of the bundles; gauge phases always use absolute time.
+    select a window of the bundles; steps and gauge phases are indexed on
+    the bundles' grid, so a window's step k is the run's step k.
     The recorded trajectories are physical, every ``cfg.save_stride``-th
     step from the first; each kind is one array for the batch, and a
     path's trajectory is its row.
@@ -698,15 +678,13 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         _require_representation(initial, SPECTRAL, "run_path initial state")
         y0 = ctx.space.pack(initial)
     else:
-        y0 = initial_state(spec, cfg).y
-    state = PathState(step_index=start_index,
-                      t=float(ctx.bundle.times[start_index]),
-                      y=y0.with_data(np.broadcast_to(y0.data,
-                                                     (count,) + y0.data.shape)))
+        y0 = initial_coefficients(spec, cfg.equation, cfg.cutoff_level)
+    y = y0.with_data(np.broadcast_to(y0.data, (count,) + y0.data.shape))
+    history = None
     if ctx.kernel_active:
         if start_index != 0:
             raise UsageError("direct memory runs must start at t = 0")
-        state.history = History(dt=cfg.dt)
+        history = History(kernel, cfg.dt)
 
     stepper = _STEPPERS[cfg.scheme]
     power = cfg.power
@@ -743,57 +721,58 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
                                                     "inverse").data
         return magnitude if cfg.kerr is not None else None
 
-    norms = l2_norm(state.y).tolist()
+    norms = l2_norm(y).tolist()
     ledger = _EnergyLedger(norms)
     l2[:, 0] = norms
-    gauge = ctx.gauge_at(start_index) if phased else None
-    view = to_physical(state.y)
+    gauge = gauge_phase(spec, ctx.bundle, start_index) if phased else None
+    view = to_physical(y)
     magnitude = observe(0, view, gauge)
 
     for local, k in enumerate(k_range):
-        if state.history is not None:
-            state.history.append(state.t, state.y)
-        src = extra_source(k, state.t) if extra_source is not None else None
-        memory = ctx.memory_term(state.history, state.t)
-        lam = ctx.drift(state.y, state.t, memory=memory, extra_source=src,
-                        view=view, gauge=gauge, magnitude=magnitude)
+        t = float(ctx.bundle.times[k])
+        if history is not None:
+            history.append(y)
+        src = extra_source(k) if extra_source is not None else None
+        memory = ctx.memory_term(history)
+        lam = ctx.drift(y, t, memory=memory, extra_source=src, view=view,
+                        gauge=gauge, magnitude=magnitude)
         lambda_l2[alive, local] = l2_norm(lam)
-        zs = ctx.noise(state.y, state.t, view=view, gauge=gauge)
-        ledger.update(state.y, lam, zs, _increments(ctx, k), cfg.dt)
-        state = stepper(state, ctx, lam, zs, src, memory, gauge)
+        zs = ctx.noise(y, t, view=view, gauge=gauge)
+        ledger.update(y, lam, zs, _increments(ctx, k), cfg.dt)
+        y = stepper(y, k, ctx, lam, zs, src, memory, gauge)
 
-        norms = l2_norm(state.y).tolist()
+        norms = l2_norm(y).tolist()
         kept = [i for i, norm in enumerate(norms)
                 if np.isfinite(norm) and norm <= BLOWUP_THRESHOLD]
         if len(kept) < len(alive):
+            t_new = float(ctx.bundle.times[k + 1])
             for i, norm in enumerate(norms):
                 if i not in kept:
                     outcomes[alive[i]] = BlowUpError(
-                        f"trajectory blew up at t = {state.t:.6g} "
-                        f"(||y|| = {norm:.3e})", time=state.t, norm=norm)
+                        f"trajectory blew up at t = {t_new:.6g} "
+                        f"(||y|| = {norm:.3e})", time=t_new, norm=norm)
             alive = [alive[i] for i in kept]
             if not alive:
                 break
             norms = [norms[i] for i in kept]
             ledger.take(kept)
             ctx = StepContext(cfg, spec, ctx.bundle.take(kept), kernel)
-            history = state.history
-            state = PathState(state.step_index, state.t,
-                              state.y.with_data(state.y.data[kept]),
-                              None if history is None else history.take(kept))
+            y = y.with_data(y.data[kept])
+            if history is not None:
+                history = history.take(kept)
         l2[alive, local + 1] = norms
         residual[alive, local + 1] = ledger.residual(norms)
-        gauge = ctx.gauge_at(k + 1) if phased else None
-        view = to_physical(state.y)
+        gauge = gauge_phase(spec, ctx.bundle, k + 1) if phased else None
+        view = to_physical(y)
         magnitude = observe(local + 1, view, gauge)
 
     if alive:
-        if state.history is not None:
-            state.history.append(state.t, state.y)
-        src = (extra_source(k_range[-1] + 1, state.t)
-               if extra_source is not None else None)
-        final_lam = ctx.drift(state.y, state.t,
-                              memory=ctx.memory_term(state.history, state.t),
+        if history is not None:
+            history.append(y)
+        k_end = start_index + total_steps
+        src = extra_source(k_end) if extra_source is not None else None
+        final_lam = ctx.drift(y, float(ctx.bundle.times[k_end]),
+                              memory=ctx.memory_term(history),
                               extra_source=src, view=view, gauge=gauge,
                               magnitude=magnitude)
         lambda_l2[alive, -1] = l2_norm(final_lam)
@@ -806,8 +785,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
                             power_norm=power_norm[row].copy(),
                             lambda_l2=lambda_l2[row].copy(),
                             energy_residual=residual[row].copy(),
-                            events=events[row],
-                            q=None if cfg.kerr is None else cfg.kerr.q)
+                            events=events[row])
         result = PathResult(report=report)
         if record_fields:
             result.trajectory = Trajectory(grid=grid, times=save_times.copy(),
@@ -850,10 +828,10 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     n = grid.points_per_axis
     u_data = np.zeros((k_total + 1, 6, n, n, n), dtype=np.complex128)
     # the filtered initial state, exactly as run_path would build it
-    probe = initial_state(spec, cfg)
-    view0 = to_physical(probe.y)
+    y_start = initial_coefficients(spec, cfg.equation, cfg.cutoff_level)
+    view0 = to_physical(y_start)
     if cfg.equation == TSEE:
-        phase0 = gauge_phase(spec, bundle, 0.0)
+        phase0 = gauge_phase(spec, bundle, 0)
         u_data[0] = apply_gauge(view0, phase0, "inverse").data
     else:
         u_data[0] = view0.data
@@ -861,18 +839,14 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
 
     # the states before a window are fixed across its iterates: they are
     # folded once, and every iterate continues from a copy of the sum
-    prefix = History(dt=cfg.dt)
+    prefix = History(kernel, cfg.dt)
     start = 0
-    y_start = probe.y
     while start < k_total:
         count = min(steps_per_window, k_total - start)
         stop = start + count
         window = (float(bundle.times[start]), float(bundle.times[stop]))
         while len(prefix) < start:
-            j = len(prefix)
-            prefix.append(bundle.times[j], Field6(grid, PHYSICAL, u_data[j]))
-        if len(prefix):
-            prefix.fold(kernel.rate)
+            prefix.append(Field6(grid, PHYSICAL, u_data[len(prefix)]))
 
         def one_window(u_traj):
             # picard_solve calls this before the loop moves on (start, count
@@ -880,15 +854,13 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
             # increasing k, so the history folds each window state once
             history = prefix.copy()
 
-            def source(k_idx, t):
+            def source(k_idx):
                 while len(history) <= k_idx:
-                    j = len(history)
-                    history.append(bundle.times[j], Field6(
-                        grid, PHYSICAL, u_traj.data[j - start]))
-                conv = convolve_history(history, kernel, t).data
+                    history.append(Field6(
+                        grid, PHYSICAL, u_traj.data[len(history) - start]))
+                conv = convolve_history(history).data
                 if cfg.equation == TSEE:
-                    phase = gauge_phase(spec, bundle, t)
-                    conv = conv * phase.values
+                    conv = conv * gauge_phase(spec, bundle, k_idx).values
                 return conv
 
             res = run_path(spec, cfg, None, bundle, initial=y_start,
@@ -910,7 +882,7 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
         # the terminal state of this window seeds the next one
         end_state = Field6(grid, PHYSICAL, u_data[stop])
         if cfg.equation == TSEE:
-            phase = gauge_phase(spec, bundle, bundle.times[stop])
+            phase = gauge_phase(spec, bundle, stop)
             end_state = apply_gauge(end_state, phase, "forward")
         y_start = to_spectral(end_state)
         start = stop

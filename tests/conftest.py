@@ -66,8 +66,8 @@ def drift_and_noise(ctx, y: Field6, k: int, history=None):
     ``run_paths`` hands them: y's physical view and the step's gauge phase
     (the Kerr force forms the view's norm itself)."""
     t = float(ctx.bundle.times[k])
-    view, gauge = to_physical(y), ctx.gauge_at(k)
-    lam = ctx.drift(y, t, memory=ctx.memory_term(history, t),
+    view, gauge = to_physical(y), gauge_phase(ctx.spec, ctx.bundle, k)
+    lam = ctx.drift(y, t, memory=ctx.memory_term(history),
                     extra_source=None, view=view, gauge=gauge, magnitude=None)
     return lam, ctx.noise(y, t, gauge=gauge, view=view)
 
@@ -77,12 +77,11 @@ def drift_and_noise(ctx, y: Field6, k: int, history=None):
 # Straight transcriptions of the formulas, independent of the coefficient
 # products that mks.stepping.StepContext precomputes.
 
-def drift_A_apply(y: Field6, t: float, spec: NoiseSpec,
+def drift_A_apply(y: Field6, k: int, spec: NoiseSpec,
                   bundle: BrownianBundle) -> Field6:
-    """A(t) y = 1/2 sum_j B_j^2 y + cross-term drift."""
+    """A(t_k) y = 1/2 sum_j B_j^2 y + cross-term drift."""
     _require_representation(y, PHYSICAL, "drift_A_apply")
-    idx = bundle.index_of(t)
-    beta = bundle.values[:, idx]
+    beta = bundle.values[:, k]
     b2 = 0.0
     for b_field in spec.B_fields:
         b2 = b2 + b_field**2
@@ -91,21 +90,23 @@ def drift_A_apply(y: Field6, t: float, spec: NoiseSpec,
     return y.with_data(out)
 
 
-def transformed_current(t: float, spec: NoiseSpec,
+def transformed_current(k: int, spec: NoiseSpec,
                         bundle: BrownianBundle) -> Field6:
-    """(sum_j -i b_j(t) B_j + J(t)) * gauge phase.
+    """(sum_j -i b_j(t) B_j + J(t)) * gauge phase at t = t_k.
 
     The forcing J enters once, outside the sum over noise channels.
     """
-    phase = gauge_phase(spec, bundle, t)
+    t = float(bundle.times[k])
+    phase = gauge_phase(spec, bundle, k)
     total = spec.current.at(t).astype(np.complex128)
     for b_field, source in zip(spec.B_fields, spec.b_sources):
         total = total - 1j * b_field * source.at(t)
     return Field6(spec.grid, PHYSICAL, total * phase.values)
 
 
-def transformed_noise(i: int, t: float, spec: NoiseSpec,
+def transformed_noise(i: int, k: int, spec: NoiseSpec,
                       bundle: BrownianBundle) -> Field6:
-    """b_i(t) times the gauge phase; same pointwise modulus as b_i."""
-    phase = gauge_phase(spec, bundle, t)
+    """b_i(t_k) times the gauge phase; same pointwise modulus as b_i."""
+    t = float(bundle.times[k])
+    phase = gauge_phase(spec, bundle, k)
     return Field6(spec.grid, PHYSICAL, spec.b_sources[i].at(t) * phase.values)

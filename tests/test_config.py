@@ -15,7 +15,7 @@ from mks.config import ProfileSpec, _field_profile, _scalar_profile
 from mks.errors import ConfigurationError, MksError, ValidationError
 from mks.grid import ifft_array, l2_norm, make_grid, to_spectral
 from mks.noise import TimeProfile
-from mks.stepping import initial_state
+from mks.stepping import initial_coefficients
 
 MINIMAL_WEAK = """
 [grid]
@@ -186,7 +186,7 @@ def _masked_synthesis(grid, seed, stream, max_mode, lead):
     lim = 2.0 * np.pi * max_mode / grid.box_length + 1e-12
     mask = (np.abs(kx) <= lim) & (np.abs(ky) <= lim) & (np.abs(kz) <= lim)
     hat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
-    return ifft_array(hat, axes=(-3, -2, -1))
+    return ifft_array(hat)
 
 
 def masked_field_profile(grid, seed, amplitude, max_mode):
@@ -237,7 +237,8 @@ class TestAssumptionEcho:
         cfg = parse_config(MINIMAL_WEAK)
         model = build_runtime(cfg)
         rows = {r["tag"]: r["detail"] for r in assumption_echo(cfg, model)}
-        initial_state(model.spec, model.scheme)
+        initial_coefficients(model.spec, model.scheme.equation,
+                             model.scheme.cutoff_level)
         assumption_echo(cfg, model)
         assert calls["n"] == 1
         norm = l2_norm(original(to_spectral(model.spec.u0)))
@@ -295,6 +296,32 @@ BAD_VALUES = [
     pytest.param(MINIMAL_WEAK.replace(
         "B_1 = zero", "B_1 = band-limited-random(seed=2, max_mode=1.5)"),
         "[noise] B_1", "1.5", id="B_1-max_mode-fraction"),
+    pytest.param(MINIMAL_WEAK.replace("count = 1", "count = -1"),
+                 "[noise] count", "-1", id="count-negative"),
+    pytest.param(MINIMAL_WEAK.replace("dt = 0.0625", "dt = nan"),
+                 "[scheme] dt", "nan", id="dt-nan"),
+    pytest.param(MINIMAL_WEAK.replace("dt = 0.0625", "dt = inf"),
+                 "[scheme] dt", "inf", id="dt-inf"),
+    pytest.param(MINIMAL_WEAK.replace("horizon = 0.5", "horizon = inf"),
+                 "[scheme] horizon", "inf", id="horizon-inf"),
+    pytest.param(MINIMAL_WEAK.replace("length = 6.283185307179586",
+                                      "length = nan"),
+                 "[grid] length", "nan", id="length-nan"),
+    pytest.param(MINIMAL_WEAK + "\n[outputs]\nstride = 0\n",
+                 "[outputs] stride", "0", id="stride-zero"),
+    pytest.param(MINIMAL_WEAK + "\n[kernel]\nform = exponential\n"
+                 "amplitude = 0.5\nrate = nan\n",
+                 "[kernel] rate", "nan", id="kernel-rate-nan"),
+    pytest.param(MINIMAL_WEAK + "\n[kernel]\nform = exponential\n"
+                 "amplitude = nan\nrate = 1.0\n",
+                 "[kernel] amplitude", "nan", id="kernel-amplitude-nan"),
+    pytest.param(MINIMAL_WEAK.replace("b_1 = zero", "b_1 = constant(value=nan)"),
+                 "[noise] b_1", "nan", id="constant-nan"),
+    pytest.param(MINIMAL_WEAK.replace("b_1 = zero", "b_1 = zero * cos(nan)"),
+                 "[noise] b_1", "nan", id="cos-nan"),
+    pytest.param(MINIMAL_WEAK.replace("B_1 = zero",
+                                      "B_1 = plane-wave(amplitude=nan)"),
+                 "[noise] B_1", "nan", id="plane-wave-nan"),
 ]
 
 

@@ -52,16 +52,16 @@ def relative_error(a, b):
 
 def held_states(h):
     """Distinct field-sized arrays a History keeps alive."""
-    arrays = [h.carried, *h.pending]
+    arrays = [h.carried]
     if h.latest is not None:
         arrays.append(h.latest.data)
     return len({id(a) for a in arrays if a is not None})
 
 
-def constant_history(state, dt, horizon):
-    h = History(dt=dt)
-    for k in range(int(round(horizon / dt)) + 1):
-        h.append(k * dt, state)
+def constant_history(kernel, state, dt, horizon):
+    h = History(kernel, dt)
+    for _ in range(int(round(horizon / dt)) + 1):
+        h.append(state)
     return h
 
 
@@ -86,23 +86,23 @@ class TestKernelSpec:
 class TestConvolution:
     def test_zero_kernel(self, grid4):
         c = random_field(grid4, seed=1)
-        h = constant_history(c, 0.125, 0.5)
-        out = convolve_history(h, KernelSpec(), 0.5)
+        h = constant_history(KernelSpec(), c, 0.125, 0.5)
+        out = convolve_history(h)
         assert l2_norm(out) == 0.0
 
     def test_single_entry_history_is_zero_integral(self, grid4):
         c = random_field(grid4, seed=2)
-        h = History(dt=0.1)
-        h.append(0.0, c)
-        out = convolve_history(h, exponential_kernel(1.0, 1.0), 0.0)
+        h = History(exponential_kernel(1.0, 1.0), 0.1)
+        h.append(c)
+        out = convolve_history(h)
         assert l2_norm(out) == 0.0
 
     def test_identity_kernel_constant_state_exact(self, grid4):
         # trapezoid is exact for constant integrands: integral = t * c
         c = random_field(grid4, seed=3)
         ker = exponential_kernel(1.0, 0.0)
-        h = constant_history(c, 0.125, 0.5)
-        out = convolve_history(h, ker, 0.5)
+        h = constant_history(ker, c, 0.125, 0.5)
+        out = convolve_history(h)
         assert np.max(np.abs(out.data - 0.5 * c.data)) < 1e-14
 
     def test_exponential_kernel_order_two(self, grid4):
@@ -113,17 +113,11 @@ class TestConvolution:
         errs = []
         dts = [1e-2, 5e-3, 2.5e-3]
         for dt in dts:
-            h = constant_history(c, dt, horizon)
-            out = convolve_history(h, ker, horizon)
+            h = constant_history(ker, c, dt, horizon)
+            out = convolve_history(h)
             errs.append(np.max(np.abs(out.data - exact)))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 1.7 <= slope <= 2.3
-
-    def test_wrong_time_rejected(self, grid4):
-        c = random_field(grid4, seed=5)
-        h = constant_history(c, 0.125, 0.5)
-        with pytest.raises(UsageError):
-            convolve_history(h, exponential_kernel(1.0, 1.0), 0.25)
 
     def test_matrix_coupling(self, grid4):
         # a coupling matrix that swaps the two blocks
@@ -133,8 +127,8 @@ class TestConvolution:
         ker = KernelSpec(form="exponential", amplitude=1.0, rate=0.0,
                          coupling=swap)
         c = random_field(grid4, seed=6)
-        h = constant_history(c, 0.25, 0.5)
-        out = convolve_history(h, ker, 0.5)
+        h = constant_history(ker, c, 0.25, 0.5)
+        out = convolve_history(h)
         expected = 0.5 * np.concatenate([c.data[3:], c.data[:3]])
         assert np.max(np.abs(out.data - expected)) < 1e-14
 
@@ -224,14 +218,6 @@ class TestPicard:
 
 
 class TestHistory:
-    def test_spacing_enforced(self, grid4):
-        h = History(dt=0.1)
-        c = random_field(grid4, seed=11)
-        h.append(0.0, c)
-        h.append(0.1, c)
-        with pytest.raises(UsageError):
-            h.append(0.3, c)
-
     def test_copies_of_a_folded_prefix_continue_bitwise(self, grid4):
         # folding a prefix once and continuing from copies gives the floats
         # of folding every state again, and leaves the prefix untouched
@@ -239,21 +225,21 @@ class TestHistory:
         ker = KernelSpec(form="exponential", amplitude=0.7, rate=1.3,
                          coupling=nonsymmetric_coupling(3))
         states = random_states(grid4, 9, seed=12)
-        prefix = History(dt=dt)
+        prefix = History(ker, dt)
         for k in range(4):
-            prefix.append(k * dt, states[k])
-        kept = prefix.fold(ker.rate).copy()
+            prefix.append(states[k])
+        kept = prefix.carried.copy()
         for _ in range(2):
             h = prefix.copy()
-            full = History(dt=dt)
+            full = History(ker, dt)
             for k, state in enumerate(states):
                 if k >= 4:
-                    h.append(k * dt, state)
-                full.append(k * dt, state)
+                    h.append(state)
+                full.append(state)
             assert len(h) == len(full) == 9
-            assert np.array_equal(convolve_history(h, ker, 8 * dt).data,
-                                  convolve_history(full, ker, 8 * dt).data)
-        assert len(prefix) == 4 and not prefix.pending
+            assert np.array_equal(convolve_history(h).data,
+                                  convolve_history(full).data)
+        assert len(prefix) == 4
         assert np.array_equal(prefix.carried, kept)
 
 
@@ -268,12 +254,12 @@ class TestRecursiveHistory:
         ker = KernelSpec(form="exponential", amplitude=0.7, rate=rate,
                          coupling=nonsymmetric_coupling(1))
         states = random_states(grid4, 120, seed=2)
-        h = History(dt=dt)
+        h = History(ker, dt)
         worst = 0.0
         for k, state in enumerate(states):
-            h.append(k * dt, state)
+            h.append(state)
             t = k * dt
-            out = convolve_history(h, ker, t)
+            out = convolve_history(h)
             if k == 0:
                 assert l2_norm(out) == 0.0
                 continue
@@ -284,48 +270,37 @@ class TestRecursiveHistory:
 
     @pytest.mark.parametrize("rate", RATES)
     def test_bulk_fold_matches_direct_sum(self, grid4, rate):
-        # all states pending at the first read: one fold of the whole record
+        # one read after the whole record is appended
         dt = 1.0 / 128
         ker = KernelSpec(form="exponential", amplitude=-1.3, rate=rate,
                          coupling=nonsymmetric_coupling(3))
         states = random_states(grid4, 129, seed=4)
         times = [k * dt for k in range(len(states))]
-        h = History(dt=dt)
-        for tk, state in zip(times, states):
-            h.append(tk, state)
-        out = convolve_history(h, ker, times[-1])
+        h = History(ker, dt)
+        for state in states:
+            h.append(state)
+        out = convolve_history(h)
         oracle = direct_trapezoid(ker, times, states, times[-1], dt)
         assert relative_error(out.data, oracle) <= 1e-12
 
     def test_repeated_reads_are_bitwise_idempotent(self, grid4):
         ker = exponential_kernel(0.8, 1.3)
         states = random_states(grid4, 5, seed=7)
-        h = History(dt=0.1)
-        for k, state in enumerate(states):
-            h.append(0.1 * k, state)
-            first = convolve_history(h, ker, 0.1 * k)
-            again = convolve_history(h, ker, 0.1 * k)
+        h = History(ker, 0.1)
+        for state in states:
+            h.append(state)
+            first = convolve_history(h)
+            again = convolve_history(h)
             assert np.array_equal(first.data, again.data)
-
-    def test_second_rate_after_fold_rejected(self, grid4):
-        states = random_states(grid4, 3, seed=8)
-        h = History(dt=0.1)
-        h.append(0.0, states[0])
-        h.append(0.1, states[1])
-        convolve_history(h, exponential_kernel(1.0, 1.0), 0.1)
-        # the amplitude and coupling are applied at read time, the rate is not
-        convolve_history(h, exponential_kernel(2.0, 1.0), 0.1)
-        h.append(0.2, states[2])
-        with pytest.raises(UsageError):
-            convolve_history(h, exponential_kernel(1.0, 2.0), 0.2)
 
     def test_empty_history_rejected(self):
         with pytest.raises(UsageError):
-            convolve_history(History(dt=0.1), exponential_kernel(1.0, 1.0), 0.0)
+            convolve_history(History(exponential_kernel(1.0, 1.0), 0.1))
 
     def test_length_counts_appended_states(self, grid4):
-        h = constant_history(random_field(grid4, seed=10), 0.125, 0.5)
-        convolve_history(h, exponential_kernel(1.0, 1.0), 0.5)
+        h = constant_history(exponential_kernel(1.0, 1.0),
+                             random_field(grid4, seed=10), 0.125, 0.5)
+        convolve_history(h)
         assert len(h) == 5
         assert held_states(h) == 2
 
@@ -335,11 +310,11 @@ class _RecordingHistory(History):
 
     made = []
 
-    def append(self, t, state):
+    def append(self, state):
         if not self.count:
             _RecordingHistory.made.append(self)
             self.peak = 0
-        super().append(t, state)
+        super().append(state)
         self.peak = max(self.peak, held_states(self))
 
 

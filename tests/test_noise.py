@@ -79,11 +79,6 @@ class TestBrownianBundle:
         incs = np.diff(np.array(fine), axis=1)
         assert np.allclose(incs.var(axis=0), 1.0 / 8.0, rtol=0.15)
 
-    def test_off_grid_time_rejected(self):
-        b = sample_brownian(1, 1.0, 8, seed=1)
-        with pytest.raises(UsageError):
-            b.index_of(0.3)
-
     def test_freeze_at_exit(self):
         b = sample_brownian(2, 1.0, 64, seed=3)
         level = 0.5 * np.max(np.abs(b.values))
@@ -148,18 +143,18 @@ class TestNoiseSpecValidation:
 
 
 def gauge_conjugation_defect(spec: NoiseSpec, bundle: BrownianBundle,
-                             t: float, y: Field6) -> float:
+                             k: int, y: Field6) -> float:
     """L^2 defect of exp(-iPhi) m(exp(iPhi) y) - m y - cross-term drift.
 
     The product-rule identity behind the whole transform; should vanish to
     spectral-differentiation accuracy for band-limited B_j.
     """
-    phase = gauge_phase(spec, bundle, t)
+    phase = gauge_phase(spec, bundle, k)
     lifted = apply_gauge(y, phase, "inverse")  # multiply by exp(+iPhi)
     m_lifted = to_physical(maxwell_apply(to_spectral(lifted)))
     left = apply_gauge(m_lifted, phase, "forward").data
     my = to_physical(maxwell_apply(to_spectral(y))).data
-    expected = cross_drift_apply(spec, bundle.values[:, bundle.index_of(t)], y)
+    expected = cross_drift_apply(spec, bundle.values[:, k], y)
     defect = left - my - expected
     return l2_norm(y.with_data(defect))
 
@@ -168,19 +163,19 @@ class TestGauge:
     def test_identity_at_time_zero(self, grid8):
         spec = _spec_with_cos_multiplier(grid8)
         bundle = sample_brownian(1, 1.0, 8, seed=2)
-        phase = gauge_phase(spec, bundle, 0.0)
+        phase = gauge_phase(spec, bundle, 0)
         assert np.max(np.abs(phase.values - 1.0)) == 0.0
 
     def test_unimodular(self, grid8):
         spec = _spec_with_cos_multiplier(grid8)
         bundle = sample_brownian(1, 1.0, 8, seed=3)
-        phase = gauge_phase(spec, bundle, 0.5)
+        phase = gauge_phase(spec, bundle, 4)
         assert np.max(np.abs(np.abs(phase.values) - 1.0)) < 1e-14
 
     def test_norm_preserved(self, grid8):
         spec = _spec_with_cos_multiplier(grid8)
         bundle = sample_brownian(1, 1.0, 8, seed=4)
-        phase = gauge_phase(spec, bundle, 0.25)
+        phase = gauge_phase(spec, bundle, 2)
         u = random_field(grid8, seed=6)
         assert abs(l2_norm(apply_gauge(u, phase, "forward")) - l2_norm(u)) \
             < 1e-12 * l2_norm(u)
@@ -190,7 +185,7 @@ class TestGauge:
     def test_round_trip(self, grid8):
         spec = _spec_with_cos_multiplier(grid8)
         bundle = sample_brownian(1, 1.0, 8, seed=5)
-        phase = gauge_phase(spec, bundle, 0.5)
+        phase = gauge_phase(spec, bundle, 4)
         u = random_field(grid8, seed=7)
         back = apply_gauge(apply_gauge(u, phase, "forward"), phase, "inverse")
         assert np.max(np.abs(back.data - u.data)) <= 1e-14 * np.max(np.abs(u.data))
@@ -198,7 +193,7 @@ class TestGauge:
     def test_bad_direction(self, grid8):
         spec = _spec_with_cos_multiplier(grid8)
         bundle = sample_brownian(1, 1.0, 8, seed=5)
-        phase = gauge_phase(spec, bundle, 0.5)
+        phase = gauge_phase(spec, bundle, 4)
         with pytest.raises(UsageError):
             apply_gauge(random_field(grid8, seed=8), phase, "sideways")
 
@@ -209,8 +204,8 @@ class TestGauge:
         spec = _spec_with_cos_multiplier(grid16, amplitude=0.1)
         bundle = sample_brownian(1, 1.0, 8, seed=9)
         y = banded_field(grid16, seed=10, level=1)
-        for t in (0.125, 0.5, 1.0):
-            defect = gauge_conjugation_defect(spec, bundle, t, y)
+        for k in (1, 4, 8):
+            defect = gauge_conjugation_defect(spec, bundle, k, y)
             assert defect <= 1e-10 * l2_norm(y)
 
 
@@ -223,14 +218,14 @@ class TestDriftA:
                                zero_field(grid8))
         bundle = sample_brownian(1, 1.0, 8, seed=11)
         y = random_field(grid8, seed=12)
-        out = drift_A_apply(y, 0.5, spec, bundle)
+        out = drift_A_apply(y, 4, spec, bundle)
         assert np.max(np.abs(out.data - 0.5 * c**2 * y.data)) < 1e-14
 
     def test_skew_part_does_no_work(self, grid8):
         spec = _spec_with_cos_multiplier(grid8)
         bundle = sample_brownian(1, 1.0, 8, seed=13)
         y = random_field(grid8, seed=14)
-        out = drift_A_apply(y, 0.5, spec, bundle)
+        out = drift_A_apply(y, 4, spec, bundle)
         b2 = spec.B_fields[0] ** 2
         skew = out.data - 0.5 * b2 * y.data
         work = np.sum((np.conj(y.data) * skew).real) * grid8.cell_volume
@@ -241,7 +236,7 @@ class TestDriftA:
         bundle = sample_brownian(1, 1.0, 8, seed=15)
         for s in range(10):
             y = random_field(grid8, seed=100 + s)
-            out = drift_A_apply(y, 0.25, spec, bundle)
+            out = drift_A_apply(y, 2, spec, bundle)
             val = np.sum((np.conj(y.data) * out.data).real) * grid8.cell_volume
             assert val >= -1e-12 * l2_norm(y) ** 2
 
@@ -253,7 +248,7 @@ class TestTransformedCoefficients:
         spec = make_noise_spec(grid8, [np.zeros((n, n, n))],
                                [zero_source(grid8)], J, zero_field(grid8))
         bundle = sample_brownian(1, 1.0, 8, seed=17)
-        out = transformed_current(0.5, spec, bundle)
+        out = transformed_current(4, spec, bundle)
         assert np.array_equal(out.data, J.at(0.5))
 
     def test_current_constant_multiplier(self, grid8):
@@ -263,7 +258,7 @@ class TestTransformedCoefficients:
         spec = make_noise_spec(grid8, [c * np.ones((n, n, n))], [b],
                                zero_source(grid8), zero_field(grid8))
         bundle = sample_brownian(1, 1.0, 8, seed=19)
-        out = transformed_current(0.0, spec, bundle)  # beta(0) = 0, phase = 1
+        out = transformed_current(0, spec, bundle)  # beta(0) = 0, phase = 1
         assert np.max(np.abs(out.data + 1j * c * b.at(0.0))) < 1e-14
 
     def test_current_pointwise_oracle(self, grid8):
@@ -273,9 +268,10 @@ class TestTransformedCoefficients:
         spec = make_noise_spec(grid8, list(spec.B_fields),
                                list(spec.b_sources), J, spec.u0)
         bundle = sample_brownian(1, 1.0, 8, seed=21)
-        t = 0.375
-        out = transformed_current(t, spec, bundle)
-        beta = bundle.values[0, bundle.index_of(t)]
+        step = 3
+        t = bundle.times[step]
+        out = transformed_current(step, spec, bundle)
+        beta = bundle.values[0, step]
         rng = np.random.default_rng(1)
         for _ in range(5):
             i, j, k = rng.integers(0, 8, size=3)
@@ -289,13 +285,13 @@ class TestTransformedCoefficients:
     def test_noise_reduces_to_amplitude(self, grid8):
         spec = _spec_with_cos_multiplier(grid8)
         bundle = sample_brownian(1, 1.0, 8, seed=22)
-        out = transformed_noise(0, 0.0, spec, bundle)  # beta(0) = 0
+        out = transformed_noise(0, 0, spec, bundle)  # beta(0) = 0
         assert np.array_equal(out.data, spec.b_sources[0].at(0.0))
 
     def test_noise_modulus_preserved(self, grid8):
         spec = _spec_with_cos_multiplier(grid8)
         bundle = sample_brownian(1, 1.0, 8, seed=23)
-        out = transformed_noise(0, 0.5, spec, bundle)
+        out = transformed_noise(0, 4, spec, bundle)
         b = spec.b_sources[0].at(0.5)
         assert np.max(np.abs(np.abs(out.data) - np.abs(b))) < 1e-14
         assert abs(l2_norm(out) - np.sqrt(grid8.cell_volume)

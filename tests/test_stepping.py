@@ -19,6 +19,7 @@ from mks.noise import (
     BrownianBundle,
     SeparableSource,
     TimeProfile,
+    gauge_phase,
     make_noise_spec,
     refine_bundle,
     sample_brownian,
@@ -33,7 +34,7 @@ from mks.stepping import (
     WSEE,
     SchemeConfig,
     StepContext,
-    initial_state,
+    initial_coefficients,
     run_path,
     run_paths,
     solve_with_memory,
@@ -69,6 +70,17 @@ def free_spec(grid, u0):
     return make_noise_spec(grid, [], [], zero_source(grid), u0)
 
 
+def start_of(spec, cfg):
+    """The packed start state run_path builds for cfg."""
+    return initial_coefficients(spec, cfg.equation, cfg.cutoff_level)
+
+
+def grid_index(bundle, t):
+    """The index of the grid time t of a bundle."""
+    (k,) = np.flatnonzero(bundle.times == t)
+    return int(k)
+
+
 def em_cfg(dt, level=2, equation=TSEE, kerr=None, **kw):
     return SchemeConfig(scheme=EULER_MARUYAMA, dt=dt,
                         cutoff_level=CutoffLevel(level), equation=equation,
@@ -102,32 +114,32 @@ class TestInitialState:
         # radially inside the smooth plateau of S_{n-1}: 1 + |k|^2 <= 2
         u0 = plane_wave(grid8, (1, 0, 0), component=1)
         spec = free_spec(grid8, u0)
-        st = initial_state(spec, em_cfg(0.1, level=2))
-        assert np.max(np.abs(to_physical(st.y).data - u0.data)) < 1e-13
+        y0 = start_of(spec, em_cfg(0.1, level=2))
+        assert np.max(np.abs(to_physical(y0).data - u0.data)) < 1e-13
 
     def test_high_mode_removed(self, grid8):
         u0 = plane_wave(grid8, (3, 0, 0))  # 1 + 9 = 10 > 2^{n+1} for n-1 = 1
         spec = free_spec(grid8, u0)
-        st = initial_state(spec, em_cfg(0.1, level=2))
-        assert l2_norm(st.y) < 1e-13 * l2_norm(u0)
+        y0 = start_of(spec, em_cfg(0.1, level=2))
+        assert l2_norm(y0) < 1e-13 * l2_norm(u0)
 
     def test_norm_never_grows(self, grid8):
         u0 = random_field(grid8, seed=1)
         spec = free_spec(grid8, u0)
-        st = initial_state(spec, em_cfg(0.1, level=2))
-        assert l2_norm(st.y) <= l2_norm(u0)
+        y0 = start_of(spec, em_cfg(0.1, level=2))
+        assert l2_norm(y0) <= l2_norm(u0)
 
     def test_wsee_uses_sharp_projection(self, grid8):
         u0 = random_field(grid8, seed=2)
         spec = free_spec(grid8, u0)
-        st = initial_state(spec, em_cfg(0.1, level=2, equation=WSEE))
+        y0 = start_of(spec, em_cfg(0.1, level=2, equation=WSEE))
         expected = sharp_cutoff(to_spectral(u0), CutoffLevel(2))
-        assert np.array_equal(st.y.data, expected.data)
+        assert np.array_equal(y0.data, expected.data)
 
     def test_cutoff_above_nyquist_rejected(self, grid8):
         spec = free_spec(grid8, random_field(grid8, seed=3))
         with pytest.raises(ConfigurationError):
-            initial_state(spec, em_cfg(0.1, level=3))  # 2^3 = 8 > Nyquist 4
+            start_of(spec, em_cfg(0.1, level=3))  # 2^3 = 8 > Nyquist 4
 
 
 class TestEulerStep:
@@ -145,18 +157,18 @@ class TestEulerStep:
                                zero_field(grid8))
         bundle = sample_brownian(1, 1.0, 16, seed=2)
         cfg = em_cfg(1 / 16)
-        jt = transformed_current(0.0, spec, bundle)
+        jt = transformed_current(0, spec, bundle)
         proj = to_physical(sharp_cutoff(to_spectral(jt), cfg.cutoff_level))
-        bt = transformed_noise(0, 0.0, spec, bundle)
+        bt = transformed_noise(0, 0, spec, bundle)
         filt = to_physical(smooth_cutoff(to_spectral(bt), CutoffLevel(1)))
         dbeta = bundle.values[0, 1] - bundle.values[0, 0]
         expected = cfg.dt * proj.data + dbeta * filt.data
 
-        st = initial_state(spec, cfg)
+        y0 = start_of(spec, cfg)
         ctx = StepContext(cfg, spec, bundle, None)
-        new = step_euler_maruyama(st, ctx, *drift_and_noise(ctx, st.y, 0),
-                                  None, None, ctx.gauge_at(0))
-        assert np.max(np.abs(to_physical(new.y).data - expected)) < 1e-14
+        new = step_euler_maruyama(y0, 0, ctx, *drift_and_noise(ctx, y0, 0),
+                                  None, None, gauge_phase(spec, bundle, 0))
+        assert np.max(np.abs(to_physical(new).data - expected)) < 1e-14
 
     def test_step_recomposition_is_bitwise(self, grid8):
         # one Euler step equals y + dt Lambda + noise increment, recomputed
@@ -166,18 +178,17 @@ class TestEulerStep:
                                zero_source(grid8), banded_field(grid8, seed=7))
         bundle = sample_brownian(1, 1.0, 16, seed=3)
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
-        st = initial_state(spec, cfg)
-        for _ in range(3):
-            k = st.step_index
+        y = start_of(spec, cfg)
+        for k in range(3):
             lam, zs = drift_and_noise(StepContext(cfg, spec, bundle, None),
-                                      st.y, k)
+                                      y, k)
             dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
             incr = cfg.dt * lam.data + _noise_increment(zs, dbeta)
-            expected = st.y.data + incr
+            expected = y.data + incr
             ctx = StepContext(cfg, spec, bundle, None)
-            st = step_euler_maruyama(st, ctx, *drift_and_noise(ctx, st.y, k),
-                                     None, None, ctx.gauge_at(k))
-            assert np.array_equal(st.y.data, expected)
+            y = step_euler_maruyama(y, k, ctx, *drift_and_noise(ctx, y, k),
+                                    None, None, gauge_phase(spec, bundle, k))
+            assert np.array_equal(y.data, expected)
 
     def test_deterministic_linear_matches_dense_ode(self, grid4):
         # F off, noise off: EM against expm of the dense projected generator;
@@ -213,7 +224,7 @@ class TestLieSplitting:
         res = run_path(spec, lie_cfg(dt), None, bundle, record_fields=True)
         from mks.operators import maxwell_group
 
-        y0 = initial_state(spec, lie_cfg(dt)).y
+        y0 = start_of(spec, lie_cfg(dt))
         exact = to_physical(maxwell_group(1.0, y0))
         gap = np.max(np.abs(res.trajectory.data[-1] - exact.data))
         assert gap < 1e-12 * np.max(np.abs(exact.data))
@@ -271,8 +282,8 @@ class TestLambdaProcess:
         spec = free_spec(grid8, zero_field(grid8))
         bundle = sample_brownian(0, 1.0, 16, seed=9)
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
-        st = initial_state(spec, cfg)
-        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, None), st.y, 0)
+        y0 = start_of(spec, cfg)
+        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, None), y0, 0)
         assert l2_norm(lam) == 0.0
 
     def test_linear_case_is_projected_maxwell(self, grid8):
@@ -280,11 +291,11 @@ class TestLambdaProcess:
         spec = free_spec(grid8, u0)
         bundle = sample_brownian(0, 1.0, 16, seed=10)
         cfg = em_cfg(1 / 16)
-        st = initial_state(spec, cfg)
-        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, None), st.y, 0)
+        y0 = start_of(spec, cfg)
+        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, None), y0, 0)
         from mks.operators import maxwell_apply
 
-        expected = sharp_cutoff(maxwell_apply(st.y), cfg.cutoff_level)
+        expected = sharp_cutoff(maxwell_apply(y0), cfg.cutoff_level)
         assert np.max(np.abs(lam.data - expected.data)) < 1e-13
 
     def test_gauged_terms_match_oracles(self, grid8):
@@ -300,22 +311,21 @@ class TestLambdaProcess:
                                banded_field(grid8, seed=17))
         bundle = sample_brownian(1, 1.0, 16, seed=11)
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
-        y_hat = initial_state(spec, cfg).y
+        y_hat = start_of(spec, cfg)
         y = to_physical(y_hat)
-        t = float(bundle.times[5])
         assert bundle.values[0, 5] != 0.0
         ctx = StepContext(cfg, spec, bundle, None)
         raw = (to_physical(maxwell_apply(to_spectral(y))).data
                - kerr_force(y, cfg.kerr).data
-               + drift_A_apply(y, t, spec, bundle).data
-               + transformed_current(t, spec, bundle).data)
+               + drift_A_apply(y, 5, spec, bundle).data
+               + transformed_current(5, spec, bundle).data)
         expected = to_physical(sharp_cutoff(
             to_spectral(y.with_data(raw)), cfg.cutoff_level))
         lam, (z,) = drift_and_noise(ctx, y_hat, 5)
         lam = to_physical(lam)
         assert np.max(np.abs(lam.data - expected.data)) < 1e-12
         noise = to_physical(smooth_cutoff(
-            to_spectral(transformed_noise(0, t, spec, bundle)), CutoffLevel(1)))
+            to_spectral(transformed_noise(0, 5, spec, bundle)), CutoffLevel(1)))
         assert np.max(np.abs(to_physical(z).data - noise.data)) < 1e-13
 
 
@@ -382,7 +392,7 @@ class TestEvaluationCounts:
                                banded_field(grid4, seed=37))
         bundle = sample_brownian(1, 0.25, self.STEPS, seed=38)
         cfg = make_cfg(0.25 / self.STEPS, level=1, kerr=KerrExponent(2.0, True))
-        initial_state(spec, cfg)  # the cached start state checks u0's norms
+        start_of(spec, cfg)  # the cached start state checks u0's norms
         counts = {"gauge_phase": 0, "pointwise_norm": 0, "l2_norm": 0}
 
         def counted(name, original):
@@ -632,7 +642,7 @@ class TestGalerkinState:
         assert per_run == 5
         assert calls["n"] == per_run  # the linear step itself has none
         assert np.array_equal(first.report.l2, second.report.l2)
-        assert initial_state(spec, cfg).y is initial_state(spec, cfg).y
+        assert start_of(spec, cfg) is start_of(spec, cfg)
 
 
 class TestBatchEquivalence:
@@ -696,8 +706,8 @@ class TestBatchEquivalence:
 
     def _assert_same_path(self, batched, alone):
         ra, rb = batched.report, alone.report
-        assert (ra.path_index, ra.seed, ra.q, ra.events) == \
-            (rb.path_index, rb.seed, rb.q, rb.events)
+        assert (ra.path_index, ra.seed, ra.events) == \
+            (rb.path_index, rb.seed, rb.events)
         for key in ("times", "l2", "power_norm", "lambda_l2", "energy_residual"):
             assert self._same_bits(getattr(ra, key), getattr(rb, key)), key
         for key in ("trajectory", "transformed"):
@@ -714,9 +724,9 @@ class TestBatchEquivalence:
         spec, cfg, kernel = self._case(grid8, name)
         bundle = self._bundles()[0]
         report = run_path(spec, cfg, kernel, bundle).report
-        y0 = initial_state(spec, cfg).y
-        history = History(dt=cfg.dt)
-        history.append(0.0, y0)
+        y0 = start_of(spec, cfg)
+        history = History(kernel, cfg.dt)
+        history.append(y0)
         lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, kernel), y0, 0,
                                  history)
         view = to_physical(y0)
@@ -846,7 +856,7 @@ class TestMemoryCoupling:
         spec, bundle, kernel, cfg = self._setup(grid4)
         fixed, diag = solve_with_memory(spec, cfg, kernel, bundle)
         w0_end = diag["windows"][0]["window"][1]
-        k = bundle.index_of(w0_end)
+        k = grid_index(bundle, w0_end)
         assert diag["windows"][1]["window"][0] == w0_end
         assert np.all(np.isfinite(fixed.data[k]))
 
@@ -894,7 +904,8 @@ class TestMemoryCoupling:
         _, diag = solve_with_memory(spec, cfg, kernel, bundle)
         assert len(seen) == sum(w["iterations"] for w in diag["windows"])
         for window, *sizes in seen:
-            count = bundle.index_of(window[1]) - bundle.index_of(window[0])
+            count = (grid_index(bundle, window[1])
+                     - grid_index(bundle, window[0]))
             assert sizes == [count + 1] * 4
 
     def test_iterates_append_only_their_window(self, grid4, monkeypatch):
@@ -908,9 +919,9 @@ class TestMemoryCoupling:
                 self.appended = []
                 made.append(self)
 
-            def append(self, t, state):
-                self.appended.append(float(t))
-                super().append(t, state)
+            def append(self, state):
+                self.appended.append(len(self))
+                super().append(state)
 
         monkeypatch.setattr(mks.stepping, "History", RecordingHistory)
         spec, bundle, kernel, cfg = self._setup(grid4)
@@ -918,12 +929,12 @@ class TestMemoryCoupling:
         prefix, *iterates = made
         assert len(iterates) == sum(w["iterations"] for w in diag["windows"])
         last_start = diag["windows"][-1]["window"][0]
-        assert prefix.appended == [float(t) for t in bundle.times
-                                   if t < last_start]
+        assert prefix.appended == list(range(grid_index(bundle, last_start)))
         first = 0
         for w in diag["windows"]:
             t_a, t_b = w["window"]
-            window_times = [float(t) for t in bundle.times if t_a <= t <= t_b]
+            window = list(range(grid_index(bundle, t_a),
+                                grid_index(bundle, t_b) + 1))
             for h in iterates[first:first + w["iterations"]]:
-                assert h.appended == window_times
+                assert h.appended == window
             first += w["iterations"]
