@@ -188,6 +188,7 @@ def _scalar_profile(grid: GridSpec, p: ProfileSpec) -> np.ndarray:
         amp = float(p.args.get("amplitude", 1.0))
         width = float(p.args.get("width", 0.25))
         center = p.args.get("center", (0.5, 0.5, 0.5))
+        center = (center,) * 3 if np.isscalar(center) else center
         x, y, z = _coords(grid)
         L = grid.box_length
         out = np.zeros(shape)
@@ -398,6 +399,9 @@ def validate_config(cfg: ExperimentConfig) -> list:
         v.append(f"[scheme] tau_m must be positive or auto, got {cfg.tau_m}")
     if cfg.paths < 1:
         v.append("[monte_carlo] paths must be >= 1")
+    if cfg.base_seed < 0:
+        v.append(f"[monte_carlo] base_seed must be a whole number >= 0, got "
+                 f"{cfg.base_seed}")
     if cfg.noise_count < 0:
         v.append(f"[noise] count must be >= 0, got {cfg.noise_count}")
     if cfg.stride < 1:
@@ -406,12 +410,43 @@ def validate_config(cfg: ExperimentConfig) -> list:
     profiles += [(f"b_{j + 1}", p) for j, p in enumerate(cfg.b_profiles)]
     profiles += [(f"B_{j + 1}", p) for j, p in enumerate(cfg.B_profiles)]
     for key, p in profiles:
-        mode = p.args.get("max_mode", 1.0)
-        if p.name == "band-limited-random" and not (
-                isinstance(mode, float) and mode.is_integer() and mode >= 0):
-            v.append(f"[noise] {key}: band-limited-random needs a whole "
-                     f"max_mode >= 0, got {mode!r}")
+        v += [f"[noise] {key}: {problem}" for problem in _profile_problems(p)]
     return v
+
+
+def _whole(value, low: float, high: float) -> bool:
+    return (isinstance(value, float) and value.is_integer()
+            and low <= value <= high)
+
+
+def _shown(value) -> str:
+    """A profile argument as it was written: one number or several."""
+    return " ".join(f"{x:g}" for x in np.atleast_1d(value))
+
+
+def _profile_problems(p: ProfileSpec) -> list:
+    """What is wrong with the arguments of one profile expression."""
+    problems = []
+    args = p.args
+    if p.name == "band-limited-random" and not _whole(
+            args.get("max_mode", 1.0), 0, np.inf):
+        problems.append(f"band-limited-random needs a whole max_mode >= 0, "
+                        f"got {_shown(args['max_mode'])}")
+    if "seed" in args and not _whole(args["seed"], 0, np.inf):
+        problems.append(f"seed must be a whole number >= 0, got "
+                        f"{_shown(args['seed'])}")
+    if "component" in args and not _whole(args["component"], 0, 5):
+        problems.append(f"component must be a whole number in 0..5, got "
+                        f"{_shown(args['component'])}")
+    for name in ("mode", "center"):
+        if name in args and np.size(args[name]) not in (1, 3):
+            problems.append(f"{name} needs one number or three, got "
+                            f"{_shown(args[name])}")
+    width = args.get("width", 0.25)
+    if p.name == "gaussian-bump" and not (np.size(width) == 1 and width > 0):
+        problems.append(f"gaussian-bump needs one width > 0, got "
+                        f"{_shown(width)}")
+    return problems
 
 
 @dataclass

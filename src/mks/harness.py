@@ -13,19 +13,22 @@ together (``stepping.run_paths``); the batches (``stepping.path_batches``)
 depend on the grid size and the path count only.  Workers are independent
 processes, each running whole batches; every path is a pure function of
 (config, path index) whatever its batch, and reports are folded in path
-order, so reruns are bitwise identical for any worker count.  File writes
-go through a temp-file rename.
+order, so reruns are bitwise identical for any worker count.
+
+Checkpoints are written by whoever runs the batch, the parent or a worker,
+as ``run_paths`` hands each saved level to the batch's sink, so no run
+holds its trajectories and workers return reports only.  A path that blows
+up has its files removed; ``index.csv`` is written last, from the reports
+in path order, and lists the completed paths only.  File writes go through
+a temp-file rename.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import multiprocessing
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -76,27 +79,47 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _run_batch(model: RuntimeModel, cfg: ExperimentConfig, batch: range):
-    """Integrate one batch of paths of the model built from ``cfg``; one
-    outcome per path."""
+def _checkpoint_name(path_index: int, level: int) -> str:
+    return f"path{path_index:04d}_step{level:06d}.mks"
+
+
+def _run_batch(model: RuntimeModel, batch: range, root: Path | None):
+    """Integrate one batch of paths of ``model``; one outcome per path.
+    With a checkpoint ``root``, every saved level of every path is written
+    there as it is produced, and a path that blows up has its files
+    removed."""
     bundles = [sample_brownian(model.spec.count, model.horizon, model.steps,
                                seed=model.base_seed + p) for p in batch]
+    sink = None
+    if root is not None:
+        def sink(level, paths, view):
+            for p, data in zip(paths, view.data):
+                write_checkpoint(Field6(model.grid, PHYSICAL, data),
+                                 root / _checkpoint_name(p, level))
+
     results = run_paths(model.spec, model.scheme, model.kernel, bundles,
-                        path_indices=list(batch), record_fields=cfg.save_fields)
-    return [("blowup", p, {"time": res.time, "norm": res.norm})
-            if isinstance(res, BlowUpError) else ("ok", p, res)
-            for p, res in zip(batch, results)]
+                        path_indices=list(batch), sink=sink)
+    outcomes = []
+    for p, res in zip(batch, results):
+        if isinstance(res, BlowUpError):
+            if root is not None:
+                for written in root.glob(f"path{p:04d}_step*.mks"):
+                    written.unlink()
+            outcomes.append(("blowup", p, {"time": res.time, "norm": res.norm}))
+        else:
+            outcomes.append(("ok", p, res.report))
+    return outcomes
 
 
 _WORKER = {}
 
 
-def _init_worker(cfg: ExperimentConfig, running):
+def _init_worker(cfg: ExperimentConfig, running, root: Path | None):
     """Pool initializer: each worker process builds the model once, locally,
     so results do not depend on pickling round-trips of its arrays."""
-    _WORKER["cfg"] = cfg
     _WORKER["model"] = build_runtime(cfg)
     _WORKER["running"] = running
+    _WORKER["root"] = root
     signal.signal(signal.SIGTERM, _stopped_by_pool)
 
 
@@ -113,22 +136,28 @@ def _run_in_worker(batch: range):
     _WORKER["batch"] = batch
     for p in batch:
         running[p] = 1
-    outcomes = _run_batch(_WORKER["model"], _WORKER["cfg"], batch)
+    outcomes = _run_batch(_WORKER["model"], batch, _WORKER["root"])
     for p in batch:
         running[p] = 0
     _WORKER["batch"] = None
     return outcomes
 
 
-def _run_pool(cfg: ExperimentConfig, batches, workers: int) -> list:
+def _run_pool(cfg: ExperimentConfig, batches, workers: int,
+              root: Path | None) -> list:
     """Every path's outcome from a worker pool, one task per batch.  Workers
     flag the paths they are running in shared memory, so a worker that dies
     raises WorkerLostError naming the paths in flight."""
+    # only pool runs use these; a serial run does not import them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     running = multiprocessing.RawArray("b", cfg.paths)
     outcomes = []
     lost = []
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(cfg, running)) as pool:
+                             initargs=(cfg, running, root)) as pool:
         futures = [pool.submit(_run_in_worker, batch) for batch in batches]
         for batch, future in zip(batches, futures):
             try:
@@ -151,20 +180,20 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
     model = build_runtime(cfg)
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
 
+    root = out / "checkpoints" if cfg.save_fields else None
     batches = path_batches(cfg.grid_points, cfg.paths)
     if workers == 1 or len(batches) == 1:
-        outcomes = [o for batch in batches for o in _run_batch(model, cfg, batch)]
+        outcomes = [o for batch in batches
+                    for o in _run_batch(model, batch, root)]
     else:
-        outcomes = _run_pool(cfg, batches, workers)
+        outcomes = _run_pool(cfg, batches, workers, root)
     outcomes.sort(key=lambda item: item[1])
 
     reports = []
     blowups = []
-    results = []
     for kind, p, payload in outcomes:
         if kind == "ok":
-            reports.append(payload.report)
-            results.append(payload)
+            reports.append(payload)
         else:
             blowups.append({"path": p, "kind": "blowup", **payload})
 
@@ -174,8 +203,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
     _write_series_csv(out / "series.csv", reports)
     _write_summary_csv(out / "summary.csv", report, cfg)
     _write_assumptions_csv(out / "assumptions.csv", cfg, model)
-    if cfg.save_fields:
-        _write_checkpoints(out / "checkpoints", results)
+    if root is not None:
+        _write_checkpoint_index(root, reports, model.scheme.save_stride)
 
     status = 0 if not blowups else 1
     return report, status
@@ -234,19 +263,15 @@ def _write_assumptions_csv(path: Path, cfg: ExperimentConfig,
     write_atomic(path, buf.getvalue().encode())
 
 
-def _write_checkpoints(root: Path, results):
-    root.mkdir(parents=True, exist_ok=True)
+def _write_checkpoint_index(root: Path, reports, stride: int):
+    """index.csv of the checkpoints of the completed paths, in path order."""
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["path", "step", "time", "file"])
-    for res in results:
-        traj = res.trajectory
-        if traj is None:
-            continue
-        for k, t in enumerate(traj.times):
-            name = f"path{res.report.path_index:04d}_step{k:06d}.mks"
-            write_checkpoint(traj.state(k), root / name)
-            w.writerow([res.report.path_index, k, _fmt(t), name])
+    for r in reports:
+        for level, t in enumerate(r.times[::stride]):
+            w.writerow([r.path_index, level, _fmt(t),
+                        _checkpoint_name(r.path_index, level)])
     write_atomic(root / "index.csv", buf.getvalue().encode())
 
 

@@ -62,7 +62,8 @@ update and the Parseval norms of the ledger all act on packed arrays.  Once
 per step ``run_paths`` forms the physical view y = to_physical(y^), whose
 pruned inverse passes cover only the grid lines that hold a retained mode;
 that one view feeds the power norm, the Kerr force, A(t) y, the gauge phase,
-B y and the recorded fields.  Lambda^ is m y^ plus the spectral sources (J
+B y and the saved fields, which go to a caller's sink as they are produced
+or into a record array.  Lambda^ is m y^ plus the spectral sources (J
 outside gauged tsee, the memory term) plus one packed transform
 (``GalerkinSpace.spectral``) of the summed physical-space terms: its pruned
 forward passes compute the retained modes only, so it is P_n and no mask
@@ -178,9 +179,6 @@ class Trajectory:
     grid: GridSpec
     times: np.ndarray
     data: np.ndarray  # (len(times), 6, n, n, n), physical
-
-    def state(self, idx: int) -> Field6:
-        return Field6(self.grid, PHYSICAL, self.data[idx].copy())
 
     def __len__(self):
         return len(self.times)
@@ -622,7 +620,7 @@ def raise_blowups(results: list) -> list:
 
 def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
               bundles, *, path_indices=None, record_fields: bool = False,
-              record_transformed: bool = False, extra_source=None,
+              record_transformed: bool = False, sink=None, extra_source=None,
               initial: Field6 | None = None, start_index: int = 0,
               n_steps: int | None = None) -> list:
     """Integrate a batch of paths, one bundle each, stepped together.
@@ -639,9 +637,17 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     outside the cube do not enter the run.  ``start_index``/``n_steps``
     select a window of the bundles; steps and gauge phases are indexed on
     the bundles' grid, so a window's step k is the run's step k.
-    The recorded trajectories are physical, every ``cfg.save_stride``-th
-    step from the first; each kind is one array for the batch, and a
-    path's trajectory is its row.
+
+    Fields are saved every ``cfg.save_stride``-th step from the first, in
+    physical space.  ``sink``: optional callable (level, paths, view) called
+    at each saved level with the level's index, the path indices of the
+    rows still stepping and their physical view (one row each, in that
+    order); the view is valid during the call only, and the sink keeps what
+    it needs (``mks run`` writes checkpoints from it), so the run holds no
+    record.  ``record_fields``/``record_transformed`` keep the saved levels
+    (of y, or of the back-transformed u of tsee) in memory instead, for the
+    callers that read trajectories: each kind is one array for the batch,
+    and a path's trajectory is its row.
     """
     grid = spec.grid
     count = len(bundles)
@@ -707,13 +713,15 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     saved_u = np.empty(shape, np.complex128) if record_u else None
 
     def observe(local, view, gauge):
-        """Power norm and recorded fields from the physical view; returns
+        """Power norm and saved fields from the physical view; returns
         the view's pointwise norm when the next Kerr force needs it."""
         magnitude = pointwise_norm(view)
         norms = lp_norm(view, power, magnitude).tolist()
         power_norm[alive, local] = [v ** power for v in norms]
         level, off_level = divmod(local, cfg.save_stride)
         if not off_level:
+            if sink is not None:
+                sink(level, [path_indices[row] for row in alive], view)
             if record_fields:
                 saved[alive, level] = view.data
             if record_u:

@@ -322,6 +322,28 @@ BAD_VALUES = [
     pytest.param(MINIMAL_WEAK.replace("B_1 = zero",
                                       "B_1 = plane-wave(amplitude=nan)"),
                  "[noise] B_1", "nan", id="plane-wave-nan"),
+    pytest.param(MINIMAL_WEAK + "\n[monte_carlo]\nbase_seed = -1\n",
+                 "[monte_carlo] base_seed", "-1", id="base_seed-negative"),
+    pytest.param(MINIMAL_WEAK.replace("seed=1,", "seed=-1,"),
+                 "[noise] u0: seed", "-1", id="profile-seed-negative"),
+    pytest.param(MINIMAL_WEAK.replace("seed=1,", "seed=1.5,"),
+                 "[noise] u0: seed", "1.5", id="profile-seed-fraction"),
+    pytest.param(MINIMAL_WEAK.replace(
+        "b_1 = zero", "b_1 = gaussian-bump(width=0.2, component=7)"),
+        "[noise] b_1: component", "7", id="component-seven"),
+    pytest.param(MINIMAL_WEAK.replace(
+        "b_1 = zero", "b_1 = plane-wave(component=1.5)"),
+        "[noise] b_1: component", "1.5", id="component-fraction"),
+    pytest.param(MINIMAL_WEAK.replace(
+        "B_1 = zero", "B_1 = plane-wave(amplitude=0.1, mode=1 0)"),
+        "[noise] B_1: mode", "1 0", id="mode-two-numbers"),
+    pytest.param(MINIMAL_WEAK.replace(
+        "b_1 = zero", "b_1 = gaussian-bump(center=0.5 0.5 0.5 0.5)"),
+        "[noise] b_1: center", "0.5 0.5 0.5 0.5", id="center-four-numbers"),
+    pytest.param(MINIMAL_WEAK.replace(
+        "b_1 = zero", "b_1 = gaussian-bump(width=0)"),
+        "[noise] b_1: gaussian-bump needs one width > 0", "0",
+        id="width-zero"),
 ]
 
 
@@ -340,8 +362,8 @@ class TestBadValues:
         cfg_file.write_text(text)
         rc = main(["run", "--config", str(cfg_file),
                    "--out", str(tmp_path / "out")])
-        assert rc != 0
         err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err and where in err
         assert not (tmp_path / "out").exists()
 

@@ -14,8 +14,8 @@ from mks.diagnostics import (
     strong_convergence_order,
 )
 from mks.errors import BlowUpError, UsageError
-from mks.grid import (Field6, inner_product, l2_norm, random_field,
-                      to_spectral, zero_field)
+from mks.grid import (PHYSICAL, Field6, inner_product, l2_norm,
+                      random_field, to_spectral, zero_field)
 from mks.kerr import KerrExponent
 from mks.multipliers import CutoffLevel
 from mks.noise import (BrownianBundle, SeparableSource, make_noise_spec,
@@ -135,7 +135,8 @@ class TestEnergyResidual:
         bundle = sample_brownian(1, 0.5, 16, seed=3)
         cfg = em_cfg(0.5 / 16, kerr=KerrExponent(2.0, True))
         res = run_path(spec, cfg, None, bundle, record_fields=True)
-        states = [to_spectral(res.trajectory.state(k)) for k in range(17)]
+        states = [to_spectral(Field6(grid8, PHYSICAL, res.trajectory.data[k]))
+                  for k in range(17)]
         ctx_states = states[:-1]
         ctx = StepContext(cfg, spec, bundle, None)
         drifts, noises = zip(*(drift_and_noise(ctx, ctx_states[k], k)

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -118,8 +119,11 @@ class TestRunExperiment:
             rows = list(csv.DictReader(fh))
         assert all(float(r["l2"]) == 0.0 for r in rows)
 
-    def test_worker_count_is_invisible(self, tmp_path):
+    def test_worker_count_is_invisible(self, tmp_path, monkeypatch):
+        # one path per batch, so four workers each write checkpoints
+        monkeypatch.setattr(mks.stepping, "BATCH_VALUES", 6 * 8**3)
         cfg = parse_config(SMALL_RUN)
+        cfg.save_fields = True
         _, s1 = run_experiment(cfg, workers=1, out_dir=tmp_path / "w1")
         _, s2 = run_experiment(cfg, workers=4, out_dir=tmp_path / "w4")
         assert s1 == s2 == 0
@@ -127,6 +131,37 @@ class TestRunExperiment:
             (tmp_path / "w4" / "series.csv").read_bytes()
         assert (tmp_path / "w1" / "summary.csv").read_bytes() == \
             (tmp_path / "w4" / "summary.csv").read_bytes()
+        files = sorted(f.name for f in (tmp_path / "w1" / "checkpoints").iterdir())
+        assert len(files) == 4 * 9 + 1 and "index.csv" in files
+        assert sorted(f.name for f in
+                      (tmp_path / "w4" / "checkpoints").iterdir()) == files
+        for name in files:
+            assert (tmp_path / "w1" / "checkpoints" / name).read_bytes() == \
+                (tmp_path / "w4" / "checkpoints" / name).read_bytes(), name
+
+    def test_run_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # checkpoints are written as they are produced: no saved level is
+        # held, so the traced peak barely moves from 8 to 64 steps
+        config = Path(__file__).resolve().parents[1] / "configs" / \
+            "example_strong.cfg"
+        text = config.read_text().replace("save_fields = off",
+                                          "save_fields = on")
+
+        def traced_peak(horizon):
+            cfg = parse_config(text.replace("horizon = 0.5",
+                                            f"horizon = {horizon}"))
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, workers=1, out_dir=tmp_path / str(horizon))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(0.125)  # caches and imports
+        short, long = traced_peak(0.125), traced_peak(1.0)
+        assert len(list((tmp_path / "1.0" / "checkpoints").glob("*.mks"))) \
+            == 4 * 65
+        assert long - short < 0.25 * 2**20
 
     def test_serial_run_builds_the_runtime_once(self, tmp_path, monkeypatch):
         calls = []
@@ -187,11 +222,50 @@ class TestRunExperiment:
 
     def test_blowup_is_logged_not_fatal(self, tmp_path):
         cfg = parse_config(BLOWUP_RUN)
+        cfg.save_fields = True
         report, status = run_experiment(cfg, workers=1, out_dir=tmp_path)
         assert status == 1
         assert any(e["kind"] == "blowup" for e in report.events)
-        # partial outputs kept
+        # partial outputs kept; the blown-up paths leave no checkpoint
         assert (tmp_path / "summary.csv").exists()
+        assert list((tmp_path / "checkpoints").glob("*.mks")) == []
+        assert (tmp_path / "checkpoints" / "index.csv").read_bytes() == \
+            b"path,step,time,file\r\n"
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=(
+        pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                           reason="the patched threshold reaches workers "
+                                  "by fork")))])
+    def test_blown_up_path_leaves_no_checkpoints(self, tmp_path, monkeypatch,
+                                                 workers):
+        # a threshold between the paths' largest norms blows up some of them
+        monkeypatch.setattr(mks.stepping, "BATCH_VALUES", 2 * 6 * 8**3)
+        cfg = parse_config(SMALL_RUN)
+        cfg.save_fields = True
+        run_experiment(cfg, workers=1, out_dir=tmp_path / "all")
+        with open(tmp_path / "all" / "series.csv") as fh:
+            sups = {}
+            for row in csv.DictReader(fh):
+                if row["step"] != "0":
+                    p = int(row["path"])
+                    sups[p] = max(sups.get(p, 0.0), float(row["l2"]))
+        threshold = sorted(sups.values())[1:3]
+        monkeypatch.setattr(mks.stepping, "BLOWUP_THRESHOLD",
+                            sum(threshold) / 2)
+        _, status = run_experiment(cfg, workers=workers,
+                                   out_dir=tmp_path / "some")
+        survivors = sorted(p for p, sup in sups.items()
+                           if sup < sum(threshold) / 2)
+        assert status == 1 and len(survivors) == 2
+        root = tmp_path / "some" / "checkpoints"
+        with open(root / "index.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted({int(r["path"]) for r in rows}) == survivors
+        assert sorted(f.name for f in root.glob("*.mks")) == \
+            sorted(r["file"] for r in rows)
+        for r in rows:
+            assert (root / r["file"]).read_bytes() == \
+                (tmp_path / "all" / "checkpoints" / r["file"]).read_bytes()
 
     def test_checkpoints_written(self, tmp_path):
         cfg = parse_config(SMALL_RUN.replace("base_seed = 77",

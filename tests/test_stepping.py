@@ -10,8 +10,8 @@ import mks.memory
 import mks.stepping
 from mks.errors import BlowUpError, ConfigurationError, UsageError
 from mks.galerkin import GalerkinSpace
-from mks.grid import (Field6, l2_norm, lp_norm, random_field, to_physical,
-                      to_spectral, zero_field)
+from mks.grid import (PHYSICAL, Field6, l2_norm, lp_norm, random_field,
+                      to_physical, to_spectral, zero_field)
 from mks.kerr import KerrExponent
 from mks.memory import History, exponential_kernel
 from mks.multipliers import CutoffLevel, sharp_cutoff, sharp_mask, smooth_cutoff
@@ -506,7 +506,7 @@ class TestRunPath:
         # rounding level and does not accumulate over the run
         leaks = []
         for k in range(len(res.trajectory.times)):
-            hat = to_spectral(res.trajectory.state(k))
+            hat = to_spectral(Field6(grid8, PHYSICAL, res.trajectory.data[k]))
             leaks.append(np.max(np.abs(hat.data[:, outside])))
         scale = np.max(res.report.l2)
         assert max(leaks) <= 1e-13 * max(scale, 1.0)
@@ -585,7 +585,8 @@ class TestGalerkinState:
                           l2_norm(sharp_cutoff(start, level)), rtol=1e-14)
         outside = ~sharp_mask(grid16, level)
         for k in range(len(res.trajectory.times)):
-            hat = to_spectral(res.trajectory.state(k)).data
+            hat = to_spectral(Field6(grid16, PHYSICAL,
+                                     res.trajectory.data[k])).data
             assert np.max(np.abs(hat[:, outside])) <= 1e-14
 
     def test_matches_full_grid_euler_maruyama(self, grid16):
