@@ -442,10 +442,10 @@ def _profile_problems(p: ProfileSpec) -> list:
         if name in args and np.size(args[name]) not in (1, 3):
             problems.append(f"{name} needs one number or three, got "
                             f"{_shown(args[name])}")
-    width = args.get("width", 0.25)
-    if p.name == "gaussian-bump" and not (np.size(width) == 1 and width > 0):
-        problems.append(f"gaussian-bump needs one width > 0, got "
-                        f"{_shown(width)}")
+    if "width" in args and not (np.size(args["width"]) == 1
+                                and args["width"] > 0):
+        problems.append(f"width must be one number > 0, got "
+                        f"{_shown(args['width'])}")
     return problems
 
 

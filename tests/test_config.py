@@ -342,7 +342,7 @@ BAD_VALUES = [
         "[noise] b_1: center", "0.5 0.5 0.5 0.5", id="center-four-numbers"),
     pytest.param(MINIMAL_WEAK.replace(
         "b_1 = zero", "b_1 = gaussian-bump(width=0)"),
-        "[noise] b_1: gaussian-bump needs one width > 0", "0",
+        "[noise] b_1: width must be one number > 0", "0",
         id="width-zero"),
 ]
 

@@ -765,16 +765,28 @@ class TestBatchEquivalence:
     @pytest.mark.parametrize("name", ["tsee_euler", "msee_lie_memory"])
     def test_stride_records_every_third_level(self, grid8, name):
         # 16 steps at stride 3 keep levels 0, 3, ..., 15 of the stride-1
-        # record bitwise; path 2 blows up at step 5, between two saved levels
+        # record bitwise; path 2 blows up at step 5, between two saved levels.
+        # A sink sees the same levels of the paths still stepping.
         spec, cfg, kernel = self._case(grid8, name)
         bundles = self._bundles(steps=16)
         record = dict(record_fields=True,
                       record_transformed=(name == "tsee_euler"))
         every = run_paths(spec, cfg, kernel, bundles, **record)
+        sunk = []
         strided = run_paths(spec, replace(cfg, save_stride=3), kernel,
-                            bundles, **record)
+                            bundles, path_indices=[10, 11, 12, 13],
+                            sink=lambda level, paths, view: sunk.append(
+                                (level, paths, view.data.copy())), **record)
         assert isinstance(every[2], BlowUpError)
         assert isinstance(strided[2], BlowUpError)
+        assert [(level, paths) for level, paths, _ in sunk] == \
+            [(0, [10, 11, 12, 13]), (1, [10, 11, 12, 13])] + \
+            [(level, [10, 11, 13]) for level in range(2, 6)]
+        for level, paths, data in sunk:
+            for label, row in zip(paths, data):
+                if label != 12:
+                    assert self._same_bits(
+                        row, strided[label - 10].trajectory.data[level])
         for p in (0, 1, 3):
             full, part = every[p], strided[p]
             for key in ("times", "l2", "lambda_l2", "energy_residual"):
