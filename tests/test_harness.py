@@ -249,13 +249,11 @@ class TestRunExperiment:
                 if row["step"] != "0":
                     p = int(row["path"])
                     sups[p] = max(sups.get(p, 0.0), float(row["l2"]))
-        threshold = sorted(sups.values())[1:3]
-        monkeypatch.setattr(mks.stepping, "BLOWUP_THRESHOLD",
-                            sum(threshold) / 2)
+        middle = sum(sorted(sups.values())[1:3]) / 2
+        monkeypatch.setattr(mks.stepping, "BLOWUP_THRESHOLD", middle)
         _, status = run_experiment(cfg, workers=workers,
                                    out_dir=tmp_path / "some")
-        survivors = sorted(p for p, sup in sups.items()
-                           if sup < sum(threshold) / 2)
+        survivors = sorted(p for p, sup in sups.items() if sup < middle)
         assert status == 1 and len(survivors) == 2
         root = tmp_path / "some" / "checkpoints"
         with open(root / "index.csv") as fh:
