@@ -406,11 +406,12 @@ def validate_config(cfg: ExperimentConfig) -> list:
         v.append(f"[noise] count must be >= 0, got {cfg.noise_count}")
     if cfg.stride < 1:
         v.append(f"[outputs] stride must be >= 1, got {cfg.stride}")
-    profiles = [("u0", cfg.u0_profile), ("J", cfg.J_profile)]
-    profiles += [(f"b_{j + 1}", p) for j, p in enumerate(cfg.b_profiles)]
-    profiles += [(f"B_{j + 1}", p) for j, p in enumerate(cfg.B_profiles)]
-    for key, p in profiles:
-        v += [f"[noise] {key}: {problem}" for problem in _profile_problems(p)]
+    profiles = [("u0", cfg.u0_profile, False), ("J", cfg.J_profile, False)]
+    profiles += [(f"b_{j + 1}", p, False) for j, p in enumerate(cfg.b_profiles)]
+    profiles += [(f"B_{j + 1}", p, True) for j, p in enumerate(cfg.B_profiles)]
+    for key, p, scalar in profiles:
+        v += [f"[noise] {key}: {problem}"
+              for problem in _profile_problems(p, scalar)]
     return v
 
 
@@ -424,10 +425,22 @@ def _shown(value) -> str:
     return " ".join(f"{x:g}" for x in np.atleast_1d(value))
 
 
-def _profile_problems(p: ProfileSpec) -> list:
-    """What is wrong with the arguments of one profile expression."""
+def _profile_problems(p: ProfileSpec, scalar: bool) -> list:
+    """What is wrong with the arguments of one profile expression; a scalar
+    profile (a B_j) takes one number as its constant ``value``, a field
+    profile one or six."""
     problems = []
     args = p.args
+    for name in ("amplitude", "phase"):
+        if name in args and np.size(args[name]) != 1:
+            problems.append(f"{name} must be one number, got "
+                            f"{_shown(args[name])}")
+    if p.name == "constant" and "value" in args:
+        counts, wanted = ((1,), "one number") if scalar else \
+            ((1, 6), "one number or six")
+        if np.size(args["value"]) not in counts:
+            problems.append(f"value needs {wanted}, got "
+                            f"{_shown(args['value'])}")
     if p.name == "band-limited-random" and not _whole(
             args.get("max_mode", 1.0), 0, np.inf):
         problems.append(f"band-limited-random needs a whole max_mode >= 0, "

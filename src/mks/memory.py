@@ -1,6 +1,8 @@
 """Retarded material law (G * u)(t) and the fixed-point windowing driver.
 
-G acts as a space-constant 6x6 real matrix multiplier.  The convolution is
+G acts as a space-constant 6x6 real matrix multiplier, applied as one real
+matrix product per path: the complex components, viewed as six rows of
+interleaved real and imaginary parts, times the coupling.  The convolution is
 the trapezoidal rule on the integrator's uniform history grid (O(dt^2) for
 smooth integrands).  For the exponential kernel G(t) = a e^{-rt} C the
 trapezoid sum is carried forward instead of re-summed: a ``History`` is
@@ -52,6 +54,13 @@ class KernelSpec:
             raise ConfigurationError(f"unknown kernel form {self.form!r}")
         if self.form == EXPONENTIAL and self.coupling is None:
             object.__setattr__(self, "coupling", np.eye(6))
+        if self.coupling is not None:
+            coupling = np.asarray(self.coupling)
+            if coupling.shape != (6, 6) or np.iscomplexobj(coupling):
+                raise ConfigurationError(
+                    f"the kernel coupling must be a real 6x6 matrix, got "
+                    f"shape {coupling.shape} of {coupling.dtype}")
+            object.__setattr__(self, "coupling", coupling.astype(np.float64))
 
     @property
     def is_zero(self):
@@ -114,15 +123,21 @@ class History:
             carried=None if self.carried is None else self.carried[rows])
 
 
+def _real_rows(a: np.ndarray) -> np.ndarray:
+    """Complex (6, ...) data as six real rows, real and imaginary parts
+    interleaved: a view of contiguous data."""
+    return a.view(np.float64).reshape(6, -1)
+
+
 def _apply_matrix(g: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """g acting on the six components; a stack of paths one path at a time,
-    so each path's sums run as they do alone."""
-    if data.ndim == 5:
-        out = np.empty(data.shape, np.result_type(g, data))
-        for d, o in zip(data, out):
-            np.einsum("ab,b...->a...", g, d, out=o)
-        return out
-    return np.einsum("ab,b...->a...", g, data)
+    """The real 6x6 g acting on the six components: one real matrix product
+    per path, so each path's sums run as they do alone."""
+    data = np.ascontiguousarray(data)
+    out = np.empty(data.shape, np.complex128)
+    for d, o in zip(data.reshape((-1,) + data.shape[-4:]),
+                    out.reshape((-1,) + out.shape[-4:])):
+        np.matmul(g, _real_rows(d), out=_real_rows(o))
+    return out
 
 
 def convolve_history(h: History) -> Field6:

@@ -190,9 +190,12 @@ def zero_source(grid: GridSpec) -> SeparableSource:
 
 def spectral_gradient(grid: GridSpec, scalar: np.ndarray) -> np.ndarray:
     """Gradient of a real scalar field by spectral differentiation; the
-    Nyquist planes of i k are zeroed, so the gradient stays real."""
+    Nyquist planes of i k are zeroed, so the gradient stays real.  A zero
+    field costs no transform."""
     from .operators import _nyquist_mask
 
+    if not scalar.any():
+        return np.zeros((3,) + scalar.shape)
     mask = _nyquist_mask(grid)
     hat = fft_array(scalar)
     g = ifft_array(np.stack([1j * (k * mask) * hat
@@ -201,7 +204,10 @@ def spectral_gradient(grid: GridSpec, scalar: np.ndarray) -> np.ndarray:
 
 
 def band_limit_defect(grid: GridSpec, scalar: np.ndarray) -> float:
-    """Relative spectral mass beyond half-Nyquist (per-axis cube)."""
+    """Relative spectral mass beyond half-Nyquist (per-axis cube); 0 for a
+    zero field, which costs no transform."""
+    if not scalar.any():
+        return 0.0
     hat = fft_array(scalar)
     kx, ky, kz = grid.k_components()
     lim = 0.5 * grid.nyquist

@@ -9,7 +9,17 @@ Everything here is diagonal per Fourier mode:
 * the Leray/Helmholtz projection keeps u_hat(k) - k (k.u_hat)/|k|^2 and is
   the identity at k = 0 (constants are divergence-free on the torus),
 * exp(t*m) rotates the divergence-free part with cos(|k| t) and
-  sin(|k| t)/|k| blocks and leaves the gradient part untouched.
+  sin(|k| t)/|k| blocks and leaves the gradient part untouched; in closed
+  form its top block is c u1 + w k (k.u1) + i s k x u2 and its bottom block
+  the same with u2 and -u1, with c = cos(|k| t), s = sin(|k| t)/|k| and
+  w = (1 - c)/|k|^2 (0 at k = 0).
+
+The multipliers of curl (i k) and of exp(tm) (c, w, k and i s k) are read
+from contiguous complex tables of the mode shape, cached per owner of the
+modes (and per t for exp(tm)): a product of two complex arrays of one shape
+runs as a plain loop, where a broadcast real factor is cast on the fly.
+Packed exp(tm) tables are gathered from the full-grid ones, so packed and
+full-grid results agree bitwise.
 
 All Field6-level operations demand the spectral representation and raise
 UsageError otherwise, and act on the modes the field holds: every mode of
@@ -54,15 +64,30 @@ def _nyquist_mask(grid: GridSpec):
     return m.reshape(n, 1, 1) * m.reshape(1, n, 1) * m.reshape(1, 1, n)
 
 
+@lru_cache(maxsize=16)
+def _curl_tables(modes):
+    """(i kx, i ky, i kz) of ``modes`` as contiguous complex tables of the
+    mode shape."""
+    shape = modes.k_squared().shape
+    tables = tuple(np.ascontiguousarray(np.broadcast_to(1j * k, shape))
+                   for k in modes.k_components())
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def curl(modes, u3: np.ndarray) -> np.ndarray:
     """(curl u)^(k) = i k x u_hat(k) on a 3-component spectral block (with
     any leading axes); ``modes`` is a GridSpec or a GalerkinSpace."""
-    kx, ky, kz = modes.k_components()
+    ikx, iky, ikz = _curl_tables(modes)
     a, b, c = (u3[..., i, :, :, :] for i in range(3))
-    out = np.empty_like(u3)
-    out[..., 0, :, :, :] = 1j * (ky * c - kz * b)
-    out[..., 1, :, :, :] = 1j * (kz * a - kx * c)
-    out[..., 2, :, :, :] = 1j * (kx * b - ky * a)
+    out = np.empty(u3.shape, np.complex128)
+    tmp = np.empty_like(out[..., 0, :, :, :])
+    for o, kj, vk, kk, vj in ((out[..., 0, :, :, :], iky, c, ikz, b),
+                              (out[..., 1, :, :, :], ikz, a, ikx, c),
+                              (out[..., 2, :, :, :], ikx, b, iky, a)):
+        np.multiply(kj, vk, out=o)
+        o -= np.multiply(kk, vj, out=tmp)
     return out
 
 
@@ -112,56 +137,70 @@ def helmholtz_project(u: Field6) -> Field6:
     return u.with_data(data)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=16)
 def _group_tables(grid: GridSpec, space, t: float):
-    """(kx, ky, kz, 1/|k|^2, cos(|k| t), sin(|k| t)/|k|) for exp(t m) on the
-    grid, or on a packed space (None for the full grid).  A space gathers the
-    grid's tables, so packed and full-grid results agree bitwise."""
-    if space is not None:
-        full = _group_tables(grid, None, t)
-        return space.k_components() + tuple(space.gather(a) for a in full[3:])
-    kx, ky, kz = grid.k_components()
-    k2 = kx**2 + ky**2 + kz**2
-    kabs = np.sqrt(k2)
+    """(c, w, kx, ky, kz, i s kx, i s ky, i s kz) for exp(t m) on the grid,
+    or on a packed space (None for the full grid): contiguous complex tables
+    of the mode shape, with c = cos(|k| t), s = sin(|k| t)/|k| and
+    w = (1 - c)/|k|^2, 0 at k = 0.  A space gathers the grid's tables, so
+    packed and full-grid results agree bitwise; only the space's are kept."""
+    n = grid.points_per_axis
+    kx, ky, kz = (np.broadcast_to(k, (n, n, n)) for k in grid.k_components())
+    kabs = np.sqrt(kx**2 + ky**2 + kz**2)
     inv_kabs = np.zeros_like(kabs)
     nonzero = kabs > 0
     inv_kabs[nonzero] = 1.0 / kabs[nonzero]
-    inv_k2 = inv_kabs**2
-    cos = np.cos(kabs * t)
-    sinc = np.sin(kabs * t) * inv_kabs
-    for table in (inv_k2, cos, sinc):
-        table.setflags(write=False)
-    return kx, ky, kz, inv_k2, cos, sinc
+    c = np.cos(kabs * t)
+    # 1 - cos x = 2 sin^2(x/2), without the cancellation at small |k| t
+    w = 2.0 * np.sin(0.5 * kabs * t)**2 * inv_kabs**2
+    i_s = 1j * np.sin(kabs * t) * inv_kabs
+    tables = []
+    for a in (c, w, kx, ky, kz, i_s * kx, i_s * ky, i_s * kz):
+        a = np.ascontiguousarray(a, dtype=np.complex128)
+        if space is not None:
+            a = space.gather(a)
+        a.setflags(write=False)
+        tables.append(a)
+    return tuple(tables)
 
 
 def maxwell_group(t: float, u: Field6) -> Field6:
-    """Exact propagator exp(t*m), mode-wise.
+    """Exact propagator exp(t*m), mode-wise, in closed form:
 
-    On the divergence-free part: cos(|k| t) I + sin(|k| t)/|k| * m.
-    Identity on the gradient part and at k = 0.
+        top    = c u1 + w k (k . u1) + i s k x u2,
+        bottom = c u2 + w k (k . u2) - i s k x u1,
+
+    with c = cos(|k| t), s = sin(|k| t)/|k| and w = (1 - c)/|k|^2, so that
+    the divergence-free part turns by cos(|k| t) I + sin(|k| t)/|k| * m and
+    the gradient part and k = 0 are left as they are.  Each output component
+    is written in place, with one component-sized scratch.
     """
     _require_representation(u, SPECTRAL, "maxwell_group")
-    kx, ky, kz, inv_k2, cos, sinc = _group_tables(u.grid, u.space, float(t))
-
-    # split each block into gradient and divergence-free parts
+    c, w, kx, ky, kz, sx, sy, sz = _group_tables(u.grid, u.space, float(t))
     data = u.data
-    grad = np.empty_like(data)
-    for first in (0, 3):
-        v0, v1, v2 = (data[..., first + i, :, :, :] for i in range(3))
-        kdot = (kx * v0 + ky * v1 + kz * v2) * inv_k2
-        for i, k in enumerate((kx, ky, kz)):
-            np.multiply(k, kdot, out=grad[..., first + i, :, :, :])
-    h = data - grad
-
-    # grad + cos h + sinc m h, with m(a_h, b_h) = (i k x b_h, -i k x a_h)
-    out = cos * h
-    out += grad
-    turn = curl(u.modes, h[..., 3:, :, :, :])
-    turn *= sinc
-    out[..., :3, :, :, :] += turn
-    turn = curl(u.modes, h[..., :3, :, :, :])
-    turn *= sinc
-    out[..., 3:, :, :, :] -= turn
+    out = np.empty_like(data)
+    tmp = np.empty_like(data[..., 0, :, :, :])
+    for first, other, turn, back in ((0, 3, np.add, np.subtract),
+                                     (3, 0, np.subtract, np.add)):
+        u0, u1, u2 = (data[..., first + i, :, :, :] for i in range(3))
+        v0, v1, v2 = (data[..., other + i, :, :, :] for i in range(3))
+        o0, o1, o2 = (out[..., first + i, :, :, :] for i in range(3))
+        # w (k . u) waits in the last output component until it is used
+        np.multiply(kx, u0, out=o2)
+        o2 += np.multiply(ky, u1, out=tmp)
+        o2 += np.multiply(kz, u2, out=tmp)
+        o2 *= w
+        np.multiply(c, u0, out=o0)
+        o0 += np.multiply(kx, o2, out=tmp)
+        np.multiply(c, u1, out=o1)
+        o1 += np.multiply(ky, o2, out=tmp)
+        o2 *= kz
+        o2 += np.multiply(c, u2, out=tmp)
+        # i s k x v: added on the top block, subtracted on the bottom one
+        for o, sj, vk, sk, vj in ((o0, sy, v2, sz, v1), (o1, sz, v0, sx, v2),
+                                  (o2, sx, v1, sy, v0)):
+            turn(o, np.multiply(sj, vk, out=tmp), out=o)
+            back(o, np.multiply(sk, vj, out=tmp), out=o)
     return u.with_data(out)
 
 

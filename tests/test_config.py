@@ -8,6 +8,7 @@ from mks.config import (
     parse_profile,
     validate_config,
 )
+import mks.grid
 import mks.operators
 import mks.stepping
 from mks.cli import main
@@ -255,6 +256,24 @@ class TestAssumptionEcho:
         assert statuses["W2"] == "not machine-checkable"
         assert statuses["M6"] == "validated"
 
+    @pytest.mark.parametrize("B,scalar_transforms", [
+        ("zero", False), ("plane-wave(amplitude=0.1)", True)])
+    def test_zero_multiplier_costs_no_transform(self, monkeypatch, B,
+                                                scalar_transforms):
+        # a B_j is the only scalar field that is transformed: its band-limit
+        # check and its gradient, in build_runtime and in the M6 row
+        shapes = []
+        kernel = mks.grid._c2c
+
+        def counted(data, *args):
+            shapes.append(data.shape)
+            return kernel(data, *args)
+
+        monkeypatch.setattr(mks.grid, "_c2c", counted)
+        cfg = parse_config(MINIMAL_WEAK.replace("B_1 = zero", f"B_1 = {B}"))
+        assumption_echo(cfg, build_runtime(cfg))
+        assert any(len(shape) == 3 for shape in shapes) is scalar_transforms
+
     def test_violated_kernel_reported(self):
         cfg = parse_config(MINIMAL_WEAK)
         model = build_runtime(cfg)
@@ -340,6 +359,22 @@ BAD_VALUES = [
     pytest.param(MINIMAL_WEAK.replace(
         "b_1 = zero", "b_1 = gaussian-bump(center=0.5 0.5 0.5 0.5)"),
         "[noise] b_1: center", "0.5 0.5 0.5 0.5", id="center-four-numbers"),
+    pytest.param(MINIMAL_WEAK.replace(
+        "b_1 = zero", "b_1 = plane-wave(amplitude=1 2)"),
+        "[noise] b_1: amplitude must be one number", "1 2",
+        id="amplitude-two-numbers"),
+    pytest.param(MINIMAL_WEAK.replace(
+        "B_1 = zero", "B_1 = plane-wave(amplitude=0.1, phase=0 1)"),
+        "[noise] B_1: phase must be one number", "0 1",
+        id="phase-two-numbers"),
+    pytest.param(MINIMAL_WEAK.replace(
+        "B_1 = zero", "B_1 = constant(value=1 2)"),
+        "[noise] B_1: value needs one number", "1 2",
+        id="scalar-value-two-numbers"),
+    pytest.param(MINIMAL_WEAK.replace(
+        "b_1 = zero", "b_1 = constant(value=1 2)"),
+        "[noise] b_1: value needs one number or six", "1 2",
+        id="field-value-two-numbers"),
     pytest.param(MINIMAL_WEAK.replace(
         "b_1 = zero", "b_1 = gaussian-bump(width=0)"),
         "[noise] b_1: width must be one number > 0", "0",

@@ -133,6 +133,35 @@ class TestConvolution:
         assert np.max(np.abs(out.data - expected)) < 1e-14
 
 
+    def test_stacked_paths_read_as_each_path_alone(self, grid4):
+        # each path is reduced alone, bitwise, and the real matrix product
+        # agrees with the complex einsum up to rounding
+        dt = 0.05
+        ker = KernelSpec(form="exponential", amplitude=0.9, rate=1.7,
+                         coupling=nonsymmetric_coupling(5))
+        paths = [random_states(grid4, 6, seed=20 + p) for p in range(3)]
+        alone = [History(ker, dt) for _ in paths]
+        stack = History(ker, dt)
+        for k in range(6):
+            for h, states in zip(alone, paths):
+                h.append(states[k])
+            stack.append(paths[0][k].with_data(
+                np.stack([states[k].data for states in paths])))
+        out = convolve_history(stack).data
+        for p, (h, states) in enumerate(zip(alone, paths)):
+            assert np.array_equal(out[p], convolve_history(h).data)
+            diff = h.carried - 0.5 * states[-1].data
+            oracle = ker.amplitude * dt * np.einsum(
+                "ab,b...->a...", ker.coupling, diff)
+            assert relative_error(out[p], oracle) <= 1e-14
+
+    @pytest.mark.parametrize("coupling", [np.eye(5), 1j * np.eye(6)],
+                             ids=["five-by-five", "complex"])
+    def test_coupling_must_be_real_six_by_six(self, coupling):
+        with pytest.raises(ConfigurationError):
+            exponential_kernel(1.0, 1.0, coupling)
+
+
 class TestContractionStepLength:
     def test_no_memory_gives_full_horizon(self):
         assert contraction_step_length(0.0, 3.0, 2.5) == 2.5

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+
+import mks.grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mks.errors import ConfigurationError, UsageError
 from mks.grid import (
     Field6,
+    fft_array,
+    ifft_array,
     l2_norm,
     random_field,
     to_physical,
@@ -296,3 +300,21 @@ class TestTransformedCoefficients:
         assert np.max(np.abs(np.abs(out.data) - np.abs(b))) < 1e-14
         assert abs(l2_norm(out) - np.sqrt(grid8.cell_volume)
                    * np.linalg.norm(b)) < 1e-12
+
+
+def test_zero_multipliers_cost_no_transform(grid8, monkeypatch):
+    # the gradient of a zero B_j is the array the transforms would give,
+    # bitwise: the transforms of zeros make no negative zeros
+    n = grid8.points_per_axis
+    zero = np.zeros((n, n, n))
+    transformed = ifft_array(np.stack(
+        [1j * k * fft_array(zero) for k in grid8.k_components()])).real
+    calls = []
+    monkeypatch.setattr(mks.grid, "_c2c", lambda *args: calls.append(args))
+    spec = make_noise_spec(grid8, [zero, zero], [zero_source(grid8)] * 2,
+                           zero_source(grid8), zero_field(grid8))
+    assert band_limit_defect(grid8, zero) == 0.0
+    assert calls == []
+    for g in spec.grad_B:
+        assert np.array_equal(g, transformed)
+        assert not np.signbit(g).any() and not np.signbit(transformed).any()

@@ -190,23 +190,43 @@ class TestMaxwellGroup:
 
     def test_cached_tables_give_the_uncached_formula_bitwise(self, grid8):
         u = to_spectral(random_field(grid8, seed=16))
-        kx, ky, kz = grid8.k_components()
-        kabs = np.sqrt(kx**2 + ky**2 + kz**2)
-        inv_kabs = np.zeros_like(kabs)
-        inv_kabs[kabs > 0] = 1.0 / kabs[kabs > 0]
         t = 0.37
-        cos, sinc, inv_k2 = np.cos(kabs * t), np.sin(kabs * t) * inv_kabs, inv_kabs**2
-        a, b = u.data[:3], u.data[3:]
-        kdota = (kx * a[0] + ky * a[1] + kz * a[2]) * inv_k2
-        kdotb = (kx * b[0] + ky * b[1] + kz * b[2]) * inv_k2
-        a_grad = np.stack([k * kdota for k in (kx, ky, kz)])
-        b_grad = np.stack([k * kdotb for k in (kx, ky, kz)])
-        a_h, b_h = a - a_grad, b - b_grad
-        expected = np.concatenate([
-            a_grad + cos * a_h + sinc * curl(grid8, b_h),
-            b_grad + cos * b_h - sinc * curl(grid8, a_h)])
+        expected = closed_form_group(grid8, t, u.data)
         for _ in range(2):  # the second call reads the cache
             assert np.array_equal(maxwell_group(t, u).data, expected)
+
+    def test_stack_equals_each_field_alone_bitwise(self, grid8):
+        fields = [to_spectral(random_field(grid8, seed=(17, p))) for p in range(3)]
+        stack = fields[0].with_data(np.stack([f.data for f in fields]))
+        out = maxwell_group(0.29, stack).data
+        for p, f in enumerate(fields):
+            assert np.array_equal(out[p], maxwell_group(0.29, f).data)
+
+
+def closed_form_group(grid, t, data):
+    """exp(t m) on one spectral field, evaluated uncached in the operator's
+    order: c u1 + w k (k . u1) + i s k x u2 on top, with u2 and -u1 below."""
+    n = grid.points_per_axis
+    kr = [np.broadcast_to(k, (n, n, n)) for k in grid.k_components()]
+    kabs = np.sqrt(kr[0]**2 + kr[1]**2 + kr[2]**2)
+    inv_kabs = np.zeros_like(kabs)
+    inv_kabs[kabs > 0] = 1.0 / kabs[kabs > 0]
+    c = np.cos(kabs * t) + 0j
+    w = 2.0 * np.sin(0.5 * kabs * t)**2 * inv_kabs**2 + 0j
+    i_s = 1j * np.sin(kabs * t) * inv_kabs
+    k = [ki + 0j for ki in kr]
+    s = [i_s * ki for ki in kr]
+    out = []
+    for a, b, sign in ((data[:3], data[3:], 1), (data[3:], data[:3], -1)):
+        kdot = (k[0] * a[0] + k[1] * a[1] + k[2] * a[2]) * w
+        for i in range(3):
+            j, l = (i + 1) % 3, (i + 2) % 3
+            along = c * a[i] + k[i] * kdot
+            if sign > 0:
+                out.append(along + s[j] * b[l] - s[l] * b[j])
+            else:
+                out.append(along - s[j] * b[l] + s[l] * b[j])
+    return np.stack(out)
 
 
 def test_import_leaves_scipy_linalg_unloaded():
