@@ -81,6 +81,7 @@ from .stepping import (
     MSEE,
     TSEE,
     WSEE,
+    Recording,
     SchemeConfig,
     Trajectory,
     initial_coefficients,

@@ -53,7 +53,12 @@ def _load_config(args):
     again after them."""
     from .config import parse_config, validate_config
 
-    cfg = parse_config(args.config.read_text())
+    try:
+        text = args.config.read_text()
+    except OSError as exc:
+        raise UsageError(f"[config] cannot read {args.config}: "
+                         f"{exc.strerror}") from exc
+    cfg = parse_config(text)
     if args.seed is not None:
         cfg.base_seed = args.seed
     if args.paths is not None:
@@ -124,8 +129,12 @@ def _dispatch(args) -> int:
             failed += 0 if c["passed"] else 1
         print(f"{len(checks) - failed}/{len(checks)} checks passed")
         if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(json.dumps(checks, indent=2))
+            try:
+                args.out.parent.mkdir(parents=True, exist_ok=True)
+                args.out.write_text(json.dumps(checks, indent=2))
+            except OSError as exc:
+                raise UsageError(f"[verify] cannot write {args.out}: "
+                                 f"{exc.strerror}") from exc
         return 0 if failed == 0 else 1
 
     if args.verb == "convergence":

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import UsageError
 from .multipliers import CutoffLevel
 from .noise import NoiseSpec, sample_brownian, refine_bundle
-from .stepping import (SchemeConfig, path_batches, raise_blowups, run_paths,
-                       trajectory_sup_distance)
+from .stepping import (Recording, SchemeConfig, path_batches, raise_blowups,
+                       run_paths, trajectory_sup_distance)
 
 REFINE_FACTOR = 4  # strong-error reference step min(dts) / REFINE_FACTOR
 
@@ -119,8 +119,10 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
 
     def terminal_states(dt, bundles):
         run = replace(cfg, dt=dt, save_stride=bundles[0].steps)
-        return [res.trajectory.data[-1] for res in raise_blowups(
-            run_paths(spec, run, kernel, bundles, record_fields=True))]
+        record = Recording(spec.grid, bundles[0].times[::run.save_stride],
+                           len(bundles), inverse=False)
+        raise_blowups(run_paths(spec, run, kernel, bundles, sink=record))
+        return record.data[:, -1]
 
     rungs = len(dts) + int(np.log2(REFINE_FACTOR))
     errors = {dt: [] for dt in dts}
@@ -154,14 +156,16 @@ def galerkin_convergence(spec: NoiseSpec, cfg: SchemeConfig, kernel,
     for (bundles,) in bundle_ladder(spec, seeds, steps * cfg.dt, steps, 1):
         previous = None
         for i, n in enumerate(levels):
-            runs = raise_blowups(run_paths(
+            record = Recording(spec.grid, bundles[0].times, len(bundles),
+                               inverse=False)
+            raise_blowups(run_paths(
                 spec, replace(cfg, cutoff_level=CutoffLevel(n)), kernel,
-                bundles, record_fields=True))
+                bundles, sink=record))
             if previous is not None:
-                gaps[i - 1] += [trajectory_sup_distance(lo.trajectory,
-                                                        hi.trajectory)
-                                for lo, hi in zip(previous, runs)]
-            previous = runs
+                gaps[i - 1] += [trajectory_sup_distance(previous.trajectory(p),
+                                                        record.trajectory(p))
+                                for p in range(len(bundles))]
+            previous = record
     rows = [{"levels": pair, "mean_gap": float(np.mean(pair_gaps))}
             for pair, pair_gaps in zip(zip(levels, levels[1:]), gaps)]
     return {"rows": rows,

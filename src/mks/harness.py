@@ -92,7 +92,7 @@ def _run_batch(model: RuntimeModel, batch: range, root: Path | None):
                                seed=model.base_seed + p) for p in batch]
     sink = None
     if root is not None:
-        def sink(level, paths, view):
+        def sink(level, paths, view, gauge):
             for p, data in zip(paths, view.data):
                 write_checkpoint(Field6(model.grid, PHYSICAL, data),
                                  root / _checkpoint_name(p, level))
@@ -107,7 +107,7 @@ def _run_batch(model: RuntimeModel, batch: range, root: Path | None):
                     written.unlink()
             outcomes.append(("blowup", p, {"time": res.time, "norm": res.norm}))
         else:
-            outcomes.append(("ok", p, res.report))
+            outcomes.append(("ok", p, res))
     return outcomes
 
 
@@ -276,31 +276,33 @@ def _write_checkpoint_index(root: Path, reports, stride: int):
 
 
 def reaggregate(out_dir) -> list:
-    """Rebuild summary rows from series.csv (the ``report`` CLI verb)."""
-    out = Path(out_dir)
+    """Rebuild summary rows from series.csv (the ``report`` CLI verb); a
+    file that cannot be read, lacks a column or holds a value that is not a
+    number is a UsageError."""
+    series = Path(out_dir) / "series.csv"
+    columns = ("l2", "power_norm", "lambda_l2", "energy_residual")
     per_path = {}
-    with open(out / "series.csv", newline="") as fh:
-        rd = csv.DictReader(fh)
-        for row in rd:
-            p = int(row["path"])
-            per_path.setdefault(p, {"times": [], "l2": [], "power_norm": [],
-                                    "lambda_l2": [], "energy_residual": []})
-            for key in ("l2", "power_norm", "lambda_l2", "energy_residual"):
-                per_path[p][key].append(float(row[key]))
-            per_path[p]["times"].append(float(row["time"]))
+    try:
+        with open(series, newline="") as fh:
+            rd = csv.DictReader(fh)
+            for row in rd:
+                values = per_path.setdefault(int(row["path"]), {})
+                for key in ("time",) + columns:
+                    values.setdefault(key, []).append(float(row[key]))
+    except OSError as exc:
+        raise UsageError(f"[report] cannot read {series}: "
+                         f"{exc.strerror}") from exc
+    except KeyError as exc:
+        raise UsageError(f"[report] {series} has no {exc} column") from exc
+    except (TypeError, ValueError) as exc:  # a short row reads None
+        raise UsageError(f"[report] {series} line {rd.line_num}: "
+                         f"{exc}") from exc
     from .stepping import PathReport
 
-    reports = []
-    for p in sorted(per_path):
-        d = per_path[p]
-        reports.append(PathReport(
-            path_index=p, seed=0, times=np.asarray(d["times"]),
-            l2=np.asarray(d["l2"]), power_norm=np.asarray(d["power_norm"]),
-            lambda_l2=np.asarray(d["lambda_l2"]),
-            energy_residual=np.asarray(d["energy_residual"])))
+    reports = [PathReport(path_index=p, seed=0, times=np.asarray(v["time"]),
+                          **{key: np.asarray(v[key]) for key in columns})
+               for p, v in sorted(per_path.items())]
     return _monte_carlo_rows(RunReport.from_paths(reports))
-
-
 
 
 # --------------------------------------------------------------------------

@@ -28,9 +28,8 @@ per run and once per pool worker, and every path reads the same arrays.
 ``run_paths`` evaluates Lambda and the noise amplitudes Z once per step and
 hands both to the stepper: the Euler-Maruyama update is formed from the very
 arrays the Lambda diagnostic and the energy ledger read.  The gauge phase
-(gauged tsee, or a recorded transformed field) is formed once per step too,
-and the pointwise norm of the physical view feeds both the power norm and
-the next Kerr force.
+(gauged tsee) is formed once per step too, and the pointwise norm of the
+physical view feeds both the power norm and the next Kerr force.
 
 The step index k is the only clock.  A stepper maps (y, k) to the state at
 t_{k+1}; the gauge phase reads beta at index k, the memory ``History`` holds
@@ -62,9 +61,9 @@ update and the Parseval norms of the ledger all act on packed arrays.  Once
 per step ``run_paths`` forms the physical view y = to_physical(y^), whose
 pruned inverse passes cover only the grid lines that hold a retained mode;
 that one view feeds the power norm, the Kerr force, A(t) y, the gauge phase,
-B y and the saved fields, which go to a caller's sink as they are produced
-or into a record array.  Lambda^ is m y^ plus the spectral sources (J
-outside gauged tsee, the memory term) plus one packed transform
+B y and the saved fields, which leave the run only through a caller's sink
+(a ``Recording`` keeps them in memory).  Lambda^ is m y^ plus the spectral
+sources (J outside gauged tsee, the memory term) plus one packed transform
 (``GalerkinSpace.spectral``) of the summed physical-space terms: its pruned
 forward passes compute the retained modes only, so it is P_n and no mask
 multiply is left.  ``run_path(initial=...)`` applies P_n to the start state
@@ -192,6 +191,31 @@ def trajectory_sup_distance(a: Trajectory, b: Trajectory) -> float:
     return float(max(weight * np.linalg.norm(diff[k]) for k in range(len(a))))
 
 
+class Recording:
+    """A ``run_paths`` sink that keeps the levels saved at ``times`` of paths
+    0..P-1 in one (P, levels, 6, n, n, n) array: y, or with ``inverse``
+    u = exp(-i sum_j B_j beta_j) y by the step's own gauge phase (u = y
+    where the run forms none)."""
+
+    def __init__(self, grid: GridSpec, times: np.ndarray, count: int, *,
+                 inverse: bool):
+        self.grid = grid
+        self.times = times
+        self.inverse = inverse
+        self.data = np.empty((count, len(times), 6)
+                             + (grid.points_per_axis,) * 3, np.complex128)
+
+    def __call__(self, level, paths, view, gauge):
+        if self.inverse and gauge is not None:
+            view = apply_gauge(view, gauge, "inverse")
+        self.data[paths, level] = view.data
+
+    def trajectory(self, path: int) -> Trajectory:
+        """The saved levels of path ``path``: a row of the one array."""
+        return Trajectory(grid=self.grid, times=self.times.copy(),
+                          data=self.data[path])
+
+
 @dataclass
 class PathReport:
     """Per-path time series and events (the RunReport fragment)."""
@@ -265,6 +289,7 @@ class _StaticPieces:
     current_hat: np.ndarray | None
     noise_level: CutoffLevel
     cached_noise: tuple | None    # filtered noise shapes (trivial gauge)
+    i_b_fields: tuple             # i B_j per channel (msee noise)
 
 
 @lru_cache(maxsize=8)
@@ -303,8 +328,13 @@ def _static_pieces(spec: NoiseSpec, equation: str,
                 raw = smooth_cutoff(raw, noise_level)
             cached_noise.append(raw)
         cached_noise = tuple(cached_noise)
+    # i B_j of the multiplicative msee noise i B_j y, where it is formed
+    i_b_fields = ()
+    if equation != TSEE and not phase_trivial:
+        i_b_fields = tuple(1j * b_field for b_field in spec.B_fields)
     return _StaticPieces(space, phase_trivial, sum_b_squared, coupling_shapes,
-                         current_zero, current_hat, noise_level, cached_noise)
+                         current_zero, current_hat, noise_level, cached_noise,
+                         i_b_fields)
 
 
 class StepContext:
@@ -447,10 +477,10 @@ class StepContext:
                                          static.noise_level))
             return out
         view = _physical(y, view)
-        for source, b_field in zip(spec.b_sources, spec.B_fields):
+        for source, i_b_field in zip(spec.b_sources, static.i_b_fields):
             # summed into the stacked term: numpy reuses a temporary only
             # when both operands have its shape
-            raw = 1j * b_field * view.data
+            raw = i_b_field * view.data
             raw += source.at(t)
             out.append(self.space.spectral(Field6(self.grid, PHYSICAL, raw)))
         return out
@@ -523,13 +553,6 @@ def step_lie_splitting(y: Field6, k: int, ctx: StepContext, lam: Field6,
 _STEPPERS = {EULER_MARUYAMA: step_euler_maruyama, LIE_SPLITTING: step_lie_splitting}
 
 
-@dataclass
-class PathResult:
-    report: PathReport
-    trajectory: Trajectory | None = None
-    transformed: Trajectory | None = None  # back-transformed u for tsee runs
-
-
 def _rows(value, count: int) -> list:
     """A reduction's per-path values as Python numbers; a value computed once
     for a path-independent field is every path's."""
@@ -595,18 +618,16 @@ def path_batches(points: int, paths: int) -> list:
 
 
 def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
-             bundle: BrownianBundle, *, path_index: int = 0,
-             record_fields: bool = False, record_transformed: bool = False,
+             bundle: BrownianBundle, *, path_index: int = 0, sink=None,
              extra_source=None, initial: Field6 | None = None,
-             start_index: int = 0, n_steps: int | None = None) -> PathResult:
+             start_index: int = 0, n_steps: int | None = None) -> PathReport:
     """Integrate one path: ``run_paths`` with a batch of one, raising the
     BlowUpError of a path that blew up."""
-    (result,) = raise_blowups(run_paths(
-        spec, cfg, kernel, [bundle], path_indices=[path_index],
-        record_fields=record_fields, record_transformed=record_transformed,
+    (report,) = raise_blowups(run_paths(
+        spec, cfg, kernel, [bundle], path_indices=[path_index], sink=sink,
         extra_source=extra_source, initial=initial, start_index=start_index,
         n_steps=n_steps))
-    return result
+    return report
 
 
 def raise_blowups(results: list) -> list:
@@ -619,13 +640,12 @@ def raise_blowups(results: list) -> list:
 
 
 def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
-              bundles, *, path_indices=None, record_fields: bool = False,
-              record_transformed: bool = False, sink=None, extra_source=None,
+              bundles, *, path_indices=None, sink=None, extra_source=None,
               initial: Field6 | None = None, start_index: int = 0,
               n_steps: int | None = None) -> list:
     """Integrate a batch of paths, one bundle each, stepped together.
 
-    Returns one entry per bundle: its PathResult, or the BlowUpError of a
+    Returns one entry per bundle: its PathReport, or the BlowUpError of a
     path whose norm left the threshold; such a path leaves the batch and
     the rest go on.  Each path's results are bitwise the same in any batch.
 
@@ -639,17 +659,16 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     the bundles' grid, so a window's step k is the run's step k.
 
     Fields are saved every ``cfg.save_stride``-th step from the first, in
-    physical space.  ``sink``: optional callable (level, paths, view) called
-    at each saved level with the level's index, the path indices of the
-    rows still stepping and their physical view (one row each, in that
-    order); the view is valid during the call only, and the sink keeps what
-    it needs (``mks run`` writes checkpoints from it), so the run holds no
-    record.  ``record_fields``/``record_transformed`` keep the saved levels
-    (of y, or of the back-transformed u of tsee) in memory instead, for the
-    callers that read trajectories: each kind is one array for the batch,
-    and a path's trajectory is its row.
+    physical space, and they leave the run through ``sink`` only: an
+    optional callable (level, paths, view, gauge) called at each saved level
+    with the level's index, the path indices of the rows still stepping,
+    their physical view (one row each, in that order) and the step's gauge
+    phase, or None where the run forms none (msee, wsee, and tsee with a
+    trivial phase, where u = y).  View and phase are valid during the call
+    only, and the sink keeps what it needs, so the run holds no record:
+    ``mks run`` writes checkpoints from it, and a ``Recording`` keeps the
+    levels in memory for the callers that read trajectories.
     """
-    grid = spec.grid
     count = len(bundles)
     path_indices = list(range(count) if path_indices is None else path_indices)
     if count < 1 or len(path_indices) != count:
@@ -694,9 +713,8 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
 
     stepper = _STEPPERS[cfg.scheme]
     power = cfg.power
-    record_u = record_transformed and cfg.equation == TSEE
-    # one gauge phase per step, shared by drift, noise and the records
-    phased = cfg.equation == TSEE and (not ctx.static.phase_trivial or record_u)
+    # one gauge phase per step, shared by drift, noise and the sink
+    phased = cfg.equation == TSEE and not ctx.static.phase_trivial
 
     k_range = range(start_index, start_index + total_steps)
     times = ctx.bundle.times[start_index:start_index + total_steps + 1].copy()
@@ -706,12 +724,6 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     outcomes = [None] * count
     alive = list(range(count))  # the batch's rows still stepping
 
-    # one record array per kind: row p holds path p's saved levels
-    levels = (total_steps + cfg.save_stride) // cfg.save_stride
-    shape = (count, levels, 6) + (grid.points_per_axis,) * 3
-    saved = np.empty(shape, np.complex128) if record_fields else None
-    saved_u = np.empty(shape, np.complex128) if record_u else None
-
     def observe(local, view, gauge):
         """Power norm and saved fields from the physical view; returns
         the view's pointwise norm when the next Kerr force needs it."""
@@ -719,14 +731,8 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         norms = lp_norm(view, power, magnitude).tolist()
         power_norm[alive, local] = [v ** power for v in norms]
         level, off_level = divmod(local, cfg.save_stride)
-        if not off_level:
-            if sink is not None:
-                sink(level, [path_indices[row] for row in alive], view)
-            if record_fields:
-                saved[alive, level] = view.data
-            if record_u:
-                saved_u[alive, level] = apply_gauge(view, gauge,
-                                                    "inverse").data
+        if sink is not None and not off_level:
+            sink(level, [path_indices[row] for row in alive], view, gauge)
         return magnitude if cfg.kerr is not None else None
 
     norms = l2_norm(y).tolist()
@@ -785,7 +791,6 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
                               magnitude=magnitude)
         lambda_l2[alive, -1] = l2_norm(final_lam)
 
-    save_times = times[::cfg.save_stride]
     for row in alive:
         report = PathReport(path_index=path_indices[row],
                             seed=bundles[row].seed, times=times.copy(),
@@ -794,14 +799,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
                             lambda_l2=lambda_l2[row].copy(),
                             energy_residual=residual[row].copy(),
                             events=events[row])
-        result = PathResult(report=report)
-        if record_fields:
-            result.trajectory = Trajectory(grid=grid, times=save_times.copy(),
-                                           data=saved[row])
-        if record_u:
-            result.transformed = Trajectory(grid=grid, times=save_times.copy(),
-                                            data=saved_u[row])
-        outcomes[row] = result
+        outcomes[row] = report
     return outcomes
 
 
@@ -871,12 +869,12 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
                     conv = conv * gauge_phase(spec, bundle, k_idx).values
                 return conv
 
-            res = run_path(spec, cfg, None, bundle, initial=y_start,
-                           start_index=start, n_steps=count,
-                           record_fields=(cfg.equation != TSEE),
-                           record_transformed=(cfg.equation == TSEE),
-                           extra_source=source)
-            return res.transformed if cfg.equation == TSEE else res.trajectory
+            # u, the back-transformed field (u = y outside gauged tsee)
+            record = Recording(grid, times, 1, inverse=True)
+            raise_blowups(run_paths(spec, cfg, None, [bundle], sink=record,
+                                    extra_source=source, initial=y_start,
+                                    start_index=start, n_steps=count))
+            return record.trajectory(0)
 
         times = bundle.times[start:stop + 1].copy()
         guess = Trajectory(grid=grid, times=times, data=np.broadcast_to(

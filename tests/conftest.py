@@ -13,6 +13,7 @@ from mks.grid import (
 )
 from mks.multipliers import CutoffLevel, sharp_cutoff
 from mks.noise import BrownianBundle, NoiseSpec, cross_drift_apply, gauge_phase
+from mks.stepping import Recording, run_path
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +60,28 @@ def hermitian_defect(f: Field6) -> float:
     rev = f.data[:, ::-1, ::-1, ::-1]
     rev = np.roll(rev, 1, axis=(1, 2, 3))
     return float(np.max(np.abs(f.data - np.conj(rev))))
+
+
+def recording(spec, cfg, bundles, inverse=False) -> Recording:
+    """A Recording of y (of u with ``inverse``) for a run over all of
+    ``bundles`` at cfg's save stride, its paths labelled 0..P-1."""
+    return Recording(spec.grid, bundles[0].times[::cfg.save_stride],
+                     len(bundles), inverse=inverse)
+
+
+def recorded_path(spec, cfg, kernel, bundle, **kwargs):
+    """``run_path`` into a Recording of y: (the report, the trajectory)."""
+    record = recording(spec, cfg, [bundle])
+    report = run_path(spec, cfg, kernel, bundle, sink=record, **kwargs)
+    return report, record.trajectory(0)
+
+
+def fan_out(*sinks):
+    """One sink that hands every saved level to each of ``sinks``."""
+    def sink(*level):
+        for each in sinks:
+            each(*level)
+    return sink
 
 
 def drift_and_noise(ctx, y: Field6, k: int, history=None):

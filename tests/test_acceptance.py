@@ -41,7 +41,7 @@ from mks.stepping import (
     trajectory_sup_distance,
 )
 
-from conftest import banded_field
+from conftest import banded_field, recording
 
 
 def verdict(criterion, ok, detail):
@@ -118,7 +118,7 @@ def test_criterion_4_ito_energy_identity():
             cfg = SchemeConfig(scheme=EULER_MARUYAMA, dt=dt,
                                cutoff_level=CutoffLevel(2), equation=TSEE)
             runs = raise_blowups(run_paths(spec, cfg, None, bundles))
-            residuals[dt] += [abs(r.report.energy_residual[-1]) for r in runs]
+            residuals[dt] += [abs(r.energy_residual[-1]) for r in runs]
     means = [float(np.mean(residuals[dt])) for dt in dts]
     slope = fit_loglog_slope(dts, means)
 
@@ -129,7 +129,7 @@ def test_criterion_4_ito_energy_identity():
     cfg = SchemeConfig(scheme=LIE_SPLITTING, dt=1 / 64,
                        cutoff_level=CutoffLevel(2), equation=TSEE)
     free = run_path(free_spec, cfg, None, bundle)
-    drift = np.max(np.abs(free.report.l2 - free.report.l2[0]))
+    drift = np.max(np.abs(free.l2 - free.l2[0]))
 
     decreasing = all(a > b for a, b in zip(means, means[1:]))
     verdict(4, slope >= 0.45 and decreasing and drift <= 1e-12,
@@ -165,13 +165,15 @@ def test_criterion_5_gauge_duality():
             cfg_t = SchemeConfig(scheme=EULER_MARUYAMA, dt=dt,
                                  cutoff_level=CutoffLevel(2), equation=TSEE,
                                  kerr=kerr)
-            rt = raise_blowups(run_paths(spec, cfg_t, None, bundles,
-                                         record_transformed=True))
-            rm = raise_blowups(run_paths(spec, replace(cfg_t, equation=MSEE),
-                                         None, bundles, record_fields=True))
-            gaps[dt] += [trajectory_sup_distance(t.transformed, m.trajectory)
-                         for t, m in zip(rt, rm)]
-            del rt, rm  # the next dt's runs start without these records
+            cfg_m = replace(cfg_t, equation=MSEE)
+            u = recording(spec, cfg_t, bundles, inverse=True)
+            raise_blowups(run_paths(spec, cfg_t, None, bundles, sink=u))
+            y = recording(spec, cfg_m, bundles)
+            raise_blowups(run_paths(spec, cfg_m, None, bundles, sink=y))
+            gaps[dt] += [trajectory_sup_distance(u.trajectory(p),
+                                                 y.trajectory(p))
+                         for p in range(len(bundles))]
+            del u, y  # the next dt's runs start without these records
     means = [float(np.mean(gaps[dt])) for dt in dts]
     slope = fit_loglog_slope(dts, means)
     elapsed = time.monotonic() - t0

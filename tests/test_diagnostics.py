@@ -29,7 +29,7 @@ from mks.stepping import (
     run_path,
 )
 
-from conftest import banded_field, coords, drift_and_noise
+from conftest import banded_field, coords, drift_and_noise, recorded_path
 
 
 def em_cfg(dt, level=2, kerr=None):
@@ -134,15 +134,15 @@ class TestEnergyResidual:
                                zero_source(grid8), banded_field(grid8, seed=3))
         bundle = sample_brownian(1, 0.5, 16, seed=3)
         cfg = em_cfg(0.5 / 16, kerr=KerrExponent(2.0, True))
-        res = run_path(spec, cfg, None, bundle, record_fields=True)
-        states = [to_spectral(Field6(grid8, PHYSICAL, res.trajectory.data[k]))
+        report, traj = recorded_path(spec, cfg, None, bundle)
+        states = [to_spectral(Field6(grid8, PHYSICAL, traj.data[k]))
                   for k in range(17)]
         ctx_states = states[:-1]
         ctx = StepContext(cfg, spec, bundle, None)
         drifts, noises = zip(*(drift_and_noise(ctx, ctx_states[k], k)
                                for k in range(16)))
         r = energy_identity_residual(states, drifts, noises, bundle, cfg.dt)
-        assert np.allclose(r, res.report.energy_residual, atol=1e-12)
+        assert np.allclose(r, report.energy_residual, atol=1e-12)
 
     def test_length_mismatch(self, grid4):
         states = [zero_field(grid4)] * 3
@@ -162,7 +162,7 @@ def _mc_reports(grid, n_paths=30, j_scale=0.1, seed0=100, kerr=None,
     reports = []
     for p in range(n_paths):
         bundle = sample_brownian(1, horizon, steps, seed=seed0 + p)
-        reports.append(run_path(spec, cfg, None, bundle, path_index=p).report)
+        reports.append(run_path(spec, cfg, None, bundle, path_index=p))
     return spec, reports
 
 
@@ -361,10 +361,9 @@ class TestMonotoneLimit:
         spec_b = make_noise_spec(grid8, [], [], zero_source(grid8), u0b)
         cfg = em_cfg(1 / 64, kerr=KerrExponent(2.0, True))
         bundle = sample_brownian(0, 0.5, 32, seed=9)
-        ra = run_path(spec_a, cfg, None, bundle, record_fields=True)
-        rb = run_path(spec_b, cfg, None, bundle, record_fields=True)
-        worst = monotone_limit_check(ra.trajectory, rb.trajectory,
-                                     growth_rate=2.0)
+        _, ra = recorded_path(spec_a, cfg, None, bundle)
+        _, rb = recorded_path(spec_b, cfg, None, bundle)
+        worst = monotone_limit_check(ra, rb, growth_rate=2.0)
         assert worst <= 1e-12
 
     def test_different_schemes_gap_shrinks_with_dt(self, grid8):
@@ -377,15 +376,14 @@ class TestMonotoneLimit:
             dt = 0.5 / steps
             bundle = sample_brownian(0, 0.5, steps, seed=11)
             kerr = KerrExponent(2.0, True)
-            em = run_path(spec, em_cfg(dt, kerr=kerr), None, bundle,
-                          record_fields=True)
+            _, em = recorded_path(spec, em_cfg(dt, kerr=kerr), None, bundle)
             lie_cfg = SchemeConfig(scheme=LIE_SPLITTING, dt=dt,
                                    cutoff_level=CutoffLevel(2), equation=TSEE,
                                    kerr=kerr)
-            lie = run_path(spec, lie_cfg, None, bundle, record_fields=True)
+            _, lie = recorded_path(spec, lie_cfg, None, bundle)
             from mks.stepping import trajectory_sup_distance
 
-            gaps.append(trajectory_sup_distance(em.trajectory, lie.trajectory))
+            gaps.append(trajectory_sup_distance(em, lie))
         assert gaps[0] > gaps[1] > gaps[2]
 
 

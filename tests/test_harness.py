@@ -485,6 +485,42 @@ class TestCli:
         assert rc == 2
         assert "[M1]" in capsys.readouterr().err
 
+    @staticmethod
+    def _one_error_line(capsys, start):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {start}") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("verb", ["run", "convergence"])
+    def test_missing_config_is_reported(self, tmp_path, capsys, verb):
+        missing = tmp_path / "missing.cfg"
+        assert main([verb, "--config", str(missing)]) == 2
+        self._one_error_line(capsys, f"[config] cannot read {missing}: ")
+
+    HEADER = "path,step,time,l2,power_norm,lambda_l2,energy_residual\n"
+
+    @pytest.mark.parametrize("series, message", [
+        (None, "cannot read"),
+        ("path,step,time,power_norm,lambda_l2,energy_residual\n0,0,0,1,1,0\n",
+         "has no 'l2' column"),
+        (HEADER + "0,0,0,abc,1,1,0\n", "line 2: could not convert"),
+        (HEADER + "0,0,0,1,1,1,0\nx,1,0.5,1,1,1,0\n", "line 3: invalid"),
+        (HEADER + "0,0,0,1,1\n", "line 2: float() argument"),
+    ], ids=["missing", "no-l2-column", "word", "word-path", "short-row"])
+    def test_unreadable_series_is_reported(self, tmp_path, capsys, series,
+                                           message):
+        if series is not None:
+            (tmp_path / "series.csv").write_text(series)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = self._one_error_line(capsys, "[report] ")
+        assert message in err
+
+    def test_unwritable_verify_report_is_reported(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub" / "checks.json"
+        assert main(["verify", "--level", "fast", "--out", str(out)]) == 2
+        self._one_error_line(capsys, f"[verify] cannot write {out}: ")
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--paths", "0", "[monte_carlo] paths must be >= 1"),
         ("--paths", "-2", "[monte_carlo] paths must be >= 1"),

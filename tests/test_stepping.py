@@ -19,6 +19,7 @@ from mks.noise import (
     BrownianBundle,
     SeparableSource,
     TimeProfile,
+    apply_gauge,
     gauge_phase,
     make_noise_spec,
     refine_bundle,
@@ -48,7 +49,10 @@ from conftest import (
     coords,
     drift_A_apply,
     drift_and_noise,
+    fan_out,
     plane_wave,
+    recorded_path,
+    recording,
     transformed_current,
     transformed_noise,
 )
@@ -146,8 +150,8 @@ class TestEulerStep:
     def test_zero_stays_zero(self, grid8):
         spec = free_spec(grid8, zero_field(grid8))
         bundle = sample_brownian(0, 1.0, 16, seed=1)
-        res = run_path(spec, em_cfg(1 / 16), None, bundle)
-        assert np.max(res.report.l2) == 0.0
+        report = run_path(spec, em_cfg(1 / 16), None, bundle)
+        assert np.max(report.l2) == 0.0
 
     def test_one_step_forcing_only(self, grid8):
         # from zero state: y_1 = dt P_n Jtilde(0) + sum S_{n-1} btilde_i(0) dbeta_i
@@ -208,9 +212,9 @@ class TestEulerStep:
         for dt in dts:
             steps = int(round(horizon / dt))
             bundle = sample_brownian(0, horizon, steps, seed=4)
-            res = run_path(spec, em_cfg(dt, level=1), None, bundle,
-                           record_fields=True, initial=y0_hat)
-            errs.append(np.linalg.norm(res.trajectory.data[-1].ravel() - ref))
+            _, traj = recorded_path(spec, em_cfg(dt, level=1), None, bundle,
+                                    initial=y0_hat)
+            errs.append(np.linalg.norm(traj.data[-1].ravel() - ref))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 0.9 <= slope <= 1.1
 
@@ -221,12 +225,12 @@ class TestLieSplitting:
         spec = free_spec(grid8, u0)
         dt = 0.25  # large step: still exact
         bundle = sample_brownian(0, 1.0, 4, seed=5)
-        res = run_path(spec, lie_cfg(dt), None, bundle, record_fields=True)
+        _, traj = recorded_path(spec, lie_cfg(dt), None, bundle)
         from mks.operators import maxwell_group
 
         y0 = start_of(spec, lie_cfg(dt))
         exact = to_physical(maxwell_group(1.0, y0))
-        gap = np.max(np.abs(res.trajectory.data[-1] - exact.data))
+        gap = np.max(np.abs(traj.data[-1] - exact.data))
         assert gap < 1e-12 * np.max(np.abs(exact.data))
 
     def test_free_flow_conserves_norm(self, grid8):
@@ -234,18 +238,18 @@ class TestLieSplitting:
         u0 = u0.with_data(u0.data / l2_norm(u0))
         spec = free_spec(grid8, u0)
         bundle = sample_brownian(0, 1.0, 64, seed=6)
-        res = run_path(spec, lie_cfg(1 / 64), None, bundle)
-        assert np.max(np.abs(res.report.l2 - res.report.l2[0])) <= 1e-12
+        report = run_path(spec, lie_cfg(1 / 64), None, bundle)
+        assert np.max(np.abs(report.l2 - report.l2[0])) <= 1e-12
         # the energy-identity residual is exact for the isometric flow
-        assert np.max(np.abs(res.report.energy_residual)) <= 1e-12
+        assert np.max(np.abs(report.energy_residual)) <= 1e-12
 
     def test_kerr_only_is_dissipative(self, grid8):
         u0 = banded_field(grid8, seed=11)
         spec = free_spec(grid8, u0)
         bundle = sample_brownian(0, 1.0, 32, seed=7)
         cfg = lie_cfg(1 / 32, kerr=KerrExponent(2.0, True))
-        res = run_path(spec, cfg, None, bundle)
-        assert np.all(np.diff(res.report.l2) <= 1e-13)
+        report = run_path(spec, cfg, None, bundle)
+        assert np.all(np.diff(report.l2) <= 1e-13)
 
     def test_discrete_energy_inequality(self, grid8):
         # ||y_k||^2 + 2 sum dt ||y_{j+1}||_{q+2}^{q+2} <= ||y_0||^2 + O(dt)
@@ -254,8 +258,7 @@ class TestLieSplitting:
         dt = 1 / 64
         bundle = sample_brownian(0, 1.0, 64, seed=8)
         cfg = lie_cfg(dt, kerr=KerrExponent(2.0, True))
-        res = run_path(spec, cfg, None, bundle)
-        r = res.report
+        r = run_path(spec, cfg, None, bundle)
         lhs = r.l2**2 + 2 * np.concatenate(
             [[0.0], np.cumsum(dt * r.power_norm[1:])])
         assert np.all(lhs <= r.l2[0] ** 2 + 10 * dt)
@@ -408,7 +411,8 @@ class TestEvaluationCounts:
             monkeypatch.setattr(module, "pointwise_norm", pointwise)
         monkeypatch.setattr(mks.stepping, "l2_norm",
                             counted("l2_norm", mks.stepping.l2_norm))
-        run_path(spec, cfg, None, bundle, record_transformed=True)
+        run_path(spec, cfg, None, bundle,
+                 sink=recording(spec, cfg, [bundle], inverse=True))
         # the Lie resolvent takes the pointwise norm of its own argument
         resolvent = self.STEPS if cfg.scheme == LIE_SPLITTING else 0
         assert counts == {"gauge_phase": self.STEPS + 1,
@@ -484,11 +488,10 @@ class TestRunPath:
                                banded_field(grid8, seed=15))
         bundle = sample_brownian(1, 1.0, 32, seed=11)
         kerr = KerrExponent(2.0, True)
-        rt = run_path(spec, em_cfg(1 / 32, kerr=kerr), None, bundle,
-                      record_fields=True)
-        rm = run_path(spec, em_cfg(1 / 32, equation=MSEE, kerr=kerr), None,
-                      bundle, record_fields=True)
-        assert np.array_equal(rt.trajectory.data, rm.trajectory.data)
+        _, rt = recorded_path(spec, em_cfg(1 / 32, kerr=kerr), None, bundle)
+        _, rm = recorded_path(spec, em_cfg(1 / 32, equation=MSEE, kerr=kerr),
+                              None, bundle)
+        assert np.array_equal(rt.data, rm.data)
 
     def test_band_limitation_exact(self, grid8):
         # level 1 leaves a nonempty out-of-band region on the 8^3 grid
@@ -499,16 +502,16 @@ class TestRunPath:
                                random_field(grid8, seed=17))
         bundle = sample_brownian(1, 0.5, 16, seed=12)
         cfg = em_cfg(1 / 32, level=1, kerr=KerrExponent(2.0, True))
-        res = run_path(spec, cfg, None, bundle, record_fields=True)
+        report, traj = recorded_path(spec, cfg, None, bundle)
         outside = ~sharp_mask(grid8, cfg.cutoff_level)
         assert outside.sum() > 0
         # every update is filtered, so out-of-band content sits at transform
         # rounding level and does not accumulate over the run
         leaks = []
-        for k in range(len(res.trajectory.times)):
-            hat = to_spectral(Field6(grid8, PHYSICAL, res.trajectory.data[k]))
+        for k in range(len(traj.times)):
+            hat = to_spectral(Field6(grid8, PHYSICAL, traj.data[k]))
             leaks.append(np.max(np.abs(hat.data[:, outside])))
-        scale = np.max(res.report.l2)
+        scale = np.max(report.l2)
         assert max(leaks) <= 1e-13 * max(scale, 1.0)
         assert leaks[-1] <= 10 * max(leaks[1], 1e-17)  # no growth in time
 
@@ -529,12 +532,12 @@ class TestRunPath:
         bundle = sample_brownian(1, 1.0, 64, seed=14)
         tiny = 0.3 * np.max(np.abs(bundle.values))
         cfg = em_cfg(1 / 64, beta_truncation_m=tiny)
-        res = run_path(spec, cfg, None, bundle)
-        kinds = [e["kind"] for e in res.report.events]
+        report = run_path(spec, cfg, None, bundle)
+        kinds = [e["kind"] for e in report.events]
         assert "beta_truncation" in kinds
         # after the exit the state stops moving (frozen increments, zero drift)
         k_exit = np.argmax(np.any(np.abs(bundle.values) > tiny, axis=0))
-        assert np.allclose(res.report.l2[k_exit:], res.report.l2[k_exit])
+        assert np.allclose(report.l2[k_exit:], report.l2[k_exit])
 
     def test_bundle_spacing_must_match(self, grid8):
         spec = free_spec(grid8, banded_field(grid8, seed=18))
@@ -548,13 +551,71 @@ class TestRunPath:
         spec = make_noise_spec(grid8, [cos_multiplier(grid8)], [b],
                                zero_source(grid8), banded_field(grid8, seed=20))
         bundle = sample_brownian(1, 0.5, 16, seed=16)
-        res = run_path(spec, em_cfg(1 / 32, kerr=KerrExponent(2.0, True)),
-                       None, bundle, record_fields=True,
-                       record_transformed=True)
-        for k in range(len(res.trajectory.times)):
+        cfg = em_cfg(1 / 32, kerr=KerrExponent(2.0, True))
+        y, u = (recording(spec, cfg, [bundle], inverse)
+                for inverse in (False, True))
+        run_path(spec, cfg, None, bundle, sink=fan_out(y, u))
+        for k in range(len(y.times)):
             assert np.isclose(
-                np.linalg.norm(res.trajectory.data[k]),
-                np.linalg.norm(res.transformed.data[k]), rtol=1e-12)
+                np.linalg.norm(y.trajectory(0).data[k]),
+                np.linalg.norm(u.trajectory(0).data[k]), rtol=1e-12)
+
+
+class TestSinkGauge:
+    """The sink receives the phase the step formed, or None where the run
+    forms none; a Recording of u applies that very phase."""
+
+    def _spec(self, grid8, multiplier):
+        b = SeparableSource(shape=banded_field(grid8, seed=19, scale=0.1))
+        return make_noise_spec(grid8, [multiplier], [b], zero_source(grid8),
+                               banded_field(grid8, seed=20))
+
+    @pytest.mark.parametrize("equation, b_nonzero", [(MSEE, True),
+                                                     (TSEE, False)])
+    def test_no_phase_is_none(self, grid8, equation, b_nonzero):
+        # msee forms no phase even with B != 0; tsee none when B = 0
+        n = grid8.points_per_axis
+        multiplier = (cos_multiplier(grid8) if b_nonzero
+                      else np.zeros((n, n, n)))
+        spec = self._spec(grid8, multiplier)
+        bundle = sample_brownian(1, 0.5, 16, seed=16)
+        cfg = em_cfg(1 / 32, equation=equation, kerr=KerrExponent(2.0, True))
+        gauges = []
+        y, u = (recording(spec, cfg, [bundle], inverse)
+                for inverse in (False, True))
+        run_path(spec, cfg, None, bundle, sink=fan_out(
+            y, u, lambda level, paths, view, gauge: gauges.append(gauge)))
+        assert gauges == [None] * (bundle.steps + 1)
+        assert y.data.tobytes() == u.data.tobytes()  # u = y
+
+    @pytest.mark.parametrize("make_cfg", [em_cfg, lie_cfg])
+    def test_gauged_tsee_hands_the_steps_phase(self, grid8, monkeypatch,
+                                               make_cfg):
+        spec = self._spec(grid8, cos_multiplier(grid8))
+        bundle = sample_brownian(1, 0.5, 16, seed=16)
+        cfg = make_cfg(1 / 32, kerr=KerrExponent(2.0, True))
+        formed = []
+        original = mks.stepping.gauge_phase
+
+        def forming(spec, bundle, k):
+            formed.append((k, original(spec, bundle, k)))
+            return formed[-1][1]
+
+        monkeypatch.setattr(mks.stepping, "gauge_phase", forming)
+        seen = []
+        u = recording(spec, cfg, [bundle], inverse=True)
+
+        def sink(level, paths, view, gauge):
+            seen.append((level, gauge,
+                         apply_gauge(view, gauge, "inverse").data.copy()))
+            u(level, paths, view, gauge)
+
+        run_path(spec, cfg, None, bundle, sink=sink)
+        assert [k for k, _ in formed] == list(range(bundle.steps + 1))
+        assert len(seen) == bundle.steps + 1
+        for (level, gauge, expected), (k, phase) in zip(seen, formed):
+            assert level == k and gauge is phase
+            assert u.data[0, level].tobytes() == expected[0].tobytes()
 
 
 class TestGalerkinState:
@@ -576,17 +637,16 @@ class TestGalerkinState:
         cfg = em_cfg(1 / 64, level=2, kerr=KerrExponent(2.0, True))
         level = cfg.cutoff_level
         assert not sharp_mask(grid16, level).all()
-        res = run_path(spec, cfg, None, bundle, initial=start,
-                       record_fields=True)
-        ref = run_path(spec, cfg, None, bundle,
-                       initial=sharp_cutoff(start, level), record_fields=True)
-        assert np.array_equal(res.trajectory.data, ref.trajectory.data)
-        assert np.isclose(res.report.l2[0],
+        report, traj = recorded_path(spec, cfg, None, bundle, initial=start)
+        _, ref = recorded_path(spec, cfg, None, bundle,
+                               initial=sharp_cutoff(start, level))
+        assert np.array_equal(traj.data, ref.data)
+        assert np.isclose(report.l2[0],
                           l2_norm(sharp_cutoff(start, level)), rtol=1e-14)
         outside = ~sharp_mask(grid16, level)
-        for k in range(len(res.trajectory.times)):
+        for k in range(len(traj.times)):
             hat = to_spectral(Field6(grid16, PHYSICAL,
-                                     res.trajectory.data[k])).data
+                                     traj.data[k])).data
             assert np.max(np.abs(hat[:, outside])) <= 1e-14
 
     def test_matches_full_grid_euler_maruyama(self, grid16):
@@ -598,8 +658,7 @@ class TestGalerkinState:
         spec, start, bundle = self._oversampled(grid16)
         cfg = em_cfg(1 / 64, level=2, kerr=KerrExponent(2.0, True))
         level, below = cfg.cutoff_level, CutoffLevel(1)
-        res = run_path(spec, cfg, None, bundle, initial=start,
-                       record_fields=True)
+        _, traj = recorded_path(spec, cfg, None, bundle, initial=start)
         j_hat = to_spectral(spec.current.shape).data
         shapes = [smooth_cutoff(to_spectral(b.shape), below).data
                   for b in spec.b_sources]
@@ -615,7 +674,7 @@ class TestGalerkinState:
                 incr = incr + db * b.profile.value(t) * shape
             y = y.with_data(y.data + incr)
         final = to_physical(y).data
-        assert np.max(np.abs(res.trajectory.data[-1] - final)) \
+        assert np.max(np.abs(traj.data[-1] - final)) \
             <= 1e-13 * np.max(np.abs(final))
 
     def test_path_independent_pieces_are_built_once(self, grid16, monkeypatch):
@@ -642,7 +701,7 @@ class TestGalerkinState:
         # and both noise shapes
         assert per_run == 5
         assert calls["n"] == per_run  # the linear step itself has none
-        assert np.array_equal(first.report.l2, second.report.l2)
+        assert np.array_equal(first.l2, second.l2)
         assert start_of(spec, cfg) is start_of(spec, cfg)
 
 
@@ -705,18 +764,40 @@ class TestBatchEquivalence:
     def _same_bits(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def _recorded(spec, cfg, kernel, bundles, name, path_indices=None,
+                  also=None):
+        """run_paths into a Recording of y, and of u too for tsee, plus the
+        sink ``also``: per path its BlowUpError, or (report, trajectories).
+        The recordings' rows are the bundles' positions."""
+        labels = list(range(len(bundles)) if path_indices is None
+                      else path_indices)
+        records = [recording(spec, cfg, bundles, inverse) for inverse in
+                   ((False, True) if name == "tsee_euler" else (False,))]
+
+        def sink(level, paths, view, gauge):
+            if also is not None:
+                also(level, paths, view, gauge)
+            rows = [labels.index(p) for p in paths]
+            for record in records:
+                record(level, rows, view, gauge)
+
+        out = run_paths(spec, cfg, kernel, bundles, path_indices=labels,
+                        sink=sink)
+        return [res if isinstance(res, BlowUpError)
+                else (res, [record.trajectory(row) for record in records])
+                for row, res in enumerate(out)]
+
     def _assert_same_path(self, batched, alone):
-        ra, rb = batched.report, alone.report
+        (ra, trajectories_a), (rb, trajectories_b) = batched, alone
         assert (ra.path_index, ra.seed, ra.events) == \
             (rb.path_index, rb.seed, rb.events)
         for key in ("times", "l2", "power_norm", "lambda_l2", "energy_residual"):
             assert self._same_bits(getattr(ra, key), getattr(rb, key)), key
-        for key in ("trajectory", "transformed"):
-            ta, tb = getattr(batched, key), getattr(alone, key)
-            assert (ta is None) == (tb is None), key
-            if ta is not None:
-                assert self._same_bits(ta.times, tb.times), key
-                assert self._same_bits(ta.data, tb.data), key
+        assert len(trajectories_a) == len(trajectories_b)
+        for ta, tb in zip(trajectories_a, trajectories_b):
+            assert self._same_bits(ta.times, tb.times)
+            assert self._same_bits(ta.data, tb.data)
 
     @pytest.mark.parametrize("name", ["tsee_euler", "msee_lie_memory", "wsee"])
     def test_a_path_reduces_like_an_unstacked_field(self, grid8, name):
@@ -724,7 +805,7 @@ class TestBatchEquivalence:
         # path axis, evaluated by hand
         spec, cfg, kernel = self._case(grid8, name)
         bundle = self._bundles()[0]
-        report = run_path(spec, cfg, kernel, bundle).report
+        report = run_path(spec, cfg, kernel, bundle)
         y0 = start_of(spec, cfg)
         history = History(kernel, cfg.dt)
         history.append(y0)
@@ -739,21 +820,21 @@ class TestBatchEquivalence:
     def test_batch_equals_paths_alone(self, grid8, name):
         spec, cfg, kernel = self._case(grid8, name)
         bundles = self._bundles()
-        record = dict(record_fields=True,
-                      record_transformed=(name == "tsee_euler"))
-        singles = {p: run_path(spec, cfg, kernel, bundles[p], path_index=p,
-                               **record) for p in (0, 1, 3)}
+        singles = {p: self._recorded(spec, cfg, kernel, [bundles[p]], name,
+                                     path_indices=[p])[0] for p in (0, 1, 3)}
         with pytest.raises(BlowUpError) as blown:
-            run_path(spec, cfg, kernel, bundles[2], path_index=2, **record)
+            run_path(spec, cfg, kernel, bundles[2], path_index=2,
+                     sink=recording(spec, cfg, bundles))
         assert blown.value.time == bundles[2].times[self.JUMP]
-        assert singles[1].report.events == [{
+        assert singles[1][0].events == [{
             "kind": "beta_truncation",
             "time": bundles[1].times[self.CROSSING], "level": self.TRUNCATION}]
-        assert not singles[0].report.events and not singles[3].report.events
+        assert not singles[0][0].events and not singles[3][0].events
 
         for order in ([0, 1, 2, 3], [3, 2, 1], [1, 0]):
-            batch = run_paths(spec, cfg, kernel, [bundles[p] for p in order],
-                              path_indices=order, **record)
+            batch = self._recorded(spec, cfg, kernel,
+                                   [bundles[p] for p in order], name,
+                                   path_indices=order)
             for p, out in zip(order, batch):
                 if p == 2:
                     assert isinstance(out, BlowUpError)
@@ -769,14 +850,13 @@ class TestBatchEquivalence:
         # A sink sees the same levels of the paths still stepping.
         spec, cfg, kernel = self._case(grid8, name)
         bundles = self._bundles(steps=16)
-        record = dict(record_fields=True,
-                      record_transformed=(name == "tsee_euler"))
-        every = run_paths(spec, cfg, kernel, bundles, **record)
+        every = self._recorded(spec, cfg, kernel, bundles, name)
         sunk = []
-        strided = run_paths(spec, replace(cfg, save_stride=3), kernel,
-                            bundles, path_indices=[10, 11, 12, 13],
-                            sink=lambda level, paths, view: sunk.append(
-                                (level, paths, view.data.copy())), **record)
+        strided = self._recorded(
+            spec, replace(cfg, save_stride=3), kernel, bundles, name,
+            path_indices=[10, 11, 12, 13],
+            also=lambda level, paths, view, gauge: sunk.append(
+                (level, paths, view.data.copy())))
         assert isinstance(every[2], BlowUpError)
         assert isinstance(strided[2], BlowUpError)
         assert [(level, paths) for level, paths, _ in sunk] == \
@@ -786,31 +866,32 @@ class TestBatchEquivalence:
             for label, row in zip(paths, data):
                 if label != 12:
                     assert self._same_bits(
-                        row, strided[label - 10].trajectory.data[level])
+                        row, strided[label - 10][1][0].data[level])
         for p in (0, 1, 3):
-            full, part = every[p], strided[p]
+            (full, whole_trajectories), (part, kept_trajectories) = \
+                every[p], strided[p]
             for key in ("times", "l2", "lambda_l2", "energy_residual"):
-                assert self._same_bits(getattr(full.report, key),
-                                       getattr(part.report, key)), key
-            for key in ("trajectory", "transformed"):
-                whole, kept = getattr(full, key), getattr(part, key)
-                assert (whole is None) == (kept is None), key
-                if whole is None:
-                    continue
+                assert self._same_bits(getattr(full, key),
+                                       getattr(part, key)), key
+            assert len(whole_trajectories) == len(kept_trajectories)
+            for whole, kept in zip(whole_trajectories, kept_trajectories):
                 assert len(whole) == 17 and len(kept) == 6
-                assert self._same_bits(kept.times, whole.times[::3]), key
-                assert self._same_bits(kept.data, whole.data[::3]), key
+                assert self._same_bits(kept.times, whole.times[::3])
+                assert self._same_bits(kept.data, whole.data[::3])
 
     def test_records_are_rows_of_one_array(self, grid8):
         spec, cfg, kernel = self._case(grid8, "tsee_euler")
-        batch = run_paths(spec, cfg, kernel, self._bundles(),
-                          record_fields=True, record_transformed=True)
+        bundles = self._bundles()
+        records = [recording(spec, cfg, bundles, inverse)
+                   for inverse in (False, True)]
+        batch = run_paths(spec, cfg, kernel, bundles, sink=fan_out(*records))
         kept = [p for p, out in enumerate(batch)
                 if not isinstance(out, BlowUpError)]
         assert kept == [0, 1, 3]
-        for key in ("trajectory", "transformed"):
-            rows = [getattr(batch[p], key).data for p in kept]
+        for record in records:
+            rows = [record.trajectory(p).data for p in kept]
             base = rows[0].base
+            assert base is record.data
             assert base.shape == (4, self.STEPS + 1) + rows[0].shape[1:]
             for p, row in zip(kept, rows):
                 assert row.base is base
@@ -841,9 +922,9 @@ class TestMemoryCoupling:
 
     def test_picard_matches_direct_history_run(self, grid4):
         spec, bundle, kernel, cfg = self._setup(grid4)
-        direct = run_path(spec, cfg, kernel, bundle, record_fields=True)
+        _, direct = recorded_path(spec, cfg, kernel, bundle)
         fixed, diag = solve_with_memory(spec, cfg, kernel, bundle)
-        assert trajectory_sup_distance(fixed, direct.trajectory) < 1e-10
+        assert trajectory_sup_distance(fixed, direct) < 1e-10
         assert len(diag["windows"]) >= 2  # the kernel forces sub-windows
 
     def test_window_independence(self, grid4, monkeypatch):
