@@ -14,9 +14,6 @@ def _add_common(p):
     p.add_argument("--config", type=Path, required=True, help="experiment config file")
     p.add_argument("--seed", type=int, default=None, help="override base seed")
     p.add_argument("--paths", type=int, default=None, help="override path count")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: MKS_WORKERS or 1)")
-    p.add_argument("--out", type=Path, default=None, help="override output directory")
 
 
 def build_parser():
@@ -26,6 +23,10 @@ def build_parser():
 
     run_p = sub.add_parser("run", help="execute a Monte-Carlo experiment")
     _add_common(run_p)
+    run_p.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: MKS_WORKERS or 1)")
+    run_p.add_argument("--out", type=Path, default=None,
+                       help="override output directory")
 
     ver_p = sub.add_parser("verify", help="run the invariant suites")
     ver_p.add_argument("--level", choices=("fast", "full"), default="fast")
@@ -48,9 +49,9 @@ def build_parser():
     return ap
 
 
-def _load_config(args):
-    """The config file with the command-line overrides applied, validated
-    again after them."""
+def _load_config(args, out_dir):
+    """The config file with the command-line overrides (and ``out_dir``,
+    unless None) applied, validated again after them."""
     from .config import parse_config, validate_config
 
     try:
@@ -63,8 +64,8 @@ def _load_config(args):
         cfg.base_seed = args.seed
     if args.paths is not None:
         cfg.paths = args.paths
-    if args.out is not None:
-        cfg.out_dir = str(args.out)
+    if out_dir is not None:
+        cfg.out_dir = str(out_dir)
     violations = validate_config(cfg)
     if violations:
         raise ValidationError(violations)
@@ -105,7 +106,7 @@ def _dispatch(args) -> int:
     if args.verb == "run":
         from .harness import run_experiment
 
-        cfg = _load_config(args)
+        cfg = _load_config(args, args.out)
         report, status = run_experiment(cfg, workers=args.workers)
         print(f"paths: {len(report.paths)}")
         print(f"E sup ||y||^2      = {report.sup_l2_squared.mean:.6g} "
@@ -120,6 +121,17 @@ def _dispatch(args) -> int:
     if args.verb == "verify":
         from .harness import verify_suite
 
+        def unwritable(exc):
+            return UsageError(f"[verify] cannot write {args.out}: "
+                              f"{exc.strerror}")
+
+        # the report's directory is made before the suite runs, so a path
+        # that cannot hold it fails at once
+        if args.out is not None:
+            try:
+                args.out.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise unwritable(exc) from exc
         checks = verify_suite(args.level)
         failed = 0
         for c in checks:
@@ -130,18 +142,17 @@ def _dispatch(args) -> int:
         print(f"{len(checks) - failed}/{len(checks)} checks passed")
         if args.out is not None:
             try:
-                args.out.parent.mkdir(parents=True, exist_ok=True)
                 args.out.write_text(json.dumps(checks, indent=2))
             except OSError as exc:
-                raise UsageError(f"[verify] cannot write {args.out}: "
-                                 f"{exc.strerror}") from exc
+                raise unwritable(exc) from exc
         return 0 if failed == 0 else 1
 
     if args.verb == "convergence":
         from .config import build_runtime
         from .diagnostics import galerkin_convergence, strong_convergence_order
+        from .multipliers import MAX_LEVEL
 
-        cfg = _load_config(args)
+        cfg = _load_config(args, None)
         model = build_runtime(cfg)
         seeds = [cfg.base_seed + p for p in range(cfg.paths)]
         if args.mode == "dt":
@@ -158,8 +169,8 @@ def _dispatch(args) -> int:
         else:
             if args.levels is None:
                 # every level whose scale 2^n the grid's Nyquist wavenumber
-                # resolves (CutoffLevel caps n at 60)
-                levels = [n for n in range(1, 61)
+                # resolves (CutoffLevel caps n at MAX_LEVEL)
+                levels = [n for n in range(1, MAX_LEVEL + 1)
                           if 2.0 ** n <= model.spec.grid.nyquist]
             else:
                 levels = _values("--levels", args.levels, int)

@@ -35,7 +35,7 @@ from .grid import (
 )
 from .kerr import KerrExponent
 from .memory import EXPONENTIAL, ZERO, KernelSpec
-from .multipliers import CutoffLevel
+from .multipliers import MAX_LEVEL, CutoffLevel
 from .noise import NoiseSpec, SeparableSource, TimeProfile, make_noise_spec
 from .stepping import MSEE, TSEE, WSEE, SchemeConfig, m_u0_norm
 
@@ -390,6 +390,9 @@ def validate_config(cfg: ExperimentConfig) -> list:
             v.append(f"[scheme] dt={cfg.dt} does not divide horizon={cfg.horizon}")
     if cfg.cutoff < 1:
         v.append("[scheme] cutoff level must be >= 1")
+    elif cfg.cutoff > MAX_LEVEL:
+        # bounded before 2^cutoff is formed, which can overflow a float
+        v.append(f"[scheme] cutoff level {cfg.cutoff} would overflow 2^n")
     elif cfg.box_length > 0 and n >= 4:
         nyquist = np.pi * n / cfg.box_length
         if 2.0**cfg.cutoff > nyquist:

@@ -383,9 +383,9 @@ def write_atomic(path, *chunks):
     """Write the chunks (bytes-like: bytes or contiguous arrays) to a temp
     file beside ``path``, then rename it over
     ``path``: readers see the old file or the whole new one, never a part.
-    The file gets the mode a plain ``open(path, "wb")`` would (umask)."""
+    The file gets the mode a plain ``open(path, "wb")`` would (umask).  The
+    directory must exist."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".tmp-{path.name}.{os.urandom(6).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

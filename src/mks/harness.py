@@ -181,6 +181,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
 
     root = out / "checkpoints" if cfg.save_fields else None
+    # every file of the run goes into these, made once before any batch or
+    # worker starts, so an output path that cannot be written fails at once
+    try:
+        (out if root is None else root).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"[outputs] cannot write {out}: "
+                         f"{exc.strerror}") from exc
     batches = path_batches(cfg.grid_points, cfg.paths)
     if workers == 1 or len(batches) == 1:
         outcomes = [o for batch in batches

@@ -26,6 +26,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import SPECTRAL, Field6, GridSpec, _require_representation
 
+MAX_LEVEL = 60  # 2^n stays an exact float and far inside its range
+
 
 @dataclass(frozen=True)
 class CutoffLevel:
@@ -36,7 +38,7 @@ class CutoffLevel:
     def __post_init__(self):
         if self.n < 0:
             raise ConfigurationError(f"cutoff level must be >= 0, got {self.n}")
-        if self.n > 60:
+        if self.n > MAX_LEVEL:
             raise ConfigurationError(f"cutoff level {self.n} would overflow 2^n")
 
     @property

@@ -35,7 +35,9 @@ The step index k is the only clock.  A stepper maps (y, k) to the state at
 t_{k+1}; the gauge phase reads beta at index k, the memory ``History`` holds
 one state per index, and an ``extra_source`` is called with k.  The time
 t_k = ``bundle.times[k]`` is read where a time profile (J(t), b_j(t)) needs
-it.
+it.  A run covers the whole of the bundles it is given, so k indexes them
+from their first time; the Picard driver (``solve_with_memory``) runs a
+window by handing over that window's slice of its frozen bundle.
 
 Paths are stepped in batches: ``run_paths`` advances P paths, one Brownian
 bundle each, with one call per operation.  The packed state is
@@ -90,7 +92,8 @@ Euler-Maruyama increment built from them, not the Lie update that was taken.
 
 The Brownian paths of a bundle are frozen at the first exit of any
 |beta_i| over the truncation level m (default 8 sqrt(T)); the event is
-logged, not fatal.
+logged, not fatal.  Freezing a frozen bundle, or a slice of one, at the same
+level changes no value.
 """
 
 from __future__ import annotations
@@ -617,16 +620,21 @@ def path_batches(points: int, paths: int) -> list:
             for start in range(0, paths, size)]
 
 
+def _truncation_level(cfg: SchemeConfig, horizon: float) -> float:
+    """The level m at which a bundle over [0, T] is frozen: cfg's
+    ``beta_truncation_m``, or 8 sqrt(T) when that is None."""
+    if cfg.beta_truncation_m is None:
+        return 8.0 * np.sqrt(horizon)
+    return cfg.beta_truncation_m
+
+
 def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
-             bundle: BrownianBundle, *, path_index: int = 0, sink=None,
-             extra_source=None, initial: Field6 | None = None,
-             start_index: int = 0, n_steps: int | None = None) -> PathReport:
-    """Integrate one path: ``run_paths`` with a batch of one, raising the
-    BlowUpError of a path that blew up."""
-    (report,) = raise_blowups(run_paths(
-        spec, cfg, kernel, [bundle], path_indices=[path_index], sink=sink,
-        extra_source=extra_source, initial=initial, start_index=start_index,
-        n_steps=n_steps))
+             bundle: BrownianBundle, **options) -> PathReport:
+    """Integrate one path over its whole bundle: ``run_paths`` with a batch
+    of one (``options`` are its keywords), raising the BlowUpError of a path
+    that blew up."""
+    (report,) = raise_blowups(run_paths(spec, cfg, kernel, [bundle],
+                                        **options))
     return report
 
 
@@ -641,9 +649,9 @@ def raise_blowups(results: list) -> list:
 
 def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
               bundles, *, path_indices=None, sink=None, extra_source=None,
-              initial: Field6 | None = None, start_index: int = 0,
-              n_steps: int | None = None) -> list:
-    """Integrate a batch of paths, one bundle each, stepped together.
+              initial: Field6 | None = None) -> list:
+    """Integrate a batch of paths, one bundle each, stepped together over the
+    whole of their (shared) time grid.
 
     Returns one entry per bundle: its PathReport, or the BlowUpError of a
     path whose norm left the threshold; such a path leaves the batch and
@@ -654,9 +662,9 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     drift of every path before projection (the Picard driver feeds the
     frozen memory term through it).  ``initial``: optional spectral start
     state of every path, full-grid or packed; P_n is applied to it, so modes
-    outside the cube do not enter the run.  ``start_index``/``n_steps``
-    select a window of the bundles; steps and gauge phases are indexed on
-    the bundles' grid, so a window's step k is the run's step k.
+    outside the cube do not enter the run.  A run covers its bundles from
+    their first time to their last; the Picard driver runs a window by
+    handing over a slice of its frozen bundle, whose step k is the window's.
 
     Fields are saved every ``cfg.save_stride``-th step from the first, in
     physical space, and they leave the run through ``sink`` only: an
@@ -675,19 +683,14 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         raise UsageError("run_paths needs one path index per bundle, and at "
                          "least one bundle")
     first = bundles[0]
-    total_steps = first.steps - start_index
-    if n_steps is not None:
-        total_steps = min(n_steps, total_steps)
-    if total_steps < 1:
+    if first.steps < 1:
         raise UsageError("run_path needs at least one step")
     dt_bundle = float(first.times[1] - first.times[0])
     if abs(dt_bundle - cfg.dt) > 1e-9 * max(1.0, cfg.dt):
         raise UsageError(
             f"bundle spacing {dt_bundle} does not match cfg.dt {cfg.dt}")
 
-    m_level = cfg.beta_truncation_m
-    if m_level is None:
-        m_level = 8.0 * np.sqrt(first.horizon)
+    m_level = _truncation_level(cfg, first.horizon)
     frozen, events = [], []
     for bundle in bundles:
         bundle, exit_index = freeze_bundle_at_exit(bundle, m_level)
@@ -707,7 +710,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     y = y0.with_data(np.broadcast_to(y0.data, (count,) + y0.data.shape))
     history = None
     if ctx.kernel_active:
-        if start_index != 0:
+        if first.times[0] != 0.0:
             raise UsageError("direct memory runs must start at t = 0")
         history = History(kernel, cfg.dt)
 
@@ -716,21 +719,19 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     # one gauge phase per step, shared by drift, noise and the sink
     phased = cfg.equation == TSEE and not ctx.static.phase_trivial
 
-    k_range = range(start_index, start_index + total_steps)
-    times = ctx.bundle.times[start_index:start_index + total_steps + 1].copy()
     l2, power_norm, lambda_l2, residual = (
-        np.empty((count, total_steps + 1)) for _ in range(4))
+        np.empty((count, first.steps + 1)) for _ in range(4))
     residual[:, 0] = 0.0
     outcomes = [None] * count
     alive = list(range(count))  # the batch's rows still stepping
 
-    def observe(local, view, gauge):
+    def observe(k, view, gauge):
         """Power norm and saved fields from the physical view; returns
         the view's pointwise norm when the next Kerr force needs it."""
         magnitude = pointwise_norm(view)
         norms = lp_norm(view, power, magnitude).tolist()
-        power_norm[alive, local] = [v ** power for v in norms]
-        level, off_level = divmod(local, cfg.save_stride)
+        power_norm[alive, k] = [v ** power for v in norms]
+        level, off_level = divmod(k, cfg.save_stride)
         if sink is not None and not off_level:
             sink(level, [path_indices[row] for row in alive], view, gauge)
         return magnitude if cfg.kerr is not None else None
@@ -738,11 +739,11 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     norms = l2_norm(y).tolist()
     ledger = _EnergyLedger(norms)
     l2[:, 0] = norms
-    gauge = gauge_phase(spec, ctx.bundle, start_index) if phased else None
+    gauge = gauge_phase(spec, ctx.bundle, 0) if phased else None
     view = to_physical(y)
     magnitude = observe(0, view, gauge)
 
-    for local, k in enumerate(k_range):
+    for k in range(first.steps):
         t = float(ctx.bundle.times[k])
         if history is not None:
             history.append(y)
@@ -750,7 +751,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         memory = ctx.memory_term(history)
         lam = ctx.drift(y, t, memory=memory, extra_source=src, view=view,
                         gauge=gauge, magnitude=magnitude)
-        lambda_l2[alive, local] = l2_norm(lam)
+        lambda_l2[alive, k] = l2_norm(lam)
         zs = ctx.noise(y, t, view=view, gauge=gauge)
         ledger.update(y, lam, zs, _increments(ctx, k), cfg.dt)
         y = stepper(y, k, ctx, lam, zs, src, memory, gauge)
@@ -774,18 +775,17 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
             y = y.with_data(y.data[kept])
             if history is not None:
                 history = history.take(kept)
-        l2[alive, local + 1] = norms
-        residual[alive, local + 1] = ledger.residual(norms)
+        l2[alive, k + 1] = norms
+        residual[alive, k + 1] = ledger.residual(norms)
         gauge = gauge_phase(spec, ctx.bundle, k + 1) if phased else None
         view = to_physical(y)
-        magnitude = observe(local + 1, view, gauge)
+        magnitude = observe(k + 1, view, gauge)
 
     if alive:
         if history is not None:
             history.append(y)
-        k_end = start_index + total_steps
-        src = extra_source(k_end) if extra_source is not None else None
-        final_lam = ctx.drift(y, float(ctx.bundle.times[k_end]),
+        src = extra_source(first.steps) if extra_source is not None else None
+        final_lam = ctx.drift(y, first.horizon,
                               memory=ctx.memory_term(history),
                               extra_source=src, view=view, gauge=gauge,
                               magnitude=magnitude)
@@ -793,7 +793,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
 
     for row in alive:
         report = PathReport(path_index=path_indices[row],
-                            seed=bundles[row].seed, times=times.copy(),
+                            seed=bundles[row].seed, times=first.times.copy(),
                             l2=l2[row].copy(),
                             power_norm=power_norm[row].copy(),
                             lambda_l2=lambda_l2[row].copy(),
@@ -817,12 +817,19 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     before the window are the same in every iterate, so the sup distance
     over the window is the one over [0, T].
 
+    The bundle is frozen once, at the truncation level of [0, T], and each
+    window runs on its slice of the frozen bundle: the steps, the gauged
+    memory source and the u <-> y phases at the window ends read one beta.
+
     Returns (u trajectory on the full grid, diagnostics dict).
     """
     from .memory import contraction_step_length, picard_solve
 
-    cfg = replace(cfg, save_stride=1)
     horizon = bundle.horizon
+    m_level = _truncation_level(cfg, horizon)
+    bundle, _ = freeze_bundle_at_exit(bundle, m_level)
+    # a window's slice is frozen again at the same level, which keeps it
+    cfg = replace(cfg, save_stride=1, beta_truncation_m=m_level)
     k_total = bundle.steps
     lipschitz_noise = max((float(np.max(np.abs(b))) for b in spec.B_fields),
                           default=0.0)
@@ -850,30 +857,35 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     while start < k_total:
         count = min(steps_per_window, k_total - start)
         stop = start + count
+        window_bundle = BrownianBundle(
+            times=bundle.times[start:stop + 1],
+            values=bundle.values[:, start:stop + 1], seed=bundle.seed,
+            level=bundle.level)
         window = (float(bundle.times[start]), float(bundle.times[stop]))
         while len(prefix) < start:
             prefix.append(Field6(grid, PHYSICAL, u_data[len(prefix)]))
 
         def one_window(u_traj):
-            # picard_solve calls this before the loop moves on (start, count
-            # and y_start are this window's); the source is read at
-            # increasing k, so the history folds each window state once
+            # picard_solve calls this before the loop moves on (start,
+            # window_bundle and y_start are this window's); the source is
+            # read at increasing k, so the history folds each window state once
             history = prefix.copy()
 
-            def source(k_idx):
-                while len(history) <= k_idx:
+            def source(k):
+                k += start
+                while len(history) <= k:
                     history.append(Field6(
                         grid, PHYSICAL, u_traj.data[len(history) - start]))
                 conv = convolve_history(history).data
                 if cfg.equation == TSEE:
-                    conv = conv * gauge_phase(spec, bundle, k_idx).values
+                    conv = conv * gauge_phase(spec, bundle, k).values
                 return conv
 
             # u, the back-transformed field (u = y outside gauged tsee)
             record = Recording(grid, times, 1, inverse=True)
-            raise_blowups(run_paths(spec, cfg, None, [bundle], sink=record,
-                                    extra_source=source, initial=y_start,
-                                    start_index=start, n_steps=count))
+            raise_blowups(run_paths(spec, cfg, None, [window_bundle],
+                                    sink=record, extra_source=source,
+                                    initial=y_start))
             return record.trajectory(0)
 
         times = bundle.times[start:stop + 1].copy()

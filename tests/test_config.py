@@ -315,6 +315,8 @@ BAD_VALUES = [
     pytest.param(MINIMAL_WEAK.replace(
         "B_1 = zero", "B_1 = band-limited-random(seed=2, max_mode=1.5)"),
         "[noise] B_1", "1.5", id="B_1-max_mode-fraction"),
+    pytest.param(MINIMAL_WEAK.replace("cutoff = 2", "cutoff = 100000"),
+                 "[scheme] cutoff", "100000", id="cutoff-overflow"),
     pytest.param(MINIMAL_WEAK.replace("count = 1", "count = -1"),
                  "[noise] count", "-1", id="count-negative"),
     pytest.param(MINIMAL_WEAK.replace("dt = 0.0625", "dt = nan"),

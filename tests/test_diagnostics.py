@@ -162,7 +162,7 @@ def _mc_reports(grid, n_paths=30, j_scale=0.1, seed0=100, kerr=None,
     reports = []
     for p in range(n_paths):
         bundle = sample_brownian(1, horizon, steps, seed=seed0 + p)
-        reports.append(run_path(spec, cfg, None, bundle, path_index=p))
+        reports.append(run_path(spec, cfg, None, bundle, path_indices=[p]))
     return spec, reports
 
 

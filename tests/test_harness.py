@@ -407,6 +407,30 @@ class TestCli:
         assert "E sup ||y||^2" in out
         assert (tmp_path / "out" / "series.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_run_verb_makes_a_new_nested_out(self, tmp_path, capsys,
+                                             monkeypatch, workers):
+        # the output directory and checkpoints/ are made once, before any
+        # batch or worker starts; one path per batch gives two workers work
+        monkeypatch.setattr(mks.stepping, "BATCH_VALUES", 6 * 8**3)
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(SMALL_RUN + "\n[outputs]\nsave_fields = on\n")
+        out = tmp_path / "a" / "b" / "c"
+        rc = main(["run", "--config", str(cfg_file), "--paths", "2",
+                   "--out", str(out), "--workers", workers])
+        assert rc == 0
+        assert (out / "series.csv").exists()
+        files = sorted(f.name for f in (out / "checkpoints").iterdir())
+        assert len(files) == 2 * 9 + 1 and "index.csv" in files
+
+    def test_unwritable_run_out_is_reported(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(SMALL_RUN)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 2
+        self._one_error_line(capsys, f"[outputs] cannot write {out}: ")
+
     def test_verify_verb_writes_json(self, tmp_path, capsys):
         rc = main(["verify", "--level", "fast",
                    "--out", str(tmp_path / "checks.json")])
@@ -519,7 +543,23 @@ class TestCli:
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "sub" / "checks.json"
         assert main(["verify", "--level", "fast", "--out", str(out)]) == 2
-        self._one_error_line(capsys, f"[verify] cannot write {out}: ")
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any check ran
+        assert captured.err.startswith(
+            f"error: [verify] cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--workers", "2"),
+                                             ("--out", "elsewhere")])
+    def test_convergence_takes_no_run_flags(self, capsys, flag, value):
+        # the sweeps run serially and write no files
+        config = Path(__file__).resolve().parents[1] / "configs" / \
+            "example_strong.cfg"
+        with pytest.raises(SystemExit) as info:
+            main(["convergence", "--config", str(config), flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--paths", "0", "[monte_carlo] paths must be >= 1"),

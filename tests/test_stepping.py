@@ -20,6 +20,7 @@ from mks.noise import (
     SeparableSource,
     TimeProfile,
     apply_gauge,
+    freeze_bundle_at_exit,
     gauge_phase,
     make_noise_spec,
     refine_bundle,
@@ -436,12 +437,12 @@ class TestTransformCounts:
                 return _original(f)
 
             monkeypatch.setattr(mks.stepping, name, counted)
-        bundle = sample_brownian(spec.count, 2 * self.STEPS * cfg.dt,
-                                 2 * self.STEPS, seed=41)
         totals = []
         for steps in (self.STEPS, 2 * self.STEPS):
+            bundle = sample_brownian(spec.count, steps * cfg.dt, steps,
+                                     seed=41)
             calls["n"] = 0
-            run_path(spec, cfg, kernel, bundle, n_steps=steps)
+            run_path(spec, cfg, kernel, bundle)
             totals.append(calls["n"])
         # the per-path set-up cancels in the difference
         return (totals[1] - totals[0]) / self.STEPS
@@ -823,7 +824,7 @@ class TestBatchEquivalence:
         singles = {p: self._recorded(spec, cfg, kernel, [bundles[p]], name,
                                      path_indices=[p])[0] for p in (0, 1, 3)}
         with pytest.raises(BlowUpError) as blown:
-            run_path(spec, cfg, kernel, bundles[2], path_index=2,
+            run_path(spec, cfg, kernel, bundles[2], path_indices=[2],
                      sink=recording(spec, cfg, bundles))
         assert blown.value.time == bundles[2].times[self.JUMP]
         assert singles[1][0].events == [{
@@ -919,6 +920,31 @@ class TestMemoryCoupling:
             run_path(spec, replace(cfg, equation=TSEE), kernel, bundle)
         run_path(spec, replace(cfg, equation=TSEE), exponential_kernel(0.0, 1.0),
                  bundle)
+
+    def test_direct_memory_run_refuses_a_late_start(self, grid4):
+        # the history of a direct run starts with the run, so its bundle
+        # must start at t = 0
+        spec, bundle, kernel, cfg = self._setup(grid4)
+        late = BrownianBundle(times=bundle.times[4:],
+                              values=bundle.values[:, 4:], seed=bundle.seed)
+        with pytest.raises(UsageError, match="must start at t = 0"):
+            run_path(spec, cfg, kernel, late)
+
+    @pytest.mark.parametrize("equation", [TSEE, MSEE])
+    def test_truncated_bundle_runs_as_its_frozen_bundle(self, grid4,
+                                                        equation):
+        # the windows step on the frozen bundle, and the gauged memory source
+        # and the u <-> y phases at the window ends read the same beta
+        spec, bundle, kernel, cfg = self._setup(grid4)
+        m = 0.3
+        cfg = replace(cfg, equation=equation, beta_truncation_m=m)
+        frozen, k_exit = freeze_bundle_at_exit(bundle, m)
+        assert 0 < k_exit < bundle.steps // 2
+        a, diag_a = solve_with_memory(spec, cfg, kernel, bundle)
+        b, diag_b = solve_with_memory(spec, cfg, kernel, frozen)
+        assert len(diag_a["windows"]) >= 2
+        assert a.data.tobytes() == b.data.tobytes()
+        assert diag_a["windows"] == diag_b["windows"]
 
     def test_picard_matches_direct_history_run(self, grid4):
         spec, bundle, kernel, cfg = self._setup(grid4)
