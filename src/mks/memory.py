@@ -15,9 +15,11 @@ arithmetic, at O(1) work and storage per step.  The record has no clock of
 its own: its k-th state is the state at t_k of the integrator's grid.
 
 The convolution acts on the six components only, so it commutes with the
-FFT: the stepper keeps a ``History`` of spectral states and reads the
-spectral memory term, the Picard driver keeps physical ones.  The stepper's
-states carry the batch's path axis, and the history carries it along.
+FFT: the stepper keeps a ``History`` of packed spectral states, except under
+gauged tsee, where the law acts on u, not on the rescaled y, and the stepper
+folds u on the grid; the Picard driver keeps physical states of u.  The
+stepper's states carry the batch's path axis, and the history carries it
+along.
 
 The windowed Picard solve (``stepping.solve_with_memory``) iterates on one
 window of ``contraction_step_length`` at a time, to ``stepping.PICARD_TOL``

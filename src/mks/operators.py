@@ -16,8 +16,9 @@ Everything here is diagonal per Fourier mode:
 
 The multipliers of curl (i k) and of exp(tm) (c, w, k and i s k) are read
 from contiguous complex tables of the mode shape, cached per owner of the
-modes (and per t for exp(tm)): a product of two complex arrays of one shape
-runs as a plain loop, where a broadcast real factor is cast on the fly.
+modes (and per t for exp(tm); curl caches a Galerkin space's only): a
+product of two complex arrays of one shape runs as a plain loop, where a
+broadcast real factor is cast on the fly.
 Packed exp(tm) tables are gathered from the full-grid ones, so packed and
 full-grid results agree bitwise.
 
@@ -64,7 +65,6 @@ def _nyquist_mask(grid: GridSpec):
     return m.reshape(n, 1, 1) * m.reshape(1, n, 1) * m.reshape(1, 1, n)
 
 
-@lru_cache(maxsize=16)
 def _curl_tables(modes):
     """(i kx, i ky, i kz) of ``modes`` as contiguous complex tables of the
     mode shape."""
@@ -76,10 +76,18 @@ def _curl_tables(modes):
     return tables
 
 
+# the steps apply m to packed fields, so a Galerkin space's tables are kept;
+# the full grid's are built per call (a once-per-spec check applies m there)
+# and do not outlive it
+_space_curl_tables = lru_cache(maxsize=16)(_curl_tables)
+
+
 def curl(modes, u3: np.ndarray) -> np.ndarray:
     """(curl u)^(k) = i k x u_hat(k) on a 3-component spectral block (with
     any leading axes); ``modes`` is a GridSpec or a GalerkinSpace."""
-    ikx, iky, ikz = _curl_tables(modes)
+    tables = _curl_tables if isinstance(modes, GridSpec) else \
+        _space_curl_tables
+    ikx, iky, ikz = tables(modes)
     a, b, c = (u3[..., i, :, :, :] for i in range(3))
     out = np.empty(u3.shape, np.complex128)
     tmp = np.empty_like(out[..., 0, :, :, :])

@@ -32,8 +32,8 @@ arrays the Lambda diagnostic and the energy ledger read.  The gauge phase
 physical view feeds both the power norm and the next Kerr force.
 
 The step index k is the only clock.  A stepper maps (y, k) to the state at
-t_{k+1}; the gauge phase reads beta at index k, the memory ``History`` holds
-one state per index, and an ``extra_source`` is called with k.  The time
+t_{k+1}; the gauge phase reads beta at index k and the memory ``History``
+holds one state per index.  The time
 t_k = ``bundle.times[k]`` is read where a time profile (J(t), b_j(t)) needs
 it.  A run covers the whole of the bundles it is given, so k indexes them
 from their first time; the Picard driver (``solve_with_memory``) runs a
@@ -83,8 +83,11 @@ one ``GalerkinSpace.spectral``):
   drift, pre-step noise, the Kerr resolvent's round trip, the propagated
   state's view and noise).
 
-The memory term is evaluated once per step (``StepContext.memory_term``);
-the drift and, under Lie splitting, the remaining drift read that array.
+The memory term (G * u)(t_k) is formed once per step, for every equation,
+in ``StepContext.memory_term``; the drift and, under Lie splitting, the
+remaining drift read it.  The run's ``History`` folds packed y, or under
+gauged tsee u from the step's view and phase (then the term is gauged back,
+and joins the physical terms before the drift's one packed transform).
 
 Under Lie splitting, Lambda and Z at the pre-step state feed only the
 Lambda series and the energy ledger, so the ledger residual measures the
@@ -349,11 +352,11 @@ class StepContext:
     spectral: the noise shapes under a trivial gauge (already filtered) and
     the current J, except in gauged tsee.  Drift and noise take the packed
     state y and return packed fields.  The drift also takes the memory term
-    at t (``memory_term``), y's physical ``view``, its pointwise norm
-    ``magnitude`` (None without Kerr) and the phase ``gauge`` at t
-    (``noise.gauge_phase`` at t's grid index; None when no gauged term is
-    evaluated); the noise takes the phase and, when the caller has it, the
-    view.  A nonzero kernel needs msee or wsee (tsee: ``solve_with_memory``).
+    at t (``memory_term``, packed or physical), y's physical ``view``, its
+    pointwise norm ``magnitude`` (None without Kerr) and the phase ``gauge``
+    at t (``noise.gauge_phase`` at t's grid index; None when no gauged term
+    is evaluated); the noise takes the phase and, when the caller has it,
+    the view.
 
     ``bundle`` is a BrownianBundle for one path, or a BundleStack whose rows
     belong to the rows of a stacked y.  Noise amplitudes that do not depend
@@ -361,16 +364,10 @@ class StepContext:
     """
 
     def __init__(self, cfg: SchemeConfig, spec: NoiseSpec,
-                 bundle: BrownianBundle | BundleStack,
-                 kernel: KernelSpec | None):
+                 bundle: BrownianBundle | BundleStack):
         self.cfg = cfg
         self.spec = spec
         self.bundle = bundle
-        self.kernel = kernel
-        self.kernel_active = kernel is not None and not kernel.is_zero
-        if self.kernel_active and cfg.equation == TSEE:
-            raise UsageError("[kernel] a memory kernel needs equation msee or "
-                             "wsee; tsee takes it through solve_with_memory")
         self.grid = spec.grid
         self.static = _static_pieces(spec, cfg.equation, cfg.cutoff_level)
         self.space = self.static.space
@@ -393,26 +390,28 @@ class StepContext:
             return None
         return total * gauge.of_fields
 
-    def memory_term(self, history: History | None):
-        """The memory term (G * y)(t_k) at the latest state of ``history``,
-        packed; None without a kernel.  A step evaluates it once: the drift
-        and the Lie stepper's remaining drift read the same array."""
-        if not self.kernel_active:
-            return None
+    def memory_term(self, history: History | None,
+                    gauge: GaugePhase | None) -> Field6 | None:
+        """The memory term (G * u)(t_k) at the latest state of ``history``,
+        in its representation, taken to the y frame by ``gauge`` when the
+        step has one; None without a history.  A step evaluates it once: the
+        drift and the Lie stepper's remaining drift read the same field."""
         if history is None:
-            raise UsageError("memory kernel requires a history")
-        return convolve_history(history).data
+            return None
+        term = convolve_history(history)
+        if gauge is not None:
+            term = apply_gauge(term, gauge, "forward")
+        return term
 
     def _add_drift_terms(self, acc: np.ndarray | None, phys: np.ndarray | None,
                          y: Field6, view: Field6 | None, t: float,
-                         memory: np.ndarray | None,
-                         extra_source: np.ndarray | None,
+                         memory: Field6 | None,
                          gauge: GaugePhase | None) -> np.ndarray | None:
         """acc (packed) plus every drift term besides m y and -F(y), in a
-        fixed order: A(t) y and the gauged current (gauged tsee) or J, the
-        memory term (``memory_term``; msee/wsee), then the extra source.
-        Physical-space terms are summed onto ``phys`` (the drift passes -F(y)
-        there) and enter acc through one packed transform.  An
+        fixed order: A(t) y and the gauged current (gauged tsee) or J, then
+        the memory term (``memory_term``).  Physical-space terms, a physical
+        memory term among them, are summed onto ``phys`` (the drift passes
+        -F(y) there) and enter acc through one packed transform.  An
         accumulator that is None starts from the first term added (a copy
         with y's path axis, so every later term is summed in place); None
         comes back when there is no term at all."""
@@ -435,17 +434,16 @@ class StepContext:
                 phys = add(phys, current)
         elif static.current_hat is not None:
             acc = add(acc, self.spec.current.profile.value(t) * static.current_hat)
-        if memory is not None:
-            acc = add(acc, memory)
-        if extra_source is not None:
-            phys = add(phys, extra_source)
+        if memory is not None and memory.representation == PHYSICAL:
+            phys = add(phys, memory.data)
+        elif memory is not None:
+            acc = add(acc, memory.data)
         if phys is not None:
             acc = add(acc, self.space.spectral(
                 Field6(self.grid, PHYSICAL, phys)).data)
         return acc
 
-    def drift(self, y: Field6, t: float, memory: np.ndarray | None,
-              extra_source: np.ndarray | None, view: Field6,
+    def drift(self, y: Field6, t: float, memory: Field6 | None, view: Field6,
               gauge: GaugePhase | None,
               magnitude: np.ndarray | None) -> Field6:
         """The projected full drift P_n[m y - F(y) + ...] (Lambda), packed."""
@@ -453,8 +451,7 @@ class StepContext:
         if self.cfg.kerr is not None:
             phys = -kerr_force(view, self.cfg.kerr, magnitude).data
         acc = maxwell_apply(y).data.copy()
-        acc = self._add_drift_terms(acc, phys, y, view, t, memory,
-                                    extra_source, gauge)
+        acc = self._add_drift_terms(acc, phys, y, view, t, memory, gauge)
         return self.space.field(acc)
 
     # -- noise pieces ----------------------------------------------------------
@@ -512,19 +509,17 @@ def _increments(ctx: StepContext, k: int) -> np.ndarray:
 
 
 def step_euler_maruyama(y: Field6, k: int, ctx: StepContext, lam: Field6,
-                        zs: list, src: np.ndarray | None,
-                        memory: np.ndarray | None,
+                        zs: list, memory: Field6 | None,
                         gauge: GaugePhase | None) -> Field6:
     """y(t_{k+1}) = y + dt Lambda + sum_i Z_i dbeta_i on packed data, with
-    Lambda and Z evaluated at y = y(t_k) by the caller (``src`` and
-    ``memory`` are already part of Lambda)."""
+    Lambda and Z evaluated at y = y(t_k) by the caller (``memory`` is
+    already part of Lambda)."""
     incr = ctx.cfg.dt * lam.data + _noise_increment(zs, _increments(ctx, k))
     return y.with_data(y.data + incr)
 
 
 def step_lie_splitting(y: Field6, k: int, ctx: StepContext, lam: Field6,
-                       zs: list, src: np.ndarray | None,
-                       memory: np.ndarray | None,
+                       zs: list, memory: Field6 | None,
                        gauge: GaugePhase | None) -> Field6:
     """Exact free flow, Kerr resolvent, remaining drift, noise increment:
     y(t_k) to y(t_{k+1}).
@@ -543,7 +538,7 @@ def step_lie_splitting(y: Field6, k: int, ctx: StepContext, lam: Field6,
         w = implicit_kerr_solve(to_physical(y), cfg.dt, cfg.kerr)
         y = ctx.space.spectral(w)
     # (3) remaining drift terms
-    rest = ctx._add_drift_terms(None, None, y, None, t, memory, src, gauge)
+    rest = ctx._add_drift_terms(None, None, y, None, t, memory, gauge)
     if rest is not None:
         y = y.with_data(y.data + cfg.dt * rest)
     # (4) noise increment
@@ -628,6 +623,17 @@ def _truncation_level(cfg: SchemeConfig, horizon: float) -> float:
     return cfg.beta_truncation_m
 
 
+def _freeze(bundle: BrownianBundle, level: float):
+    """(the bundle frozen at ``level``, its events): one beta_truncation
+    event at the exit time, or none."""
+    bundle, exit_index = freeze_bundle_at_exit(bundle, level)
+    return bundle, [] if exit_index is None else [{
+        "kind": "beta_truncation",
+        "time": float(bundle.times[exit_index]),
+        "level": level,
+    }]
+
+
 def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
              bundle: BrownianBundle, **options) -> PathReport:
     """Integrate one path over its whole bundle: ``run_paths`` with a batch
@@ -648,7 +654,7 @@ def raise_blowups(results: list) -> list:
 
 
 def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
-              bundles, *, path_indices=None, sink=None, extra_source=None,
+              bundles, *, path_indices=None, sink=None, history_at=None,
               initial: Field6 | None = None) -> list:
     """Integrate a batch of paths, one bundle each, stepped together over the
     whole of their (shared) time grid.
@@ -657,10 +663,10 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     path whose norm left the threshold; such a path leaves the batch and
     the rest go on.  Each path's results are bitwise the same in any batch.
 
-    ``path_indices`` label the reports (default 0..P-1).  ``extra_source``:
-    optional callable step_index -> physical (6,n,n,n) array added to the
-    drift of every path before projection (the Picard driver feeds the
-    frozen memory term through it).  ``initial``: optional spectral start
+    ``path_indices`` label the reports (default 0..P-1).  ``history_at``:
+    optional callable step_index -> the memory ``History`` to read at that
+    step (the Picard driver's); without it an active ``kernel`` folds the
+    run's own, from t = 0.  ``initial``: optional spectral start
     state of every path, full-grid or packed; P_n is applied to it, so modes
     outside the cube do not enter the run.  A run covers its bundles from
     their first time to their last; the Picard driver runs a window by
@@ -691,17 +697,9 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
             f"bundle spacing {dt_bundle} does not match cfg.dt {cfg.dt}")
 
     m_level = _truncation_level(cfg, first.horizon)
-    frozen, events = [], []
-    for bundle in bundles:
-        bundle, exit_index = freeze_bundle_at_exit(bundle, m_level)
-        frozen.append(bundle)
-        events.append([] if exit_index is None else [{
-            "kind": "beta_truncation",
-            "time": float(bundle.times[exit_index]),
-            "level": m_level,
-        }])
+    frozen, events = zip(*(_freeze(bundle, m_level) for bundle in bundles))
 
-    ctx = StepContext(cfg, spec, BundleStack.of(frozen), kernel)
+    ctx = StepContext(cfg, spec, BundleStack.of(frozen))
     if initial is not None:
         _require_representation(initial, SPECTRAL, "run_path initial state")
         y0 = ctx.space.pack(initial)
@@ -709,10 +707,13 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         y0 = initial_coefficients(spec, cfg.equation, cfg.cutoff_level)
     y = y0.with_data(np.broadcast_to(y0.data, (count,) + y0.data.shape))
     history = None
-    if ctx.kernel_active:
+    if kernel is not None and not kernel.is_zero:
         if first.times[0] != 0.0:
             raise UsageError("direct memory runs must start at t = 0")
         history = History(kernel, cfg.dt)
+    if history_at is None:
+        def history_at(k):
+            return history
 
     stepper = _STEPPERS[cfg.scheme]
     power = cfg.power
@@ -743,18 +744,21 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     view = to_physical(y)
     magnitude = observe(0, view, gauge)
 
-    for k in range(first.steps):
+    for k in range(first.steps + 1):
         t = float(ctx.bundle.times[k])
         if history is not None:
-            history.append(y)
-        src = extra_source(k) if extra_source is not None else None
-        memory = ctx.memory_term(history)
-        lam = ctx.drift(y, t, memory=memory, extra_source=src, view=view,
-                        gauge=gauge, magnitude=magnitude)
+            # u under gauged tsee: the law acts on u, not on y
+            history.append(y if gauge is None
+                           else apply_gauge(view, gauge, "inverse"))
+        memory = ctx.memory_term(history_at(k), gauge)
+        lam = ctx.drift(y, t, memory=memory, view=view, gauge=gauge,
+                        magnitude=magnitude)
         lambda_l2[alive, k] = l2_norm(lam)
+        if k == first.steps:
+            break  # the last Lambda is observed, not stepped
         zs = ctx.noise(y, t, view=view, gauge=gauge)
         ledger.update(y, lam, zs, _increments(ctx, k), cfg.dt)
-        y = stepper(y, k, ctx, lam, zs, src, memory, gauge)
+        y = stepper(y, k, ctx, lam, zs, memory, gauge)
 
         norms = l2_norm(y).tolist()
         kept = [i for i, norm in enumerate(norms)
@@ -771,7 +775,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
                 break
             norms = [norms[i] for i in kept]
             ledger.take(kept)
-            ctx = StepContext(cfg, spec, ctx.bundle.take(kept), kernel)
+            ctx = StepContext(cfg, spec, ctx.bundle.take(kept))
             y = y.with_data(y.data[kept])
             if history is not None:
                 history = history.take(kept)
@@ -780,16 +784,6 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         gauge = gauge_phase(spec, ctx.bundle, k + 1) if phased else None
         view = to_physical(y)
         magnitude = observe(k + 1, view, gauge)
-
-    if alive:
-        if history is not None:
-            history.append(y)
-        src = extra_source(first.steps) if extra_source is not None else None
-        final_lam = ctx.drift(y, first.horizon,
-                              memory=ctx.memory_term(history),
-                              extra_source=src, view=view, gauge=gauge,
-                              magnitude=magnitude)
-        lambda_l2[alive, -1] = l2_norm(final_lam)
 
     for row in alive:
         report = PathReport(path_index=path_indices[row],
@@ -809,25 +803,29 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
 
     Splits [0, T] into sub-windows no longer than the contraction length,
     then iterates the single-window solver (the memory term frozen from the
-    previous iterate) to a fixed point and glues windows together.  Works
-    for any equation variant; for ``tsee`` the memory term is computed from
-    the back-transformed trajectory and gauged into the y-equation.  Every
-    step is kept, so the windows are integrated at save stride 1 whatever
-    ``cfg`` says.  An iterate holds its window's states only: the states
-    before the window are the same in every iterate, so the sup distance
-    over the window is the one over [0, T].
+    previous iterate) to a fixed point and glues windows together.  A
+    window run reads the ``History`` of u (the states before the window,
+    then the previous iterate) through ``run_paths(history_at=...)``.  The
+    direct run carries the memory law for every equation, so this driver is
+    its oracle; the ``tsee`` branch serves that check only.  Every step is
+    kept, so the windows are integrated at save stride 1 whatever ``cfg``
+    says.  An iterate holds its window's states only: the states before the
+    window are the same in every iterate, so the sup distance over the
+    window is the one over [0, T].
 
     The bundle is frozen once, at the truncation level of [0, T], and each
     window runs on its slice of the frozen bundle: the steps, the gauged
-    memory source and the u <-> y phases at the window ends read one beta.
+    memory term and the u <-> y phases at the window ends read one beta.
+    The truncation event is that freeze's, reported once.
 
-    Returns (u trajectory on the full grid, diagnostics dict).
+    Returns (u trajectory on the full grid, diagnostics dict with
+    ``windows``, ``window_length``, ``g_l1`` and ``events``).
     """
     from .memory import contraction_step_length, picard_solve
 
     horizon = bundle.horizon
     m_level = _truncation_level(cfg, horizon)
-    bundle, _ = freeze_bundle_at_exit(bundle, m_level)
+    bundle, events = _freeze(bundle, m_level)
     # a window's slice is frozen again at the same level, which keeps it
     cfg = replace(cfg, save_stride=1, beta_truncation_m=m_level)
     k_total = bundle.steps
@@ -867,24 +865,20 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
 
         def one_window(u_traj):
             # picard_solve calls this before the loop moves on (start,
-            # window_bundle and y_start are this window's); the source is
-            # read at increasing k, so the history folds each window state once
+            # window_bundle and y_start are this window's); the history is
+            # read at increasing k, so it folds each window state once
             history = prefix.copy()
 
-            def source(k):
-                k += start
-                while len(history) <= k:
+            def history_at(k):
+                while len(history) <= k + start:
                     history.append(Field6(
                         grid, PHYSICAL, u_traj.data[len(history) - start]))
-                conv = convolve_history(history).data
-                if cfg.equation == TSEE:
-                    conv = conv * gauge_phase(spec, bundle, k).values
-                return conv
+                return history
 
             # u, the back-transformed field (u = y outside gauged tsee)
             record = Recording(grid, times, 1, inverse=True)
             raise_blowups(run_paths(spec, cfg, None, [window_bundle],
-                                    sink=record, extra_source=source,
+                                    sink=record, history_at=history_at,
                                     initial=y_start))
             return record.trajectory(0)
 
@@ -907,4 +901,4 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
 
     traj = Trajectory(grid=grid, times=bundle.times.copy(), data=u_data)
     return traj, {"windows": iterations, "window_length": t0,
-                  "g_l1": g_l1}
+                  "g_l1": g_l1, "events": events}

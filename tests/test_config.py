@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,23 +92,18 @@ class TestParse:
             q=2.0, b="constant(value=0.1)"))
         assert cfg.mode == "strong"
 
-    def test_tsee_with_a_memory_kernel_rejected(self, tmp_path, capsys):
-        # the stepper carries the memory term in msee and wsee only
-        strong = STRONG_TEMPLATE.format(q=2.0, b="constant(value=0.1)")
-        kernel = "\n[kernel]\nform = exponential\namplitude = {}\nrate = 1.0\n"
-        with pytest.raises(ValidationError) as info:
-            parse_config(strong + kernel.format(5.0))
-        assert [v for v in info.value.violations if v.startswith("[kernel]")]
-        parse_config(strong + kernel.format(0.0))
-        parse_config(strong.replace("equation = tsee", "equation = msee")
-                     + kernel.format(5.0))
+    def test_tsee_with_a_memory_kernel_runs(self, tmp_path):
+        # the stepper carries G * u under every equation, tsee included
+        text = (STRONG_TEMPLATE.format(q=2.0, b="constant(value=0.1)")
+                + "\n[kernel]\nform = exponential\namplitude = 0.5\n"
+                "rate = 1.0\n")
+        cfg = parse_config(text)
+        assert (cfg.equation, cfg.kernel_amplitude) == ("tsee", 0.5)
         cfg_file = tmp_path / "tsee_kernel.cfg"
-        cfg_file.write_text(strong + kernel.format(5.0))
-        rc = main(["run", "--config", str(cfg_file),
-                   "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert rc == 2 and "[kernel]" in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        cfg_file.write_text(text)
+        assert main(["run", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "summary.csv").exists()
 
     def test_missing_key(self):
         with pytest.raises(ConfigurationError):
@@ -419,6 +416,25 @@ class TestBadValues:
                    "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err.splitlines()
         assert rc == 2 and len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["u0", "J", "b_1", "B_1"])
+    def test_huge_profile_exits_2_without_a_warning(self, key, tmp_path,
+                                                    capsys):
+        # a finite value whose norm overflows on the grid is refused before
+        # the run, with no numpy overflow warning on the way
+        kept = "\n".join(line for line in MINIMAL_WEAK.splitlines()
+                         if not line.startswith(f"{key} = "))
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(kept.replace(
+            "[noise]\n", f"[noise]\n{key} = constant(value=1e300)\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--config", str(cfg_file),
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith(f"error: [noise] {key}: ")
         assert not (tmp_path / "out").exists()
 
     def test_tau_m_zero_rejected(self):

@@ -138,7 +138,7 @@ class TestEnergyResidual:
         states = [to_spectral(Field6(grid8, PHYSICAL, traj.data[k]))
                   for k in range(17)]
         ctx_states = states[:-1]
-        ctx = StepContext(cfg, spec, bundle, None)
+        ctx = StepContext(cfg, spec, bundle)
         drifts, noises = zip(*(drift_and_noise(ctx, ctx_states[k], k)
                                for k in range(16)))
         r = energy_identity_residual(states, drifts, noises, bundle, cfg.dt)

@@ -170,9 +170,9 @@ class TestEulerStep:
         expected = cfg.dt * proj.data + dbeta * filt.data
 
         y0 = start_of(spec, cfg)
-        ctx = StepContext(cfg, spec, bundle, None)
+        ctx = StepContext(cfg, spec, bundle)
         new = step_euler_maruyama(y0, 0, ctx, *drift_and_noise(ctx, y0, 0),
-                                  None, None, gauge_phase(spec, bundle, 0))
+                                  None, gauge_phase(spec, bundle, 0))
         assert np.max(np.abs(to_physical(new).data - expected)) < 1e-14
 
     def test_step_recomposition_is_bitwise(self, grid8):
@@ -185,14 +185,14 @@ class TestEulerStep:
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
         y = start_of(spec, cfg)
         for k in range(3):
-            lam, zs = drift_and_noise(StepContext(cfg, spec, bundle, None),
+            lam, zs = drift_and_noise(StepContext(cfg, spec, bundle),
                                       y, k)
             dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
             incr = cfg.dt * lam.data + _noise_increment(zs, dbeta)
             expected = y.data + incr
-            ctx = StepContext(cfg, spec, bundle, None)
+            ctx = StepContext(cfg, spec, bundle)
             y = step_euler_maruyama(y, k, ctx, *drift_and_noise(ctx, y, k),
-                                    None, None, gauge_phase(spec, bundle, k))
+                                    None, gauge_phase(spec, bundle, k))
             assert np.array_equal(y.data, expected)
 
     def test_deterministic_linear_matches_dense_ode(self, grid4):
@@ -287,7 +287,7 @@ class TestLambdaProcess:
         bundle = sample_brownian(0, 1.0, 16, seed=9)
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
         y0 = start_of(spec, cfg)
-        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, None), y0, 0)
+        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle), y0, 0)
         assert l2_norm(lam) == 0.0
 
     def test_linear_case_is_projected_maxwell(self, grid8):
@@ -296,7 +296,7 @@ class TestLambdaProcess:
         bundle = sample_brownian(0, 1.0, 16, seed=10)
         cfg = em_cfg(1 / 16)
         y0 = start_of(spec, cfg)
-        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, None), y0, 0)
+        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle), y0, 0)
         from mks.operators import maxwell_apply
 
         expected = sharp_cutoff(maxwell_apply(y0), cfg.cutoff_level)
@@ -318,7 +318,7 @@ class TestLambdaProcess:
         y_hat = start_of(spec, cfg)
         y = to_physical(y_hat)
         assert bundle.values[0, 5] != 0.0
-        ctx = StepContext(cfg, spec, bundle, None)
+        ctx = StepContext(cfg, spec, bundle)
         raw = (to_physical(maxwell_apply(to_spectral(y))).data
                - kerr_force(y, cfg.kerr).data
                + drift_A_apply(y, 5, spec, bundle).data
@@ -363,7 +363,7 @@ class TestEvaluationCounts:
         spec = make_noise_spec(grid4, [cos_multiplier(grid4)], [b], J,
                                banded_field(grid4, seed=33))
         bundle = sample_brownian(1, 0.25, self.STEPS, seed=34)
-        kernel = exponential_kernel(0.5, 1.0) if equation == MSEE else None
+        kernel = exponential_kernel(0.5, 1.0)
         cfg = make_cfg(0.25 / self.STEPS, level=1, equation=equation,
                        kerr=KerrExponent(2.0, True))
         run_path(spec, cfg, kernel, bundle)
@@ -372,16 +372,14 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("equation", [TSEE, MSEE])
     def test_euler_maruyama(self, grid4, monkeypatch, equation):
         counts = self._counted_run(grid4, monkeypatch, em_cfg, equation)
-        memory = self.STEPS + 1 if equation == MSEE else 0
         assert counts == {"drift": self.STEPS + 1, "noise": self.STEPS,
-                          "memory": memory}
+                          "memory": self.STEPS + 1}
 
     @pytest.mark.parametrize("equation", [TSEE, MSEE])
     def test_lie_splitting(self, grid4, monkeypatch, equation):
         counts = self._counted_run(grid4, monkeypatch, lie_cfg, equation)
-        memory = self.STEPS + 1 if equation == MSEE else 0
         assert counts == {"drift": self.STEPS + 1, "noise": 2 * self.STEPS,
-                          "memory": memory}
+                          "memory": self.STEPS + 1}
 
     @pytest.mark.parametrize("make_cfg", [em_cfg, lie_cfg])
     def test_one_phase_and_one_norm_of_each_kind_per_step(
@@ -456,14 +454,16 @@ class TestTransformCounts:
                                banded_field(grid8, seed=45))
         assert self._per_step(monkeypatch, spec, em_cfg(1 / 64)) <= 1
 
-    def test_gauged_tsee_kerr_euler(self, grid8, monkeypatch):
+    @pytest.mark.parametrize("kernel", [None, exponential_kernel(0.5, 1.0)],
+                             ids=["no-kernel", "kernel"])
+    def test_gauged_tsee_kerr_euler(self, grid8, monkeypatch, kernel):
         b = SeparableSource(shape=constant_amplitude(grid8, 0.1),
                             profile=TimeProfile("cos", 1.0))
         J = SeparableSource(shape=banded_field(grid8, seed=46, scale=0.2))
         spec = make_noise_spec(grid8, [cos_multiplier(grid8)], [b], J,
                                banded_field(grid8, seed=47))
         cfg = em_cfg(1 / 64, kerr=KerrExponent(2.0, True))
-        assert self._per_step(monkeypatch, spec, cfg) <= 3
+        assert self._per_step(monkeypatch, spec, cfg, kernel) <= 3
 
     def test_msee_lie_kerr_memory(self, grid8, monkeypatch):
         b = SeparableSource(shape=constant_amplitude(grid8, 0.05),
@@ -756,6 +756,8 @@ class TestBatchEquivalence:
         if name == "tsee_euler":
             return spec, em_cfg(1 / 64, kerr=kerr, **kw), None
         kernel = exponential_kernel(0.5, 1.0)
+        if name == "tsee_lie_memory":
+            return spec, lie_cfg(1 / 64, kerr=kerr, **kw), kernel
         if name == "msee_lie_memory":
             return spec, lie_cfg(1 / 64, equation=MSEE,
                                  kerr=KerrExponent(3.0), **kw), kernel
@@ -774,7 +776,7 @@ class TestBatchEquivalence:
         labels = list(range(len(bundles)) if path_indices is None
                       else path_indices)
         records = [recording(spec, cfg, bundles, inverse) for inverse in
-                   ((False, True) if name == "tsee_euler" else (False,))]
+                   ((False, True) if name.startswith("tsee") else (False,))]
 
         def sink(level, paths, view, gauge):
             if also is not None:
@@ -808,16 +810,19 @@ class TestBatchEquivalence:
         bundle = self._bundles()[0]
         report = run_path(spec, cfg, kernel, bundle)
         y0 = start_of(spec, cfg)
-        history = History(kernel, cfg.dt)
-        history.append(y0)
-        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle, kernel), y0, 0,
+        history = None
+        if kernel is not None:
+            history = History(kernel, cfg.dt)
+            history.append(y0)
+        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle), y0, 0,
                                  history)
         view = to_physical(y0)
         assert report.l2[0] == l2_norm(y0)
         assert report.lambda_l2[0] == l2_norm(lam)
         assert report.power_norm[0] == lp_norm(view, cfg.power) ** cfg.power
 
-    @pytest.mark.parametrize("name", ["tsee_euler", "msee_lie_memory", "wsee"])
+    @pytest.mark.parametrize("name", ["tsee_euler", "tsee_lie_memory",
+                                      "msee_lie_memory", "wsee"])
     def test_batch_equals_paths_alone(self, grid8, name):
         spec, cfg, kernel = self._case(grid8, name)
         bundles = self._bundles()
@@ -900,26 +905,18 @@ class TestBatchEquivalence:
 
 
 class TestMemoryCoupling:
-    def _setup(self, grid4):
+    def _setup(self, grid4, b_field=None):
         n = grid4.points_per_axis
         b = SeparableSource(shape=constant_amplitude(grid4, 0.1))
-        spec = make_noise_spec(grid4, [0.2 * np.ones((n, n, n))], [b],
-                               zero_source(grid4),
+        if b_field is None:
+            b_field = 0.2 * np.ones((n, n, n))
+        spec = make_noise_spec(grid4, [b_field], [b], zero_source(grid4),
                                random_field(grid4, seed=21, scale=0.5))
         bundle = sample_brownian(1, 0.5, 32, seed=17)
         kernel = exponential_kernel(2.0, 1.0)
         cfg = em_cfg(0.5 / 32, level=1, equation=MSEE,
                      kerr=KerrExponent(2.0, True))
         return spec, bundle, kernel, cfg
-
-    def test_tsee_refuses_a_memory_kernel(self, grid4):
-        # the stepper carries the memory term in msee and wsee only; tsee
-        # takes it through solve_with_memory
-        spec, bundle, kernel, cfg = self._setup(grid4)
-        with pytest.raises(UsageError, match=r"\[kernel\]"):
-            run_path(spec, replace(cfg, equation=TSEE), kernel, bundle)
-        run_path(spec, replace(cfg, equation=TSEE), exponential_kernel(0.0, 1.0),
-                 bundle)
 
     def test_direct_memory_run_refuses_a_late_start(self, grid4):
         # the history of a direct run starts with the run, so its bundle
@@ -945,10 +942,25 @@ class TestMemoryCoupling:
         assert len(diag_a["windows"]) >= 2
         assert a.data.tobytes() == b.data.tobytes()
         assert diag_a["windows"] == diag_b["windows"]
+        # the exit is reported once, not again at each later window's start
+        assert diag_a["events"] == diag_b["events"] == [{
+            "kind": "beta_truncation", "time": bundle.times[k_exit],
+            "level": m}]
 
-    def test_picard_matches_direct_history_run(self, grid4):
-        spec, bundle, kernel, cfg = self._setup(grid4)
-        _, direct = recorded_path(spec, cfg, kernel, bundle)
+    @pytest.mark.parametrize("make_cfg", [em_cfg, lie_cfg])
+    @pytest.mark.parametrize("equation,b_field", [
+        (MSEE, "constant"), (TSEE, "constant"), (TSEE, "plane-wave")])
+    def test_picard_matches_direct_history_run(self, grid4, make_cfg,
+                                               equation, b_field):
+        # the direct run carries G * u for every equation; under gauged tsee
+        # it folds u and gauges the term, as the Picard windows do
+        b_field = (cos_multiplier(grid4, 0.2) if b_field == "plane-wave"
+                   else None)
+        spec, bundle, kernel, cfg = self._setup(grid4, b_field)
+        cfg = make_cfg(cfg.dt, level=1, equation=equation, kerr=cfg.kerr)
+        record = recording(spec, cfg, [bundle], inverse=True)
+        run_path(spec, cfg, kernel, bundle, sink=record)
+        direct = record.trajectory(0)
         fixed, diag = solve_with_memory(spec, cfg, kernel, bundle)
         assert trajectory_sup_distance(fixed, direct) < 1e-10
         assert len(diag["windows"]) >= 2  # the kernel forces sub-windows
