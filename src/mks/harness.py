@@ -207,26 +207,37 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
     report = RunReport.from_paths(reports)
     report.events.extend(blowups)
 
-    _write_series_csv(out / "series.csv", reports)
-    _write_summary_csv(out / "summary.csv", report, cfg)
-    _write_assumptions_csv(out / "assumptions.csv", cfg, model)
+    _write_csv(out / "series.csv",
+               ["path", "step", "time", "l2", "power_norm", "lambda_l2",
+                "energy_residual"],
+               ([r.path_index, k, _fmt(t), _fmt(r.l2[k]),
+                 _fmt(r.power_norm[k]), _fmt(r.lambda_l2[k]),
+                 _fmt(r.energy_residual[k])]
+                for r in reports for k, t in enumerate(r.times)))
+    _write_csv(out / "summary.csv", ["metric", "value"],
+               _summary_rows(report, cfg))
+    _write_csv(out / "assumptions.csv", ["tag", "status", "detail"],
+               ([row["tag"], row["status"], row["detail"]]
+                for row in assumption_echo(cfg, model)))
     if root is not None:
-        _write_checkpoint_index(root, reports, model.scheme.save_stride)
+        stride = model.scheme.save_stride
+        _write_csv(root / "index.csv", ["path", "step", "time", "file"],
+                   ([r.path_index, level, _fmt(t),
+                     _checkpoint_name(r.path_index, level)]
+                    for r in reports
+                    for level, t in enumerate(r.times[::stride])))
 
     status = 0 if not blowups else 1
     return report, status
 
 
-def _write_series_csv(path: Path, reports):
+def _write_csv(path: Path, header: list, rows):
+    """A CSV file of ``header`` and ``rows``, written through a temp-file
+    rename."""
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["path", "step", "time", "l2", "power_norm", "lambda_l2",
-                "energy_residual"])
-    for r in reports:
-        for k, t in enumerate(r.times):
-            w.writerow([r.path_index, k, _fmt(t), _fmt(r.l2[k]),
-                        _fmt(r.power_norm[k]), _fmt(r.lambda_l2[k]),
-                        _fmt(r.energy_residual[k])])
+    w.writerow(header)
+    w.writerows(rows)
     write_atomic(path, buf.getvalue().encode())
 
 
@@ -244,42 +255,22 @@ def _monte_carlo_rows(report: RunReport) -> list:
 
 
 def _summary_rows(report: RunReport, cfg: ExperimentConfig):
+    """The Monte-Carlo rows (over the surviving paths), the event count and
+    the model, then what the averages leave out: the paths that blew up, the
+    surviving paths whose Brownian bundle was frozen at the truncation level
+    (``paths`` of these), and the earliest freeze time."""
     rows = _monte_carlo_rows(report)
     rows.append(("events", str(len(report.events))))
     rows.append(("equation", cfg.equation))
     rows.append(("q", _fmt(cfg.q)))
+    truncations = {e["path"]: e["time"] for e in report.events
+                   if e["kind"] == "beta_truncation"}
+    blowups = sum(e["kind"] == "blowup" for e in report.events)
+    rows.append(("blowup_paths", str(blowups)))
+    rows.append(("truncated_paths", str(len(truncations))))
+    rows.append(("first_truncation_time",
+                 _fmt(min(truncations.values())) if truncations else "none"))
     return rows
-
-
-def _write_summary_csv(path: Path, report: RunReport, cfg: ExperimentConfig):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["metric", "value"])
-    for key, val in _summary_rows(report, cfg):
-        w.writerow([key, val])
-    write_atomic(path, buf.getvalue().encode())
-
-
-def _write_assumptions_csv(path: Path, cfg: ExperimentConfig,
-                           model: RuntimeModel):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["tag", "status", "detail"])
-    for row in assumption_echo(cfg, model):
-        w.writerow([row["tag"], row["status"], row["detail"]])
-    write_atomic(path, buf.getvalue().encode())
-
-
-def _write_checkpoint_index(root: Path, reports, stride: int):
-    """index.csv of the checkpoints of the completed paths, in path order."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["path", "step", "time", "file"])
-    for r in reports:
-        for level, t in enumerate(r.times[::stride]):
-            w.writerow([r.path_index, level, _fmt(t),
-                        _checkpoint_name(r.path_index, level)])
-    write_atomic(root / "index.csv", buf.getvalue().encode())
 
 
 def reaggregate(out_dir) -> list:

@@ -31,13 +31,16 @@ arrays the Lambda diagnostic and the energy ledger read.  The gauge phase
 (gauged tsee) is formed once per step too, and the pointwise norm of the
 physical view feeds both the power norm and the next Kerr force.
 
-The step index k is the only clock.  A stepper maps (y, k) to the state at
-t_{k+1}; the gauge phase reads beta at index k and the memory ``History``
-holds one state per index.  The time
-t_k = ``bundle.times[k]`` is read where a time profile (J(t), b_j(t)) needs
-it.  A run covers the whole of the bundles it is given, so k indexes them
-from their first time; the Picard driver (``solve_with_memory``) runs a
-window by handing over that window's slice of its frozen bundle.
+The step index k is the only clock; ``run_paths`` owns it with the batch's
+Brownian values and forms dbeta_k = beta(t_{k+1}) - beta(t_k) once per step
+for the energy ledger and the stepper.  A stepper maps (y, t_k, dbeta_k) to
+the state at t_{k+1}; the gauge phase reads beta at index k and the memory
+``History`` holds one state per index.  A run covers the whole of the
+bundles it is given, so k indexes them from their first time; the Picard
+driver (``solve_with_memory``) runs a window by handing over that window's
+slice of its frozen bundle.  Each state is observed once, at the top of the
+step loop (norms, ledger, phase, view, sink, memory term, Lambda), then
+stepped, the last one excepted; blow-ups are checked on stepped states.
 
 Paths are stepped in batches: ``run_paths`` advances P paths, one Brownian
 bundle each, with one call per operation.  The packed state is
@@ -289,6 +292,7 @@ class _StaticPieces:
 
     space: GalerkinSpace
     phase_trivial: bool
+    gauged: bool                  # tsee with a nontrivial gauge phase
     sum_b_squared: np.ndarray | None
     coupling_shapes: tuple        # -i B_j b_j shape, or None per channel
     current_zero: bool
@@ -304,6 +308,7 @@ def _static_pieces(spec: NoiseSpec, equation: str,
     space = galerkin_space(spec.grid, level)
     n3 = (spec.grid.points_per_axis,) * 3
     phase_trivial = all(not np.any(b) for b in spec.B_fields)
+    gauged = equation == TSEE and not phase_trivial
 
     sum_b_squared = None
     if not phase_trivial:
@@ -319,7 +324,7 @@ def _static_pieces(spec: NoiseSpec, equation: str,
 
     current_zero = not np.any(spec.current.shape.data)
     current_hat = None
-    if not current_zero and (equation != TSEE or phase_trivial):
+    if not current_zero and not gauged:
         current_hat = space.spectral(spec.current.shape).data
     noise_level = CutoffLevel(level.n - 1)
 
@@ -338,9 +343,9 @@ def _static_pieces(spec: NoiseSpec, equation: str,
     i_b_fields = ()
     if equation != TSEE and not phase_trivial:
         i_b_fields = tuple(1j * b_field for b_field in spec.B_fields)
-    return _StaticPieces(space, phase_trivial, sum_b_squared, coupling_shapes,
-                         current_zero, current_hat, noise_level, cached_noise,
-                         i_b_fields)
+    return _StaticPieces(space, phase_trivial, gauged, sum_b_squared,
+                         coupling_shapes, current_zero, current_hat,
+                         noise_level, cached_noise, i_b_fields)
 
 
 class StepContext:
@@ -358,16 +363,16 @@ class StepContext:
     is evaluated); the noise takes the phase and, when the caller has it,
     the view.
 
-    ``bundle`` is a BrownianBundle for one path, or a BundleStack whose rows
-    belong to the rows of a stacked y.  Noise amplitudes that do not depend
-    on the path (a trivial gauge) come back without a path axis.
+    A context depends on (cfg, spec) alone: the run owns the Brownian
+    values and the clock, and hands each evaluation its time t and, where a
+    gauged term is formed, the phase of every path.  y is one path's state
+    or a batch's stacked states; noise amplitudes that do not depend on the
+    path (a trivial gauge) come back without a path axis.
     """
 
-    def __init__(self, cfg: SchemeConfig, spec: NoiseSpec,
-                 bundle: BrownianBundle | BundleStack):
+    def __init__(self, cfg: SchemeConfig, spec: NoiseSpec):
         self.cfg = cfg
         self.spec = spec
-        self.bundle = bundle
         self.grid = spec.grid
         self.static = _static_pieces(spec, cfg.equation, cfg.cutoff_level)
         self.space = self.static.space
@@ -425,7 +430,7 @@ class StepContext:
             return acc
 
         static = self.static
-        if self.cfg.equation == TSEE and not static.phase_trivial:
+        if static.gauged:
             view = _physical(y, view)
             phys = add(phys, 0.5 * static.sum_b_squared * view.data)
             phys = add(phys, cross_drift_apply(self.spec, gauge.beta, view))
@@ -469,7 +474,7 @@ class StepContext:
                     for source, cached in zip(spec.b_sources,
                                               static.cached_noise)]
         out = []
-        if self.cfg.equation == TSEE:
+        if static.gauged:
             phase = gauge.of_fields
             for source in spec.b_sources:
                 raw = Field6(self.grid, PHYSICAL, source.at(t) * phase)
@@ -491,7 +496,6 @@ def _noise_increment(zs, dbeta):
     dbeta is (N,), or (P, N) with one row per path of a batch."""
     if not zs:
         return 0.0
-    dbeta = np.asarray(dbeta)
 
     def term(i):
         return dbeta[..., i, None, None, None, None] * zs[i].data
@@ -502,27 +506,25 @@ def _noise_increment(zs, dbeta):
     return incr
 
 
-def _increments(ctx: StepContext, k: int) -> np.ndarray:
-    """beta(t_{k+1}) - beta(t_k) of every path: (N,), or (P, N) for a batch."""
-    values = ctx.bundle.values
-    return values[..., k + 1] - values[..., k]
-
-
-def step_euler_maruyama(y: Field6, k: int, ctx: StepContext, lam: Field6,
-                        zs: list, memory: Field6 | None,
+def step_euler_maruyama(y: Field6, t: float, dbeta: np.ndarray,
+                        ctx: StepContext, lam: Field6, zs: list,
+                        memory: Field6 | None,
                         gauge: GaugePhase | None) -> Field6:
     """y(t_{k+1}) = y + dt Lambda + sum_i Z_i dbeta_i on packed data, with
-    Lambda and Z evaluated at y = y(t_k) by the caller (``memory`` is
-    already part of Lambda)."""
-    incr = ctx.cfg.dt * lam.data + _noise_increment(zs, _increments(ctx, k))
+    Lambda and Z evaluated at y = y(t_k), t = t_k, by the caller (``memory``
+    is already part of Lambda).  dbeta is the step's increment
+    beta(t_{k+1}) - beta(t_k): (N,), or (P, N) with one row per path."""
+    incr = ctx.cfg.dt * lam.data + _noise_increment(zs, dbeta)
     return y.with_data(y.data + incr)
 
 
-def step_lie_splitting(y: Field6, k: int, ctx: StepContext, lam: Field6,
-                       zs: list, memory: Field6 | None,
+def step_lie_splitting(y: Field6, t: float, dbeta: np.ndarray,
+                       ctx: StepContext, lam: Field6, zs: list,
+                       memory: Field6 | None,
                        gauge: GaugePhase | None) -> Field6:
     """Exact free flow, Kerr resolvent, remaining drift, noise increment:
-    y(t_k) to y(t_{k+1}).
+    y(t_k) to y(t_{k+1}), with t = t_k and dbeta as in
+    ``step_euler_maruyama``.
 
     Lambda and Z at the current state are not used: the remaining drift and
     the noise are evaluated at the propagated state, with the step's gauge
@@ -530,7 +532,6 @@ def step_lie_splitting(y: Field6, k: int, ctx: StepContext, lam: Field6,
     one evaluation ``memory`` enters as it is.  Only the Kerr resolvent and
     the noise at the propagated state leave Fourier space."""
     cfg = ctx.cfg
-    t = float(ctx.bundle.times[k])
     # (1) exact free propagator, mode-wise (commutes with the projection)
     y = maxwell_group(cfg.dt, y)
     # (2) monotone implicit Kerr resolvent in physical space, re-projected
@@ -544,7 +545,7 @@ def step_lie_splitting(y: Field6, k: int, ctx: StepContext, lam: Field6,
     # (4) noise increment
     z_prop = ctx.noise(y, t, gauge=gauge)
     if z_prop:
-        y = y.with_data(y.data + _noise_increment(z_prop, _increments(ctx, k)))
+        y = y.with_data(y.data + _noise_increment(z_prop, dbeta))
     return y
 
 
@@ -699,7 +700,8 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     m_level = _truncation_level(cfg, first.horizon)
     frozen, events = zip(*(_freeze(bundle, m_level) for bundle in bundles))
 
-    ctx = StepContext(cfg, spec, BundleStack.of(frozen))
+    stack = BundleStack.of(frozen)
+    ctx = StepContext(cfg, spec)
     if initial is not None:
         _require_representation(initial, SPECTRAL, "run_path initial state")
         y0 = ctx.space.pack(initial)
@@ -717,35 +719,49 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
 
     stepper = _STEPPERS[cfg.scheme]
     power = cfg.power
-    # one gauge phase per step, shared by drift, noise and the sink
-    phased = cfg.equation == TSEE and not ctx.static.phase_trivial
-
+    steps = first.steps
     l2, power_norm, lambda_l2, residual = (
-        np.empty((count, first.steps + 1)) for _ in range(4))
-    residual[:, 0] = 0.0
+        np.empty((count, steps + 1)) for _ in range(4))
     outcomes = [None] * count
     alive = list(range(count))  # the batch's rows still stepping
 
-    def observe(k, view, gauge):
-        """Power norm and saved fields from the physical view; returns
-        the view's pointwise norm when the next Kerr force needs it."""
+    for k in range(steps + 1):
+        t = float(stack.times[k])
+        norms = l2_norm(y).tolist()
+        kept = [i for i, norm in enumerate(norms)
+                if np.isfinite(norm) and norm <= BLOWUP_THRESHOLD]
+        if k == 0:
+            ledger = _EnergyLedger(norms)
+        elif len(kept) < len(alive):  # only a stepped state blows up
+            for i, norm in enumerate(norms):
+                if i not in kept:
+                    outcomes[alive[i]] = BlowUpError(
+                        f"trajectory blew up at t = {t:.6g} "
+                        f"(||y|| = {norm:.3e})", time=t, norm=norm)
+            alive = [alive[i] for i in kept]
+            if not alive:
+                break
+            norms = [norms[i] for i in kept]
+            ledger.take(kept)
+            stack = stack.take(kept)
+            y = y.with_data(y.data[kept])
+            if history is not None:
+                history = history.take(kept)
+        l2[alive, k] = norms
+        residual[alive, k] = ledger.residual(norms)
+
+        # one gauge phase per step, shared by drift, noise and the sink
+        gauge = gauge_phase(spec, stack, k) if ctx.static.gauged else None
+        view = to_physical(y)
         magnitude = pointwise_norm(view)
         norms = lp_norm(view, power, magnitude).tolist()
         power_norm[alive, k] = [v ** power for v in norms]
+        if cfg.kerr is None:
+            magnitude = None  # only the Kerr force reads it
         level, off_level = divmod(k, cfg.save_stride)
         if sink is not None and not off_level:
             sink(level, [path_indices[row] for row in alive], view, gauge)
-        return magnitude if cfg.kerr is not None else None
 
-    norms = l2_norm(y).tolist()
-    ledger = _EnergyLedger(norms)
-    l2[:, 0] = norms
-    gauge = gauge_phase(spec, ctx.bundle, 0) if phased else None
-    view = to_physical(y)
-    magnitude = observe(0, view, gauge)
-
-    for k in range(first.steps + 1):
-        t = float(ctx.bundle.times[k])
         if history is not None:
             # u under gauged tsee: the law acts on u, not on y
             history.append(y if gauge is None
@@ -754,36 +770,13 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         lam = ctx.drift(y, t, memory=memory, view=view, gauge=gauge,
                         magnitude=magnitude)
         lambda_l2[alive, k] = l2_norm(lam)
-        if k == first.steps:
-            break  # the last Lambda is observed, not stepped
-        zs = ctx.noise(y, t, view=view, gauge=gauge)
-        ledger.update(y, lam, zs, _increments(ctx, k), cfg.dt)
-        y = stepper(y, k, ctx, lam, zs, memory, gauge)
+        if k == steps:
+            break  # the last state is observed, not stepped
 
-        norms = l2_norm(y).tolist()
-        kept = [i for i, norm in enumerate(norms)
-                if np.isfinite(norm) and norm <= BLOWUP_THRESHOLD]
-        if len(kept) < len(alive):
-            t_new = float(ctx.bundle.times[k + 1])
-            for i, norm in enumerate(norms):
-                if i not in kept:
-                    outcomes[alive[i]] = BlowUpError(
-                        f"trajectory blew up at t = {t_new:.6g} "
-                        f"(||y|| = {norm:.3e})", time=t_new, norm=norm)
-            alive = [alive[i] for i in kept]
-            if not alive:
-                break
-            norms = [norms[i] for i in kept]
-            ledger.take(kept)
-            ctx = StepContext(cfg, spec, ctx.bundle.take(kept))
-            y = y.with_data(y.data[kept])
-            if history is not None:
-                history = history.take(kept)
-        l2[alive, k + 1] = norms
-        residual[alive, k + 1] = ledger.residual(norms)
-        gauge = gauge_phase(spec, ctx.bundle, k + 1) if phased else None
-        view = to_physical(y)
-        magnitude = observe(k + 1, view, gauge)
+        zs = ctx.noise(y, t, view=view, gauge=gauge)
+        dbeta = stack.values[..., k + 1] - stack.values[..., k]
+        ledger.update(y, lam, zs, dbeta, cfg.dt)
+        y = stepper(y, t, dbeta, ctx, lam, zs, memory, gauge)
 
     for row in alive:
         report = PathReport(path_index=path_indices[row],

@@ -84,13 +84,14 @@ def fan_out(*sinks):
     return sink
 
 
-def drift_and_noise(ctx, y: Field6, k: int, history=None):
-    """Lambda and Z of a ``StepContext`` at grid index k, formed from what
-    ``run_paths`` hands them: y's physical view and the step's gauge phase
-    (the Kerr force forms the view's norm itself).  ``history``: a memory
-    History of packed y, read without a phase (msee, wsee)."""
-    t = float(ctx.bundle.times[k])
-    view, gauge = to_physical(y), gauge_phase(ctx.spec, ctx.bundle, k)
+def drift_and_noise(ctx, bundle, y: Field6, k: int, history=None):
+    """Lambda and Z of a ``StepContext`` at grid index k of ``bundle``,
+    formed from what ``run_paths`` hands them: y's physical view and the
+    step's gauge phase (the Kerr force forms the view's norm itself).
+    ``history``: a memory History of packed y, read without a phase (msee,
+    wsee)."""
+    t = float(bundle.times[k])
+    view, gauge = to_physical(y), gauge_phase(ctx.spec, bundle, k)
     lam = ctx.drift(y, t, memory=ctx.memory_term(history, None), view=view,
                     gauge=gauge, magnitude=None)
     return lam, ctx.noise(y, t, gauge=gauge, view=view)

@@ -138,8 +138,8 @@ class TestEnergyResidual:
         states = [to_spectral(Field6(grid8, PHYSICAL, traj.data[k]))
                   for k in range(17)]
         ctx_states = states[:-1]
-        ctx = StepContext(cfg, spec, bundle)
-        drifts, noises = zip(*(drift_and_noise(ctx, ctx_states[k], k)
+        ctx = StepContext(cfg, spec)
+        drifts, noises = zip(*(drift_and_noise(ctx, bundle, ctx_states[k], k)
                                for k in range(16)))
         r = energy_identity_residual(states, drifts, noises, bundle, cfg.dt)
         assert np.allclose(r, report.energy_residual, atol=1e-12)

@@ -314,6 +314,29 @@ class TestRunExperiment:
         for key in expected:
             assert rows[key] == summary[key], key
 
+    def test_summary_counts_the_paths_left_out(self, tmp_path, monkeypatch):
+        # tau_m = 0.2 freezes the bundles of paths 0, 1 and 3 (at t =
+        # 0.09375, 0.125 and 0.125) and a threshold of 1.5 blows up path 0
+        # alone, so two of the three surviving paths were truncated
+        monkeypatch.setattr(mks.stepping, "BLOWUP_THRESHOLD", 1.5)
+        cfg = parse_config(SMALL_RUN.replace(
+            "horizon = 0.25", "horizon = 0.25\ntau_m = 0.2"))
+        _, status = run_experiment(cfg, workers=1, out_dir=tmp_path)
+        assert status == 1
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert dict(rows[1:])["paths"] == "3"
+        assert rows[-4:] == [["q", "2"], ["blowup_paths", "1"],
+                             ["truncated_paths", "2"],
+                             ["first_truncation_time", "0.125"]]
+
+    def test_summary_without_blowups_or_truncation(self, tmp_path):
+        run_experiment(parse_config(ZERO_INPUT), workers=1, out_dir=tmp_path)
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[-3:] == [["blowup_paths", "0"], ["truncated_paths", "0"],
+                             ["first_truncation_time", "none"]]
+
     def test_assumption_echo_written(self, tmp_path):
         cfg = parse_config(SMALL_RUN)
         run_experiment(cfg, workers=1, out_dir=tmp_path)

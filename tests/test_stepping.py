@@ -170,8 +170,10 @@ class TestEulerStep:
         expected = cfg.dt * proj.data + dbeta * filt.data
 
         y0 = start_of(spec, cfg)
-        ctx = StepContext(cfg, spec, bundle)
-        new = step_euler_maruyama(y0, 0, ctx, *drift_and_noise(ctx, y0, 0),
+        ctx = StepContext(cfg, spec)
+        new = step_euler_maruyama(y0, 0.0, bundle.values[:, 1]
+                                  - bundle.values[:, 0], ctx,
+                                  *drift_and_noise(ctx, bundle, y0, 0),
                                   None, gauge_phase(spec, bundle, 0))
         assert np.max(np.abs(to_physical(new).data - expected)) < 1e-14
 
@@ -185,13 +187,13 @@ class TestEulerStep:
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
         y = start_of(spec, cfg)
         for k in range(3):
-            lam, zs = drift_and_noise(StepContext(cfg, spec, bundle),
-                                      y, k)
+            lam, zs = drift_and_noise(StepContext(cfg, spec), bundle, y, k)
             dbeta = bundle.values[:, k + 1] - bundle.values[:, k]
             incr = cfg.dt * lam.data + _noise_increment(zs, dbeta)
             expected = y.data + incr
-            ctx = StepContext(cfg, spec, bundle)
-            y = step_euler_maruyama(y, k, ctx, *drift_and_noise(ctx, y, k),
+            ctx = StepContext(cfg, spec)
+            y = step_euler_maruyama(y, float(bundle.times[k]), dbeta, ctx,
+                                    *drift_and_noise(ctx, bundle, y, k),
                                     None, gauge_phase(spec, bundle, k))
             assert np.array_equal(y.data, expected)
 
@@ -287,7 +289,7 @@ class TestLambdaProcess:
         bundle = sample_brownian(0, 1.0, 16, seed=9)
         cfg = em_cfg(1 / 16, kerr=KerrExponent(2.0, True))
         y0 = start_of(spec, cfg)
-        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle), y0, 0)
+        lam, _ = drift_and_noise(StepContext(cfg, spec), bundle, y0, 0)
         assert l2_norm(lam) == 0.0
 
     def test_linear_case_is_projected_maxwell(self, grid8):
@@ -296,7 +298,7 @@ class TestLambdaProcess:
         bundle = sample_brownian(0, 1.0, 16, seed=10)
         cfg = em_cfg(1 / 16)
         y0 = start_of(spec, cfg)
-        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle), y0, 0)
+        lam, _ = drift_and_noise(StepContext(cfg, spec), bundle, y0, 0)
         from mks.operators import maxwell_apply
 
         expected = sharp_cutoff(maxwell_apply(y0), cfg.cutoff_level)
@@ -318,14 +320,14 @@ class TestLambdaProcess:
         y_hat = start_of(spec, cfg)
         y = to_physical(y_hat)
         assert bundle.values[0, 5] != 0.0
-        ctx = StepContext(cfg, spec, bundle)
+        ctx = StepContext(cfg, spec)
         raw = (to_physical(maxwell_apply(to_spectral(y))).data
                - kerr_force(y, cfg.kerr).data
                + drift_A_apply(y, 5, spec, bundle).data
                + transformed_current(5, spec, bundle).data)
         expected = to_physical(sharp_cutoff(
             to_spectral(y.with_data(raw)), cfg.cutoff_level))
-        lam, (z,) = drift_and_noise(ctx, y_hat, 5)
+        lam, (z,) = drift_and_noise(ctx, bundle, y_hat, 5)
         lam = to_physical(lam)
         assert np.max(np.abs(lam.data - expected.data)) < 1e-12
         noise = to_physical(smooth_cutoff(
@@ -524,6 +526,19 @@ class TestRunPath:
         with pytest.raises(BlowUpError) as info:
             run_path(spec, em_cfg(0.25), None, bundle)
         assert info.value.norm > 1e3
+
+    def test_start_state_over_the_threshold_blows_up_at_t1(self, grid8):
+        # blow-ups are checked on stepped states: a start state over the
+        # threshold is stepped once and leaves the batch at t_1
+        spec = free_spec(grid8, zero_field(grid8))
+        bundles = [sample_brownian(0, 1.0, 16, seed=s) for s in (1, 2, 3)]
+        start = to_spectral(random_field(grid8, seed=4, scale=1e9))
+        assert l2_norm(start) > mks.stepping.BLOWUP_THRESHOLD
+        results = run_paths(spec, em_cfg(1 / 16), None, bundles,
+                            initial=start)
+        assert all(isinstance(r, BlowUpError) for r in results)
+        assert [r.time for r in results] == [bundles[0].times[1]] * 3 \
+            == [0.0625] * 3
 
     def test_beta_truncation_freezes_and_logs(self, grid8):
         b = SeparableSource(shape=constant_amplitude(grid8, 0.1))
@@ -814,7 +829,7 @@ class TestBatchEquivalence:
         if kernel is not None:
             history = History(kernel, cfg.dt)
             history.append(y0)
-        lam, _ = drift_and_noise(StepContext(cfg, spec, bundle), y0, 0,
+        lam, _ = drift_and_noise(StepContext(cfg, spec), bundle, y0, 0,
                                  history)
         view = to_physical(y0)
         assert report.l2[0] == l2_norm(y0)
