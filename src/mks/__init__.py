@@ -85,7 +85,6 @@ from .stepping import (
     SchemeConfig,
     Trajectory,
     initial_coefficients,
-    run_path,
     run_paths,
     solve_with_memory,
     step_euler_maruyama,

@@ -37,7 +37,7 @@ from .kerr import KerrExponent
 from .memory import EXPONENTIAL, ZERO, KernelSpec
 from .multipliers import MAX_LEVEL, CutoffLevel
 from .noise import NoiseSpec, SeparableSource, TimeProfile, make_noise_spec
-from .stepping import MSEE, TSEE, WSEE, SchemeConfig, m_u0_norm
+from .stepping import MAX_STEPS, MSEE, TSEE, WSEE, SchemeConfig, m_u0_norm
 
 WEAK = "weak"
 STRONG = "strong"
@@ -380,6 +380,9 @@ def validate_config(cfg: ExperimentConfig) -> list:
         v.append(f"[kernel] unknown form {cfg.kernel_form!r}")
     if cfg.dt <= 0 or cfg.horizon <= 0:
         v.append("[scheme] dt and horizon must be positive")
+    elif cfg.horizon / cfg.dt > MAX_STEPS:  # before any time grid is formed
+        v.append(f"[scheme] dt={cfg.dt} takes more than {MAX_STEPS} steps "
+                 f"over horizon={cfg.horizon}")
     else:
         steps = cfg.horizon / cfg.dt
         if abs(steps - round(steps)) > 1e-9:
@@ -474,6 +477,7 @@ class RuntimeModel:
     steps: int
     paths: int
     base_seed: int
+    stride: int                    # steps between written checkpoints
 
 
 def build_runtime(cfg: ExperimentConfig) -> RuntimeModel:
@@ -512,12 +516,11 @@ def build_runtime(cfg: ExperimentConfig) -> RuntimeModel:
     scheme = SchemeConfig(scheme=cfg.scheme, dt=cfg.dt,
                           cutoff_level=CutoffLevel(cfg.cutoff),
                           equation=cfg.equation, kerr=kerr,
-                          beta_truncation_m=cfg.tau_m,
-                          save_stride=cfg.stride)
+                          beta_truncation_m=cfg.tau_m)
     steps = int(round(cfg.horizon / cfg.dt))
     return RuntimeModel(grid=grid, spec=spec, kernel=kernel, scheme=scheme,
                         horizon=cfg.horizon, steps=steps, paths=cfg.paths,
-                        base_seed=cfg.base_seed)
+                        base_seed=cfg.base_seed, stride=cfg.stride)
 
 
 def assumption_echo(cfg: ExperimentConfig, model: RuntimeModel):

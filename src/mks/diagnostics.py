@@ -17,8 +17,8 @@ import numpy as np
 from .errors import UsageError
 from .multipliers import CutoffLevel
 from .noise import NoiseSpec, sample_brownian, refine_bundle
-from .stepping import (Recording, SchemeConfig, path_batches, raise_blowups,
-                       run_paths, trajectory_sup_distance)
+from .stepping import (MAX_STEPS, Recording, SchemeConfig, path_batches,
+                       raise_blowups, run_paths, trajectory_sup_distance)
 
 REFINE_FACTOR = 4  # strong-error reference step min(dts) / REFINE_FACTOR
 
@@ -105,30 +105,39 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
 
     The step sizes and the reference, at min(dts)/REFINE_FACTOR, are rungs
     of one ``bundle_ladder``: one run_paths call per batch and step size,
-    one for the reference.  Paths record only t = 0 and T, whatever ``cfg``
-    says.
+    one for the reference.  A run's sink keeps the states at T only.
     """
     dts = sorted(dts, reverse=True)
     if not all(dt > 0 for dt in dts):  # rejects nan too
         raise UsageError("dts must be positive")
+    if not all(np.isfinite(dts)):
+        raise UsageError("dts must be finite")
     for a, b in zip(dts, dts[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise UsageError("dts must be dyadic (each half the previous)")
     if len(dts) < 3:
         raise UsageError("need at least three step sizes")
+    reference = dts[-1] / REFINE_FACTOR
+    if horizon / reference > MAX_STEPS:  # before the ladder is formed
+        raise UsageError(f"dts: the reference step {reference:.3g} takes "
+                         f"more than {MAX_STEPS} steps over horizon={horizon}")
 
     def terminal_states(dt, bundles):
-        run = replace(cfg, dt=dt, save_stride=bundles[0].steps)
-        record = Recording(spec.grid, bundles[0].times[::run.save_stride],
-                           len(bundles), inverse=False)
-        raise_blowups(run_paths(spec, run, kernel, bundles, sink=record))
-        return record.data[:, -1]
+        states = np.empty((len(bundles),) + spec.u0.data.shape, np.complex128)
+
+        def sink(k, paths, view, gauge):
+            if k == bundles[0].steps:
+                states[paths] = view.data
+
+        raise_blowups(run_paths(spec, replace(cfg, dt=dt), kernel, bundles,
+                                sink=sink))
+        return states
 
     rungs = len(dts) + int(np.log2(REFINE_FACTOR))
     errors = {dt: [] for dt in dts}
     for ladder in bundle_ladder(spec, seeds, horizon,
                                 int(round(horizon / dts[0])), rungs):
-        y_ref = terminal_states(dts[-1] / REFINE_FACTOR, ladder[-1])
+        y_ref = terminal_states(reference, ladder[-1])
         for dt, bundles in zip(dts, ladder):
             errors[dt] += [np.sqrt(spec.grid.cell_volume)
                            * np.linalg.norm(y - r) for y, r in
@@ -145,12 +154,10 @@ def galerkin_convergence(spec: NoiseSpec, cfg: SchemeConfig, kernel,
                          levels, seeds, horizon: float) -> dict:
     """E sup_t ||y_{n+1} - y_n||_2 on shared paths between consecutive
     distinct cutoff levels (at least two), one run_paths call per batch and
-    level; the sup runs over every step (save stride 1 whatever ``cfg``
-    says)."""
+    level; the sup runs over every step."""
     levels = sorted(set(levels))
     if len(levels) < 2:
         raise UsageError("need at least two distinct cutoff levels")
-    cfg = replace(cfg, save_stride=1)
     steps = max(1, int(round(horizon / cfg.dt)))
     gaps = [[] for _ in levels[1:]]
     for (bundles,) in bundle_ladder(spec, seeds, steps * cfg.dt, steps, 1):

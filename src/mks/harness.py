@@ -16,11 +16,12 @@ processes, each running whole batches; every path is a pure function of
 order, so reruns are bitwise identical for any worker count.
 
 Checkpoints are written by whoever runs the batch, the parent or a worker,
-as ``run_paths`` hands each saved level to the batch's sink, so no run
-holds its trajectories and workers return reports only.  A path that blows
-up has its files removed; ``index.csv`` is written last, from the reports
-in path order, and lists the completed paths only.  File writes go through
-a temp-file rename.
+as ``run_paths`` hands each state to the batch's sink (step k at
+``[outputs] stride`` s is level k / s when s divides k), so no run holds
+its trajectories and workers return reports only.  A path that blows up
+has its files removed; ``index.csv`` is written last, from the reports in
+path order, and lists the completed paths only.  File writes go through a
+temp-file rename.
 """
 
 from __future__ import annotations
@@ -85,14 +86,17 @@ def _checkpoint_name(path_index: int, level: int) -> str:
 
 def _run_batch(model: RuntimeModel, batch: range, root: Path | None):
     """Integrate one batch of paths of ``model``; one outcome per path.
-    With a checkpoint ``root``, every saved level of every path is written
-    there as it is produced, and a path that blows up has its files
-    removed."""
+    With a checkpoint ``root``, every ``model.stride``-th state of every
+    path is written there as it is produced, and a path that blows up has
+    its files removed."""
     bundles = [sample_brownian(model.spec.count, model.horizon, model.steps,
                                seed=model.base_seed + p) for p in batch]
     sink = None
     if root is not None:
-        def sink(level, paths, view, gauge):
+        def sink(k, paths, view, gauge):
+            level, off_level = divmod(k, model.stride)
+            if off_level:
+                return
             for p, data in zip(paths, view.data):
                 write_checkpoint(Field6(model.grid, PHYSICAL, data),
                                  root / _checkpoint_name(p, level))
@@ -220,12 +224,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
                ([row["tag"], row["status"], row["detail"]]
                 for row in assumption_echo(cfg, model)))
     if root is not None:
-        stride = model.scheme.save_stride
         _write_csv(root / "index.csv", ["path", "step", "time", "file"],
                    ([r.path_index, level, _fmt(t),
                      _checkpoint_name(r.path_index, level)]
                     for r in reports
-                    for level, t in enumerate(r.times[::stride])))
+                    for level, t in enumerate(r.times[::model.stride])))
 
     status = 0 if not blowups else 1
     return report, status

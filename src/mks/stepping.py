@@ -55,8 +55,8 @@ state take each path's own: the zero-beta skip of the cross drift, the
 Newton stop of the Kerr resolvent (solved path by path), beta truncation
 (each path freezes its own bundle) and blow-up (the path leaves the batch,
 the rest go on).  So a path's results are bitwise the same in any batch,
-and ``run_path`` is the same code with a batch of one.  Runs and studies
-cut their paths into ``path_batches``, capped by ``BATCH_VALUES``.
+a batch of one included.  Runs and studies cut their paths into
+``path_batches``, capped by ``BATCH_VALUES``.
 
 The state is the vector of Galerkin coefficients: the packed y holds y^
 on the modes |k_i| <= 2^n only (``galerkin.GalerkinSpace``; when the cube
@@ -71,7 +71,7 @@ B y and the saved fields, which leave the run only through a caller's sink
 sources (J outside gauged tsee, the memory term) plus one packed transform
 (``GalerkinSpace.spectral``) of the summed physical-space terms: its pruned
 forward passes compute the retained modes only, so it is P_n and no mask
-multiply is left.  ``run_path(initial=...)`` applies P_n to the start state
+multiply is left.  ``run_paths(initial=...)`` applies P_n to the start state
 it is given, which drops the rounding-level modes outside the cube of a state
 that went through physical space (the Picard windows hand over a
 gauge-round-tripped state).  Both pruned transforms are bitwise the
@@ -150,6 +150,7 @@ _EQUATIONS = (TSEE, MSEE, WSEE)
 BLOWUP_THRESHOLD = 1e8   # a path whose l2 norm passes this has blown up
 PICARD_TOL = 1e-10       # sup-in-time L^2 gap at a Picard fixed point
 PICARD_MAX_ITER = 60     # Picard iterations per window
+MAX_STEPS = 2**20        # steps of a run: each (K+1) row of it is 8 MB here
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,6 @@ class SchemeConfig:
     equation: str = TSEE
     kerr: KerrExponent | None = None
     beta_truncation_m: float | None = None
-    save_stride: int = 1
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -173,8 +173,6 @@ class SchemeConfig:
             raise ConfigurationError(
                 "cutoff level must be >= 1 (the noise filter sits one dyadic "
                 "level below)")
-        if self.save_stride < 1:
-            raise ConfigurationError("save_stride must be >= 1")
 
     @property
     def power(self):
@@ -201,10 +199,10 @@ def trajectory_sup_distance(a: Trajectory, b: Trajectory) -> float:
 
 
 class Recording:
-    """A ``run_paths`` sink that keeps the levels saved at ``times`` of paths
-    0..P-1 in one (P, levels, 6, n, n, n) array: y, or with ``inverse``
-    u = exp(-i sum_j B_j beta_j) y by the step's own gauge phase (u = y
-    where the run forms none)."""
+    """A ``run_paths`` sink that keeps every state of paths 0..P-1, at the
+    run's ``times``, in one (P, K+1, 6, n, n, n) array: y, or with
+    ``inverse`` u = exp(-i sum_j B_j beta_j) y by the step's own gauge phase
+    (u = y where the run forms none)."""
 
     def __init__(self, grid: GridSpec, times: np.ndarray, count: int, *,
                  inverse: bool):
@@ -214,13 +212,13 @@ class Recording:
         self.data = np.empty((count, len(times), 6)
                              + (grid.points_per_axis,) * 3, np.complex128)
 
-    def __call__(self, level, paths, view, gauge):
+    def __call__(self, k, paths, view, gauge):
         if self.inverse and gauge is not None:
             view = apply_gauge(view, gauge, "inverse")
-        self.data[paths, level] = view.data
+        self.data[paths, k] = view.data
 
     def trajectory(self, path: int) -> Trajectory:
-        """The saved levels of path ``path``: a row of the one array."""
+        """The states of path ``path``: a row of the one array."""
         return Trajectory(grid=self.grid, times=self.times.copy(),
                           data=self.data[path])
 
@@ -635,16 +633,6 @@ def _freeze(bundle: BrownianBundle, level: float):
     }]
 
 
-def run_path(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
-             bundle: BrownianBundle, **options) -> PathReport:
-    """Integrate one path over its whole bundle: ``run_paths`` with a batch
-    of one (``options`` are its keywords), raising the BlowUpError of a path
-    that blew up."""
-    (report,) = raise_blowups(run_paths(spec, cfg, kernel, [bundle],
-                                        **options))
-    return report
-
-
 def raise_blowups(results: list) -> list:
     """The results of ``run_paths``; raises the BlowUpError of the first
     path that blew up."""
@@ -673,16 +661,16 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     their first time to their last; the Picard driver runs a window by
     handing over a slice of its frozen bundle, whose step k is the window's.
 
-    Fields are saved every ``cfg.save_stride``-th step from the first, in
-    physical space, and they leave the run through ``sink`` only: an
-    optional callable (level, paths, view, gauge) called at each saved level
-    with the level's index, the path indices of the rows still stepping,
-    their physical view (one row each, in that order) and the step's gauge
-    phase, or None where the run forms none (msee, wsee, and tsee with a
-    trivial phase, where u = y).  View and phase are valid during the call
-    only, and the sink keeps what it needs, so the run holds no record:
-    ``mks run`` writes checkpoints from it, and a ``Recording`` keeps the
-    levels in memory for the callers that read trajectories.
+    States leave the run through ``sink`` only: an optional callable
+    (k, paths, view, gauge) called at every state, t_0 to t_K, with the step
+    index k, the path indices of the rows still stepping, their physical
+    view (one row each, in that order) and the step's gauge phase, or None
+    where the run forms none (msee, wsee, and tsee with a trivial phase,
+    where u = y).  View and phase are valid during the call only, and the
+    sink keeps what it needs, so the run holds no record and the sink
+    chooses the states it keeps: ``mks run`` writes the checkpoints of its
+    output stride, the strong sweep keeps t_K, and a ``Recording`` keeps
+    every state in memory for the callers that read trajectories.
     """
     count = len(bundles)
     path_indices = list(range(count) if path_indices is None else path_indices)
@@ -691,7 +679,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
                          "least one bundle")
     first = bundles[0]
     if first.steps < 1:
-        raise UsageError("run_path needs at least one step")
+        raise UsageError("run_paths needs at least one step")
     dt_bundle = float(first.times[1] - first.times[0])
     if abs(dt_bundle - cfg.dt) > 1e-9 * max(1.0, cfg.dt):
         raise UsageError(
@@ -703,7 +691,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     stack = BundleStack.of(frozen)
     ctx = StepContext(cfg, spec)
     if initial is not None:
-        _require_representation(initial, SPECTRAL, "run_path initial state")
+        _require_representation(initial, SPECTRAL, "run_paths initial state")
         y0 = ctx.space.pack(initial)
     else:
         y0 = initial_coefficients(spec, cfg.equation, cfg.cutoff_level)
@@ -758,9 +746,8 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         power_norm[alive, k] = [v ** power for v in norms]
         if cfg.kerr is None:
             magnitude = None  # only the Kerr force reads it
-        level, off_level = divmod(k, cfg.save_stride)
-        if sink is not None and not off_level:
-            sink(level, [path_indices[row] for row in alive], view, gauge)
+        if sink is not None:
+            sink(k, [path_indices[row] for row in alive], view, gauge)
 
         if history is not None:
             # u under gauged tsee: the law acts on u, not on y
@@ -800,11 +787,10 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     window run reads the ``History`` of u (the states before the window,
     then the previous iterate) through ``run_paths(history_at=...)``.  The
     direct run carries the memory law for every equation, so this driver is
-    its oracle; the ``tsee`` branch serves that check only.  Every step is
-    kept, so the windows are integrated at save stride 1 whatever ``cfg``
-    says.  An iterate holds its window's states only: the states before the
-    window are the same in every iterate, so the sup distance over the
-    window is the one over [0, T].
+    its oracle; the ``tsee`` branch serves that check only.  An iterate is
+    the ``Recording`` of u over its window, every state of the window and
+    no other: the states before the window are the same in every iterate,
+    so the sup distance over the window is the one over [0, T].
 
     The bundle is frozen once, at the truncation level of [0, T], and each
     window runs on its slice of the frozen bundle: the steps, the gauged
@@ -820,7 +806,7 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     m_level = _truncation_level(cfg, horizon)
     bundle, events = _freeze(bundle, m_level)
     # a window's slice is frozen again at the same level, which keeps it
-    cfg = replace(cfg, save_stride=1, beta_truncation_m=m_level)
+    cfg = replace(cfg, beta_truncation_m=m_level)
     k_total = bundle.steps
     lipschitz_noise = max((float(np.max(np.abs(b))) for b in spec.B_fields),
                           default=0.0)
@@ -831,7 +817,7 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     grid = spec.grid
     n = grid.points_per_axis
     u_data = np.zeros((k_total + 1, 6, n, n, n), dtype=np.complex128)
-    # the filtered initial state, exactly as run_path would build it
+    # the filtered initial state, exactly as run_paths would build it
     y_start = initial_coefficients(spec, cfg.equation, cfg.cutoff_level)
     view0 = to_physical(y_start)
     if cfg.equation == TSEE:

@@ -13,7 +13,7 @@ from mks.grid import (
 )
 from mks.multipliers import CutoffLevel, sharp_cutoff
 from mks.noise import BrownianBundle, NoiseSpec, cross_drift_apply, gauge_phase
-from mks.stepping import Recording, run_path
+from mks.stepping import Recording, raise_blowups, run_paths
 
 
 @pytest.fixture(scope="session")
@@ -62,25 +62,34 @@ def hermitian_defect(f: Field6) -> float:
     return float(np.max(np.abs(f.data - np.conj(rev))))
 
 
-def recording(spec, cfg, bundles, inverse=False) -> Recording:
+def run_path(spec, cfg, kernel, bundle, **options):
+    """Integrate one path over its whole bundle: ``run_paths`` with a batch
+    of one (``options`` are its keywords), raising the BlowUpError of a path
+    that blew up."""
+    (report,) = raise_blowups(run_paths(spec, cfg, kernel, [bundle],
+                                        **options))
+    return report
+
+
+def recording(spec, bundles, inverse=False) -> Recording:
     """A Recording of y (of u with ``inverse``) for a run over all of
-    ``bundles`` at cfg's save stride, its paths labelled 0..P-1."""
-    return Recording(spec.grid, bundles[0].times[::cfg.save_stride],
-                     len(bundles), inverse=inverse)
+    ``bundles``, its paths labelled 0..P-1."""
+    return Recording(spec.grid, bundles[0].times, len(bundles),
+                     inverse=inverse)
 
 
 def recorded_path(spec, cfg, kernel, bundle, **kwargs):
     """``run_path`` into a Recording of y: (the report, the trajectory)."""
-    record = recording(spec, cfg, [bundle])
+    record = recording(spec, [bundle])
     report = run_path(spec, cfg, kernel, bundle, sink=record, **kwargs)
     return report, record.trajectory(0)
 
 
 def fan_out(*sinks):
-    """One sink that hands every saved level to each of ``sinks``."""
-    def sink(*level):
+    """One sink that hands every state to each of ``sinks``."""
+    def sink(*state):
         for each in sinks:
-            each(*level)
+            each(*state)
     return sink
 
 

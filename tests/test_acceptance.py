@@ -36,12 +36,11 @@ from mks.stepping import (
     TSEE,
     SchemeConfig,
     raise_blowups,
-    run_path,
     run_paths,
     trajectory_sup_distance,
 )
 
-from conftest import banded_field, recording
+from conftest import banded_field, recording, run_path
 
 
 def verdict(criterion, ok, detail):
@@ -166,9 +165,9 @@ def test_criterion_5_gauge_duality():
                                  cutoff_level=CutoffLevel(2), equation=TSEE,
                                  kerr=kerr)
             cfg_m = replace(cfg_t, equation=MSEE)
-            u = recording(spec, cfg_t, bundles, inverse=True)
+            u = recording(spec, bundles, inverse=True)
             raise_blowups(run_paths(spec, cfg_t, None, bundles, sink=u))
-            y = recording(spec, cfg_m, bundles)
+            y = recording(spec, bundles)
             raise_blowups(run_paths(spec, cfg_m, None, bundles, sink=y))
             gaps[dt] += [trajectory_sup_distance(u.trajectory(p),
                                                  y.trajectory(p))

@@ -320,6 +320,8 @@ BAD_VALUES = [
                  "[scheme] dt", "nan", id="dt-nan"),
     pytest.param(MINIMAL_WEAK.replace("dt = 0.0625", "dt = inf"),
                  "[scheme] dt", "inf", id="dt-inf"),
+    pytest.param(MINIMAL_WEAK.replace("dt = 0.0625", "dt = 1e-300"),
+                 "[scheme] dt", "1e-300", id="dt-tiny"),
     pytest.param(MINIMAL_WEAK.replace("horizon = 0.5", "horizon = inf"),
                  "[scheme] horizon", "inf", id="horizon-inf"),
     pytest.param(MINIMAL_WEAK.replace("length = 6.283185307179586",

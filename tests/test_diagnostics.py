@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -26,10 +24,10 @@ from mks.stepping import (
     SchemeConfig,
     Trajectory,
     path_batches,
-    run_path,
 )
 
-from conftest import banded_field, coords, drift_and_noise, recorded_path
+from conftest import (banded_field, coords, drift_and_noise, recorded_path,
+                      run_path)
 
 
 def em_cfg(dt, level=2, kerr=None):
@@ -236,21 +234,6 @@ class TestStrongConvergence:
                                        horizon=0.5)
         assert out["slope"] >= 0.4
 
-    def test_save_stride_does_not_move_the_terminal_time(self, grid4):
-        # at stride 3 the last record of 16 steps is t = 15/16, not T: the
-        # sweep records every step, so the table does not depend on it
-        b = SeparableSource(shape=constant_amplitude(grid4, 0.1))
-        n = grid4.points_per_axis
-        spec = make_noise_spec(grid4, [np.zeros((n, n, n))], [b],
-                               zero_source(grid4),
-                               banded_field(grid4, seed=6, level=1))
-        cfg = em_cfg(1.0, level=1)
-        kw = dict(seeds=[1, 2], dts=[1 / 16, 1 / 32, 1 / 64], horizon=1.0)
-        every = strong_convergence_order(spec, cfg, None, **kw)
-        strided = strong_convergence_order(
-            spec, replace(cfg, save_stride=3), None, **kw)
-        assert strided == every
-
     def test_one_run_paths_call_per_step_size(self, grid4, run_paths_calls):
         # one batch of four seeds: three step sizes and the reference at
         # 1/64 / 4; the rung at 1/128 is only refined through, never run
@@ -316,17 +299,6 @@ class TestGalerkinConvergence:
             galerkin_convergence(additive_spec(grid8),
                                  em_cfg(1 / 32, level=1), None,
                                  levels=[1, 2], seeds=[1, 2], horizon=0.25)
-
-    def test_sup_covers_every_step(self, grid8):
-        spec = make_noise_spec(grid8, [], [], zero_source(grid8),
-                               random_field(grid8, seed=3))
-        cfg = em_cfg(1 / 32, level=1)
-        every = galerkin_convergence(spec, cfg, None, levels=[1, 2],
-                                     seeds=[1], horizon=0.25)
-        strided = galerkin_convergence(spec, replace(cfg, save_stride=3),
-                                       None, levels=[1, 2], seeds=[1],
-                                       horizon=0.25)
-        assert strided == every
 
 
 def monotone_limit_check(u: Trajectory, v: Trajectory, growth_rate: float) -> float:

@@ -336,7 +336,8 @@ def test_every_numpy_transform_goes_through_the_seam(monkeypatch):
     import mks.grid
     from mks.config import build_runtime, parse_config
     from mks.noise import sample_brownian
-    from mks.stepping import run_path
+
+    from conftest import run_path
 
     counts = {"library": 0, "kernel": 0, "seam": 0, "cube": 0}
     for library in (np.fft, scipy.fft):

@@ -281,6 +281,33 @@ class TestRunExperiment:
         state = read_checkpoint(tmp_path / "checkpoints" / rows[0]["file"])
         assert state.grid.points_per_axis == 8
 
+    def test_stride_keeps_every_third_level(self, tmp_path):
+        # 8 steps at stride 3 write steps 0, 3 and 6 as levels 0, 1 and 2:
+        # the bytes and index rows of those steps of a stride-1 run
+        cfg = parse_config(SMALL_RUN)
+        cfg.save_fields = True
+        run_experiment(cfg, workers=1, out_dir=tmp_path / "every")
+        cfg.stride = 3
+        run_experiment(cfg, workers=1, out_dir=tmp_path / "third")
+        every, third = (tmp_path / name / "checkpoints"
+                        for name in ("every", "third"))
+        with open(every / "index.csv") as fh:
+            expected = [{**row, "step": str(int(row["step"]) // 3),
+                         "file": row["file"].replace(
+                             f"step{int(row['step']):06d}",
+                             f"step{int(row['step']) // 3:06d}")}
+                        for row in csv.DictReader(fh)
+                        if int(row["step"]) % 3 == 0]
+        with open(third / "index.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == expected and len(rows) == 4 * 3
+        assert sorted(f.name for f in third.glob("*.mks")) == \
+            sorted(row["file"] for row in rows)
+        for row in rows:
+            step = 3 * int(row["step"])
+            source = every / f"path{int(row['path']):04d}_step{step:06d}.mks"
+            assert (third / row["file"]).read_bytes() == source.read_bytes()
+
     def test_checkpoints_take_no_back_transformed_record(self, tmp_path,
                                                          monkeypatch):
         # checkpoints hold the tsee state y; no u = exp(iPhi) y is formed
@@ -513,10 +540,14 @@ class TestCli:
         (["--dts", "abc"], "--dts: cannot read 'abc'"),
         (["--dts", "0 1/32 1/64"], "dts must be positive"),
         (["--dts", "nan 1/32 1/64"], "dts must be positive"),
+        (["--dts", "inf inf inf"], "dts must be finite"),
+        (["--dts", "1e-300 5e-301 2.5e-301"],
+         "dts: the reference step 6.25e-302 takes more than 1048576 steps "
+         "over horizon=0.5"),
         (["--mode", "galerkin", "--levels", "1 x"],
          "--levels: cannot read '1 x'"),
     ], ids=["dts-zero-denominator", "dts-word", "dts-zero", "dts-nan",
-            "levels-word"])
+            "dts-inf", "dts-tiny", "levels-word"])
     def test_malformed_sweep_is_reported(self, capsys, args, message):
         config = Path(__file__).resolve().parents[1] / "configs" / \
             "example_strong.cfg"

@@ -15,7 +15,9 @@ from mks.memory import (
 )
 from mks.multipliers import CutoffLevel
 from mks.noise import SeparableSource, make_noise_spec, sample_brownian, zero_source
-from mks.stepping import EULER_MARUYAMA, LIE_SPLITTING, MSEE, SchemeConfig, run_path
+from mks.stepping import EULER_MARUYAMA, LIE_SPLITTING, MSEE, SchemeConfig
+
+from conftest import run_path
 
 
 def direct_trapezoid(ker, times, states, t, dt):

@@ -24,7 +24,7 @@ PACKAGE = sorted(p for p in (ROOT / "src" / "mks").glob("*.py")
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # settable values in src/mks, by the rule above
-SETTABLE_VALUES = 39
+SETTABLE_VALUES = 38
 
 # read_checkpoint reads the MKS1 checkpoints that ``mks run`` writes and
 # rejects corrupt ones; no run reads a checkpoint back, but the format's

@@ -37,7 +37,6 @@ from mks.stepping import (
     SchemeConfig,
     StepContext,
     initial_coefficients,
-    run_path,
     run_paths,
     solve_with_memory,
     step_euler_maruyama,
@@ -54,6 +53,7 @@ from conftest import (
     plane_wave,
     recorded_path,
     recording,
+    run_path,
     transformed_current,
     transformed_noise,
 )
@@ -413,7 +413,7 @@ class TestEvaluationCounts:
         monkeypatch.setattr(mks.stepping, "l2_norm",
                             counted("l2_norm", mks.stepping.l2_norm))
         run_path(spec, cfg, None, bundle,
-                 sink=recording(spec, cfg, [bundle], inverse=True))
+                 sink=recording(spec, [bundle], inverse=True))
         # the Lie resolvent takes the pointwise norm of its own argument
         resolvent = self.STEPS if cfg.scheme == LIE_SPLITTING else 0
         assert counts == {"gauge_phase": self.STEPS + 1,
@@ -568,7 +568,7 @@ class TestRunPath:
                                zero_source(grid8), banded_field(grid8, seed=20))
         bundle = sample_brownian(1, 0.5, 16, seed=16)
         cfg = em_cfg(1 / 32, kerr=KerrExponent(2.0, True))
-        y, u = (recording(spec, cfg, [bundle], inverse)
+        y, u = (recording(spec, [bundle], inverse)
                 for inverse in (False, True))
         run_path(spec, cfg, None, bundle, sink=fan_out(y, u))
         for k in range(len(y.times)):
@@ -597,7 +597,7 @@ class TestSinkGauge:
         bundle = sample_brownian(1, 0.5, 16, seed=16)
         cfg = em_cfg(1 / 32, equation=equation, kerr=KerrExponent(2.0, True))
         gauges = []
-        y, u = (recording(spec, cfg, [bundle], inverse)
+        y, u = (recording(spec, [bundle], inverse)
                 for inverse in (False, True))
         run_path(spec, cfg, None, bundle, sink=fan_out(
             y, u, lambda level, paths, view, gauge: gauges.append(gauge)))
@@ -619,7 +619,7 @@ class TestSinkGauge:
 
         monkeypatch.setattr(mks.stepping, "gauge_phase", forming)
         seen = []
-        u = recording(spec, cfg, [bundle], inverse=True)
+        u = recording(spec, [bundle], inverse=True)
 
         def sink(level, paths, view, gauge):
             seen.append((level, gauge,
@@ -733,11 +733,12 @@ class TestBatchEquivalence:
     TRUNCATION = 1.0  # beta truncation level m
     THRESHOLD = 300.0
 
-    def _bundles(self, steps=STEPS):
+    def _bundles(self):
         """Two channels; every |beta| stays under 0.1 except: path 1's second
         channel leaves m mid-run, and path 2's first channel jumps by 0.85
         (staying under m), which its strong first amplitude turns into a
         norm over the blow-up threshold."""
+        steps = self.STEPS
         horizon = steps / 64
         out = []
         for p in range(4):
@@ -790,15 +791,15 @@ class TestBatchEquivalence:
         The recordings' rows are the bundles' positions."""
         labels = list(range(len(bundles)) if path_indices is None
                       else path_indices)
-        records = [recording(spec, cfg, bundles, inverse) for inverse in
+        records = [recording(spec, bundles, inverse) for inverse in
                    ((False, True) if name.startswith("tsee") else (False,))]
 
-        def sink(level, paths, view, gauge):
+        def sink(k, paths, view, gauge):
             if also is not None:
-                also(level, paths, view, gauge)
+                also(k, paths, view, gauge)
             rows = [labels.index(p) for p in paths]
             for record in records:
-                record(level, rows, view, gauge)
+                record(k, rows, view, gauge)
 
         out = run_paths(spec, cfg, kernel, bundles, path_indices=labels,
                         sink=sink)
@@ -845,7 +846,7 @@ class TestBatchEquivalence:
                                      path_indices=[p])[0] for p in (0, 1, 3)}
         with pytest.raises(BlowUpError) as blown:
             run_path(spec, cfg, kernel, bundles[2], path_indices=[2],
-                     sink=recording(spec, cfg, bundles))
+                     sink=recording(spec, bundles))
         assert blown.value.time == bundles[2].times[self.JUMP]
         assert singles[1][0].events == [{
             "kind": "beta_truncation",
@@ -865,45 +866,32 @@ class TestBatchEquivalence:
                     self._assert_same_path(out, singles[p])
 
     @pytest.mark.parametrize("name", ["tsee_euler", "msee_lie_memory"])
-    def test_stride_records_every_third_level(self, grid8, name):
-        # 16 steps at stride 3 keep levels 0, 3, ..., 15 of the stride-1
-        # record bitwise; path 2 blows up at step 5, between two saved levels.
-        # A sink sees the same levels of the paths still stepping.
+    def test_sink_sees_every_step_of_the_paths_still_stepping(self, grid8,
+                                                              name):
+        # the sink is called at k = 0..K with the labels of the rows still
+        # stepping; path 2 blows up at step 5, so it leaves them from k = 5.
+        # A Recording keeps row p of the view at index k
         spec, cfg, kernel = self._case(grid8, name)
-        bundles = self._bundles(steps=16)
-        every = self._recorded(spec, cfg, kernel, bundles, name)
         sunk = []
-        strided = self._recorded(
-            spec, replace(cfg, save_stride=3), kernel, bundles, name,
+        batch = self._recorded(
+            spec, cfg, kernel, self._bundles(), name,
             path_indices=[10, 11, 12, 13],
-            also=lambda level, paths, view, gauge: sunk.append(
-                (level, paths, view.data.copy())))
-        assert isinstance(every[2], BlowUpError)
-        assert isinstance(strided[2], BlowUpError)
-        assert [(level, paths) for level, paths, _ in sunk] == \
-            [(0, [10, 11, 12, 13]), (1, [10, 11, 12, 13])] + \
-            [(level, [10, 11, 13]) for level in range(2, 6)]
-        for level, paths, data in sunk:
+            also=lambda k, paths, view, gauge: sunk.append(
+                (k, paths, view.data.copy())))
+        assert isinstance(batch[2], BlowUpError)
+        assert [(k, paths) for k, paths, _ in sunk] == \
+            [(k, [10, 11, 12, 13]) for k in range(self.JUMP)] + \
+            [(k, [10, 11, 13]) for k in range(self.JUMP, self.STEPS + 1)]
+        for k, paths, data in sunk:
             for label, row in zip(paths, data):
                 if label != 12:
                     assert self._same_bits(
-                        row, strided[label - 10][1][0].data[level])
-        for p in (0, 1, 3):
-            (full, whole_trajectories), (part, kept_trajectories) = \
-                every[p], strided[p]
-            for key in ("times", "l2", "lambda_l2", "energy_residual"):
-                assert self._same_bits(getattr(full, key),
-                                       getattr(part, key)), key
-            assert len(whole_trajectories) == len(kept_trajectories)
-            for whole, kept in zip(whole_trajectories, kept_trajectories):
-                assert len(whole) == 17 and len(kept) == 6
-                assert self._same_bits(kept.times, whole.times[::3])
-                assert self._same_bits(kept.data, whole.data[::3])
+                        row, batch[label - 10][1][0].data[k])
 
     def test_records_are_rows_of_one_array(self, grid8):
         spec, cfg, kernel = self._case(grid8, "tsee_euler")
         bundles = self._bundles()
-        records = [recording(spec, cfg, bundles, inverse)
+        records = [recording(spec, bundles, inverse)
                    for inverse in (False, True)]
         batch = run_paths(spec, cfg, kernel, bundles, sink=fan_out(*records))
         kept = [p for p, out in enumerate(batch)
@@ -973,7 +961,7 @@ class TestMemoryCoupling:
                    else None)
         spec, bundle, kernel, cfg = self._setup(grid4, b_field)
         cfg = make_cfg(cfg.dt, level=1, equation=equation, kerr=cfg.kerr)
-        record = recording(spec, cfg, [bundle], inverse=True)
+        record = recording(spec, [bundle], inverse=True)
         run_path(spec, cfg, kernel, bundle, sink=record)
         direct = record.trajectory(0)
         fixed, diag = solve_with_memory(spec, cfg, kernel, bundle)
@@ -1022,15 +1010,6 @@ class TestMemoryCoupling:
             cfg = replace(cfg, dt=cfg.dt / 2)
         assert gaps[1] < gaps[0]
         assert gaps[0] < 5.0 * np.sqrt(2 * gaps[1] ** 2)  # roughly sqrt(dt) decay
-
-    def test_save_stride_is_ignored(self, grid4):
-        # the driver keeps every step, so it integrates at stride 1
-        spec, bundle, kernel, cfg = self._setup(grid4)
-        a, diag_a = solve_with_memory(spec, cfg, kernel, bundle)
-        b, diag_b = solve_with_memory(spec, replace(cfg, save_stride=3),
-                                      kernel, bundle)
-        assert a.data.tobytes() == b.data.tobytes()
-        assert diag_a["windows"] == diag_b["windows"]
 
     def test_iterates_hold_their_window_only(self, grid4, monkeypatch):
         # every iterate handed to the step, and every one it returns, holds
