@@ -30,13 +30,15 @@ from .grid import (
     cube_scratch,
     ifft_array,
     ifft_cube,
+    lp_norm,
     make_grid,
     zero_field,
 )
 from .kerr import KerrExponent
 from .memory import EXPONENTIAL, ZERO, KernelSpec
 from .multipliers import MAX_LEVEL, CutoffLevel
-from .noise import NoiseSpec, SeparableSource, TimeProfile, make_noise_spec
+from .noise import (NoiseSpec, SeparableSource, TimeProfile, band_limit_defect,
+                    make_noise_spec)
 from .stepping import MAX_STEPS, MSEE, TSEE, WSEE, SchemeConfig, m_u0_norm
 
 WEAK = "weak"
@@ -475,7 +477,6 @@ class RuntimeModel:
     scheme: SchemeConfig
     horizon: float
     steps: int
-    paths: int
     base_seed: int
     stride: int                    # steps between written checkpoints
 
@@ -519,15 +520,12 @@ def build_runtime(cfg: ExperimentConfig) -> RuntimeModel:
                           beta_truncation_m=cfg.tau_m)
     steps = int(round(cfg.horizon / cfg.dt))
     return RuntimeModel(grid=grid, spec=spec, kernel=kernel, scheme=scheme,
-                        horizon=cfg.horizon, steps=steps, paths=cfg.paths,
+                        horizon=cfg.horizon, steps=steps,
                         base_seed=cfg.base_seed, stride=cfg.stride)
 
 
 def assumption_echo(cfg: ExperimentConfig, model: RuntimeModel):
     """Status of every assumption tag: validated / violated / not machine-checkable."""
-    from .grid import lp_norm
-    from .noise import band_limit_defect
-
     rows = []
 
     def add(tag, status, detail):

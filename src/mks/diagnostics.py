@@ -121,6 +121,13 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
     if horizon / reference > MAX_STEPS:  # before the ladder is formed
         raise UsageError(f"dts: the reference step {reference:.3g} takes "
                          f"more than {MAX_STEPS} steps over horizon={horizon}")
+    steps = horizon / dts[0]  # whole within validate_config's 1e-9
+    if steps < 1 - 1e-9:
+        raise UsageError(f"dts: the coarsest step {dts[0]:.3g} is longer "
+                         f"than horizon={horizon}")
+    if abs(steps - round(steps)) > 1e-9:
+        raise UsageError(f"dts: the coarsest step {dts[0]:.3g} does not "
+                         f"divide horizon={horizon}")
 
     def terminal_states(dt, bundles):
         states = np.empty((len(bundles),) + spec.u0.data.shape, np.complex128)
@@ -135,8 +142,8 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
 
     rungs = len(dts) + int(np.log2(REFINE_FACTOR))
     errors = {dt: [] for dt in dts}
-    for ladder in bundle_ladder(spec, seeds, horizon,
-                                int(round(horizon / dts[0])), rungs):
+    for ladder in bundle_ladder(spec, seeds, horizon, int(round(steps)),
+                                rungs):
         y_ref = terminal_states(reference, ladder[-1])
         for dt, bundles in zip(dts, ladder):
             errors[dt] += [np.sqrt(spec.grid.cell_volume)

@@ -175,7 +175,7 @@ def _require_representation(f: Field6, representation: str, what: str):
 #
 # scipy's compiled pocketfft kernel, loaded from its file: the scipy.fft
 # package would also import scipy.special, numpy.f2py and numpy.testing, about
-# 0.35 s on a 2-core x86-64 host and most of `import mks`.  The call
+# 0.35 s on a 2-core x86-64 host and most of `import mks.harness`.  The call
 # ``c2c(a, axes, forward, 1, None, 1)`` is the one scipy.fft.fftn/ifftn(
 # norm="ortho") ends in (norm 1 is "ortho", no output buffer, one thread:
 # worker processes already use the cores), so the transforms are bitwise

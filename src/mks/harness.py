@@ -55,8 +55,8 @@ from .operators import (HELMHOLTZ, HODGE_LAPLACIAN, MAXWELL, SHARP_CUTOFF,
                         SMOOTH_CUTOFF, curl, dense_group_matrix,
                         dense_operator, div, grad, helmholtz_project,
                         hodge_laplacian_apply, maxwell_apply, maxwell_group)
-from .stepping import (EULER_MARUYAMA, MSEE, SchemeConfig, path_batches,
-                       run_paths, solve_with_memory)
+from .stepping import (EULER_MARUYAMA, MSEE, PathReport, SchemeConfig,
+                       path_batches, run_paths, solve_with_memory)
 
 WORKERS_ENV = "MKS_WORKERS"
 
@@ -298,9 +298,7 @@ def reaggregate(out_dir) -> list:
     except (TypeError, ValueError) as exc:  # a short row reads None
         raise UsageError(f"[report] {series} line {rd.line_num}: "
                          f"{exc}") from exc
-    from .stepping import PathReport
-
-    reports = [PathReport(path_index=p, seed=0, times=np.asarray(v["time"]),
+    reports = [PathReport(path_index=p, times=np.asarray(v["time"]),
                           **{key: np.asarray(v[key]) for key in columns})
                for p, v in sorted(per_path.items())]
     return _monte_carlo_rows(RunReport.from_paths(reports))

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import SPECTRAL, Field6, GridSpec, _require_representation
+from .grid import SPECTRAL, Field6, GridSpec, _require_representation, make_grid
 
 MAX_LEVEL = 60  # 2^n stays an exact float and far inside its range
 
@@ -108,8 +108,6 @@ def _window_sum_up_to(window: WindowFunction, level_n: int, x):
 
 @lru_cache(maxsize=64)
 def _cached_masks(points_per_axis: int, box_length: float, n: int):
-    from .grid import make_grid
-
     grid = make_grid(points_per_axis, box_length)
     kx, ky, kz = grid.k_components()
     scale = float(2**n)

@@ -29,7 +29,9 @@ from .grid import (
     _require_representation,
     fft_array,
     ifft_array,
+    zero_field,
 )
+from .operators import _nyquist_mask
 
 
 class _TimeGrid:
@@ -181,8 +183,6 @@ class SeparableSource:
 
 
 def zero_source(grid: GridSpec) -> SeparableSource:
-    from .grid import zero_field
-
     return SeparableSource(shape=zero_field(grid))
 
 
@@ -192,8 +192,6 @@ def spectral_gradient(grid: GridSpec, scalar: np.ndarray) -> np.ndarray:
     """Gradient of a real scalar field by spectral differentiation; the
     Nyquist planes of i k are zeroed, so the gradient stays real.  A zero
     field costs no transform."""
-    from .operators import _nyquist_mask
-
     if not scalar.any():
         return np.zeros((3,) + scalar.shape)
     mask = _nyquist_mask(grid)

@@ -46,6 +46,7 @@ from .grid import (
     to_physical,
     to_spectral,
 )
+from .multipliers import CutoffLevel, sharp_mask, smooth_mask
 
 MAXWELL = "maxwell"
 HODGE_LAPLACIAN = "hodge_laplacian"
@@ -299,8 +300,6 @@ def dense_operator(kind: str, grid: GridSpec,
     else:
         if level is None:
             raise ConfigurationError(f"dense operator {kind!r} needs a level")
-        from .multipliers import CutoffLevel, sharp_mask, smooth_mask
-
         lev = level if isinstance(level, CutoffLevel) else CutoffLevel(level)
         if kind == SHARP_CUTOFF:
             mult = sharp_mask(grid, lev).astype(float).ravel()
@@ -316,7 +315,8 @@ def dense_operator(kind: str, grid: GridSpec,
 
 def dense_group_matrix(t: float, grid: GridSpec) -> np.ndarray:
     """Matrix exponential oracle for exp(t*m) via scaling-and-squaring."""
-    import scipy.linalg  # only this oracle needs it; `import mks` stays light
+    # only this oracle needs it; `import mks.harness` stays light
+    import scipy.linalg
 
     op = dense_operator(MAXWELL, grid)
     return scipy.linalg.expm(t * op.matrix)

@@ -125,7 +125,8 @@ from .grid import (
     to_spectral,
 )
 from .kerr import KerrExponent, implicit_kerr_solve, kerr_force
-from .memory import History, KernelSpec, convolve_history
+from .memory import (History, KernelSpec, contraction_step_length,
+                     convolve_history, picard_solve)
 from .multipliers import CutoffLevel, smooth_cutoff
 from .noise import (
     BrownianBundle,
@@ -228,7 +229,6 @@ class PathReport:
     """Per-path time series and events (the RunReport fragment)."""
 
     path_index: int
-    seed: int
     times: np.ndarray
     l2: np.ndarray
     power_norm: np.ndarray        # ||y(t)||_{q+2}^{q+2}
@@ -289,7 +289,6 @@ class _StaticPieces:
     """The path-independent pieces of the drift and noise, packed."""
 
     space: GalerkinSpace
-    phase_trivial: bool
     gauged: bool                  # tsee with a nontrivial gauge phase
     sum_b_squared: np.ndarray | None
     coupling_shapes: tuple        # -i B_j b_j shape, or None per channel
@@ -341,9 +340,9 @@ def _static_pieces(spec: NoiseSpec, equation: str,
     i_b_fields = ()
     if equation != TSEE and not phase_trivial:
         i_b_fields = tuple(1j * b_field for b_field in spec.B_fields)
-    return _StaticPieces(space, phase_trivial, gauged, sum_b_squared,
-                         coupling_shapes, current_zero, current_hat,
-                         noise_level, cached_noise, i_b_fields)
+    return _StaticPieces(space, gauged, sum_b_squared, coupling_shapes,
+                         current_zero, current_hat, noise_level, cached_noise,
+                         i_b_fields)
 
 
 class StepContext:
@@ -767,8 +766,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
 
     for row in alive:
         report = PathReport(path_index=path_indices[row],
-                            seed=bundles[row].seed, times=first.times.copy(),
-                            l2=l2[row].copy(),
+                            times=first.times.copy(), l2=l2[row].copy(),
                             power_norm=power_norm[row].copy(),
                             lambda_l2=lambda_l2[row].copy(),
                             energy_residual=residual[row].copy(),
@@ -800,8 +798,6 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     Returns (u trajectory on the full grid, diagnostics dict with
     ``windows``, ``window_length``, ``g_l1`` and ``events``).
     """
-    from .memory import contraction_step_length, picard_solve
-
     horizon = bundle.horizon
     m_level = _truncation_level(cfg, horizon)
     bundle, events = _freeze(bundle, m_level)

@@ -544,10 +544,15 @@ class TestCli:
         (["--dts", "1e-300 5e-301 2.5e-301"],
          "dts: the reference step 6.25e-302 takes more than 1048576 steps "
          "over horizon=0.5"),
+        (["--dts", "0.3 0.15 0.075"],
+         "dts: the coarsest step 0.3 does not divide horizon=0.5"),
+        (["--dts", "1 0.5 0.25"],
+         "dts: the coarsest step 1 is longer than horizon=0.5"),
         (["--mode", "galerkin", "--levels", "1 x"],
          "--levels: cannot read '1 x'"),
     ], ids=["dts-zero-denominator", "dts-word", "dts-zero", "dts-nan",
-            "dts-inf", "dts-tiny", "levels-word"])
+            "dts-inf", "dts-tiny", "dts-coarse-not-dividing",
+            "dts-coarse-too-long", "levels-word"])
     def test_malformed_sweep_is_reported(self, capsys, args, message):
         config = Path(__file__).resolve().parents[1] / "configs" / \
             "example_strong.cfg"

@@ -237,7 +237,8 @@ def test_import_leaves_scipy_linalg_unloaded():
     import mks
 
     src = os.path.dirname(os.path.dirname(mks.__file__))
-    code = "import sys, mks; print('scipy.linalg' in sys.modules)"
+    code = ("import sys, mks, mks.harness, mks.cli; "
+            "print('scipy.linalg' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})

@@ -1,26 +1,31 @@
 """Every definition in the package is reached by the program, not by tests
 alone.
 
-A module-level function or class of ``src/mks`` (``__init__.py`` aside), or
-a non-dunder method of such a class, counts as reached when some name or
-attribute in the package modules or in ``perfbench/`` spells it, or when a
-string constant in ``perfbench/`` does (the tracer names its targets that
-way).  Oracles that only check other code belong in ``tests/``.
+A module-level function or class of ``src/mks``, or a non-dunder method
+of such a class, counts as reached when some name or attribute in the
+package modules or in ``perfbench/`` spells it, or when a string constant
+in ``perfbench/`` does (the tracer names its targets that way).  Oracles
+that only check other code belong in ``tests/``.
 
 The package's settable values are counted too: function parameters with a
 default plus class fields with a default, over every module of ``src/mks``.
 The count is pinned, so a change that adds or removes one shows it in its
 own diff.
+
+The package ``__init__.py`` binds no names but its dunders: every caller
+imports a name from the module that defines it.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = sorted(p for p in (ROOT / "src" / "mks").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "mks").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # settable values in src/mks, by the rule above
@@ -85,5 +90,13 @@ def _settable_values(tree) -> int:
 
 
 def test_settable_values_are_counted():
-    modules = sorted((ROOT / "src" / "mks").glob("*.py"))
-    assert sum(_settable_values(_parse(p)) for p in modules) == SETTABLE_VALUES
+    assert sum(_settable_values(_parse(p)) for p in PACKAGE) == SETTABLE_VALUES
+
+
+def test_package_init_reexports_nothing():
+    code = ("import mks; "
+            "print([n for n in vars(mks) if not n.startswith('__')])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.stdout.strip() == "[]"
