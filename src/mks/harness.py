@@ -175,7 +175,12 @@ def _run_pool(cfg: ExperimentConfig, batches, workers: int,
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
                    out_dir: str | None = None):
-    """Execute the Monte-Carlo experiment; returns (RunReport, exit_status)."""
+    """Execute the Monte-Carlo experiment; returns (RunReport, exit_status).
+
+    The model comes from ``build_runtime``, which reuses the NoiseSpec a
+    caller in this process already built for the same grid and B_j/b_j/J/u0
+    profiles (after a set-up ``build_runtime``, say), so only the rest of
+    the model is built here; the output bytes are those of a fresh build."""
     if workers is None:
         workers = default_workers()
     elif workers < 1:

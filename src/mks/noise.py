@@ -239,7 +239,9 @@ class NoiseSpec:
 
 def make_noise_spec(grid: GridSpec, B_fields, b_sources, current,
                     u0) -> NoiseSpec:
-    """Validate the coefficient fields and precompute grad B spectrally."""
+    """Validate the coefficient fields and precompute grad B spectrally; the
+    B fields (the caller's arrays when already float) and their gradients
+    are made read-only."""
     B_fields = tuple(np.asarray(b, dtype=float) for b in B_fields)
     b_sources = tuple(b_sources)
     if len(B_fields) != len(b_sources):
@@ -257,6 +259,9 @@ def make_noise_spec(grid: GridSpec, B_fields, b_sources, current,
                 f"(relative leakage {defect:.2e}); spectral differentiation "
                 "of its gradient would ring")
     grad_B = tuple(spectral_gradient(grid, b) for b in B_fields)
+    # read-only, as Field6 data is: one spec may serve every run of a config
+    for array in B_fields + grad_B:
+        array.setflags(write=False)
     return NoiseSpec(grid=grid, B_fields=B_fields, grad_B=grad_B,
                      b_sources=b_sources, current=current, u0=u0)
 

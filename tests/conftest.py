@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,28 @@ from mks.grid import (
     to_physical,
     to_spectral,
 )
+from mks.harness import (
+    dense_battery,
+    kerr_battery,
+    memory_battery,
+    operator_battery,
+)
 from mks.multipliers import CutoffLevel, sharp_cutoff
 from mks.noise import BrownianBundle, NoiseSpec, cross_drift_apply, gauge_phase
 from mks.stepping import Recording, raise_blowups, run_paths
+
+
+@pytest.fixture(scope="session")
+def batteries():
+    """The records of acceptance criteria 1, 2, 3 and 7, computed once per
+    session: ``operator_battery(16, 100)`` (with its runtime in seconds),
+    ``dense_battery()``, ``kerr_battery()`` and ``memory_battery()``.
+    ``verify_suite("full")`` must hold each of them too."""
+    t0 = time.monotonic()
+    operator = operator_battery(16, 100)
+    return {"operator": operator, "operator_s": time.monotonic() - t0,
+            "dense": dense_battery(), "kerr": kerr_battery(),
+            "memory": memory_battery()}
 
 
 @pytest.fixture(scope="session")

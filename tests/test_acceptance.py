@@ -12,13 +12,7 @@ import numpy as np
 from mks.config import parse_config
 from mks.diagnostics import bundle_ladder, fit_loglog_slope
 from mks.grid import Field6, l2_norm, make_grid
-from mks.harness import (
-    dense_battery,
-    kerr_battery,
-    memory_battery,
-    operator_battery,
-    run_experiment,
-)
+from mks.harness import run_experiment
 from mks.kerr import KerrExponent
 from mks.multipliers import CutoffLevel
 from mks.noise import (
@@ -61,28 +55,26 @@ def measured(records, prefix):
     return [r["measured"] for r in records if r["name"].startswith(prefix)]
 
 
-def test_criterion_1_operator_identity_suite():
+def test_criterion_1_operator_identity_suite(batteries):
     """16^3 grid, 100 random field pairs: every operator identity within
     1e-10, transforms and cutoff masks within 1e-12, in under 60 s."""
-    t0 = time.monotonic()
-    records = operator_battery(16, 100)
-    elapsed = time.monotonic() - t0
+    records, elapsed = batteries["operator"], batteries["operator_s"]
     battery_verdict(1, records,
                     f"max relative residual {max(measured(records, '')):.3e}, "
                     f"runtime {elapsed:.1f}s", ok=elapsed < 60.0)
 
 
-def test_criterion_2_dense_oracle_equivalence():
+def test_criterion_2_dense_oracle_equivalence(batteries):
     """Fast operators match explicit matrices on 4^3; exp(tm) matches expm."""
-    records = dense_battery()
+    records = batteries["dense"]
     columns = [r["measured"] for r in records if "group_exp" not in r["name"]]
     battery_verdict(2, records, (
         f"column residual {max(columns):.3e}, "
         f"group-vs-expm {max(measured(records, 'dense/group_exp')):.3e}"))
 
 
-def test_criterion_3_kerr_suite():
-    records = kerr_battery()
+def test_criterion_3_kerr_suite(batteries):
+    records = batteries["kerr"]
     battery_verdict(3, records, (
         f"fd order {min(measured(records, 'kerr/gradient_order')):.3f}, "
         f"hessian symmetry {measured(records, 'kerr/hessian')[0]:.2e}, "
@@ -227,8 +219,8 @@ def test_criterion_6_apriori_uniformity(tmp_path):
             f"lambda by level {lambdas} (max/min {l_ratio:.3f})")
 
 
-def test_criterion_7_memory_law():
-    records = memory_battery()
+def test_criterion_7_memory_law(batteries):
+    records = batteries["memory"]
     battery_verdict(7, records, (
         f"quadrature order {measured(records, 'memory/quadrature')[0]:.3f}, "
         f"picard ratio {measured(records, 'memory/picard')[0]:.3e}, "

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ import mks.grid
 import mks.operators
 import mks.stepping
 from mks.cli import main
-from mks.config import ProfileSpec, _field_profile, _scalar_profile
+import mks.config
+from mks.config import (ProfileSpec, _field_profile, _noise_spec,
+                        _scalar_profile)
 from mks.errors import ConfigurationError, MksError, ValidationError
 from mks.grid import ifft_array, l2_norm, make_grid, to_spectral
+from mks.harness import run_experiment
 from mks.noise import TimeProfile
 from mks.stepping import initial_coefficients
 
@@ -220,6 +224,138 @@ class TestBandLimitedRandom:
         assert scalar.tobytes() == expected.tobytes()
 
 
+LINEAR_32 = """
+[grid]
+points = 32
+length = 6.283185307179586
+
+[model]
+q = 2.0
+mode = weak
+equation = tsee
+nonlinearity = off
+
+[noise]
+count = 2
+B_1 = zero
+B_2 = zero
+b_1 = band-limited-random(seed=11, amplitude=0.1, max_mode=2) * cos(1.0)
+b_2 = band-limited-random(seed=12, amplitude=0.1, max_mode=3) * sin(2.0)
+J = band-limited-random(seed=13, amplitude=0.2, max_mode=2)
+u0 = band-limited-random(seed=14, amplitude=1.0, max_mode=3)
+
+[scheme]
+type = euler_maruyama
+dt = 0.015625
+cutoff = 3
+horizon = 0.125
+
+[monte_carlo]
+paths = 2
+base_seed = 5
+
+[outputs]
+stride = 4
+"""
+
+CACHE_RUN = STRONG_TEMPLATE.format(
+    q=2.0, b="band-limited-random(seed=4, amplitude=0.1, max_mode=1) * "
+    "cos(1.0)")
+
+
+class TestSpecCache:
+    """build_runtime builds a config's NoiseSpec once per process, keyed by
+    the grid and the field profiles as written; the rest of the model comes
+    from the config on every call."""
+
+    def test_repeated_config_reuses_the_spec(self, monkeypatch):
+        _noise_spec.cache_clear()
+        first = build_runtime(parse_config(CACHE_RUN))
+        calls = []
+        for name in ("_field_profile", "_scalar_profile"):
+            original = getattr(mks.config, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(mks.config, name, counted)
+        second = build_runtime(parse_config(CACHE_RUN))
+        assert second.spec is first.spec and second is not first
+        assert calls == []
+
+    @pytest.mark.parametrize("old,new", [
+        ("seed=1,", "seed=2,"),
+        ("amplitude=0.5", "amplitude=0.25"),
+        ("cos(1.0)", "cos(1.5)"),
+        ("points = 8", "points = 16"),
+        ("length = 6.283185307179586", "length = 6.0"),
+        ("amplitude=0.1", "amplitude=0.10000000000000002"),
+    ])
+    def test_each_field_value_keys_the_spec(self, old, new):
+        assert old in CACHE_RUN
+        first = build_runtime(parse_config(CACHE_RUN))
+        changed = build_runtime(parse_config(CACHE_RUN.replace(old, new)))
+        assert changed.spec is not first.spec
+
+    def test_signed_zero_keys_the_spec(self):
+        # -0.0 == 0.0, but the two write fields of opposite signs
+        plus, minus = (build_runtime(parse_config(MINIMAL_WEAK.replace(
+            "B_1 = zero", f"B_1 = plane-wave(amplitude={amplitude})"))).spec
+            for amplitude in ("0.0", "-0.0"))
+        assert minus is not plus
+        assert np.array_equal(np.signbit(minus.B_fields[0]),
+                              ~np.signbit(plus.B_fields[0]))
+
+    @pytest.mark.parametrize("name,value,read", [
+        ("base_seed", 99, lambda m: m.base_seed),
+        ("stride", 2, lambda m: m.stride),
+        ("dt", 0.03125, lambda m: (m.scheme.dt, m.steps)),
+        ("kernel_form", "exponential", lambda m: m.kernel.form),
+    ])
+    def test_run_values_come_from_the_config(self, name, value, read):
+        cfg = parse_config(CACHE_RUN)
+        cfg.kernel_amplitude = 0.5
+        first = build_runtime(cfg)
+        setattr(cfg, name, value)
+        second = build_runtime(cfg)
+        assert second.spec is first.spec
+        assert read(second) != read(first)
+
+    def test_path_count_comes_from_the_config(self, tmp_path):
+        cfg = parse_config(CACHE_RUN)
+        spec = build_runtime(cfg).spec
+        for paths in (1, 2):
+            cfg.paths = paths
+            report, _ = run_experiment(cfg, workers=1,
+                                       out_dir=tmp_path / str(paths))
+            assert len(report.paths) == paths
+        assert build_runtime(cfg).spec is spec
+
+    @pytest.mark.parametrize("config", [
+        "example_strong.cfg", "example_weak.cfg", "linear_32"])
+    def test_cold_and_warm_runs_write_the_same_bytes(self, config, tmp_path):
+        if config == "linear_32":
+            text = LINEAR_32
+        else:
+            text = (Path(__file__).resolve().parents[1] / "configs"
+                    / config).read_text()
+        _noise_spec.cache_clear()  # the first run builds, the second reuses
+        outputs = []
+        for run in ("cold", "warm"):
+            cfg = parse_config(text)
+            cfg.save_fields = True
+            run_experiment(cfg, workers=1, out_dir=tmp_path / run)
+            outputs.append({f.relative_to(tmp_path / run): f.read_bytes()
+                            for f in sorted((tmp_path / run).rglob("*"))
+                            if f.is_file()})
+        cold, warm = outputs
+        assert Path("checkpoints", "index.csv") in cold
+        assert {Path("series.csv"), Path("summary.csv"),
+                Path("assumptions.csv")} <= set(cold)
+        assert cold == warm
+
+
 class TestAssumptionEcho:
     def test_m_u0_norm_is_computed_once(self, monkeypatch):
         # the start state's curl-energy check and the M2 row share it
@@ -232,6 +368,7 @@ class TestAssumptionEcho:
 
         for module in (mks.stepping, mks.operators):
             monkeypatch.setattr(module, "maxwell_apply", counted)
+        _noise_spec.cache_clear()  # a fresh spec, whatever ran before
         cfg = parse_config(MINIMAL_WEAK)
         model = build_runtime(cfg)
         rows = {r["tag"]: r["detail"] for r in assumption_echo(cfg, model)}

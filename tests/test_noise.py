@@ -128,6 +128,13 @@ class TestNoiseSpecValidation:
             make_noise_spec(grid8, [np.zeros((8, 8, 8))], [],
                             zero_source(grid8), zero_field(grid8))
 
+    @pytest.mark.parametrize("name", ["B_fields", "grad_B"])
+    def test_fields_are_read_only(self, grid8, name):
+        # one spec may serve every run of a config, so no caller may write it
+        array = getattr(_spec_with_cos_multiplier(grid8), name)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 1.0
+
     def test_gradient_is_spectral(self, grid16):
         x, _, _ = coords(grid16)
         n = grid16.points_per_axis
