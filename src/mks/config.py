@@ -18,7 +18,6 @@ from __future__ import annotations
 import configparser
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -482,64 +481,55 @@ class RuntimeModel:
     stride: int                    # steps between written checkpoints
 
 
-class _FieldsKey:
-    """The config values that define its deterministic fields: the grid and
-    the B_j, b_j, J and u0 profiles with their time profiles.  Keys compare
-    by ``repr``, so values count as written: ``amplitude=-0.0`` is not
-    ``amplitude=0.0``."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.grid = (cfg.grid_points, cfg.box_length)
-        self.profiles = (tuple(cfg.B_profiles), tuple(cfg.b_profiles),
-                         cfg.J_profile, cfg.u0_profile)
-        self.text = repr((self.grid, self.profiles))
-
-    def __eq__(self, other):
-        return self.text == other.text
-
-    def __hash__(self):
-        return hash(self.text)
+# the NoiseSpec of the last config built, keyed by its fields as written
+_last_spec: dict = {}
 
 
-@lru_cache(maxsize=4)
-def _noise_spec(key: _FieldsKey) -> NoiseSpec:
-    """The NoiseSpec of a config's fields, built once per key: its profiles
-    (each refused when its norm overflows), the band-limit checks and the
-    spectral gradients of B_j."""
-    grid = make_grid(*key.grid)
-    B_profiles, b_profiles, J_profile, u0_profile = key.profiles
+def _noise_spec(cfg: ExperimentConfig) -> NoiseSpec:
+    """The NoiseSpec of a config's fields: its profiles (each refused when
+    its norm overflows), the band-limit checks and the spectral gradients
+    of B_j."""
+    grid = make_grid(cfg.grid_points, cfg.box_length)
 
-    def checked(name, shape):
+    def checked(key, shape):
         """A built profile, refused when its norm overflows on the grid (a
         value near the float limit) before any run."""
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(getattr(shape, "data", shape))
         if not np.isfinite(norm):
-            raise ConfigurationError(f"[noise] {name}: the profile's L^2 "
-                                     f"norm overflows on the grid")
+            raise ConfigurationError(f"[noise] {key}: the profile's L^2 norm "
+                                     f"overflows on the grid")
         return shape
 
     B_fields = [checked(f"B_{j + 1}", _scalar_profile(grid, p))
-                for j, p in enumerate(B_profiles)]
+                for j, p in enumerate(cfg.B_profiles)]
     b_sources = [SeparableSource(shape=checked(f"b_{j + 1}",
                                                _field_profile(grid, p)),
                                  profile=p.time)
-                 for j, p in enumerate(b_profiles)]
+                 for j, p in enumerate(cfg.b_profiles)]
     current = SeparableSource(
-        shape=checked("J", _field_profile(grid, J_profile)),
-        profile=J_profile.time)
-    u0 = checked("u0", _field_profile(grid, u0_profile))
+        shape=checked("J", _field_profile(grid, cfg.J_profile)),
+        profile=cfg.J_profile.time)
+    u0 = checked("u0", _field_profile(grid, cfg.u0_profile))
     return make_noise_spec(grid, B_fields, b_sources, current, u0)
 
 
 def build_runtime(cfg: ExperimentConfig) -> RuntimeModel:
-    """The model of a config.  Its NoiseSpec is cached per process, keyed by
-    the grid and the B_j/b_j/J/u0 profile specs as written (``_FieldsKey``),
-    so a repeated config gets the same spec object (and the per-spec caches
-    of ``mks.stepping`` hit); the spec is read-only and a pure function of
-    its key, so outputs are unchanged.  Kernel, scheme, steps, seed and
-    stride are built fresh from ``cfg`` on every call."""
-    spec = _noise_spec(_FieldsKey(cfg))
+    """The model of a config.  The NoiseSpec of the last config built is
+    kept, keyed by the ``repr`` of the grid points, the box length and the
+    B_j/b_j/J/u0 profile specs with their time profiles, so values count
+    as written (``amplitude=-0.0`` is not ``amplitude=0.0``).  The same
+    fields built again, in this process or in a pool worker forked from it,
+    give the same read-only spec object (and the per-spec caches of
+    ``mks.stepping`` hit); the spec is a pure function of its key, so
+    outputs are unchanged.  Kernel, scheme, steps, seed and stride come
+    from ``cfg`` on every call."""
+    key = repr((cfg.grid_points, cfg.box_length, cfg.B_profiles,
+                cfg.b_profiles, cfg.J_profile, cfg.u0_profile))
+    if key not in _last_spec:
+        _last_spec.clear()
+        _last_spec[key] = _noise_spec(cfg)
+    spec = _last_spec[key]
 
     if cfg.kernel_form == ZERO or cfg.kernel_amplitude == 0.0:
         kernel = KernelSpec()

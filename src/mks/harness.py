@@ -120,7 +120,9 @@ _WORKER = {}
 
 def _init_worker(cfg: ExperimentConfig, running, root: Path | None):
     """Pool initializer: each worker process builds the model once, locally,
-    so results do not depend on pickling round-trips of its arrays."""
+    so results do not depend on pickling round-trips of its arrays.  A
+    forked worker inherits the NoiseSpec its parent's ``run_experiment``
+    just built, and ``build_runtime`` reuses it."""
     _WORKER["model"] = build_runtime(cfg)
     _WORKER["running"] = running
     _WORKER["root"] = root
@@ -177,10 +179,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None,
                    out_dir: str | None = None):
     """Execute the Monte-Carlo experiment; returns (RunReport, exit_status).
 
-    The model comes from ``build_runtime``, which reuses the NoiseSpec a
-    caller in this process already built for the same grid and B_j/b_j/J/u0
-    profiles (after a set-up ``build_runtime``, say), so only the rest of
-    the model is built here; the output bytes are those of a fresh build."""
+    The model comes from ``build_runtime``, which reuses the NoiseSpec of
+    the last config built when its grid and B_j/b_j/J/u0 profiles are the
+    same: the spec a caller built just before (a set-up ``build_runtime``,
+    say) is not built again, and pool workers forked from this process take
+    the spec built here.  The output bytes are those of a fresh build."""
     if workers is None:
         workers = default_workers()
     elif workers < 1:

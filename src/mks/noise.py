@@ -239,10 +239,10 @@ class NoiseSpec:
 
 def make_noise_spec(grid: GridSpec, B_fields, b_sources, current,
                     u0) -> NoiseSpec:
-    """Validate the coefficient fields and precompute grad B spectrally; the
-    B fields (the caller's arrays when already float) and their gradients
-    are made read-only."""
-    B_fields = tuple(np.asarray(b, dtype=float) for b in B_fields)
+    """Validate the coefficient fields and precompute grad B spectrally.
+    The spec holds read-only views of the B fields (the caller's arrays
+    stay writable) and read-only gradients."""
+    B_fields = tuple(np.asarray(b, dtype=float).view() for b in B_fields)
     b_sources = tuple(b_sources)
     if len(B_fields) != len(b_sources):
         raise ConfigurationError(

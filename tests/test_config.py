@@ -16,7 +16,7 @@ import mks.operators
 import mks.stepping
 from mks.cli import main
 import mks.config
-from mks.config import (ProfileSpec, _field_profile, _noise_spec,
+from mks.config import (ProfileSpec, _field_profile, _last_spec,
                         _scalar_profile)
 from mks.errors import ConfigurationError, MksError, ValidationError
 from mks.grid import ifft_array, l2_norm, make_grid, to_spectral
@@ -264,12 +264,12 @@ CACHE_RUN = STRONG_TEMPLATE.format(
 
 
 class TestSpecCache:
-    """build_runtime builds a config's NoiseSpec once per process, keyed by
+    """build_runtime keeps the NoiseSpec of the last config built, keyed by
     the grid and the field profiles as written; the rest of the model comes
     from the config on every call."""
 
     def test_repeated_config_reuses_the_spec(self, monkeypatch):
-        _noise_spec.cache_clear()
+        _last_spec.clear()
         first = build_runtime(parse_config(CACHE_RUN))
         calls = []
         for name in ("_field_profile", "_scalar_profile"):
@@ -283,6 +283,31 @@ class TestSpecCache:
         second = build_runtime(parse_config(CACHE_RUN))
         assert second.spec is first.spec and second is not first
         assert calls == []
+
+    def test_pool_workers_reuse_the_parent_spec(self, tmp_path,
+                                                monkeypatch):
+        # forked workers inherit the spec run_experiment built, so a pool
+        # run builds the fields once, not once per worker as well
+        monkeypatch.setattr(mks.stepping, "BATCH_VALUES", 6 * 8**3)
+        cfg = parse_config(CACHE_RUN)
+        cfg.paths = 4
+        run_experiment(cfg, workers=1, out_dir=tmp_path / "serial")
+
+        def refused(*args):
+            raise AssertionError("a worker built a profile")
+
+        for name in ("_field_profile", "_scalar_profile"):
+            monkeypatch.setattr(mks.config, name, refused)
+        _, status = run_experiment(cfg, workers=2, out_dir=tmp_path / "pool")
+        assert status == 0
+        for name in ("series.csv", "summary.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "pool" / name).read_bytes()
+
+    def test_another_config_replaces_the_spec(self):
+        first = build_runtime(parse_config(CACHE_RUN))
+        build_runtime(parse_config(MINIMAL_WEAK))
+        assert build_runtime(parse_config(CACHE_RUN)).spec is not first.spec
 
     @pytest.mark.parametrize("old,new", [
         ("seed=1,", "seed=2,"),
@@ -340,7 +365,7 @@ class TestSpecCache:
         else:
             text = (Path(__file__).resolve().parents[1] / "configs"
                     / config).read_text()
-        _noise_spec.cache_clear()  # the first run builds, the second reuses
+        _last_spec.clear()  # the first run builds, the second reuses
         outputs = []
         for run in ("cold", "warm"):
             cfg = parse_config(text)
@@ -368,7 +393,7 @@ class TestAssumptionEcho:
 
         for module in (mks.stepping, mks.operators):
             monkeypatch.setattr(module, "maxwell_apply", counted)
-        _noise_spec.cache_clear()  # a fresh spec, whatever ran before
+        _last_spec.clear()  # a fresh spec, whatever ran before
         cfg = parse_config(MINIMAL_WEAK)
         model = build_runtime(cfg)
         rows = {r["tag"]: r["detail"] for r in assumption_echo(cfg, model)}

@@ -2,7 +2,8 @@ import csv
 import json
 import multiprocessing
 import os
-import tracemalloc
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,28 +138,44 @@ class TestRunExperiment:
 
     def test_run_memory_does_not_grow_with_the_horizon(self, tmp_path):
         # checkpoints are written as they are produced: no saved level is
-        # held, so the traced peak barely moves from 8 to 64 steps
+        # held, so the traced peak barely moves from 8 to 64 steps.  It is
+        # measured in a fresh interpreter: pathlib interns the file names
+        # it parses, and whether that grows the interpreter's table of
+        # interned strings (which tracemalloc counts) inside the traced
+        # window depends on what ran before in the process.
         config = Path(__file__).resolve().parents[1] / "configs" / \
             "example_strong.cfg"
-        text = config.read_text().replace("save_fields = off",
-                                          "save_fields = on")
+        code = """if True:
+            import sys
+            import tracemalloc
+            from pathlib import Path
 
-        def traced_peak(horizon):
-            cfg = parse_config(text.replace("horizon = 0.5",
-                                            f"horizon = {horizon}"))
-            tracemalloc.start()
-            try:
-                run_experiment(cfg, workers=1, out_dir=tmp_path / str(horizon))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            from mks.config import parse_config
+            from mks.harness import run_experiment
 
-        # caches, imports and the file names pathlib interns (a first
-        # sight of a name can grow the interpreter's table of interned
-        # strings, which tracemalloc counts)
-        for horizon in (0.125, 1.0):
-            traced_peak(horizon)
-        short, long = traced_peak(0.125), traced_peak(1.0)
+            text = Path(sys.argv[1]).read_text().replace(
+                "save_fields = off", "save_fields = on")
+
+            def traced_peak(horizon):
+                cfg = parse_config(text.replace("horizon = 0.5",
+                                                f"horizon = {horizon}"))
+                tracemalloc.start()
+                try:
+                    run_experiment(cfg, workers=1,
+                                   out_dir=Path(sys.argv[2]) / str(horizon))
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+            traced_peak(0.125)  # caches and imports
+            print(traced_peak(0.125), traced_peak(1.0))
+        """
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(config), str(tmp_path)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        short, long = map(int, done.stdout.split())
         assert len(list((tmp_path / "1.0" / "checkpoints").glob("*.mks"))) \
             == 4 * 65
         assert long - short < 0.25 * 2**20

@@ -135,6 +135,13 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0, 0] = 1.0
 
+    def test_caller_arrays_stay_writable(self, grid8):
+        B1 = np.zeros((8, 8, 8))
+        spec = make_noise_spec(grid8, [B1], [zero_source(grid8)],
+                               zero_source(grid8), zero_field(grid8))
+        B1[0, 0, 0] = 1.0
+        assert not spec.B_fields[0].flags.writeable
+
     def test_gradient_is_spectral(self, grid16):
         x, _, _ = coords(grid16)
         n = grid16.points_per_axis
