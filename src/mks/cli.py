@@ -149,8 +149,8 @@ def _dispatch(args) -> int:
 
     if args.verb == "convergence":
         from .config import build_runtime
-        from .diagnostics import galerkin_convergence, strong_convergence_order
-        from .multipliers import MAX_LEVEL
+        from .diagnostics import (galerkin_convergence, resolved_levels,
+                                  strong_convergence_order)
 
         cfg = _load_config(args, None)
         model = build_runtime(cfg)
@@ -167,13 +167,8 @@ def _dispatch(args) -> int:
             else:
                 print(f"fitted slope: {result['slope']:.3f}")
         else:
-            if args.levels is None:
-                # every level whose scale 2^n the grid's Nyquist wavenumber
-                # resolves (CutoffLevel caps n at MAX_LEVEL)
-                levels = [n for n in range(1, MAX_LEVEL + 1)
-                          if 2.0 ** n <= model.spec.grid.nyquist]
-            else:
-                levels = _values("--levels", args.levels, int)
+            levels = (resolved_levels(model.spec.grid) if args.levels is None
+                      else _values("--levels", args.levels, int))
             result = galerkin_convergence(model.spec, model.scheme,
                                           model.kernel, levels, seeds,
                                           horizon=model.horizon)

@@ -5,7 +5,8 @@ Monte-Carlo confidence intervals use half-width 1.96 * sample std /
 sqrt(samples); slopes come from least squares on log-log points.  The
 convergence studies run on the shared Brownian paths of ``bundle_ladder``,
 one ``run_paths`` call per batch and step size (or cutoff level); a path
-that blows up raises its BlowUpError.
+that blows up raises its BlowUpError.  Runs compared at every step are
+stepped together and reduced as they step (``lockstep_sup_gaps``).
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UsageError
-from .multipliers import CutoffLevel
-from .noise import NoiseSpec, sample_brownian, refine_bundle
-from .stepping import (MAX_STEPS, Recording, SchemeConfig, path_batches,
-                       raise_blowups, run_paths, trajectory_sup_distance)
+from .multipliers import MAX_LEVEL, CutoffLevel
+from .noise import NoiseSpec, apply_gauge, sample_brownian, refine_bundle
+from .stepping import (MAX_STEPS, SchemeConfig, observed, path_batches,
+                       raise_blowups, run_paths)
 
 REFINE_FACTOR = 4  # strong-error reference step min(dts) / REFINE_FACTOR
 
@@ -105,7 +106,7 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
 
     The step sizes and the reference, at min(dts)/REFINE_FACTOR, are rungs
     of one ``bundle_ladder``: one run_paths call per batch and step size,
-    one for the reference.  A run's sink keeps the states at T only.
+    one for the reference.  Of each run the states at T are kept.
     """
     dts = sorted(dts, reverse=True)
     if not all(dt > 0 for dt in dts):  # rejects nan too
@@ -130,15 +131,12 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
                          f"divide horizon={horizon}")
 
     def terminal_states(dt, bundles):
-        states = np.empty((len(bundles),) + spec.u0.data.shape, np.complex128)
-
-        def sink(k, paths, view, gauge):
-            if k == bundles[0].steps:
-                states[paths] = view.data
-
-        raise_blowups(run_paths(spec, replace(cfg, dt=dt), kernel, bundles,
-                                sink=sink))
-        return states
+        outcomes = []
+        for _, _, view, _ in observed(run_paths(
+                spec, replace(cfg, dt=dt), kernel, bundles), outcomes):
+            pass  # the last state is t_K where no path blew up
+        raise_blowups(outcomes)
+        return view.data
 
     rungs = len(dts) + int(np.log2(REFINE_FACTOR))
     errors = {dt: [] for dt in dts}
@@ -157,29 +155,59 @@ def strong_convergence_order(spec: NoiseSpec, cfg: SchemeConfig, kernel,
     return {"table": table, "slope": slope, "exact": False}
 
 
+def resolved_levels(grid) -> list:
+    """The cutoff levels 1..MAX_LEVEL whose scale 2^n the grid resolves."""
+    return [n for n in range(1, MAX_LEVEL + 1) if 2.0 ** n <= grid.nyquist]
+
+
+def lockstep_sup_gaps(runs, *, inverse: bool) -> list:
+    """Step ``runs``, ``run_paths`` generators on the same bundles, to their
+    ends together: per pair of consecutive runs a, b, the sup over k of
+    sqrt(cell_volume) ||a_k - b_k|| per path in path order, of y (of u with
+    ``inverse``); then raise each run's blow-ups, in run order."""
+    outcomes = [[] for _ in runs]
+    runs = [observed(run, out) for run, out in zip(runs, outcomes)]
+    sups = [{} for _ in runs[1:]]
+    while any(states := [next(run, None) for run in runs]):
+        if None in states or any(s[1] != states[0][1] for s in states):
+            continue  # a run lost paths: its blow-ups are raised below
+        fields = [(view if not inverse or gauge is None
+                   else apply_gauge(view, gauge, "inverse")).data
+                  for _, _, view, gauge in states]
+        weight = np.sqrt(states[0][2].grid.cell_volume)
+        for sup, a, b in zip(sups, fields, fields[1:]):
+            for p, x, y in zip(states[0][1], a, b):
+                gap = weight * np.linalg.norm(x - y)
+                sup[p] = max(sup.get(p, gap), gap)
+    for out in outcomes:
+        raise_blowups(out)
+    return [[float(gap) for gap in sup.values()] for sup in sups]
+
+
 def galerkin_convergence(spec: NoiseSpec, cfg: SchemeConfig, kernel,
                          levels, seeds, horizon: float) -> dict:
     """E sup_t ||y_{n+1} - y_n||_2 on shared paths between consecutive
-    distinct cutoff levels (at least two), one run_paths call per batch and
-    level; the sup runs over every step."""
+    distinct cutoff levels (at least two, each resolved by the grid), all
+    stepped together per batch; the sup runs over every step."""
     levels = sorted(set(levels))
     if len(levels) < 2:
         raise UsageError("need at least two distinct cutoff levels")
-    steps = max(1, int(round(horizon / cfg.dt)))
+    resolved = resolved_levels(spec.grid)
+    for n in levels:
+        if n not in resolved:
+            raise UsageError(f"levels: cutoff level {n} is outside 1.."
+                             f"{len(resolved)}, the levels the grid resolves")
+    steps = horizon / cfg.dt  # whole within validate_config's 1e-9
+    if not 1 - 1e-9 <= steps <= MAX_STEPS or abs(steps - round(steps)) > 1e-9:
+        raise UsageError(f"horizon: horizon={horizon} is not a whole number "
+                         f"of 1 to {MAX_STEPS} steps of dt={cfg.dt}")
+    steps = int(round(steps))
     gaps = [[] for _ in levels[1:]]
     for (bundles,) in bundle_ladder(spec, seeds, steps * cfg.dt, steps, 1):
-        previous = None
-        for i, n in enumerate(levels):
-            record = Recording(spec.grid, bundles[0].times, len(bundles),
-                               inverse=False)
-            raise_blowups(run_paths(
-                spec, replace(cfg, cutoff_level=CutoffLevel(n)), kernel,
-                bundles, sink=record))
-            if previous is not None:
-                gaps[i - 1] += [trajectory_sup_distance(previous.trajectory(p),
-                                                        record.trajectory(p))
-                                for p in range(len(bundles))]
-            previous = record
+        runs = [run_paths(spec, replace(cfg, cutoff_level=CutoffLevel(n)),
+                          kernel, bundles) for n in levels]
+        for kept, new in zip(gaps, lockstep_sup_gaps(runs, inverse=False)):
+            kept += new
     rows = [{"levels": pair, "mean_gap": float(np.mean(pair_gaps))}
             for pair, pair_gaps in zip(zip(levels, levels[1:]), gaps)]
     return {"rows": rows,

@@ -16,9 +16,9 @@ processes, each running whole batches; every path is a pure function of
 order, so reruns are bitwise identical for any worker count.
 
 Checkpoints are written by whoever runs the batch, the parent or a worker,
-as ``run_paths`` hands each state to the batch's sink (step k at
-``[outputs] stride`` s is level k / s when s divides k), so no run holds
-its trajectories and workers return reports only.  A path that blows up
+in its loop over the states ``run_paths`` yields (step k at ``[outputs]
+stride`` s is level k / s when s divides k), so no run holds its
+trajectories and workers return reports only.  A path that blows up
 has its files removed; ``index.csv`` is written last, from the reports in
 path order, and lists the completed paths only.  File writes go through a
 temp-file rename.
@@ -56,7 +56,7 @@ from .operators import (HELMHOLTZ, HODGE_LAPLACIAN, MAXWELL, SHARP_CUTOFF,
                         dense_operator, div, grad, helmholtz_project,
                         hodge_laplacian_apply, maxwell_apply, maxwell_group)
 from .stepping import (EULER_MARUYAMA, MSEE, PathReport, SchemeConfig,
-                       path_batches, run_paths, solve_with_memory)
+                       observed, path_batches, run_paths, solve_with_memory)
 
 WORKERS_ENV = "MKS_WORKERS"
 
@@ -91,18 +91,16 @@ def _run_batch(model: RuntimeModel, batch: range, root: Path | None):
     its files removed."""
     bundles = [sample_brownian(model.spec.count, model.horizon, model.steps,
                                seed=model.base_seed + p) for p in batch]
-    sink = None
-    if root is not None:
-        def sink(k, paths, view, gauge):
-            level, off_level = divmod(k, model.stride)
-            if off_level:
-                return
-            for p, data in zip(paths, view.data):
-                write_checkpoint(Field6(model.grid, PHYSICAL, data),
+    results = []
+    for k, paths, view, _ in observed(
+            run_paths(model.spec, model.scheme, model.kernel, bundles,
+                      path_indices=list(batch)), results):
+        level, off_level = divmod(k, model.stride)
+        if root is not None and not off_level:
+            for row, p in enumerate(paths):
+                write_checkpoint(Field6(model.grid, PHYSICAL, view.data[row]),
                                  root / _checkpoint_name(p, level))
-
-    results = run_paths(model.spec, model.scheme, model.kernel, bundles,
-                        path_indices=list(batch), sink=sink)
+        del view  # held while the run forms the next one, it raises the peak
     outcomes = []
     for p, res in zip(batch, results):
         if isinstance(res, BlowUpError):

@@ -39,7 +39,7 @@ the state at t_{k+1}; the gauge phase reads beta at index k and the memory
 bundles it is given, so k indexes them from their first time; the Picard
 driver (``solve_with_memory``) runs a window by handing over that window's
 slice of its frozen bundle.  Each state is observed once, at the top of the
-step loop (norms, ledger, phase, view, sink, memory term, Lambda), then
+step loop (norms, ledger, phase, view, yield, memory term, Lambda), then
 stepped, the last one excepted; blow-ups are checked on stepped states.
 
 Paths are stepped in batches: ``run_paths`` advances P paths, one Brownian
@@ -66,8 +66,8 @@ update and the Parseval norms of the ledger all act on packed arrays.  Once
 per step ``run_paths`` forms the physical view y = to_physical(y^), whose
 pruned inverse passes cover only the grid lines that hold a retained mode;
 that one view feeds the power norm, the Kerr force, A(t) y, the gauge phase,
-B y and the saved fields, which leave the run only through a caller's sink
-(a ``Recording`` keeps them in memory).  Lambda^ is m y^ plus the spectral
+B y and the saved fields, which leave the run only as the states it
+yields.  Lambda^ is m y^ plus the spectral
 sources (J outside gauged tsee, the memory term) plus one packed transform
 (``GalerkinSpace.spectral``) of the summed physical-space terms: its pruned
 forward passes compute the retained modes only, so it is P_n and no mask
@@ -197,31 +197,6 @@ def trajectory_sup_distance(a: Trajectory, b: Trajectory) -> float:
     weight = np.sqrt(a.grid.cell_volume)
     diff = a.data - b.data
     return float(max(weight * np.linalg.norm(diff[k]) for k in range(len(a))))
-
-
-class Recording:
-    """A ``run_paths`` sink that keeps every state of paths 0..P-1, at the
-    run's ``times``, in one (P, K+1, 6, n, n, n) array: y, or with
-    ``inverse`` u = exp(-i sum_j B_j beta_j) y by the step's own gauge phase
-    (u = y where the run forms none)."""
-
-    def __init__(self, grid: GridSpec, times: np.ndarray, count: int, *,
-                 inverse: bool):
-        self.grid = grid
-        self.times = times
-        self.inverse = inverse
-        self.data = np.empty((count, len(times), 6)
-                             + (grid.points_per_axis,) * 3, np.complex128)
-
-    def __call__(self, k, paths, view, gauge):
-        if self.inverse and gauge is not None:
-            view = apply_gauge(view, gauge, "inverse")
-        self.data[paths, k] = view.data
-
-    def trajectory(self, path: int) -> Trajectory:
-        """The states of path ``path``: a row of the one array."""
-        return Trajectory(grid=self.grid, times=self.times.copy(),
-                          data=self.data[path])
 
 
 @dataclass
@@ -599,9 +574,9 @@ class _EnergyLedger:
 # Cap on P * 6 n^3, the values of one stacked field of a batch of P paths on
 # an n^3 grid: 8 paths at 8^3, one from 16^3 up.  At 8^3 path-steps per
 # second level off from about P = 4 and P = 8 beats P = 16 (2 shared cores,
-# single-threaded FFTs); two paths at 16^3 would gain about 1.3x, but the
+# single-threaded FFTs); two paths at 16^3 would gain about 1.3x, and the
 # cap that allows them puts 16 paths in an 8^3 batch, where criterion 5
-# peaks at 270 MB against 171 MB (ru_maxrss).
+# peaks at 67.1 MB against 66.9 MB at this cap (ru_maxrss, min of 3).
 BATCH_VALUES = 6 * 8**3 * 8
 
 
@@ -641,15 +616,27 @@ def raise_blowups(results: list) -> list:
     return results
 
 
+def observed(run, outcomes: list):
+    """Yield ``run``'s states, then put its outcome list in ``outcomes``."""
+    outcomes[:] = yield from run
+
+
 def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
-              bundles, *, path_indices=None, sink=None, history_at=None,
-              initial: Field6 | None = None) -> list:
+              bundles, *, path_indices=None, history_at=None,
+              initial: Field6 | None = None):
     """Integrate a batch of paths, one bundle each, stepped together over the
     whole of their (shared) time grid.
 
-    Returns one entry per bundle: its PathReport, or the BlowUpError of a
-    path whose norm left the threshold; such a path leaves the batch and
-    the rest go on.  Each path's results are bitwise the same in any batch.
+    A generator: at every state, t_0 to t_K, it yields (k, paths, view,
+    gauge), the step index k, the path indices of the rows still stepping,
+    their physical view (one row each, in that order) and the step's gauge
+    phase, or None where the run forms none (msee, wsee, and tsee with a
+    trivial phase, where u = y).  It steps on when asked for the next state
+    and holds no record: the caller keeps what it reads.  It returns
+    (``observed`` hands it over) one entry per bundle: its PathReport, or
+    the BlowUpError of a path whose norm left the threshold; such a path
+    leaves the batch and the rest go on.  Each path's results are bitwise
+    the same in any batch.
 
     ``path_indices`` label the reports (default 0..P-1).  ``history_at``:
     optional callable step_index -> the memory ``History`` to read at that
@@ -659,17 +646,6 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
     outside the cube do not enter the run.  A run covers its bundles from
     their first time to their last; the Picard driver runs a window by
     handing over a slice of its frozen bundle, whose step k is the window's.
-
-    States leave the run through ``sink`` only: an optional callable
-    (k, paths, view, gauge) called at every state, t_0 to t_K, with the step
-    index k, the path indices of the rows still stepping, their physical
-    view (one row each, in that order) and the step's gauge phase, or None
-    where the run forms none (msee, wsee, and tsee with a trivial phase,
-    where u = y).  View and phase are valid during the call only, and the
-    sink keeps what it needs, so the run holds no record and the sink
-    chooses the states it keeps: ``mks run`` writes the checkpoints of its
-    output stride, the strong sweep keeps t_K, and a ``Recording`` keeps
-    every state in memory for the callers that read trajectories.
     """
     count = len(bundles)
     path_indices = list(range(count) if path_indices is None else path_indices)
@@ -737,7 +713,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         l2[alive, k] = norms
         residual[alive, k] = ledger.residual(norms)
 
-        # one gauge phase per step, shared by drift, noise and the sink
+        # one gauge phase per step, shared by drift, noise and the caller
         gauge = gauge_phase(spec, stack, k) if ctx.static.gauged else None
         view = to_physical(y)
         magnitude = pointwise_norm(view)
@@ -745,8 +721,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         power_norm[alive, k] = [v ** power for v in norms]
         if cfg.kerr is None:
             magnitude = None  # only the Kerr force reads it
-        if sink is not None:
-            sink(k, [path_indices[row] for row in alive], view, gauge)
+        yield k, [path_indices[row] for row in alive], view, gauge
 
         if history is not None:
             # u under gauged tsee: the law acts on u, not on y
@@ -786,9 +761,9 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     then the previous iterate) through ``run_paths(history_at=...)``.  The
     direct run carries the memory law for every equation, so this driver is
     its oracle; the ``tsee`` branch serves that check only.  An iterate is
-    the ``Recording`` of u over its window, every state of the window and
-    no other: the states before the window are the same in every iterate,
-    so the sup distance over the window is the one over [0, T].
+    u over its window, every state of the window and no other: the states
+    before the window are the same in every iterate, so the sup distance
+    over the window is the one over [0, T].
 
     The bundle is frozen once, at the truncation level of [0, T], and each
     window runs on its slice of the frozen bundle: the steps, the gauged
@@ -851,11 +826,14 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
                 return history
 
             # u, the back-transformed field (u = y outside gauged tsee)
-            record = Recording(grid, times, 1, inverse=True)
-            raise_blowups(run_paths(spec, cfg, None, [window_bundle],
-                                    sink=record, history_at=history_at,
-                                    initial=y_start))
-            return record.trajectory(0)
+            outcomes = []
+            u = [(view if gauge is None
+                  else apply_gauge(view, gauge, "inverse")).data[0]
+                 for _, _, view, gauge in observed(run_paths(
+                     spec, cfg, None, [window_bundle], history_at=history_at,
+                     initial=y_start), outcomes)]
+            raise_blowups(outcomes)
+            return Trajectory(grid=grid, times=times, data=np.stack(u))
 
         times = bundle.times[start:stop + 1].copy()
         guess = Trajectory(grid=grid, times=times, data=np.broadcast_to(

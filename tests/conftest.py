@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +24,9 @@ from mks.harness import (
     operator_battery,
 )
 from mks.multipliers import CutoffLevel, sharp_cutoff
-from mks.noise import BrownianBundle, NoiseSpec, cross_drift_apply, gauge_phase
-from mks.stepping import Recording, raise_blowups, run_paths
+from mks.noise import (BrownianBundle, NoiseSpec, apply_gauge,
+                       cross_drift_apply, gauge_phase)
+from mks.stepping import Trajectory, observed, raise_blowups, run_paths
 
 
 @pytest.fixture(scope="session")
@@ -87,31 +92,79 @@ def run_path(spec, cfg, kernel, bundle, **options):
     """Integrate one path over its whole bundle: ``run_paths`` with a batch
     of one (``options`` are its keywords), raising the BlowUpError of a path
     that blew up."""
-    (report,) = raise_blowups(run_paths(spec, cfg, kernel, [bundle],
-                                        **options))
+    (report,) = raise_blowups(finished(run_paths(spec, cfg, kernel,
+                                                 [bundle], **options)))
     return report
 
 
-def recording(spec, bundles, inverse=False) -> Recording:
-    """A Recording of y (of u with ``inverse``) for a run over all of
-    ``bundles``, its paths labelled 0..P-1."""
-    return Recording(spec.grid, bundles[0].times, len(bundles),
-                     inverse=inverse)
+def finished(run) -> list:
+    """The outcome list of ``run``, a ``run_paths`` generator, stepped to
+    its end with its states unread."""
+    outcomes = []
+    for _ in observed(run, outcomes):
+        pass
+    return outcomes
+
+
+def stepped(run):
+    """Step ``run``, a ``run_paths`` generator, to its end: (its outcome
+    list, {path label: its states of y}, {path label: its states of u}),
+    each the label's rows of the physical view stacked in step order (u = y
+    where the run forms no phase)."""
+    outcomes, y, u = [], {}, {}
+    for _, paths, view, gauge in observed(run, outcomes):
+        back = view if gauge is None else apply_gauge(view, gauge, "inverse")
+        for p, a, b in zip(paths, view.data, back.data):
+            y.setdefault(p, []).append(a)
+            u.setdefault(p, []).append(b)
+    return (outcomes, *({p: np.stack(rows) for p, rows in each.items()}
+                        for each in (y, u)))
 
 
 def recorded_path(spec, cfg, kernel, bundle, **kwargs):
-    """``run_path`` into a Recording of y: (the report, the trajectory)."""
-    record = recording(spec, [bundle])
-    report = run_path(spec, cfg, kernel, bundle, sink=record, **kwargs)
-    return report, record.trajectory(0)
+    """``run_path`` keeping every state of y: (the report, the trajectory)."""
+    outcomes, states, _ = stepped(run_paths(spec, cfg, kernel, [bundle],
+                                            **kwargs))
+    (report,), (data,) = raise_blowups(outcomes), states.values()
+    return report, Trajectory(grid=spec.grid, times=bundle.times.copy(),
+                              data=data)
 
 
-def fan_out(*sinks):
-    """One sink that hands every state to each of ``sinks``."""
-    def sink(*state):
-        for each in sinks:
-            each(*state)
-    return sink
+def traced_peaks(call: str, *args) -> list:
+    """The tracemalloc peaks (bytes) of ``call``, one line on ``cfg``
+    (example_strong.cfg with its fields saved, at ``horizon``) and ``argv``
+    (``args`` as strings), at horizons 0.125 and 1.0 after a warm-up call.
+    A fresh interpreter runs them, so what ran before in this process (the
+    file names pathlib interns, which tracemalloc counts) stays out."""
+    root = Path(__file__).resolve().parents[1]
+    code = f"""if True:
+        import sys, tracemalloc
+        from pathlib import Path
+        from mks.config import build_runtime, parse_config
+        from mks.diagnostics import galerkin_convergence
+        from mks.harness import run_experiment
+        config, *argv = sys.argv[1:]
+        text = Path(config).read_text().replace("save_fields = off",
+                                                "save_fields = on")
+
+        def traced_peak(horizon):
+            cfg = parse_config(text.replace("horizon = 0.5",
+                                            f"horizon = {{horizon}}"))
+            tracemalloc.start()
+            {call}
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak
+
+        traced_peak(0.125)
+        print(traced_peak(0.125), traced_peak(1.0))
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", code,
+         str(root / "configs" / "example_strong.cfg"), *map(str, args)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    return list(map(int, done.stdout.split()))
 
 
 def drift_and_noise(ctx, bundle, y: Field6, k: int, history=None):

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from mks.config import parse_config
-from mks.diagnostics import bundle_ladder, fit_loglog_slope
+from mks.diagnostics import bundle_ladder, fit_loglog_slope, lockstep_sup_gaps
 from mks.grid import Field6, l2_norm, make_grid
 from mks.harness import run_experiment
 from mks.kerr import KerrExponent
@@ -31,10 +31,9 @@ from mks.stepping import (
     SchemeConfig,
     raise_blowups,
     run_paths,
-    trajectory_sup_distance,
 )
 
-from conftest import banded_field, recording, run_path
+from conftest import banded_field, finished, run_path
 
 
 def verdict(criterion, ok, detail):
@@ -108,7 +107,8 @@ def test_criterion_4_ito_energy_identity():
         for dt, bundles in zip(dts, ladder):
             cfg = SchemeConfig(scheme=EULER_MARUYAMA, dt=dt,
                                cutoff_level=CutoffLevel(2), equation=TSEE)
-            runs = raise_blowups(run_paths(spec, cfg, None, bundles))
+            runs = raise_blowups(finished(run_paths(spec, cfg, None,
+                                                    bundles)))
             residuals[dt] += [abs(r.energy_residual[-1]) for r in runs]
     means = [float(np.mean(residuals[dt])) for dt in dts]
     slope = fit_loglog_slope(dts, means)
@@ -157,14 +157,11 @@ def test_criterion_5_gauge_duality():
                                  cutoff_level=CutoffLevel(2), equation=TSEE,
                                  kerr=kerr)
             cfg_m = replace(cfg_t, equation=MSEE)
-            u = recording(spec, bundles, inverse=True)
-            raise_blowups(run_paths(spec, cfg_t, None, bundles, sink=u))
-            y = recording(spec, bundles)
-            raise_blowups(run_paths(spec, cfg_m, None, bundles, sink=y))
-            gaps[dt] += [trajectory_sup_distance(u.trajectory(p),
-                                                 y.trajectory(p))
-                         for p in range(len(bundles))]
-            del u, y  # the next dt's runs start without these records
+            # tsee in the u frame against msee, which forms no phase (u = y)
+            (pair_gaps,) = lockstep_sup_gaps(
+                [run_paths(spec, cfg, None, bundles)
+                            for cfg in (cfg_t, cfg_m)], inverse=True)
+            gaps[dt] += pair_gaps
     means = [float(np.mean(gaps[dt])) for dt in dts]
     slope = fit_loglog_slope(dts, means)
     elapsed = time.monotonic() - t0

@@ -9,6 +9,7 @@ from mks.diagnostics import (
     bundle_ladder,
     fit_loglog_slope,
     galerkin_convergence,
+    lockstep_sup_gaps,
     strong_convergence_order,
 )
 from mks.errors import BlowUpError, UsageError
@@ -24,10 +25,11 @@ from mks.stepping import (
     SchemeConfig,
     Trajectory,
     path_batches,
+    trajectory_sup_distance,
 )
 
 from conftest import (banded_field, coords, drift_and_noise, recorded_path,
-                      run_path)
+                      run_path, traced_peaks)
 
 
 def em_cfg(dt, level=2, kerr=None):
@@ -299,6 +301,63 @@ class TestGalerkinConvergence:
             galerkin_convergence(additive_spec(grid8),
                                  em_cfg(1 / 32, level=1), None,
                                  levels=[1, 2], seeds=[1, 2], horizon=0.25)
+
+    def test_gap_is_the_sup_distance_of_the_trajectories(self, grid8):
+        # the gaps reduced as the levels step are bitwise the sup distance
+        # of the kept trajectories
+        spec = additive_spec(grid8)
+        bundle = sample_brownian(spec.count, 0.25, 8, seed=3)
+        out = galerkin_convergence(spec, em_cfg(1 / 32, level=1), None,
+                                   levels=[1, 2], seeds=[3], horizon=0.25)
+        a, b = (recorded_path(spec, em_cfg(1 / 32, level=n), None, bundle)[1]
+                for n in (1, 2))
+        assert out["rows"][0]["mean_gap"] == trajectory_sup_distance(a, b)
+
+    # 8^3 on [0, 2 pi): Nyquist 4 resolves levels 1 and 2 only
+    @pytest.mark.parametrize("levels, horizon, message", [
+        ([1, 3], 0.25, "levels: cutoff level 3 is outside 1..2, "),
+        ([0, 1], 0.25, "levels: cutoff level 0 is outside 1..2, "),
+        ([1, 61], 0.25, "levels: cutoff level 61 is outside 1..2, "),
+        ([1, 2], 0.3, "horizon: horizon=0.3 is not a whole number of 1 to "
+         "1048576 steps of dt=0.03125"),
+        ([1, 2], 0.01, "horizon: horizon=0.01 is not a whole number "),
+        ([1, 2], float("nan"), "horizon: horizon=nan is not a whole number "),
+        ([1, 2], float("inf"), "horizon: horizon=inf is not a whole number "),
+    ])
+    def test_input_is_refused_before_any_run(self, grid8, run_paths_calls,
+                                             levels, horizon, message):
+        with pytest.raises(UsageError, match=f"^{message}"):
+            galerkin_convergence(additive_spec(grid8),
+                                 em_cfg(1 / 32, level=1), None,
+                                 levels=levels, seeds=[1, 2], horizon=horizon)
+        assert run_paths_calls == []
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # the levels are reduced as they step, so no trajectory is held: the
+        # traced peak grows by less than one batch's state (4 paths of
+        # 6 * 8^3 complex values) from 8 to 64 steps
+        short, long = traced_peaks(
+            "m = build_runtime(cfg); galerkin_convergence(m.spec, m.scheme, "
+            "m.kernel, [1, 2], range(cfg.paths), m.horizon)")
+        assert long - short < 4 * 6 * 8**3 * 16
+
+    def test_lockstep_ends_every_run_then_raises_in_run_order(self, grid4):
+        # the second run ends first, with an earlier blow-up; the first
+        # run's is raised, once every run has ended
+        view, ended = Field6(grid4, PHYSICAL, np.zeros((1, 6, 4, 4, 4))), []
+
+        def run(steps, outcome):  # a stand-in for a run_paths generator
+            yield from ((k, [0], view, None) for k in range(steps))
+            ended.append(steps)
+            return [outcome]
+
+        late = BlowUpError("late", time=1.0, norm=2.0)
+        early = BlowUpError("early", time=0.5, norm=3.0)
+        with pytest.raises(BlowUpError) as info:
+            lockstep_sup_gaps([run(4, late), run(2, early), run(5, "report")],
+                              inverse=False)
+        assert info.value is late
+        assert ended == [2, 4, 5]
 
 
 def monotone_limit_check(u: Trajectory, v: Trajectory, growth_rate: float) -> float:

@@ -2,8 +2,6 @@ import csv
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +17,8 @@ from mks.harness import (
     run_experiment,
     verify_suite,
 )
+
+from conftest import traced_peaks
 
 ZERO_INPUT = """
 [grid]
@@ -138,44 +138,10 @@ class TestRunExperiment:
 
     def test_run_memory_does_not_grow_with_the_horizon(self, tmp_path):
         # checkpoints are written as they are produced: no saved level is
-        # held, so the traced peak barely moves from 8 to 64 steps.  It is
-        # measured in a fresh interpreter: pathlib interns the file names
-        # it parses, and whether that grows the interpreter's table of
-        # interned strings (which tracemalloc counts) inside the traced
-        # window depends on what ran before in the process.
-        config = Path(__file__).resolve().parents[1] / "configs" / \
-            "example_strong.cfg"
-        code = """if True:
-            import sys
-            import tracemalloc
-            from pathlib import Path
-
-            from mks.config import parse_config
-            from mks.harness import run_experiment
-
-            text = Path(sys.argv[1]).read_text().replace(
-                "save_fields = off", "save_fields = on")
-
-            def traced_peak(horizon):
-                cfg = parse_config(text.replace("horizon = 0.5",
-                                                f"horizon = {horizon}"))
-                tracemalloc.start()
-                try:
-                    run_experiment(cfg, workers=1,
-                                   out_dir=Path(sys.argv[2]) / str(horizon))
-                    return tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-
-            traced_peak(0.125)  # caches and imports
-            print(traced_peak(0.125), traced_peak(1.0))
-        """
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", code, str(config), str(tmp_path)],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(src)})
-        short, long = map(int, done.stdout.split())
+        # held, so the traced peak barely moves from 8 to 64 steps
+        short, long = traced_peaks(
+            "run_experiment(cfg, workers=1, out_dir=Path(argv[0]) / "
+            "str(horizon))", tmp_path)
         assert len(list((tmp_path / "1.0" / "checkpoints").glob("*.mks"))) \
             == 4 * 65
         assert long - short < 0.25 * 2**20
@@ -567,9 +533,12 @@ class TestCli:
          "dts: the coarsest step 1 is longer than horizon=0.5"),
         (["--mode", "galerkin", "--levels", "1 x"],
          "--levels: cannot read '1 x'"),
+        (["--mode", "galerkin", "--levels", "1 3"],
+         "levels: cutoff level 3 is outside 1..2, the levels the grid "
+         "resolves"),
     ], ids=["dts-zero-denominator", "dts-word", "dts-zero", "dts-nan",
             "dts-inf", "dts-tiny", "dts-coarse-not-dividing",
-            "dts-coarse-too-long", "levels-word"])
+            "dts-coarse-too-long", "levels-word", "levels-past-nyquist"])
     def test_malformed_sweep_is_reported(self, capsys, args, message):
         config = Path(__file__).resolve().parents[1] / "configs" / \
             "example_strong.cfg"

@@ -36,6 +36,7 @@ from mks.stepping import (
     WSEE,
     SchemeConfig,
     StepContext,
+    Trajectory,
     initial_coefficients,
     run_paths,
     solve_with_memory,
@@ -49,11 +50,11 @@ from conftest import (
     coords,
     drift_A_apply,
     drift_and_noise,
-    fan_out,
+    finished,
     plane_wave,
     recorded_path,
-    recording,
     run_path,
+    stepped,
     transformed_current,
     transformed_noise,
 )
@@ -412,8 +413,7 @@ class TestEvaluationCounts:
             monkeypatch.setattr(module, "pointwise_norm", pointwise)
         monkeypatch.setattr(mks.stepping, "l2_norm",
                             counted("l2_norm", mks.stepping.l2_norm))
-        run_path(spec, cfg, None, bundle,
-                 sink=recording(spec, [bundle], inverse=True))
+        stepped(run_paths(spec, cfg, None, [bundle]))
         # the Lie resolvent takes the pointwise norm of its own argument
         resolvent = self.STEPS if cfg.scheme == LIE_SPLITTING else 0
         assert counts == {"gauge_phase": self.STEPS + 1,
@@ -534,8 +534,8 @@ class TestRunPath:
         bundles = [sample_brownian(0, 1.0, 16, seed=s) for s in (1, 2, 3)]
         start = to_spectral(random_field(grid8, seed=4, scale=1e9))
         assert l2_norm(start) > mks.stepping.BLOWUP_THRESHOLD
-        results = run_paths(spec, em_cfg(1 / 16), None, bundles,
-                            initial=start)
+        results = finished(run_paths(spec, em_cfg(1 / 16), None, bundles,
+                                     initial=start))
         assert all(isinstance(r, BlowUpError) for r in results)
         assert [r.time for r in results] == [bundles[0].times[1]] * 3 \
             == [0.0625] * 3
@@ -568,18 +568,15 @@ class TestRunPath:
                                zero_source(grid8), banded_field(grid8, seed=20))
         bundle = sample_brownian(1, 0.5, 16, seed=16)
         cfg = em_cfg(1 / 32, kerr=KerrExponent(2.0, True))
-        y, u = (recording(spec, [bundle], inverse)
-                for inverse in (False, True))
-        run_path(spec, cfg, None, bundle, sink=fan_out(y, u))
-        for k in range(len(y.times)):
-            assert np.isclose(
-                np.linalg.norm(y.trajectory(0).data[k]),
-                np.linalg.norm(u.trajectory(0).data[k]), rtol=1e-12)
+        _, y, u = stepped(run_paths(spec, cfg, None, [bundle]))
+        for k in range(len(bundle.times)):
+            assert np.isclose(np.linalg.norm(y[0][k]),
+                              np.linalg.norm(u[0][k]), rtol=1e-12)
 
 
-class TestSinkGauge:
-    """The sink receives the phase the step formed, or None where the run
-    forms none; a Recording of u applies that very phase."""
+class TestYieldedGauge:
+    """A run yields the phase the step formed, or None where it forms none;
+    u of a state is formed with that very phase."""
 
     def _spec(self, grid8, multiplier):
         b = SeparableSource(shape=banded_field(grid8, seed=19, scale=0.1))
@@ -596,13 +593,11 @@ class TestSinkGauge:
         spec = self._spec(grid8, multiplier)
         bundle = sample_brownian(1, 0.5, 16, seed=16)
         cfg = em_cfg(1 / 32, equation=equation, kerr=KerrExponent(2.0, True))
-        gauges = []
-        y, u = (recording(spec, [bundle], inverse)
-                for inverse in (False, True))
-        run_path(spec, cfg, None, bundle, sink=fan_out(
-            y, u, lambda level, paths, view, gauge: gauges.append(gauge)))
+        gauges = [gauge for _, _, _, gauge in run_paths(spec, cfg, None,
+                                                        [bundle])]
+        _, y, u = stepped(run_paths(spec, cfg, None, [bundle]))
         assert gauges == [None] * (bundle.steps + 1)
-        assert y.data.tobytes() == u.data.tobytes()  # u = y
+        assert y[0].tobytes() == u[0].tobytes()  # u = y
 
     @pytest.mark.parametrize("make_cfg", [em_cfg, lie_cfg])
     def test_gauged_tsee_hands_the_steps_phase(self, grid8, monkeypatch,
@@ -618,20 +613,16 @@ class TestSinkGauge:
             return formed[-1][1]
 
         monkeypatch.setattr(mks.stepping, "gauge_phase", forming)
-        seen = []
-        u = recording(spec, [bundle], inverse=True)
-
-        def sink(level, paths, view, gauge):
-            seen.append((level, gauge,
-                         apply_gauge(view, gauge, "inverse").data.copy()))
-            u(level, paths, view, gauge)
-
-        run_path(spec, cfg, None, bundle, sink=sink)
-        assert [k for k, _ in formed] == list(range(bundle.steps + 1))
+        seen = [(level, gauge, apply_gauge(view, gauge, "inverse").data)
+                for level, _, view, gauge in run_paths(spec, cfg, None,
+                                                       [bundle])]
+        formed_first = list(formed)
+        _, _, u = stepped(run_paths(spec, cfg, None, [bundle]))
+        assert [k for k, _ in formed_first] == list(range(bundle.steps + 1))
         assert len(seen) == bundle.steps + 1
-        for (level, gauge, expected), (k, phase) in zip(seen, formed):
+        for (level, gauge, expected), (k, phase) in zip(seen, formed_first):
             assert level == k and gauge is phase
-            assert u.data[0, level].tobytes() == expected[0].tobytes()
+            assert u[0][level].tobytes() == expected[0].tobytes()
 
 
 class TestGalerkinState:
@@ -784,28 +775,17 @@ class TestBatchEquivalence:
         return a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @staticmethod
-    def _recorded(spec, cfg, kernel, bundles, name, path_indices=None,
-                  also=None):
-        """run_paths into a Recording of y, and of u too for tsee, plus the
-        sink ``also``: per path its BlowUpError, or (report, trajectories).
-        The recordings' rows are the bundles' positions."""
-        labels = list(range(len(bundles)) if path_indices is None
-                      else path_indices)
-        records = [recording(spec, bundles, inverse) for inverse in
-                   ((False, True) if name.startswith("tsee") else (False,))]
-
-        def sink(k, paths, view, gauge):
-            if also is not None:
-                also(k, paths, view, gauge)
-            rows = [labels.index(p) for p in paths]
-            for record in records:
-                record(k, rows, view, gauge)
-
-        out = run_paths(spec, cfg, kernel, bundles, path_indices=labels,
-                        sink=sink)
+    def _recorded(spec, cfg, kernel, bundles, name, path_indices=None):
+        """A run of the bundles keeping every state of y, and of u too for
+        tsee: per path its BlowUpError, or (report, trajectories)."""
+        out, *kept = stepped(run_paths(spec, cfg, kernel, bundles,
+                                       path_indices=path_indices))
+        kept = kept if name.startswith("tsee") else kept[:1]
         return [res if isinstance(res, BlowUpError)
-                else (res, [record.trajectory(row) for record in records])
-                for row, res in enumerate(out)]
+                else (res, [Trajectory(spec.grid, bundles[0].times.copy(),
+                                       states[res.path_index])
+                            for states in kept])
+                for res in out]
 
     def _assert_same_path(self, batched, alone):
         (ra, trajectories_a), (rb, trajectories_b) = batched, alone
@@ -844,8 +824,7 @@ class TestBatchEquivalence:
         singles = {p: self._recorded(spec, cfg, kernel, [bundles[p]], name,
                                      path_indices=[p])[0] for p in (0, 1, 3)}
         with pytest.raises(BlowUpError) as blown:
-            run_path(spec, cfg, kernel, bundles[2], path_indices=[2],
-                     sink=recording(spec, bundles))
+            run_path(spec, cfg, kernel, bundles[2], path_indices=[2])
         assert blown.value.time == bundles[2].times[self.JUMP]
         assert singles[1][0].events == [{
             "kind": "beta_truncation",
@@ -865,45 +844,26 @@ class TestBatchEquivalence:
                     self._assert_same_path(out, singles[p])
 
     @pytest.mark.parametrize("name", ["tsee_euler", "msee_lie_memory"])
-    def test_sink_sees_every_step_of_the_paths_still_stepping(self, grid8,
-                                                              name):
-        # the sink is called at k = 0..K with the labels of the rows still
+    def test_run_yields_every_step_of_the_paths_still_stepping(self, grid8,
+                                                               name):
+        # the run yields k = 0..K with the labels of the rows still
         # stepping; path 2 blows up at step 5, so it leaves them from k = 5.
-        # A Recording keeps row p of the view at index k
+        # The kept trajectory of path p holds row p of the view at index k
         spec, cfg, kernel = self._case(grid8, name)
-        sunk = []
-        batch = self._recorded(
-            spec, cfg, kernel, self._bundles(), name,
-            path_indices=[10, 11, 12, 13],
-            also=lambda k, paths, view, gauge: sunk.append(
-                (k, paths, view.data.copy())))
+        yielded = [(k, paths, view.data) for k, paths, view, _ in run_paths(
+            spec, cfg, kernel, self._bundles(),
+            path_indices=[10, 11, 12, 13])]
+        batch = self._recorded(spec, cfg, kernel, self._bundles(), name,
+                               path_indices=[10, 11, 12, 13])
         assert isinstance(batch[2], BlowUpError)
-        assert [(k, paths) for k, paths, _ in sunk] == \
+        assert [(k, paths) for k, paths, _ in yielded] == \
             [(k, [10, 11, 12, 13]) for k in range(self.JUMP)] + \
             [(k, [10, 11, 13]) for k in range(self.JUMP, self.STEPS + 1)]
-        for k, paths, data in sunk:
+        for k, paths, data in yielded:
             for label, row in zip(paths, data):
                 if label != 12:
                     assert self._same_bits(
                         row, batch[label - 10][1][0].data[k])
-
-    def test_records_are_rows_of_one_array(self, grid8):
-        spec, cfg, kernel = self._case(grid8, "tsee_euler")
-        bundles = self._bundles()
-        records = [recording(spec, bundles, inverse)
-                   for inverse in (False, True)]
-        batch = run_paths(spec, cfg, kernel, bundles, sink=fan_out(*records))
-        kept = [p for p, out in enumerate(batch)
-                if not isinstance(out, BlowUpError)]
-        assert kept == [0, 1, 3]
-        for record in records:
-            rows = [record.trajectory(p).data for p in kept]
-            base = rows[0].base
-            assert base is record.data
-            assert base.shape == (4, self.STEPS + 1) + rows[0].shape[1:]
-            for p, row in zip(kept, rows):
-                assert row.base is base
-                assert row.ctypes.data == base[p].ctypes.data
 
 
 class TestMemoryCoupling:
@@ -960,9 +920,8 @@ class TestMemoryCoupling:
                    else None)
         spec, bundle, kernel, cfg = self._setup(grid4, b_field)
         cfg = make_cfg(cfg.dt, level=1, equation=equation, kerr=cfg.kerr)
-        record = recording(spec, [bundle], inverse=True)
-        run_path(spec, cfg, kernel, bundle, sink=record)
-        direct = record.trajectory(0)
+        _, _, u = stepped(run_paths(spec, cfg, kernel, [bundle]))
+        direct = Trajectory(spec.grid, bundle.times.copy(), u[0])
         fixed, diag = solve_with_memory(spec, cfg, kernel, bundle)
         assert trajectory_sup_distance(fixed, direct) < 1e-10
         assert len(diag["windows"]) >= 2  # the kernel forces sub-windows
