@@ -35,7 +35,7 @@ from .grid import (
     zero_field,
 )
 from .kerr import KerrExponent
-from .memory import EXPONENTIAL, ZERO, KernelSpec
+from .memory import KernelSpec
 from .multipliers import MAX_LEVEL, CutoffLevel
 from .noise import (NoiseSpec, SeparableSource, TimeProfile, band_limit_defect,
                     make_noise_spec)
@@ -43,6 +43,8 @@ from .stepping import MAX_STEPS, MSEE, TSEE, WSEE, SchemeConfig, m_u0_norm
 
 WEAK = "weak"
 STRONG = "strong"
+ZERO = "zero"                # [kernel] forms: no memory, or G(t) = a e^{-rt}
+EXPONENTIAL = "exponential"
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,7 @@ def parse_config(text: str) -> ExperimentConfig:
     J_profile = get("noise", "J", default="zero", cast=parse_profile)
     u0_profile = get("noise", "u0", default="zero", cast=parse_profile)
 
-    kernel_form = get("kernel", "form", default="zero").strip().lower()
+    kernel_form = get("kernel", "form", default=ZERO).strip().lower()
     kernel_amplitude = get("kernel", "amplitude", default="0.0", cast=_finite)
     kernel_rate = get("kernel", "rate", default="0.0", cast=_finite)
 
@@ -473,7 +475,7 @@ class RuntimeModel:
 
     grid: GridSpec
     spec: NoiseSpec
-    kernel: KernelSpec
+    kernel: KernelSpec | None      # None: no memory
     scheme: SchemeConfig
     horizon: float
     steps: int
@@ -531,11 +533,9 @@ def build_runtime(cfg: ExperimentConfig) -> RuntimeModel:
         _last_spec[key] = _noise_spec(cfg)
     spec = _last_spec[key]
 
-    if cfg.kernel_form == ZERO or cfg.kernel_amplitude == 0.0:
-        kernel = KernelSpec()
-    else:
-        kernel = KernelSpec(form=EXPONENTIAL, amplitude=cfg.kernel_amplitude,
-                            rate=cfg.kernel_rate)
+    kernel = None  # no memory
+    if cfg.kernel_form != ZERO and cfg.kernel_amplitude != 0.0:
+        kernel = KernelSpec(cfg.kernel_amplitude, cfg.kernel_rate)
     kerr = None
     if cfg.nonlinearity:
         kerr = KerrExponent(cfg.q, strong_mode=(cfg.mode == STRONG))

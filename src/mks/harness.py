@@ -44,8 +44,8 @@ from .grid import (PHYSICAL, Field6, inner_product, l2_norm, lp_norm,
 from .kerr import (KerrExponent, implicit_kerr_solve, kerr_force,
                    kerr_hessian_apply, kerr_jacobian_apply, monotonicity_gap,
                    monotonicity_gap_scalars)
-from .memory import (History, contraction_step_length, convolve_history,
-                     exponential_kernel)
+from .memory import (History, KernelSpec, contraction_step_length,
+                     convolve_history)
 from .multipliers import (CutoffLevel, cutoff_sandwich_check,
                           radial_sharp_cutoff, sharp_cutoff, smooth_cutoff,
                           standard_window)
@@ -284,8 +284,8 @@ def _summary_rows(report: RunReport, cfg: ExperimentConfig):
 
 def reaggregate(out_dir) -> list:
     """Rebuild summary rows from series.csv (the ``report`` CLI verb); a
-    file that cannot be read, lacks a column or holds a value that is not a
-    number is a UsageError."""
+    file that cannot be read, lacks a column, holds no data row or holds a
+    value that is not a finite number is a UsageError."""
     series = Path(out_dir) / "series.csv"
     columns = ("l2", "power_norm", "lambda_l2", "energy_residual")
     per_path = {}
@@ -295,7 +295,11 @@ def reaggregate(out_dir) -> list:
             for row in rd:
                 values = per_path.setdefault(int(row["path"]), {})
                 for key in ("time",) + columns:
-                    values.setdefault(key, []).append(float(row[key]))
+                    value = float(row[key])
+                    if not np.isfinite(value):
+                        raise ValueError(f"{key} is {row[key]}, not a finite "
+                                         f"number")
+                    values.setdefault(key, []).append(value)
     except OSError as exc:
         raise UsageError(f"[report] cannot read {series}: "
                          f"{exc.strerror}") from exc
@@ -304,6 +308,8 @@ def reaggregate(out_dir) -> list:
     except (TypeError, ValueError) as exc:  # a short row reads None
         raise UsageError(f"[report] {series} line {rd.line_num}: "
                          f"{exc}") from exc
+    if not per_path:
+        raise UsageError(f"[report] {series} holds no data row")
     reports = [PathReport(path_index=p, times=np.asarray(v["time"]),
                           **{key: np.asarray(v[key]) for key in columns})
                for p, v in sorted(per_path.items())]
@@ -526,7 +532,7 @@ def memory_battery() -> list:
     g = make_grid(4, 2.0 * np.pi)
     c = random_field(g, seed=11)
     lam, amp, horizon = 1.3, 0.8, 0.5
-    ker = exponential_kernel(amp, lam)
+    ker = KernelSpec(amp, lam)
     exact = amp * (1 - np.exp(-lam * horizon)) / lam * c.data
     errs = []
     dts = [1e-2, 5e-3, 2.5e-3]
@@ -546,7 +552,7 @@ def memory_battery() -> list:
     cfg = SchemeConfig(scheme=EULER_MARUYAMA, dt=0.5 / 32,
                        cutoff_level=CutoffLevel(1), equation=MSEE,
                        kerr=KerrExponent(2.0, strong_mode=True))
-    _, diag = solve_with_memory(spec, cfg, exponential_kernel(2.0, 1.0),
+    _, diag = solve_with_memory(spec, cfg, KernelSpec(2.0, 1.0),
                                 sample_brownian(1, 0.5, 32, seed=13))
     worst_ratio = 0.0
     for wnd in diag["windows"]:

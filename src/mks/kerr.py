@@ -164,7 +164,7 @@ def _radial_scale(r: np.ndarray, dt: float, e: float) -> np.ndarray:
         fp = 1.0 + dt * (e + 1.0) * s**e
         s = np.maximum(s - f / fp, 0.0)
     f = s + dt * s ** (e + 1.0) - r
-    stuck = np.abs(f) > tol
+    stuck = ~(np.abs(f) <= tol)  # a NaN residual has not converged either
     if np.any(stuck):
         lo = np.zeros_like(r)
         hi = r.copy()
@@ -176,7 +176,7 @@ def _radial_scale(r: np.ndarray, dt: float, e: float) -> np.ndarray:
             lo = np.where(take_hi, lo, mid)
         s = np.where(stuck, 0.5 * (lo + hi), s)
         f = s + dt * s ** (e + 1.0) - r
-        if np.any(np.abs(f) > 10.0 * _RESIDUAL_FACTOR * (1.0 + r)):
+        if np.any(~(np.abs(f) <= 10.0 * _RESIDUAL_FACTOR * (1.0 + r))):
             worst = np.unravel_index(np.argmax(np.abs(f) / (1.0 + r)), f.shape)
             raise NumericalError(
                 "implicit kerr solve failed to converge at grid point "

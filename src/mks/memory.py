@@ -1,12 +1,14 @@
-"""Retarded material law (G * u)(t) and the fixed-point windowing driver.
+"""Retarded material law (G * u)(t) and the contraction window length.
 
-G acts as a space-constant 6x6 real matrix multiplier, applied as one real
-matrix product per path: the complex components, viewed as six rows of
-interleaved real and imaginary parts, times the coupling.  The convolution is
-the trapezoidal rule on the integrator's uniform history grid (O(dt^2) for
-smooth integrands).  For the exponential kernel G(t) = a e^{-rt} C the
-trapezoid sum is carried forward instead of re-summed: a ``History`` is
-built with its kernel and folds each state as it is appended,
+The law has one shape: an exponential ``KernelSpec`` G(t) = a e^{-rt} C, or
+None where there is no memory (a ``[kernel]`` of form ``zero`` or of
+amplitude 0 builds None).  C, the coupling, acts as a space-constant 6x6
+real matrix multiplier, applied as one real matrix product per path: the
+complex components, viewed as six rows of interleaved real and imaginary
+parts, times C.  The convolution is the trapezoidal rule on the
+integrator's uniform history grid (O(dt^2) for smooth integrands), carried
+forward instead of re-summed: a ``History`` is built with its kernel and
+folds each state as it is appended,
 
     H_0 = u_0 / 2,    H_{k+1} = e^{-r dt} H_k + u_{k+1},
 
@@ -24,9 +26,9 @@ along.
 The windowed Picard solve (``stepping.solve_with_memory``) iterates on one
 window of ``contraction_step_length`` at a time, to ``stepping.PICARD_TOL``
 between iterates: an iterate holds that window's states only, and the
-states before the window are folded once into a carried sum that every
-iterate continues from.  The direct trapezoid re-summation lives in the
-tests as the oracle.
+states before the window are folded once into a ``History`` that every
+iterate continues from a copy of.  The direct trapezoid re-summation lives
+in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -38,50 +40,35 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, UsageError
 from .grid import Field6
 
-ZERO = "zero"
-EXPONENTIAL = "exponential"
-
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Memory kernel G(t): zero, or amplitude*exp(-rate*t)*coupling."""
+    """Exponential memory kernel G(t) = amplitude * exp(-rate * t) * coupling.
 
-    form: str = ZERO
-    amplitude: float = 0.0
-    rate: float = 0.0
+    The coupling is the material law's real 6x6 matrix (identity by
+    default); a dispersive dielectric, for example, couples the electric
+    block only, diag(1, 1, 1, 0, 0, 0).  No memory is None, not a
+    kernel."""
+
+    amplitude: float
+    rate: float
     coupling: np.ndarray | None = None       # 6x6 real, defaults to identity
 
     def __post_init__(self):
-        if self.form not in (ZERO, EXPONENTIAL):
-            raise ConfigurationError(f"unknown kernel form {self.form!r}")
-        if self.form == EXPONENTIAL and self.coupling is None:
-            object.__setattr__(self, "coupling", np.eye(6))
-        if self.coupling is not None:
-            coupling = np.asarray(self.coupling)
-            if coupling.shape != (6, 6) or np.iscomplexobj(coupling):
-                raise ConfigurationError(
-                    f"the kernel coupling must be a real 6x6 matrix, got "
-                    f"shape {coupling.shape} of {coupling.dtype}")
-            object.__setattr__(self, "coupling", coupling.astype(np.float64))
-
-    @property
-    def is_zero(self):
-        return self.form == ZERO or (self.form == EXPONENTIAL and self.amplitude == 0.0)
+        coupling = (np.eye(6) if self.coupling is None
+                    else np.asarray(self.coupling))
+        if coupling.shape != (6, 6) or np.iscomplexobj(coupling):
+            raise ConfigurationError(
+                f"the kernel coupling must be a real 6x6 matrix, got "
+                f"shape {coupling.shape} of {coupling.dtype}")
+        object.__setattr__(self, "coupling", coupling.astype(np.float64))
 
     def l1_norm(self, horizon: float) -> float:
         """integral_0^T of the spectral operator norm of G(t)."""
-        if self.form == ZERO:
-            return 0.0
         op = float(np.linalg.norm(self.coupling, 2)) * abs(self.amplitude)
         if self.rate == 0.0:
             return op * horizon
         return op * (1.0 - np.exp(-self.rate * horizon)) / self.rate
-
-
-def exponential_kernel(amplitude: float, rate: float,
-                       coupling: np.ndarray | None = None) -> KernelSpec:
-    return KernelSpec(form=EXPONENTIAL, amplitude=amplitude, rate=rate,
-                      coupling=coupling)
 
 
 @dataclass
@@ -147,11 +134,8 @@ def convolve_history(h: History) -> Field6:
     t_k of the latest state, O(1) per step: a dt C (H_k - u_k / 2)."""
     if not h.count:
         raise UsageError("the memory law needs at least the t = 0 state")
-    u = h.latest.data
     kernel = h.kernel
-    if kernel.is_zero:
-        return h.latest.with_data(np.zeros_like(u))
-    diff = 0.5 * u
+    diff = 0.5 * h.latest.data
     np.subtract(h.carried, diff, out=diff)
     conv = _apply_matrix(kernel.coupling, diff)
     conv *= kernel.amplitude * h.dt
@@ -186,30 +170,3 @@ def contraction_step_length(g_l1: float, lipschitz_noise: float,
             return t0
         t0 *= 0.5
     raise NumericalError("contraction window underflow; kernel norm too large")
-
-
-def picard_solve(window, initial_guess, step, tol: float, max_iter: int,
-                 distance):
-    """Iterate v -> step(v) to a fixed point on one window.
-
-    ``step`` solves the memory-frozen equation given the input trajectory
-    (its G * v is computed from v).  ``distance`` measures the gap between
-    successive iterates (``solve_with_memory`` passes the sup-in-time L^2
-    distance); geometric decay is expected on admissible windows.  Returns
-    (fixed point, iterations, gap history).
-    """
-    t_a, t_b = window
-    if not t_b > t_a:
-        raise UsageError(f"empty window {window}")
-    v = initial_guess
-    gaps = []
-    for iteration in range(1, max_iter + 1):
-        w = step(v)
-        gap = distance(w, v)
-        gaps.append(gap)
-        v = w
-        if gap <= tol:
-            return v, iteration, gaps
-    raise NumericalError(
-        f"picard iteration did not contract on window {window}: gaps {gaps[-3:]}"
-        " (window too long or constants wrong)")

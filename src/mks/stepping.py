@@ -86,8 +86,9 @@ one ``GalerkinSpace.spectral``):
   drift, pre-step noise, the Kerr resolvent's round trip, the propagated
   state's view and noise).
 
-The memory term (G * u)(t_k) is formed once per step, for every equation,
-in ``StepContext.memory_term``; the drift and, under Lie splitting, the
+The memory law is a ``KernelSpec`` or None (no memory).  With a kernel, the
+memory term (G * u)(t_k) is formed once per step, for every equation, in
+``StepContext.memory_term``; the drift and, under Lie splitting, the
 remaining drift read it.  The run's ``History`` folds packed y, or under
 gauged tsee u from the step's view and phase (then the term is gauged back,
 and joins the physical terms before the drift's one packed transform).
@@ -109,13 +110,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError, UsageError
+from .errors import BlowUpError, ConfigurationError, NumericalError, UsageError
 from .galerkin import GalerkinSpace, galerkin_space
 from .grid import (
     PHYSICAL,
     SPECTRAL,
     Field6,
-    GridSpec,
     _require_representation,
     inner_product,
     l2_norm,
@@ -126,7 +126,7 @@ from .grid import (
 )
 from .kerr import KerrExponent, implicit_kerr_solve, kerr_force
 from .memory import (History, KernelSpec, contraction_step_length,
-                     convolve_history, picard_solve)
+                     convolve_history)
 from .multipliers import CutoffLevel, smooth_cutoff
 from .noise import (
     BrownianBundle,
@@ -179,24 +179,6 @@ class SchemeConfig:
     def power(self):
         """Exponent q + 2 of the dissipation norm (4 when the drift is linear)."""
         return (self.kerr.q if self.kerr is not None else 2.0) + 2.0
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    grid: GridSpec
-    times: np.ndarray
-    data: np.ndarray  # (len(times), 6, n, n, n), physical
-
-    def __len__(self):
-        return len(self.times)
-
-
-def trajectory_sup_distance(a: Trajectory, b: Trajectory) -> float:
-    if len(a) != len(b):
-        raise UsageError("trajectories have different lengths")
-    weight = np.sqrt(a.grid.cell_volume)
-    diff = a.data - b.data
-    return float(max(weight * np.linalg.norm(diff[k]) for k in range(len(a))))
 
 
 @dataclass
@@ -640,8 +622,8 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
 
     ``path_indices`` label the reports (default 0..P-1).  ``history_at``:
     optional callable step_index -> the memory ``History`` to read at that
-    step (the Picard driver's); without it an active ``kernel`` folds the
-    run's own, from t = 0.  ``initial``: optional spectral start
+    step (the Picard driver's); without it a ``kernel`` (None: no memory)
+    folds the run's own, from t = 0.  ``initial``: optional spectral start
     state of every path, full-grid or packed; P_n is applied to it, so modes
     outside the cube do not enter the run.  A run covers its bundles from
     their first time to their last; the Picard driver runs a window by
@@ -672,7 +654,7 @@ def run_paths(spec: NoiseSpec, cfg: SchemeConfig, kernel: KernelSpec | None,
         y0 = initial_coefficients(spec, cfg.equation, cfg.cutoff_level)
     y = y0.with_data(np.broadcast_to(y0.data, (count,) + y0.data.shape))
     history = None
-    if kernel is not None and not kernel.is_zero:
+    if kernel is not None:
         if first.times[0] != 0.0:
             raise UsageError("direct memory runs must start at t = 0")
         history = History(kernel, cfg.dt)
@@ -760,18 +742,24 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     window run reads the ``History`` of u (the states before the window,
     then the previous iterate) through ``run_paths(history_at=...)``.  The
     direct run carries the memory law for every equation, so this driver is
-    its oracle; the ``tsee`` branch serves that check only.  An iterate is
-    u over its window, every state of the window and no other: the states
-    before the window are the same in every iterate, so the sup distance
-    over the window is the one over [0, T].
+    its oracle; the ``tsee`` branch serves that check only.  An iterate w is
+    u over its window, every state of the window and no other, filled from
+    the states its run yields; its gap to the previous iterate v,
+    max_k sqrt(cell_volume) ||w_k - v_k||, is taken as w steps.  The states
+    before the window are the same in every iterate, so that gap is the sup
+    distance over [0, T].  A window stops at a gap of at most
+    ``PICARD_TOL``; one that has not within ``PICARD_MAX_ITER`` iterations
+    raises NumericalError.
 
     The bundle is frozen once, at the truncation level of [0, T], and each
     window runs on its slice of the frozen bundle: the steps, the gauged
     memory term and the u <-> y phases at the window ends read one beta.
     The truncation event is that freeze's, reported once.
 
-    Returns (u trajectory on the full grid, diagnostics dict with
-    ``windows``, ``window_length``, ``g_l1`` and ``events``).
+    Returns (u, the (K+1, 6, n, n, n) array of physical states on the full
+    grid; a diagnostics dict with ``windows``, each its ``window``
+    (t_a, t_b), ``iterations`` and ``gaps``, then ``window_length``,
+    ``g_l1`` and ``events``).
     """
     horizon = bundle.horizon
     m_level = _truncation_level(cfg, horizon)
@@ -786,6 +774,7 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
     steps_per_window = max(1, int(round(t0 / cfg.dt)))
 
     grid = spec.grid
+    weight = np.sqrt(grid.cell_volume)
     n = grid.points_per_axis
     u_data = np.zeros((k_total + 1, 6, n, n, n), dtype=np.complex128)
     # the filtered initial state, exactly as run_paths would build it
@@ -813,37 +802,40 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
         while len(prefix) < start:
             prefix.append(Field6(grid, PHYSICAL, u_data[len(prefix)]))
 
-        def one_window(u_traj):
-            # picard_solve calls this before the loop moves on (start,
-            # window_bundle and y_start are this window's); the history is
-            # read at increasing k, so it folds each window state once
+        v = np.broadcast_to(u_data[start], (count + 1,) + u_data.shape[1:])
+        gaps = []
+        for _ in range(PICARD_MAX_ITER):
+            # the history is read at increasing k, so it folds each state
+            # of v once
             history = prefix.copy()
 
             def history_at(k):
                 while len(history) <= k + start:
-                    history.append(Field6(
-                        grid, PHYSICAL, u_traj.data[len(history) - start]))
+                    history.append(Field6(grid, PHYSICAL,
+                                          v[len(history) - start]))
                 return history
 
-            # u, the back-transformed field (u = y outside gauged tsee)
-            outcomes = []
-            u = [(view if gauge is None
-                  else apply_gauge(view, gauge, "inverse")).data[0]
-                 for _, _, view, gauge in observed(run_paths(
-                     spec, cfg, None, [window_bundle], history_at=history_at,
-                     initial=y_start), outcomes)]
+            w = np.empty(v.shape, np.complex128)
+            gap, outcomes = 0.0, []
+            for k, _, view, gauge in observed(run_paths(
+                    spec, cfg, None, [window_bundle], history_at=history_at,
+                    initial=y_start), outcomes):
+                # u, the back-transformed field (u = y outside gauged tsee)
+                w[k] = (view if gauge is None
+                        else apply_gauge(view, gauge, "inverse")).data[0]
+                gap = max(gap, weight * np.linalg.norm(w[k] - v[k]))
             raise_blowups(outcomes)
-            return Trajectory(grid=grid, times=times, data=np.stack(u))
-
-        times = bundle.times[start:stop + 1].copy()
-        guess = Trajectory(grid=grid, times=times, data=np.broadcast_to(
-            u_data[start], (count + 1,) + u_data[start].shape))
-        fixed, n_iter, gaps = picard_solve(window, guess, one_window,
-                                           PICARD_TOL, PICARD_MAX_ITER,
-                                           trajectory_sup_distance)
-        iterations.append({"window": window, "iterations": n_iter,
+            gaps.append(float(gap))
+            v = w
+            if gap <= PICARD_TOL:
+                break
+        else:
+            raise NumericalError(
+                f"picard iteration did not contract on window {window}: "
+                f"gaps {gaps[-3:]} (window too long or constants wrong)")
+        iterations.append({"window": window, "iterations": len(gaps),
                            "gaps": gaps})
-        u_data[start:stop + 1] = fixed.data
+        u_data[start:stop + 1] = v
         # the terminal state of this window seeds the next one
         end_state = Field6(grid, PHYSICAL, u_data[stop])
         if cfg.equation == TSEE:
@@ -852,6 +844,5 @@ def solve_with_memory(spec: NoiseSpec, cfg: SchemeConfig,
         y_start = to_spectral(end_state)
         start = stop
 
-    traj = Trajectory(grid=grid, times=bundle.times.copy(), data=u_data)
-    return traj, {"windows": iterations, "window_length": t0,
-                  "g_l1": g_l1, "events": events}
+    return u_data, {"windows": iterations, "window_length": t0,
+                    "g_l1": g_l1, "events": events}

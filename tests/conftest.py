@@ -26,7 +26,7 @@ from mks.harness import (
 from mks.multipliers import CutoffLevel, sharp_cutoff
 from mks.noise import (BrownianBundle, NoiseSpec, apply_gauge,
                        cross_drift_apply, gauge_phase)
-from mks.stepping import Trajectory, observed, raise_blowups, run_paths
+from mks.stepping import observed, raise_blowups, run_paths
 
 
 @pytest.fixture(scope="session")
@@ -122,12 +122,22 @@ def stepped(run):
 
 
 def recorded_path(spec, cfg, kernel, bundle, **kwargs):
-    """``run_path`` keeping every state of y: (the report, the trajectory)."""
+    """``run_path`` keeping every state of y: (the report, its physical
+    states stacked in step order)."""
     outcomes, states, _ = stepped(run_paths(spec, cfg, kernel, [bundle],
                                             **kwargs))
     (report,), (data,) = raise_blowups(outcomes), states.values()
-    return report, Trajectory(grid=spec.grid, times=bundle.times.copy(),
-                              data=data)
+    return report, data
+
+
+def sup_distance(grid, a, b) -> float:
+    """max_k sqrt(cell_volume) ||a_k - b_k||, the sup-in-time L^2 distance
+    of two trajectories of physical states on ``grid``, stacked in step
+    order."""
+    assert len(a) == len(b), "trajectories have different lengths"
+    weight = np.sqrt(grid.cell_volume)
+    diff = a - b
+    return float(max(weight * np.linalg.norm(diff[k]) for k in range(len(a))))
 
 
 def traced_peaks(call: str, *args) -> list:

@@ -21,6 +21,7 @@ from mks.config import (ProfileSpec, _field_profile, _last_spec,
 from mks.errors import ConfigurationError, MksError, ValidationError
 from mks.grid import ifft_array, l2_norm, make_grid, to_spectral
 from mks.harness import run_experiment
+from mks.memory import KernelSpec
 from mks.noise import TimeProfile
 from mks.stepping import initial_coefficients
 
@@ -108,6 +109,26 @@ class TestParse:
         assert main(["run", "--config", str(cfg_file),
                      "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.parametrize("kernel, built", [
+        ("", False),
+        ("form = zero\namplitude = 0.5\nrate = 1.0\n", False),
+        ("form = exponential\namplitude = 0.0\nrate = 1.0\n", False),
+        ("form = exponential\namplitude = -0.0\nrate = 1.0\n", False),
+        ("form = exponential\namplitude = 0.5\nrate = 1.5\n", True),
+    ], ids=["default", "zero-form", "zero-amplitude", "negative-zero",
+            "exponential"])
+    def test_no_memory_builds_no_kernel(self, kernel, built):
+        # no memory has one shape, None; an exponential law builds its
+        # kernel with the identity coupling
+        model = build_runtime(parse_config(MINIMAL_WEAK + "\n[kernel]\n"
+                                           + kernel))
+        if not built:
+            assert model.kernel is None
+        else:
+            assert isinstance(model.kernel, KernelSpec)
+            assert (model.kernel.amplitude, model.kernel.rate) == (0.5, 1.5)
+            assert np.array_equal(model.kernel.coupling, np.eye(6))
 
     def test_missing_key(self):
         with pytest.raises(ConfigurationError):
@@ -336,7 +357,7 @@ class TestSpecCache:
         ("base_seed", 99, lambda m: m.base_seed),
         ("stride", 2, lambda m: m.stride),
         ("dt", 0.03125, lambda m: (m.scheme.dt, m.steps)),
-        ("kernel_form", "exponential", lambda m: m.kernel.form),
+        ("kernel_form", "exponential", lambda m: m.kernel is None),
     ])
     def test_run_values_come_from_the_config(self, name, value, read):
         cfg = parse_config(CACHE_RUN)

@@ -23,13 +23,11 @@ from mks.stepping import (
     EULER_MARUYAMA,
     TSEE,
     SchemeConfig,
-    Trajectory,
     path_batches,
-    trajectory_sup_distance,
 )
 
 from conftest import (banded_field, coords, drift_and_noise, recorded_path,
-                      run_path, traced_peaks)
+                      run_path, sup_distance, traced_peaks)
 
 
 def em_cfg(dt, level=2, kerr=None):
@@ -135,7 +133,7 @@ class TestEnergyResidual:
         bundle = sample_brownian(1, 0.5, 16, seed=3)
         cfg = em_cfg(0.5 / 16, kerr=KerrExponent(2.0, True))
         report, traj = recorded_path(spec, cfg, None, bundle)
-        states = [to_spectral(Field6(grid8, PHYSICAL, traj.data[k]))
+        states = [to_spectral(Field6(grid8, PHYSICAL, traj[k]))
                   for k in range(17)]
         ctx_states = states[:-1]
         ctx = StepContext(cfg, spec)
@@ -311,7 +309,7 @@ class TestGalerkinConvergence:
                                    levels=[1, 2], seeds=[3], horizon=0.25)
         a, b = (recorded_path(spec, em_cfg(1 / 32, level=n), None, bundle)[1]
                 for n in (1, 2))
-        assert out["rows"][0]["mean_gap"] == trajectory_sup_distance(a, b)
+        assert out["rows"][0]["mean_gap"] == sup_distance(grid8, a, b)
 
     # 8^3 on [0, 2 pi): Nyquist 4 resolves levels 1 and 2 only
     @pytest.mark.parametrize("levels, horizon, message", [
@@ -360,28 +358,27 @@ class TestGalerkinConvergence:
         assert ended == [2, 4, 5]
 
 
-def monotone_limit_check(u: Trajectory, v: Trajectory, growth_rate: float) -> float:
-    """max_t { ||u(t)-v(t)||^2 - ||u(0)-v(0)||^2 exp(c t) }: a Gronwall witness."""
+def monotone_limit_check(grid, times, u, v, growth_rate: float) -> float:
+    """max_t { ||u(t)-v(t)||^2 - ||u(0)-v(0)||^2 exp(c t) }: a Gronwall
+    witness, for two trajectories of physical states at ``times``."""
     if len(u) != len(v):
         raise UsageError("trajectories have different lengths")
-    weight = np.sqrt(u.grid.cell_volume)
-    gap0 = (weight * np.linalg.norm(u.data[0] - v.data[0])) ** 2
+    weight = np.sqrt(grid.cell_volume)
+    gap0 = (weight * np.linalg.norm(u[0] - v[0])) ** 2
     worst = -np.inf
-    for k, t in enumerate(u.times):
-        gap = (weight * np.linalg.norm(u.data[k] - v.data[k])) ** 2
+    for k, t in enumerate(times):
+        gap = (weight * np.linalg.norm(u[k] - v[k])) ** 2
         worst = max(worst, gap - gap0 * np.exp(growth_rate * t))
     return float(worst)
 
 
 class TestMonotoneLimit:
-    def _traj(self, grid, data_list, dt):
-        times = np.arange(len(data_list)) * dt
-        return Trajectory(grid=grid, times=times, data=np.stack(data_list))
-
     def test_identical_runs(self, grid4):
         u = random_field(grid4, seed=7)
-        traj = self._traj(grid4, [u.data] * 4, 0.1)
-        assert monotone_limit_check(traj, traj, growth_rate=1.0) <= 0.0
+        traj = np.stack([u.data] * 4)
+        times = np.arange(4) * 0.1
+        assert monotone_limit_check(grid4, times, traj, traj,
+                                    growth_rate=1.0) <= 0.0
 
     def test_perturbed_initial_data_within_gronwall(self, grid8):
         # gap(t) <= gap(0) e^{ct} along the dissipative dynamics
@@ -394,7 +391,8 @@ class TestMonotoneLimit:
         bundle = sample_brownian(0, 0.5, 32, seed=9)
         _, ra = recorded_path(spec_a, cfg, None, bundle)
         _, rb = recorded_path(spec_b, cfg, None, bundle)
-        worst = monotone_limit_check(ra, rb, growth_rate=2.0)
+        worst = monotone_limit_check(grid8, bundle.times, ra, rb,
+                                     growth_rate=2.0)
         assert worst <= 1e-12
 
     def test_different_schemes_gap_shrinks_with_dt(self, grid8):
@@ -412,9 +410,7 @@ class TestMonotoneLimit:
                                    cutoff_level=CutoffLevel(2), equation=TSEE,
                                    kerr=kerr)
             _, lie = recorded_path(spec, lie_cfg, None, bundle)
-            from mks.stepping import trajectory_sup_distance
-
-            gaps.append(trajectory_sup_distance(em, lie))
+            gaps.append(sup_distance(grid8, em, lie))
         assert gaps[0] > gaps[1] > gaps[2]
 
 

@@ -575,7 +575,12 @@ class TestCli:
         (HEADER + "0,0,0,abc,1,1,0\n", "line 2: could not convert"),
         (HEADER + "0,0,0,1,1,1,0\nx,1,0.5,1,1,1,0\n", "line 3: invalid"),
         (HEADER + "0,0,0,1,1\n", "line 2: float() argument"),
-    ], ids=["missing", "no-l2-column", "word", "word-path", "short-row"])
+        ("", "holds no data row"),
+        (HEADER, "holds no data row"),
+        (HEADER + "0,0,0,1,1,1,0\n0,1,0.5,nan,1,1,0\n",
+         "line 3: l2 is nan, not a finite number"),
+    ], ids=["missing", "no-l2-column", "word", "word-path", "short-row",
+            "empty", "header-only", "nan"])
     def test_unreadable_series_is_reported(self, tmp_path, capsys, series,
                                            message):
         if series is not None:

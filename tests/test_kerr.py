@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mks.errors import ConfigurationError, UsageError
+import mks.kerr
+from mks.errors import ConfigurationError, NumericalError, UsageError
 from mks.grid import inner_product, l2_norm, lp_norm, pointwise_norm, random_field, to_spectral, zero_field
 from mks.kerr import (
     KerrExponent,
@@ -228,6 +229,26 @@ class TestImplicitSolve:
     def test_bad_dt(self, grid4):
         with pytest.raises(UsageError):
             implicit_kerr_solve(random_field(grid4, seed=24), 0.0, 2.0)
+
+    @pytest.mark.parametrize("scale", [1e60, 1e120, 1e160])
+    def test_overflow_raises(self, grid4, scale):
+        # at 1e160 |w| itself overflows and every residual is NaN, which
+        # converges no more than a finite residual over the tolerance
+        w = random_field(grid4, seed=1, scale=scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="failed to converge"):
+                implicit_kerr_solve(w, 0.01, 2.0)
+
+    def test_bisection_solves_what_newton_leaves(self, grid4, monkeypatch):
+        # from s0 = |w| ~ 1e13, Newton on s + s^5 = |w| needs more than its
+        # 100 iterations; the bisection fallback reaches the tolerance
+        w = random_field(grid4, seed=3, scale=1e13)
+        v = implicit_kerr_solve(w, 1.0, 4.0)
+        residual = np.abs(v.data + pointwise_norm(v) ** 4 * v.data - w.data)
+        assert np.max(residual / (1.0 + pointwise_norm(w))) <= 1e-12
+        monkeypatch.setattr(mks.kerr, "_BISECTION_ITERATIONS", 0)
+        with pytest.raises(NumericalError, match="failed to converge"):
+            implicit_kerr_solve(w, 1.0, 4.0)
 
 
 class TestLocalLipschitz:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mks.stepping
-from mks.errors import ConfigurationError, NumericalError, UsageError
+from mks.errors import ConfigurationError, UsageError
 from mks.grid import Field6, l2_norm, random_field
 from mks.kerr import KerrExponent
 from mks.memory import (
@@ -10,8 +10,6 @@ from mks.memory import (
     KernelSpec,
     contraction_step_length,
     convolve_history,
-    exponential_kernel,
-    picard_solve,
 )
 from mks.multipliers import CutoffLevel
 from mks.noise import SeparableSource, make_noise_spec, sample_brownian, zero_source
@@ -68,33 +66,32 @@ def constant_history(kernel, state, dt, horizon):
 
 
 class TestKernelSpec:
-    def test_unknown_form(self):
-        with pytest.raises(ConfigurationError):
-            KernelSpec(form="fractal")
-
-    def test_zero_kernel_flag(self):
-        assert KernelSpec().is_zero
-        assert KernelSpec(form="exponential", amplitude=0.0).is_zero
-        assert not exponential_kernel(1.0, 2.0).is_zero
+    def test_coupling_is_a_real_matrix_identity_by_default(self):
+        assert np.array_equal(KernelSpec(1.0, 2.0).coupling, np.eye(6))
+        # a dispersive dielectric: the law couples the electric block only
+        electric = np.diag([1, 1, 1, 0, 0, 0])
+        coupling = KernelSpec(1.0, 2.0, electric).coupling
+        assert coupling.dtype == np.float64
+        assert np.array_equal(coupling, electric)
 
     def test_l1_norm_closed_form(self):
-        ker = exponential_kernel(2.0, 0.5)
+        ker = KernelSpec(2.0, 0.5)
         expected = 2.0 * (1 - np.exp(-0.5)) / 0.5
         assert np.isclose(ker.l1_norm(1.0), expected)
-        flat = exponential_kernel(1.5, 0.0)
+        flat = KernelSpec(1.5, 0.0)
         assert np.isclose(flat.l1_norm(2.0), 3.0)
 
 
 class TestConvolution:
-    def test_zero_kernel(self, grid4):
+    def test_zero_amplitude(self, grid4):
         c = random_field(grid4, seed=1)
-        h = constant_history(KernelSpec(), c, 0.125, 0.5)
+        h = constant_history(KernelSpec(0.0, 1.0), c, 0.125, 0.5)
         out = convolve_history(h)
         assert l2_norm(out) == 0.0
 
     def test_single_entry_history_is_zero_integral(self, grid4):
         c = random_field(grid4, seed=2)
-        h = History(exponential_kernel(1.0, 1.0), 0.1)
+        h = History(KernelSpec(1.0, 1.0), 0.1)
         h.append(c)
         out = convolve_history(h)
         assert l2_norm(out) == 0.0
@@ -102,14 +99,14 @@ class TestConvolution:
     def test_identity_kernel_constant_state_exact(self, grid4):
         # trapezoid is exact for constant integrands: integral = t * c
         c = random_field(grid4, seed=3)
-        ker = exponential_kernel(1.0, 0.0)
+        ker = KernelSpec(1.0, 0.0)
         h = constant_history(ker, c, 0.125, 0.5)
         out = convolve_history(h)
         assert np.max(np.abs(out.data - 0.5 * c.data)) < 1e-14
 
     def test_exponential_kernel_order_two(self, grid4):
         lam, a, horizon = 1.3, 0.8, 0.5
-        ker = exponential_kernel(a, lam)
+        ker = KernelSpec(a, lam)
         c = random_field(grid4, seed=4)
         exact = a * (1 - np.exp(-lam * horizon)) / lam * c.data
         errs = []
@@ -126,7 +123,7 @@ class TestConvolution:
         swap = np.zeros((6, 6))
         swap[:3, 3:] = np.eye(3)
         swap[3:, :3] = np.eye(3)
-        ker = KernelSpec(form="exponential", amplitude=1.0, rate=0.0,
+        ker = KernelSpec(amplitude=1.0, rate=0.0,
                          coupling=swap)
         c = random_field(grid4, seed=6)
         h = constant_history(ker, c, 0.25, 0.5)
@@ -139,7 +136,7 @@ class TestConvolution:
         # each path is reduced alone, bitwise, and the real matrix product
         # agrees with the complex einsum up to rounding
         dt = 0.05
-        ker = KernelSpec(form="exponential", amplitude=0.9, rate=1.7,
+        ker = KernelSpec(amplitude=0.9, rate=1.7,
                          coupling=nonsymmetric_coupling(5))
         paths = [random_states(grid4, 6, seed=20 + p) for p in range(3)]
         alone = [History(ker, dt) for _ in paths]
@@ -161,7 +158,7 @@ class TestConvolution:
                              ids=["five-by-five", "complex"])
     def test_coupling_must_be_real_six_by_six(self, coupling):
         with pytest.raises(ConfigurationError):
-            exponential_kernel(1.0, 1.0, coupling)
+            KernelSpec(1.0, 1.0, coupling)
 
 
 class TestContractionStepLength:
@@ -206,54 +203,12 @@ class TestContractionStepLength:
             contraction_step_length(1.0, 0.0, 0.0)
 
 
-class TestPicard:
-    def test_zero_kernel_converges_immediately(self):
-        # step map constant in v: one iteration reaches the fixed point
-        target = np.full(4, 1.23)
-
-        def step(_v):
-            return target
-
-        v0 = np.zeros(4)
-        fixed, n_iter, gaps = picard_solve(
-            (0.0, 1.0), v0, step, tol=1e-12, max_iter=5,
-            distance=lambda a, b: float(np.max(np.abs(a - b))))
-        assert np.array_equal(fixed, target)
-        assert n_iter == 2  # second application certifies the fixed point
-
-    def test_geometric_convergence_ratio(self):
-        # linear contraction with factor 0.3
-        def step(v):
-            return 0.3 * v + 1.0
-
-        fixed, n_iter, gaps = picard_solve(
-            (0.0, 1.0), np.array([10.0]), step, tol=1e-12, max_iter=60,
-            distance=lambda a, b: float(np.max(np.abs(a - b))))
-        assert np.isclose(fixed[0], 1.0 / 0.7)
-        ratios = [b / a for a, b in zip(gaps, gaps[1:]) if a > 1e-14]
-        assert all(r <= 0.8 for r in ratios[1:])
-
-    def test_divergence_raises(self):
-        def step(v):
-            return 2.0 * v + 1.0
-
-        with pytest.raises(NumericalError):
-            picard_solve((0.0, 1.0), np.array([1.0]), step, tol=1e-12,
-                         max_iter=8,
-                         distance=lambda a, b: float(np.max(np.abs(a - b))))
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(UsageError):
-            picard_solve((1.0, 1.0), None, lambda v: v, tol=1e-12,
-                         max_iter=5, distance=lambda a, b: 0.0)
-
-
 class TestHistory:
     def test_copies_of_a_folded_prefix_continue_bitwise(self, grid4):
         # folding a prefix once and continuing from copies gives the floats
         # of folding every state again, and leaves the prefix untouched
         dt = 0.125
-        ker = KernelSpec(form="exponential", amplitude=0.7, rate=1.3,
+        ker = KernelSpec(amplitude=0.7, rate=1.3,
                          coupling=nonsymmetric_coupling(3))
         states = random_states(grid4, 9, seed=12)
         prefix = History(ker, dt)
@@ -282,7 +237,7 @@ class TestRecursiveHistory:
     @pytest.mark.parametrize("rate", RATES)
     def test_matches_direct_sum_at_every_step(self, grid4, rate):
         dt = 0.01
-        ker = KernelSpec(form="exponential", amplitude=0.7, rate=rate,
+        ker = KernelSpec(amplitude=0.7, rate=rate,
                          coupling=nonsymmetric_coupling(1))
         states = random_states(grid4, 120, seed=2)
         h = History(ker, dt)
@@ -303,7 +258,7 @@ class TestRecursiveHistory:
     def test_bulk_fold_matches_direct_sum(self, grid4, rate):
         # one read after the whole record is appended
         dt = 1.0 / 128
-        ker = KernelSpec(form="exponential", amplitude=-1.3, rate=rate,
+        ker = KernelSpec(amplitude=-1.3, rate=rate,
                          coupling=nonsymmetric_coupling(3))
         states = random_states(grid4, 129, seed=4)
         times = [k * dt for k in range(len(states))]
@@ -315,7 +270,7 @@ class TestRecursiveHistory:
         assert relative_error(out.data, oracle) <= 1e-12
 
     def test_repeated_reads_are_bitwise_idempotent(self, grid4):
-        ker = exponential_kernel(0.8, 1.3)
+        ker = KernelSpec(0.8, 1.3)
         states = random_states(grid4, 5, seed=7)
         h = History(ker, 0.1)
         for state in states:
@@ -326,10 +281,10 @@ class TestRecursiveHistory:
 
     def test_empty_history_rejected(self):
         with pytest.raises(UsageError):
-            convolve_history(History(exponential_kernel(1.0, 1.0), 0.1))
+            convolve_history(History(KernelSpec(1.0, 1.0), 0.1))
 
     def test_length_counts_appended_states(self, grid4):
-        h = constant_history(exponential_kernel(1.0, 1.0),
+        h = constant_history(KernelSpec(1.0, 1.0),
                              random_field(grid4, seed=10), 0.125, 0.5)
         convolve_history(h)
         assert len(h) == 5
@@ -364,7 +319,7 @@ def test_run_path_history_storage_is_bounded(grid4, monkeypatch, scheme, steps):
                        kerr=KerrExponent(3.0, False))
     _RecordingHistory.made.clear()
     monkeypatch.setattr(mks.stepping, "History", _RecordingHistory)
-    run_path(spec, cfg, exponential_kernel(2.0, 1.0), bundle)
+    run_path(spec, cfg, KernelSpec(2.0, 1.0), bundle)
     (h,) = _RecordingHistory.made
     assert len(h) == steps + 1
     assert h.peak <= 2 and held_states(h) <= 2

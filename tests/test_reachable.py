@@ -29,7 +29,7 @@ PACKAGE = sorted((ROOT / "src" / "mks").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # settable values in src/mks, by the rule above
-SETTABLE_VALUES = 37
+SETTABLE_VALUES = 33
 
 # read_checkpoint reads the MKS1 checkpoints that ``mks run`` writes and
 # rejects corrupt ones; no run reads a checkpoint back, but the format's

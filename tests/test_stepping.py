@@ -6,14 +6,14 @@ import scipy.linalg
 
 import mks.grid
 import mks.kerr
-import mks.memory
 import mks.stepping
-from mks.errors import BlowUpError, ConfigurationError, UsageError
+from mks.errors import (BlowUpError, ConfigurationError, NumericalError,
+                        UsageError)
 from mks.galerkin import GalerkinSpace
 from mks.grid import (PHYSICAL, Field6, l2_norm, lp_norm, random_field,
                       to_physical, to_spectral, zero_field)
 from mks.kerr import KerrExponent
-from mks.memory import History, exponential_kernel
+from mks.memory import History, KernelSpec
 from mks.multipliers import CutoffLevel, sharp_cutoff, sharp_mask, smooth_cutoff
 from mks.noise import (
     BrownianBundle,
@@ -36,12 +36,11 @@ from mks.stepping import (
     WSEE,
     SchemeConfig,
     StepContext,
-    Trajectory,
     initial_coefficients,
+    observed,
     run_paths,
     solve_with_memory,
     step_euler_maruyama,
-    trajectory_sup_distance,
     _noise_increment,
 )
 
@@ -55,6 +54,7 @@ from conftest import (
     recorded_path,
     run_path,
     stepped,
+    sup_distance,
     transformed_current,
     transformed_noise,
 )
@@ -218,7 +218,7 @@ class TestEulerStep:
             bundle = sample_brownian(0, horizon, steps, seed=4)
             _, traj = recorded_path(spec, em_cfg(dt, level=1), None, bundle,
                                     initial=y0_hat)
-            errs.append(np.linalg.norm(traj.data[-1].ravel() - ref))
+            errs.append(np.linalg.norm(traj[-1].ravel() - ref))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 0.9 <= slope <= 1.1
 
@@ -234,7 +234,7 @@ class TestLieSplitting:
 
         y0 = start_of(spec, lie_cfg(dt))
         exact = to_physical(maxwell_group(1.0, y0))
-        gap = np.max(np.abs(traj.data[-1] - exact.data))
+        gap = np.max(np.abs(traj[-1] - exact.data))
         assert gap < 1e-12 * np.max(np.abs(exact.data))
 
     def test_free_flow_conserves_norm(self, grid8):
@@ -366,7 +366,7 @@ class TestEvaluationCounts:
         spec = make_noise_spec(grid4, [cos_multiplier(grid4)], [b], J,
                                banded_field(grid4, seed=33))
         bundle = sample_brownian(1, 0.25, self.STEPS, seed=34)
-        kernel = exponential_kernel(0.5, 1.0)
+        kernel = KernelSpec(0.5, 1.0)
         cfg = make_cfg(0.25 / self.STEPS, level=1, equation=equation,
                        kerr=KerrExponent(2.0, True))
         run_path(spec, cfg, kernel, bundle)
@@ -456,7 +456,7 @@ class TestTransformCounts:
                                banded_field(grid8, seed=45))
         assert self._per_step(monkeypatch, spec, em_cfg(1 / 64)) <= 1
 
-    @pytest.mark.parametrize("kernel", [None, exponential_kernel(0.5, 1.0)],
+    @pytest.mark.parametrize("kernel", [None, KernelSpec(0.5, 1.0)],
                              ids=["no-kernel", "kernel"])
     def test_gauged_tsee_kerr_euler(self, grid8, monkeypatch, kernel):
         b = SeparableSource(shape=constant_amplitude(grid8, 0.1),
@@ -475,7 +475,7 @@ class TestTransformCounts:
                                banded_field(grid8, seed=49))
         cfg = lie_cfg(1 / 128, equation=MSEE, kerr=KerrExponent(3.0))
         per_step = self._per_step(monkeypatch, spec, cfg,
-                                  exponential_kernel(0.5, 1.0))
+                                  KernelSpec(0.5, 1.0))
         assert per_step <= 7
 
 
@@ -494,7 +494,7 @@ class TestRunPath:
         _, rt = recorded_path(spec, em_cfg(1 / 32, kerr=kerr), None, bundle)
         _, rm = recorded_path(spec, em_cfg(1 / 32, equation=MSEE, kerr=kerr),
                               None, bundle)
-        assert np.array_equal(rt.data, rm.data)
+        assert np.array_equal(rt, rm)
 
     def test_band_limitation_exact(self, grid8):
         # level 1 leaves a nonempty out-of-band region on the 8^3 grid
@@ -511,8 +511,8 @@ class TestRunPath:
         # every update is filtered, so out-of-band content sits at transform
         # rounding level and does not accumulate over the run
         leaks = []
-        for k in range(len(traj.times)):
-            hat = to_spectral(Field6(grid8, PHYSICAL, traj.data[k]))
+        for k in range(len(traj)):
+            hat = to_spectral(Field6(grid8, PHYSICAL, traj[k]))
             leaks.append(np.max(np.abs(hat.data[:, outside])))
         scale = np.max(report.l2)
         assert max(leaks) <= 1e-13 * max(scale, 1.0)
@@ -647,13 +647,13 @@ class TestGalerkinState:
         report, traj = recorded_path(spec, cfg, None, bundle, initial=start)
         _, ref = recorded_path(spec, cfg, None, bundle,
                                initial=sharp_cutoff(start, level))
-        assert np.array_equal(traj.data, ref.data)
+        assert np.array_equal(traj, ref)
         assert np.isclose(report.l2[0],
                           l2_norm(sharp_cutoff(start, level)), rtol=1e-14)
         outside = ~sharp_mask(grid16, level)
-        for k in range(len(traj.times)):
+        for k in range(len(traj)):
             hat = to_spectral(Field6(grid16, PHYSICAL,
-                                     traj.data[k])).data
+                                     traj[k])).data
             assert np.max(np.abs(hat[:, outside])) <= 1e-14
 
     def test_matches_full_grid_euler_maruyama(self, grid16):
@@ -681,7 +681,7 @@ class TestGalerkinState:
                 incr = incr + db * b.profile.value(t) * shape
             y = y.with_data(y.data + incr)
         final = to_physical(y).data
-        assert np.max(np.abs(traj.data[-1] - final)) \
+        assert np.max(np.abs(traj[-1] - final)) \
             <= 1e-13 * np.max(np.abs(final))
 
     def test_path_independent_pieces_are_built_once(self, grid16, monkeypatch):
@@ -762,7 +762,7 @@ class TestBatchEquivalence:
         kw = dict(beta_truncation_m=self.TRUNCATION)
         if name == "tsee_euler":
             return spec, em_cfg(1 / 64, kerr=kerr, **kw), None
-        kernel = exponential_kernel(0.5, 1.0)
+        kernel = KernelSpec(0.5, 1.0)
         if name == "tsee_lie_memory":
             return spec, lie_cfg(1 / 64, kerr=kerr, **kw), kernel
         if name == "msee_lie_memory":
@@ -782,9 +782,7 @@ class TestBatchEquivalence:
                                        path_indices=path_indices))
         kept = kept if name.startswith("tsee") else kept[:1]
         return [res if isinstance(res, BlowUpError)
-                else (res, [Trajectory(spec.grid, bundles[0].times.copy(),
-                                       states[res.path_index])
-                            for states in kept])
+                else (res, [states[res.path_index] for states in kept])
                 for res in out]
 
     def _assert_same_path(self, batched, alone):
@@ -794,8 +792,7 @@ class TestBatchEquivalence:
             assert self._same_bits(getattr(ra, key), getattr(rb, key)), key
         assert len(trajectories_a) == len(trajectories_b)
         for ta, tb in zip(trajectories_a, trajectories_b):
-            assert self._same_bits(ta.times, tb.times)
-            assert self._same_bits(ta.data, tb.data)
+            assert self._same_bits(ta, tb)
 
     @pytest.mark.parametrize("name", ["tsee_euler", "msee_lie_memory", "wsee"])
     def test_a_path_reduces_like_an_unstacked_field(self, grid8, name):
@@ -863,7 +860,7 @@ class TestBatchEquivalence:
             for label, row in zip(paths, data):
                 if label != 12:
                     assert self._same_bits(
-                        row, batch[label - 10][1][0].data[k])
+                        row, batch[label - 10][1][0][k])
 
 
 class TestMemoryCoupling:
@@ -875,7 +872,7 @@ class TestMemoryCoupling:
         spec = make_noise_spec(grid4, [b_field], [b], zero_source(grid4),
                                random_field(grid4, seed=21, scale=0.5))
         bundle = sample_brownian(1, 0.5, 32, seed=17)
-        kernel = exponential_kernel(2.0, 1.0)
+        kernel = KernelSpec(2.0, 1.0)
         cfg = em_cfg(0.5 / 32, level=1, equation=MSEE,
                      kerr=KerrExponent(2.0, True))
         return spec, bundle, kernel, cfg
@@ -902,7 +899,7 @@ class TestMemoryCoupling:
         a, diag_a = solve_with_memory(spec, cfg, kernel, bundle)
         b, diag_b = solve_with_memory(spec, cfg, kernel, frozen)
         assert len(diag_a["windows"]) >= 2
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.tobytes() == b.tobytes()
         assert diag_a["windows"] == diag_b["windows"]
         # the exit is reported once, not again at each later window's start
         assert diag_a["events"] == diag_b["events"] == [{
@@ -921,9 +918,8 @@ class TestMemoryCoupling:
         spec, bundle, kernel, cfg = self._setup(grid4, b_field)
         cfg = make_cfg(cfg.dt, level=1, equation=equation, kerr=cfg.kerr)
         _, _, u = stepped(run_paths(spec, cfg, kernel, [bundle]))
-        direct = Trajectory(spec.grid, bundle.times.copy(), u[0])
         fixed, diag = solve_with_memory(spec, cfg, kernel, bundle)
-        assert trajectory_sup_distance(fixed, direct) < 1e-10
+        assert sup_distance(spec.grid, fixed, u[0]) < 1e-10
         assert len(diag["windows"]) >= 2  # the kernel forces sub-windows
 
     def test_window_independence(self, grid4, monkeypatch):
@@ -934,7 +930,7 @@ class TestMemoryCoupling:
                             lambda *args: half)
         b, diag_b = solve_with_memory(spec, cfg, kernel, bundle)
         assert diag_b["window_length"] == half
-        assert trajectory_sup_distance(a, b) <= 5e-10
+        assert sup_distance(spec.grid, a, b) <= 5e-10
 
     def test_picard_gaps_contract(self, grid4):
         spec, bundle, kernel, cfg = self._setup(grid4)
@@ -951,7 +947,7 @@ class TestMemoryCoupling:
         w0_end = diag["windows"][0]["window"][1]
         k = grid_index(bundle, w0_end)
         assert diag["windows"][1]["window"][0] == w0_end
-        assert np.all(np.isfinite(fixed.data[k]))
+        assert np.all(np.isfinite(fixed[k]))
 
     def test_tsee_route_agrees_with_msee_route(self, grid4):
         # same memory law integrated through the transformed equation: both
@@ -963,34 +959,66 @@ class TestMemoryCoupling:
             msee_traj, _ = solve_with_memory(spec, cfg, kernel, bundle)
             tsee_traj, _ = solve_with_memory(spec, replace(cfg, equation=TSEE),
                                              kernel, bundle)
-            gaps.append(trajectory_sup_distance(tsee_traj, msee_traj))
+            gaps.append(sup_distance(spec.grid, tsee_traj, msee_traj))
             bundle = refine_bundle(bundle)
             cfg = replace(cfg, dt=cfg.dt / 2)
         assert gaps[1] < gaps[0]
         assert gaps[0] < 5.0 * np.sqrt(2 * gaps[1] ** 2)  # roughly sqrt(dt) decay
 
     def test_iterates_hold_their_window_only(self, grid4, monkeypatch):
-        # every iterate handed to the step, and every one it returns, holds
+        # each iterate is filled from one run of its window, which yields
         # the window's count + 1 states
         seen = []
-        solve = mks.memory.picard_solve
+        run = mks.stepping.run_paths
 
-        def recording(window, guess, step, *args, **kwargs):
-            def counted(v):
-                w = step(v)
-                seen.append((window, v.data.shape[0], w.data.shape[0],
-                             len(v), len(w)))
-                return w
-            return solve(window, guess, counted, *args, **kwargs)
+        def counted(*args, **kwargs):
+            (window_bundle,), steps = args[3], []
+            seen.append(((float(window_bundle.times[0]),
+                          float(window_bundle.times[-1])), steps))
+            outcomes = []
+            for state in observed(run(*args, **kwargs), outcomes):
+                steps.append(state[0])
+                yield state
+            return outcomes
 
-        monkeypatch.setattr(mks.stepping, "picard_solve", recording)
+        monkeypatch.setattr(mks.stepping, "run_paths", counted)
+        spec, bundle, kernel, cfg = self._setup(grid4)
+        u, diag = solve_with_memory(spec, cfg, kernel, bundle)
+        assert u.shape == (bundle.steps + 1, 6) + (grid4.points_per_axis,) * 3
+        assert [window for window, _ in seen] == [
+            w["window"] for w in diag["windows"]
+            for _ in range(w["iterations"])]
+        for (t_a, t_b), steps in seen:
+            count = grid_index(bundle, t_b) - grid_index(bundle, t_a)
+            assert steps == list(range(count + 1))
+
+    def test_window_that_does_not_contract_raises(self, grid4, monkeypatch):
+        # two iterations do not reach PICARD_TOL on the first window; the
+        # error quotes the window and its gaps
+        monkeypatch.setattr(mks.stepping, "PICARD_MAX_ITER", 2)
+        spec, bundle, kernel, cfg = self._setup(grid4)
+        with pytest.raises(NumericalError, match=(
+                r"^picard iteration did not contract on window \(0\.0, "
+                r"[0-9.]+\): gaps \[[^,]+, [^,]+\] \(window too long")):
+            solve_with_memory(spec, cfg, kernel, bundle)
+
+    def test_tolerance_is_read_at_call_time(self, grid4, monkeypatch):
+        # a tolerance every gap meets stops each window at its first iterate
+        monkeypatch.setattr(mks.stepping, "PICARD_TOL", np.inf)
         spec, bundle, kernel, cfg = self._setup(grid4)
         _, diag = solve_with_memory(spec, cfg, kernel, bundle)
-        assert len(seen) == sum(w["iterations"] for w in diag["windows"])
-        for window, *sizes in seen:
-            count = (grid_index(bundle, window[1])
-                     - grid_index(bundle, window[0]))
-            assert sizes == [count + 1] * 4
+        assert len(diag["windows"]) >= 2
+        assert all(w["iterations"] == 1 for w in diag["windows"])
+
+    def test_zero_amplitude_converges_at_the_second_iterate(self, grid4):
+        # a memory term that is zero whatever the iterate: the first iterate
+        # is the fixed point, and the second certifies it in one window
+        spec, bundle, _, cfg = self._setup(grid4)
+        _, diag = solve_with_memory(spec, cfg, KernelSpec(0.0, 1.0), bundle)
+        (window,) = diag["windows"]
+        assert window["window"] == (0.0, bundle.horizon)
+        assert window["iterations"] == 2 and window["gaps"][1] == 0.0
+        assert diag["g_l1"] == 0.0 and diag["window_length"] == bundle.horizon
 
     def test_iterates_append_only_their_window(self, grid4, monkeypatch):
         # the states before a window are folded once into a prefix; each
